@@ -11,13 +11,11 @@ termination checks, so the per-iteration cost columns are directly
 comparable across solvers.
 """
 
-import time
-
 import numpy as np
 
 from .envelope import backward_smooth_prox
-from .prox import CapabilityError, NumericalError, _as_vector, _check_gamma
-from .reports import CallCounter, RunReport, Termination, TracePoint
+from .prox import CapabilityError, _check_gamma
+from .reports import CallCounter, Iterate, drive
 
 
 def _require_smooth(inst, solver):
@@ -26,61 +24,29 @@ def _require_smooth(inst, solver):
     return inst.smooth_h
 
 
-def _gap_at(inst, gamma, point, counter, reuse_v=None):
-    """Termination quantities at ``point``: prox_h, prox_g and their gap."""
-    u = inst.h.prox(point, gamma)
-    counter.prox_h += 1
-    if reuse_v is None:
-        v = inst.g.prox(point, gamma)
-        counter.prox_g += 1
-    else:
-        v = reuse_v
-    return u, v, float(np.linalg.norm(u - v))
+def _baseline_run(solver, inst, gamma, tol, max_iter, x0, counter, prox_g,
+                  forward, phi_at):
+    """Drive ``forward(x) -> (x_next, point, reuse_v)`` with the shared residual.
 
-
-def _baseline_loop(solver, inst, gamma, tol, max_iter, state, advance,
-                   record_trace=True):
-    """Shared driver: ``advance(x, counter) -> (x_next, point, reuse_v, phi_x)``.
-
-    ``point`` is where the shared residual is evaluated; ``reuse_v`` is a
-    prox_g output already computed there, if any.
+    ``point`` is where the residual is evaluated; ``reuse_v`` is a prox_g
+    output already computed there, if any. The objective is traced at
+    ``phi_at(it)``; the steps claim no decrease.
     """
-    if tol < 0 or max_iter < 1:
-        raise ValueError("tol must be nonnegative and max_iter positive")
-    x = _as_vector(np.array(state, dtype=float))
-    counter = CallCounter()
-    trace = []
-    t0 = time.perf_counter_ns()
-    status = Termination.MAX_ITER
-    message = ""
-    u = v = x
-    k = 0
-    while k < max_iter:
-        try:
-            x_next, point, reuse_v, phi_x = advance(x, counter)
-            u, v, residual = _gap_at(inst, gamma, point, counter, reuse_v)
-        except (NumericalError, np.linalg.LinAlgError) as exc:
-            status = Termination.NUMERICAL_ERROR
-            message = str(exc)
-            break
-        if record_trace or not trace:
-            trace.append(TracePoint(k=k, env=phi_x, residual=residual, phi=phi_x,
-                                    decrement=0.0, prox_h=counter.prox_h,
-                                    prox_g=counter.prox_g, grad_h=counter.grad_h,
-                                    wall_ns=time.perf_counter_ns() - t0))
-        else:
-            trace[-1] = TracePoint(k=k, env=phi_x, residual=residual, phi=phi_x,
-                                   decrement=0.0, prox_h=counter.prox_h,
-                                   prox_g=counter.prox_g, grad_h=counter.grad_h,
-                                   wall_ns=time.perf_counter_ns() - t0)
-        k += 1
-        if residual <= tol:
-            status = Termination.CONVERGED
-            break
-        x = x_next
-    return RunReport(solver=solver, termination=status, iterations=k,
-                     final_s=x, final_u=u, final_v=v, trace=trace,
-                     gamma=gamma, message=message)
+    prox_h = counter.wrap(inst.h.prox, "prox_h")
+
+    def first(x):
+        x_next, point, v = forward(x)
+        u = prox_h(point, gamma)
+        if v is None:
+            v = prox_g(point, gamma)
+        return Iterate(x, u, v, None, float(np.linalg.norm(u - v)), s_next=x_next)
+
+    def advance(it):
+        return first(it.s_next), None
+
+    return drive(solver, inst.dim, [x0], first, advance,
+                 lambda it: inst.phi(phi_at(it)), counter, tol, max_iter,
+                 gamma=gamma)
 
 
 def fbs_run(inst, gamma, tol, max_iter, u0):
@@ -94,45 +60,49 @@ def fbs_run(inst, gamma, tol, max_iter, u0):
     if smooth.lipschitz > 0 and gamma >= 1.0 / smooth.lipschitz:
         raise ValueError(
             f"fbs needs gamma < 1/L_h = {1.0 / smooth.lipschitz}, got {gamma}")
+    counter = CallCounter()
+    grad = counter.wrap(smooth.grad, "grad_h")
+    prox_g = counter.wrap(inst.g.prox, "prox_g")
 
-    def advance(u, counter):
-        forward = u + gamma * smooth.grad(u)
-        counter.grad_h += 1
-        u_next = inst.g.prox(forward, gamma)
-        counter.prox_g += 1
-        return u_next, forward, u_next, inst.phi(u)
+    def forward(u):
+        point = u + gamma * grad(u)
+        u_next = prox_g(point, gamma)
+        return u_next, point, u_next
 
-    return _baseline_loop("fbs", inst, gamma, tol, max_iter, u0, advance)
+    return _baseline_run("fbs", inst, gamma, tol, max_iter, u0, counter, prox_g,
+                         forward, lambda it: it.s)
 
 
 def dca_run(inst, gamma, tol, max_iter, u0):
     """Classical DC iteration: v = grad h(u), u+ = argmin g - <v, .>.
 
     ``gamma`` enters only through the shared termination criterion at the
-    forward point u + gamma*grad h(u).
+    forward point u + gamma*grad h(u). The subproblem solve counts as prox_g.
     """
     smooth = _require_smooth(inst, "dca")
     _check_gamma(gamma)
     if inst.dca_step is None:
         raise CapabilityError("dca needs a subproblem solver on the instance")
+    counter = CallCounter()
+    grad = counter.wrap(smooth.grad, "grad_h")
+    dca_step = counter.wrap(inst.dca_step, "prox_g")
 
-    def advance(u, counter):
-        v = smooth.grad(u)
-        counter.grad_h += 1
-        u_next = inst.dca_step(v)
-        counter.prox_g += 1
-        return u_next, u + gamma * v, None, inst.phi(u)
+    def forward(u):
+        v = grad(u)
+        return dca_step(v), u + gamma * v, None
 
-    return _baseline_loop("dca", inst, gamma, tol, max_iter, u0, advance)
+    return _baseline_run("dca", inst, gamma, tol, max_iter, u0, counter,
+                         counter.wrap(inst.g.prox, "prox_g"), forward,
+                         lambda it: it.s)
 
 
 def drs_run(inst, gamma, tol, max_iter, s0):
     """Douglas-Rachford on the split (-h) + g, smooth part first.
 
-    u = prox of -h at s (a backward solve), w = prox_g(2u - s),
-    s+ = s + (w - u). Requires gamma times the largest curvature of h to
-    stay below one so the backward solve is single-valued. The residual is
-    checked at the reflected point 2u - s, reusing w.
+    u = prox of -h at s (a backward solve, counted as prox_h),
+    w = prox_g(2u - s), s+ = s + (w - u). Requires gamma times the largest
+    curvature of h to stay below one so the backward solve is single-valued.
+    The residual is checked at the reflected point 2u - s, reusing w.
     """
     smooth = _require_smooth(inst, "drs")
     _check_gamma(gamma)
@@ -140,13 +110,15 @@ def drs_run(inst, gamma, tol, max_iter, s0):
     if curv is not None and curv > 0 and gamma * curv >= 1.0:
         raise ValueError(
             f"drs needs gamma < 1/curvature = {1.0 / curv}, got {gamma}")
+    counter = CallCounter()
+    backward = counter.wrap(lambda s: backward_smooth_prox(smooth, gamma, s), "prox_h")
+    prox_g = counter.wrap(inst.g.prox, "prox_g")
 
-    def advance(s, counter):
-        u = backward_smooth_prox(smooth, gamma, s)
-        counter.prox_h += 1
+    def forward(s):
+        u = backward(s)
         reflected = 2.0 * u - s
-        w = inst.g.prox(reflected, gamma)
-        counter.prox_g += 1
-        return s + (w - u), reflected, w, inst.phi(w)
+        w = prox_g(reflected, gamma)
+        return s + (w - u), reflected, w
 
-    return _baseline_loop("drs", inst, gamma, tol, max_iter, s0, advance)
+    return _baseline_run("drs", inst, gamma, tol, max_iter, s0, counter, prox_g,
+                         forward, lambda it: it.v)

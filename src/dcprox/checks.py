@@ -8,7 +8,7 @@ import numpy as np
 
 from .envelope import dce_eval, dce_fbe_equivalence_check, negate_smooth, sandwich_bounds
 from .prox import _as_vector
-from .two_prox import TwoProxConfig, run
+from .two_prox import TwoProxConfig, default_relaxation, run
 
 
 def finite_difference_gradient(fun, x, step):
@@ -108,8 +108,8 @@ def run_instance_checks(inst, gamma, s0, rng, n_points=20):
     results = []
     ok, worst, budget = check_gradient(inst, gamma, points)
     results.append(("gradient-fd", ok, worst, budget))
-    lam = 0.9 * (1.0 - gamma * inst.mu) if inst.mu else 1.0
-    ok, worst, budget = check_descent(inst, TwoProxConfig(gamma=gamma, lam=lam), s0)
+    cfg = TwoProxConfig(gamma=gamma, lam=default_relaxation(gamma, inst.mu))
+    ok, worst, budget = check_descent(inst, cfg, s0)
     results.append(("descent-50-iters", ok, worst, budget))
     ok, worst, budget = check_sandwich(inst, gamma, points)
     results.append(("sandwich-bounds", ok, worst, budget))

@@ -33,7 +33,7 @@ from .lbfgs import run_lbfgs
 from .problems import make_spca, make_spca3, problem_from_json
 from .reports import Termination
 from .three_prox import default_config, run3
-from .two_prox import TwoProxConfig, run
+from .two_prox import TwoProxConfig, default_relaxation, run
 
 SOLVERS = ("dce", "dce-lbfgs", "fbs", "dca", "drs", "three-prox")
 GAMMA_POLICY = {"dce": 0.9, "dce-lbfgs": 0.9, "fbs": 0.9, "dca": 0.9, "drs": 0.45}
@@ -117,13 +117,13 @@ def _solve_one(solver, kind, payload, tol, max_iter, gamma_override=None):
             info = {"name": synth.name, "gamma": cfg.gamma, "delta": cfg.delta}
         else:
             raise ValueError("three-prox needs a spca3 or three-term synthetic problem")
-        phi = report.trace[-1].phi if report.trace else float("nan")
         return report, info
 
     if kind == "spca":
         spca, inst = payload
         lam_max = spca.lam_max
-        gamma = gamma_override or GAMMA_POLICY[solver] / lam_max
+        gamma = (GAMMA_POLICY[solver] / lam_max if gamma_override is None
+                 else gamma_override)
         s0 = spca.s0
         info = {"n": spca.n, "seed": spca.seed, "kappa": spca.kappa, "gamma": gamma}
     elif kind == "synthetic":
@@ -131,7 +131,7 @@ def _solve_one(solver, kind, payload, tol, max_iter, gamma_override=None):
         if synth.dc is None:
             raise ValueError(f"{synth.name} has no two-function form")
         inst = synth.dc
-        gamma = gamma_override or synth.gamma
+        gamma = synth.gamma if gamma_override is None else gamma_override
         if solver in ("fbs", "dca") and inst.smooth_h is not None:
             lip = inst.smooth_h.lipschitz
             if lip > 0 and gamma >= 1.0 / lip:
@@ -145,8 +145,8 @@ def _solve_one(solver, kind, payload, tol, max_iter, gamma_override=None):
     else:
         raise ValueError(f"solver {solver} does not apply to problem kind {kind}")
 
-    lam = 0.9 * (1.0 - gamma * inst.mu) if inst.mu else 1.0
-    cfg = TwoProxConfig(gamma=gamma, lam=lam, tol=tol, max_iter=max_iter)
+    cfg = TwoProxConfig(gamma=gamma, lam=default_relaxation(gamma, inst.mu),
+                        tol=tol, max_iter=max_iter)
     if solver == "dce":
         report = run(inst, cfg, s0)
     elif solver == "dce-lbfgs":

@@ -13,7 +13,6 @@ evaluation per linesearch serves every trial stepsize; the call counters
 reflect that.
 """
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -21,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .envelope import env_value_from_pair
-from .prox import NumericalError, _as_vector
-from .reports import CallCounter, RunReport, Termination, TracePoint
+from .prox import _as_vector
+from .reports import CallCounter, Iterate, drive
 from .two_prox import descent_coefficient
 
 
@@ -124,18 +123,6 @@ def wolfe_linesearch(eval_at, env0, grad0, d, c1=1e-4, c2=0.9, max_backtracks=30
     return None, None
 
 
-class _TrialEval:
-    __slots__ = ("x", "u", "v", "env", "grad", "residual")
-
-    def __init__(self, x, u, v, env, grad, residual):
-        self.x = x
-        self.u = u
-        self.v = v
-        self.env = env
-        self.grad = grad
-        self.residual = residual
-
-
 def run_lbfgs(inst, cfg, s0, params=None):
     """Accelerated envelope descent with the two-prox termination criterion.
 
@@ -147,113 +134,59 @@ def run_lbfgs(inst, cfg, s0, params=None):
     cfg.validate(inst.mu)
     params = params or LbfgsParams()
     gamma = cfg.gamma
-    s = _as_vector(np.array(s0, dtype=float))
-    if s.shape[0] != inst.dim:
-        raise ValueError("start point has wrong dimension")
     counter = CallCounter()
+    prox_h = counter.wrap(inst.h.prox, "prox_h")
+    prox_g = counter.wrap(inst.g.prox, "prox_g")
     memory = LbfgsMemory(params.memory, params.curvature_eps)
     fallback_coeff = descent_coefficient(gamma, cfg.lam, inst.mu)
-    trace = []
-    iterates = [] if cfg.record_iterates else None
-    t0 = time.perf_counter_ns()
-
-    if inst.dim == 0:
-        return RunReport(solver="dce-lbfgs", termination=Termination.CONVERGED,
-                         iterations=0, final_s=s, final_u=s, final_v=s,
-                         gamma=gamma, params={"memory": params.memory})
-
     h_affine = inst.h.prox_is_affine
     h_zero_image = None  # prox_h(0), lazily cached for affine reuse
 
-    def eval_point(x):
-        u = inst.h.prox(x, gamma)
-        v = inst.g.prox(x, gamma)
-        counter.prox_h += 1
-        counter.prox_g += 1
+    def point(x, u):
+        v = prox_g(x, gamma)
         env = env_value_from_pair(inst, gamma, x, u, v)
-        return _TrialEval(x, u, v, env, (u - v) / gamma,
-                          float(np.linalg.norm(u - v)))
+        return Iterate(x, u, v, env, float(np.linalg.norm(u - v)),
+                       grad=(u - v) / gamma)
 
-    status = Termination.MAX_ITER
-    message = ""
-    ev = None
-    k = 0
-    try:
-        ev = eval_point(s)
-        while True:
-            if iterates is not None:
-                iterates.append(ev.x.copy())
-            k += 1
-            # no decrement claim on quasi-Newton steps; the fallback path
-            # rewrites it with the plain-step guarantee
-            trace.append(TracePoint(k=k - 1, env=ev.env, residual=ev.residual,
-                                    phi=inst.phi(ev.v), decrement=0.0,
-                                    prox_h=counter.prox_h, prox_g=counter.prox_g,
-                                    grad_h=counter.grad_h,
-                                    wall_ns=time.perf_counter_ns() - t0))
-            if ev.residual <= cfg.tol:
-                status = Termination.CONVERGED
-                break
-            if k >= cfg.max_iter:
-                break
+    def first(x):
+        return point(x, prox_h(x, gamma))
 
-            d = lbfgs_direction(memory, ev.grad, gamma)
-            if float(d @ ev.grad) >= -params.direction_eps * float(
-                    np.linalg.norm(d)) * float(np.linalg.norm(ev.grad)):
-                memory.reset()
-                d = -gamma * ev.grad
+    def advance(ev):
+        nonlocal h_zero_image
+        d = lbfgs_direction(memory, ev.grad, gamma)
+        if float(d @ ev.grad) >= -params.direction_eps * float(
+                np.linalg.norm(d)) * float(np.linalg.norm(ev.grad)):
+            memory.reset()
+            d = -gamma * ev.grad
 
-            # trial evaluations along s + alpha*d; affine prox_h needs one
-            # fresh evaluation for the whole segment
-            if h_affine:
-                if h_zero_image is None:
-                    h_zero_image = inst.h.prox(np.zeros(inst.dim), gamma)
-                    counter.prox_h += 1
-                h_dir = inst.h.prox(d, gamma) - h_zero_image
-                counter.prox_h += 1
+        # trial evaluations along s + alpha*d; affine prox_h needs one
+        # fresh evaluation for the whole segment
+        if h_affine:
+            if h_zero_image is None:
+                h_zero_image = prox_h(np.zeros(inst.dim), gamma)
+            h_dir = prox_h(d, gamma) - h_zero_image
 
-            def eval_at(alpha, _ev=ev, _d=d):
-                x = _ev.x + alpha * _d
-                if h_affine:
-                    u = _ev.u + alpha * h_dir
-                else:
-                    u = inst.h.prox(x, gamma)
-                    counter.prox_h += 1
-                v = inst.g.prox(x, gamma)
-                counter.prox_g += 1
-                env = env_value_from_pair(inst, gamma, x, u, v)
-                return _TrialEval(x, u, v, env, (u - v) / gamma,
-                                  float(np.linalg.norm(u - v)))
+        def eval_at(alpha):
+            x = ev.s + alpha * d
+            return point(x, ev.u + alpha * h_dir if h_affine else prox_h(x, gamma))
 
-            if params.fixed_alpha is not None:
-                alpha = params.fixed_alpha
-                ev_next = eval_at(alpha)
-            else:
-                alpha, ev_next = wolfe_linesearch(
-                    eval_at, ev.env, ev.grad, d,
-                    c1=params.c1, c2=params.c2,
-                    max_backtracks=params.max_backtracks)
-            if ev_next is None:
-                # plain relaxed step; bit-identical to two_prox_step
-                x = ev.x + cfg.lam * (ev.v - ev.u)
-                ev_next = eval_point(x)
-                memory.reset()
-                trace[-1] = TracePoint(
-                    k=trace[-1].k, env=trace[-1].env, residual=trace[-1].residual,
-                    phi=trace[-1].phi,
-                    decrement=fallback_coeff * ev.residual ** 2,
-                    prox_h=trace[-1].prox_h, prox_g=trace[-1].prox_g,
-                    grad_h=trace[-1].grad_h, wall_ns=trace[-1].wall_ns)
-            else:
-                memory.push(ev_next.x - ev.x, ev_next.grad - ev.grad)
-            ev = ev_next
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        status = Termination.NUMERICAL_ERROR
-        message = str(exc)
+        if params.fixed_alpha is not None:
+            ev_next = eval_at(params.fixed_alpha)
+        else:
+            _, ev_next = wolfe_linesearch(
+                eval_at, ev.env, ev.grad, d,
+                c1=params.c1, c2=params.c2,
+                max_backtracks=params.max_backtracks)
+        if ev_next is None:
+            # plain relaxed step, bit-identical to two_prox_step, with its
+            # guaranteed decrease; quasi-Newton steps claim none
+            memory.reset()
+            return (first(ev.s + cfg.lam * (ev.v - ev.u)),
+                    fallback_coeff * ev.residual ** 2)
+        memory.push(ev_next.s - ev.s, ev_next.grad - ev.grad)
+        return ev_next, None
 
-    final = ev if ev is not None else _TrialEval(s, s, s, np.inf, s, np.inf)
-    return RunReport(solver="dce-lbfgs", termination=status, iterations=k,
-                     final_s=final.x, final_u=final.u, final_v=final.v,
-                     trace=trace, iterates=iterates, gamma=gamma,
-                     params={"memory": params.memory, "lam": cfg.lam},
-                     message=message)
+    return drive("dce-lbfgs", inst.dim, [s0], first, advance,
+                 lambda it: inst.phi(it.v), counter, cfg.tol, cfg.max_iter,
+                 cfg.record_trace, cfg.record_iterates, gamma,
+                 {"memory": params.memory, "lam": cfg.lam})

@@ -33,8 +33,8 @@ def _as_vector(x):
 def _check_gamma(gamma):
     if not np.isscalar(gamma) and np.asarray(gamma).ndim > 0:
         raise ValueError("scalar stepsize expected; use prox_diag for vectors")
-    if not gamma > 0:
-        raise ValueError(f"stepsize must be positive, got {gamma}")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"stepsize must be positive and finite, got {gamma}")
 
 
 def validate_diagonal(entries, dim=None):

@@ -1,10 +1,15 @@
-"""Run reports shared by all solvers: per-iteration trace plus final state."""
+"""The solver driver and the run reports it writes: trace plus final state."""
 
 import enum
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from .prox import NumericalError, _as_vector
+
+DESCENT_SLACK = 1e-12
 
 
 class Termination(enum.Enum):
@@ -17,9 +22,11 @@ class Termination(enum.Enum):
 class TracePoint:
     """State after computing the k-th prox tuple (before stepping).
 
-    ``decrement`` is the theoretical lower bound on the envelope decrease
-    of the step taken from this point (0 on the final, unstepped point).
-    Call counters are cumulative.
+    ``decrement`` is the envelope decrease that the step taken from this
+    point claims; the driver checks it at run time against the next
+    point's envelope. It is 0 where no claim is made: baseline steps,
+    L-BFGS quasi-Newton steps, and the final point, from which no step is
+    taken. Call counters are cumulative.
     """
 
     k: int
@@ -68,12 +75,129 @@ class RunReport:
 
 
 class CallCounter:
-    """Cumulative prox/gradient call counts for one run."""
+    """Cumulative prox/gradient call counts for one run.
+
+    Solvers wrap each oracle once, at entry, with ``wrap``; every call then
+    counts itself, so the counts are exact by construction.
+    """
 
     def __init__(self):
         self.prox_h = 0
         self.prox_g = 0
         self.grad_h = 0
+
+    def wrap(self, fn, column):
+        """``fn``, counting each call in ``column`` (prox_h, prox_g or grad_h)."""
+        def counted(*args):
+            setattr(self, column, getattr(self, column) + 1)
+            return fn(*args)
+        return counted
+
+
+@dataclass(eq=False)
+class Iterate:
+    """One evaluated iterate, as a solver hands it to ``drive``.
+
+    ``s`` is the iterate (``t`` its second block, for three-prox), ``u`` and
+    ``v`` the prox outputs whose gap is ``residual``, and ``z`` three-prox's
+    prox_f output. ``env`` is the value the descent check and the trace
+    use; None means the method has no envelope and traces the objective.
+    ``grad`` (L-BFGS) and ``s_next`` (the baselines, which compute their
+    next iterate while evaluating this one) carry what the next step reuses.
+    """
+
+    s: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    env: Optional[float]
+    residual: float
+    t: Optional[np.ndarray] = None
+    z: Optional[np.ndarray] = None
+    grad: Optional[np.ndarray] = None
+    s_next: Optional[np.ndarray] = None
+
+
+def drive(solver, dim, starts, first, advance, phi, counter, tol, max_iter,
+          record_trace=True, record_iterates=False, gamma=0.0, params=None):
+    """Run one solver to convergence, the budget or a numerical error.
+
+    ``first(*starts)`` evaluates the start point(s) and returns an
+    ``Iterate``; ``advance(it)`` steps from ``it`` and returns the next
+    evaluated ``Iterate`` with the envelope decrease the step claims, or
+    None for a step that makes no claim. ``phi(it)`` is the objective value
+    at ``it``; it is evaluated only for trace points that are kept. The run
+    stops at ``residual <= tol``, after ``max_iter`` evaluated iterates, or
+    with NUMERICAL_ERROR when an envelope rises above a claimed decrease or
+    an oracle fails. Without ``record_trace`` the trace keeps only the last
+    point. Counts come from ``counter``, which wraps the solver's oracles.
+    """
+    if tol < 0 or max_iter < 1:
+        raise ValueError("tol must be nonnegative and max_iter positive")
+    starts = [_as_vector(np.array(x, dtype=float)) for x in starts]
+    for x in starts:
+        if x.shape != (dim,):
+            raise ValueError(f"start point has shape {x.shape}, instance dim {dim}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("start point must be finite")
+    params = {} if params is None else params
+    iterates = [] if record_iterates else None
+    trace = []
+    status = Termination.CONVERGED if dim == 0 else Termination.MAX_ITER
+    message = ""
+    it = None
+    k = 0
+    t0 = time.perf_counter_ns()
+
+    def trace_point(it, decrement, mark):
+        value = phi(it)
+        return TracePoint(k=mark[0], env=value if it.env is None else it.env,
+                          residual=it.residual, phi=value, decrement=decrement,
+                          prox_h=mark[1], prox_g=mark[2], grad_h=mark[3],
+                          wall_ns=mark[4])
+
+    try:
+        if dim:
+            it = first(*starts)
+            claim = None
+            while True:
+                if iterates is not None:
+                    iterates.append(it.s.copy() if it.t is None
+                                    else (it.s.copy(), it.t.copy()))
+                mark = (k, counter.prox_h, counter.prox_g, counter.grad_h,
+                        time.perf_counter_ns() - t0)
+                k += 1
+                if claim is not None and it.env > (
+                        prev_env - claim + DESCENT_SLACK * (1.0 + abs(prev_env))):
+                    status = Termination.NUMERICAL_ERROR
+                    message = (f"descent violated at iteration {k}: env rose from "
+                               f"{prev_env:.12g} to {it.env:.12g} against a claimed "
+                               f"decrease of {claim:.3e}")
+                    break
+                if it.residual <= tol:
+                    status = Termination.CONVERGED
+                    break
+                if k >= max_iter:
+                    break
+                nxt, claim = advance(it)
+                if record_trace:
+                    trace.append(trace_point(it, 0.0 if claim is None else claim, mark))
+                prev_env, it = it.env, nxt
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        status = Termination.NUMERICAL_ERROR
+        message = f"oracle evaluation failed: {exc}"
+
+    if it is None:  # dim 0, or the start point could not be evaluated
+        s = starts[0]
+        t = starts[1] if len(starts) > 1 else None
+        return RunReport(solver=solver, termination=status, iterations=0,
+                         final_s=s, final_u=s, final_v=s, final_t=t, final_z=t,
+                         iterates=iterates, gamma=gamma, params=params,
+                         message=message)
+    trace.append(trace_point(it, 0.0, mark))
+    return RunReport(solver=solver, termination=status, iterations=k,
+                     final_s=it.s, final_u=it.u, final_v=it.v, final_t=it.t,
+                     final_z=it.z, trace=trace, iterates=iterates, gamma=gamma,
+                     params=params, message=message)
 
 
 def residual_rate_check(report, rel_slack=1e-10):

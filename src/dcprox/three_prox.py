@@ -22,7 +22,6 @@ solver with stepsize diag(gamma, 1/delta), relaxation diag(lam, mu) and
 unit quadratic shift.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +29,13 @@ import numpy as np
 from .envelope import DcInstance, dc_value
 from .prox import (
     CapabilityError,
-    NumericalError,
     ProxFunction,
     _as_vector,
     prox_conjugate_scaled,
     validate_diagonal,
 )
-from .reports import CallCounter, RunReport, Termination, TracePoint
-from .two_prox import DESCENT_SLACK, run_diag
+from .reports import CallCounter, Iterate, drive
+from .two_prox import run_diag
 
 
 @dataclass(frozen=True)
@@ -181,88 +179,35 @@ def run3(inst, cfg, s0, t0):
     numerical-error status.
     """
     cfg.validate()
-    s = _as_vector(np.array(s0, dtype=float))
-    t = _as_vector(np.array(t0, dtype=float))
-    if s.shape[0] != inst.dim or t.shape[0] != inst.dim:
-        raise ValueError("start points must match the instance dimension")
     counter = CallCounter()
-    trace = []
-    iterates = [] if cfg.record_iterates else None
-    t_start = time.perf_counter_ns()
-
-    if inst.dim == 0:
-        return RunReport(solver="three-prox", termination=Termination.CONVERGED,
-                         iterations=0, final_s=s, final_u=s, final_v=s,
-                         final_t=t, final_z=t, gamma=cfg.gamma,
-                         params={"delta": cfg.delta, "lam": cfg.lam, "mu": cfg.mu})
-
+    prox_h = counter.wrap(inst.h.prox, "prox_h")
+    prox_g = counter.wrap(inst.g.prox, "prox_g")
+    prox_f = counter.wrap(inst.f.prox, "prox_g")  # f tallied with g
     # weighted decrease: s-block lam*(2*(1-gamma)-lam)/(gamma*(1-gamma)) on
     # ||u-v||^2, t-block mu*(2*(1-1/delta)-mu)/(delta-1) on ||u-z||^2, halved
     w_s = cfg.lam * (2.0 * (1.0 - cfg.gamma) - cfg.lam) / (cfg.gamma * (1.0 - cfg.gamma))
     w_t = cfg.mu * (2.0 * (1.0 - 1.0 / cfg.delta) - cfg.mu) / (cfg.delta - 1.0)
 
-    status = Termination.MAX_ITER
-    message = ""
-    prev_psi = None
-    prev_decr = 0.0
-    u = v = z = s
-    k = 0
-    while k < cfg.max_iter:
-        if iterates is not None:
-            iterates.append((s.copy(), t.copy()))
-        try:
-            u = inst.h.prox(_h_point(cfg, s, t), cfg.h_step)
-            v = inst.g.prox(s, cfg.gamma)
-            z = inst.f.prox(t, cfg.delta)
-        except (NumericalError, np.linalg.LinAlgError) as exc:
-            status = Termination.NUMERICAL_ERROR
-            message = f"prox evaluation failed: {exc}"
-            break
-        counter.prox_h += 1
-        counter.prox_g += 2  # one call each on g and f; f tallied with g
+    def first(s, t):
+        u = prox_h(_h_point(cfg, s, t), cfg.h_step)
+        v = prox_g(s, cfg.gamma)
+        z = prox_f(t, cfg.delta)
         duv = u - v
         duz = u - z
-        residual = float(np.sqrt(duv @ duv + duz @ duz))
-        psi = _psi_from_points(inst, cfg, s, t, u, v, z)
-        decr = 0.5 * (w_s * float(duv @ duv) + w_t * float(duz @ duz))
-        if cfg.record_trace or not trace:
-            trace.append(TracePoint(k=k, env=psi, residual=residual,
-                                    phi=inst.phi(u), decrement=decr,
-                                    prox_h=counter.prox_h, prox_g=counter.prox_g,
-                                    grad_h=counter.grad_h,
-                                    wall_ns=time.perf_counter_ns() - t_start))
-        else:
-            trace[-1] = TracePoint(k=k, env=psi, residual=residual,
-                                   phi=inst.phi(u), decrement=decr,
-                                   prox_h=counter.prox_h, prox_g=counter.prox_g,
-                                   grad_h=counter.grad_h,
-                                   wall_ns=time.perf_counter_ns() - t_start)
-        k += 1
-        if prev_psi is not None and psi > prev_psi - prev_decr + DESCENT_SLACK * (1.0 + abs(prev_psi)):
-            status = Termination.NUMERICAL_ERROR
-            message = (f"surrogate descent violated at iteration {k}: "
-                       f"{prev_psi:.12g} -> {psi:.12g}")
-            break
-        if residual <= cfg.tol:
-            status = Termination.CONVERGED
-            break
-        if k >= cfg.max_iter:
-            break
-        prev_psi, prev_decr = psi, decr
-        s = s + cfg.lam * (v - u)
-        t = t + cfg.mu * (u - z)
+        return Iterate(s, u, v, _psi_from_points(inst, cfg, s, t, u, v, z),
+                       float(np.sqrt(duv @ duv + duz @ duz)), t=t, z=z)
 
-    if trace and status is not Termination.NUMERICAL_ERROR:
-        last = trace[-1]
-        trace[-1] = TracePoint(k=last.k, env=last.env, residual=last.residual,
-                               phi=last.phi, decrement=0.0, prox_h=last.prox_h,
-                               prox_g=last.prox_g, grad_h=last.grad_h,
-                               wall_ns=last.wall_ns)
-    return RunReport(solver="three-prox", termination=status, iterations=k,
-                     final_s=s, final_u=u, final_v=v, final_t=t, final_z=z,
-                     trace=trace, iterates=iterates, gamma=cfg.gamma,
-                     params={"delta": cfg.delta, "lam": cfg.lam, "mu": cfg.mu},
-                     message=message)
+    def advance(it):
+        duv = it.u - it.v
+        duz = it.u - it.z
+        claim = 0.5 * (w_s * float(duv @ duv) + w_t * float(duz @ duz))
+        return (first(it.s + cfg.lam * (it.v - it.u), it.t + cfg.mu * (it.u - it.z)),
+                claim)
+
+    return drive("three-prox", inst.dim, [s0, t0], first, advance,
+                 lambda it: inst.phi(it.u), counter, cfg.tol, cfg.max_iter,
+                 cfg.record_trace, cfg.record_iterates, cfg.gamma,
+                 {"delta": cfg.delta, "lam": cfg.lam, "mu": cfg.mu})
 
 
 def stationarity_certificate(inst, cfg, report, sample_points, slack):

@@ -13,16 +13,13 @@ with a numerical-error status, usually signalling a wrong curvature
 modulus on the instance.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envelope import env_value_from_pair
-from .prox import NumericalError, _as_vector, validate_diagonal
-from .reports import CallCounter, RunReport, Termination, TracePoint
-
-DESCENT_SLACK = 1e-12
+from .prox import _as_vector, validate_diagonal
+from .reports import CallCounter, Iterate, drive
 
 
 @dataclass(frozen=True)
@@ -42,8 +39,8 @@ class TwoProxConfig:
     record_iterates: bool = False
 
     def validate(self, mu=0.0):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.gamma * mu >= 1.0:
             raise ValueError(f"gamma*mu must stay below 1, got {self.gamma * mu}")
         hi = 2.0 * (1.0 - self.gamma * mu)
@@ -70,81 +67,30 @@ def descent_coefficient(gamma, lam, mu=0.0):
     return lam * (2.0 * shrink - lam) / (2.0 * gamma * shrink)
 
 
-def _loop(solver, dim, s0, tol, max_iter, record_trace, record_iterates,
-          evaluate, step, gamma, params):
-    """Shared fixed-point driver for the scalar and diagonal variants.
+def default_relaxation(gamma, mu=0.0):
+    """The relaxation the command line and the check battery run with."""
+    return 0.9 * (1.0 - gamma * mu) if mu else 1.0
 
-    ``evaluate(s, counter) -> (u, v, env, phi, decrement)`` and
-    ``step(s, u, v)`` define the iteration; decrement is the guaranteed
-    envelope decrease of the step about to be taken.
+
+def _relaxed_steps(inst, prox_h, prox_g, gamma, lam, claim):
+    """Counter and first/advance callbacks of s+ = s + lam*(v - u).
+
+    ``claim(u - v)`` is the guaranteed envelope decrease of the step.
     """
-    s = _as_vector(np.array(s0, dtype=float))
-    if s.shape[0] != dim:
-        raise ValueError(f"start point has dim {s.shape[0]}, instance dim {dim}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("start point must be finite")
     counter = CallCounter()
-    trace = []
-    iterates = [] if record_iterates else None
-    t0 = time.perf_counter_ns()
+    prox_h = counter.wrap(prox_h, "prox_h")
+    prox_g = counter.wrap(prox_g, "prox_g")
 
-    if dim == 0:
-        return RunReport(solver=solver, termination=Termination.CONVERGED,
-                         iterations=0, final_s=s, final_u=s, final_v=s,
-                         gamma=gamma, params=params, trace=trace, iterates=iterates)
+    def first(s):
+        u = prox_h(s, gamma)
+        v = prox_g(s, gamma)
+        env = env_value_from_pair(inst, gamma, s, u, v)
+        return Iterate(s, u, v, env, float(np.linalg.norm(u - v)))
 
-    status = Termination.MAX_ITER
-    message = ""
-    prev_env = None
-    prev_decr = 0.0
-    u = v = s
-    k = 0
-    while k < max_iter:
-        if iterates is not None:
-            iterates.append(s.copy())
-        try:
-            u, v, env, phi, decr = evaluate(s, counter)
-        except (NumericalError, np.linalg.LinAlgError) as exc:
-            status = Termination.NUMERICAL_ERROR
-            message = f"prox evaluation failed: {exc}"
-            break
-        residual = float(np.linalg.norm(u - v))
-        if record_trace or not trace:
-            trace.append(TracePoint(k=k, env=env, residual=residual, phi=phi,
-                                    decrement=decr, prox_h=counter.prox_h,
-                                    prox_g=counter.prox_g, grad_h=counter.grad_h,
-                                    wall_ns=time.perf_counter_ns() - t0))
-        elif trace:
-            trace[-1] = TracePoint(k=k, env=env, residual=residual, phi=phi,
-                                   decrement=decr, prox_h=counter.prox_h,
-                                   prox_g=counter.prox_g, grad_h=counter.grad_h,
-                                   wall_ns=time.perf_counter_ns() - t0)
-        k += 1
-        if prev_env is not None and env > prev_env - prev_decr + DESCENT_SLACK * (1.0 + abs(prev_env)):
-            status = Termination.NUMERICAL_ERROR
-            message = (f"descent violated at iteration {k}: env rose from "
-                       f"{prev_env:.12g} to {env:.12g} against a guaranteed "
-                       f"decrease of {prev_decr:.3e}; check the instance's mu")
-            break
-        if residual <= tol:
-            status = Termination.CONVERGED
-            break
-        if k >= max_iter:
-            break
-        prev_env, prev_decr = env, decr
-        s = step(s, u, v)
+    def advance(it):
+        return first(it.s + lam * (it.v - it.u)), claim(it.u - it.v)
 
-    if status is not Termination.NUMERICAL_ERROR and trace:
-        # final point never stepped from; zero out its claimed decrement
-        last = trace[-1]
-        trace[-1] = TracePoint(k=last.k, env=last.env, residual=last.residual,
-                               phi=last.phi, decrement=0.0, prox_h=last.prox_h,
-                               prox_g=last.prox_g, grad_h=last.grad_h,
-                               wall_ns=last.wall_ns)
-    return RunReport(solver=solver, termination=status, iterations=k,
-                     final_s=s, final_u=u, final_v=v, trace=trace,
-                     iterates=iterates, gamma=gamma, params=params,
-                     message=message)
+    return counter, first, advance
 
 
 def run(inst, cfg, s0):
@@ -157,22 +103,12 @@ def run(inst, cfg, s0):
     """
     cfg.validate(inst.mu)
     coeff = descent_coefficient(cfg.gamma, cfg.lam, inst.mu)
-
-    def evaluate(s, counter):
-        u = inst.h.prox(s, cfg.gamma)
-        v = inst.g.prox(s, cfg.gamma)
-        counter.prox_h += 1
-        counter.prox_g += 1
-        env = env_value_from_pair(inst, cfg.gamma, s, u, v)
-        d = u - v
-        return u, v, env, inst.phi(v), coeff * float(d @ d)
-
-    def step(s, u, v):
-        return s + cfg.lam * (v - u)
-
-    return _loop("dce", inst.dim, s0, cfg.tol, cfg.max_iter, cfg.record_trace,
-                 cfg.record_iterates, evaluate, step, cfg.gamma,
-                 {"lam": cfg.lam, "mu": inst.mu})
+    counter, first, advance = _relaxed_steps(
+        inst, inst.h.prox, inst.g.prox, cfg.gamma, cfg.lam,
+        lambda d: coeff * float(d @ d))
+    return drive("dce", inst.dim, [s0], first, advance, lambda it: inst.phi(it.v),
+                 counter, cfg.tol, cfg.max_iter, cfg.record_trace,
+                 cfg.record_iterates, cfg.gamma, {"lam": cfg.lam, "mu": inst.mu})
 
 
 def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
@@ -195,23 +131,12 @@ def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
         raise ValueError("gamma*M must stay below 1 elementwise")
     if np.any(lam_diag >= 2.0 * shrink) or np.any(lam_diag <= 0):
         raise ValueError("lam must lie in (0, 2*(1 - gamma*M)) elementwise")
-    if tol < 0 or max_iter < 1:
-        raise ValueError("tol must be nonnegative and max_iter positive")
     # decrease weight (2*(I - Gamma M) - Lambda) Gamma^-1 Lambda (I - Gamma M)^-1
     weight = (2.0 * shrink - lam_diag) * lam_diag / (gamma_diag * shrink)
-
-    def evaluate(s, counter):
-        u = inst.h.prox_diag(s, gamma_diag)
-        v = inst.g.prox_diag(s, gamma_diag)
-        counter.prox_h += 1
-        counter.prox_g += 1
-        env = env_value_from_pair(inst, gamma_diag, s, u, v)
-        d = u - v
-        return u, v, env, inst.phi(v), 0.5 * float(np.sum(weight * d * d))
-
-    def step(s, u, v):
-        return s + lam_diag * (v - u)
-
-    return _loop("dce-diag", inst.dim, s0, tol, max_iter, record_trace,
-                 record_iterates, evaluate, step, float(gamma_diag[0]),
+    counter, first, advance = _relaxed_steps(
+        inst, inst.h.prox_diag, inst.g.prox_diag, gamma_diag, lam_diag,
+        lambda d: 0.5 * float(np.sum(weight * d * d)))
+    return drive("dce-diag", inst.dim, [s0], first, advance,
+                 lambda it: inst.phi(it.v), counter, tol, max_iter, record_trace,
+                 record_iterates, float(gamma_diag[0]),
                  {"gamma_diag": gamma_diag, "lam_diag": lam_diag, "m_diag": m_diag})

@@ -44,6 +44,13 @@ def test_solve_budget_exhaustion_exits_two(tmp_path):
     assert code == 2
 
 
+def test_solve_gamma_zero_is_an_error(tmp_path, capsys):
+    code = cli.main(["solve", '{"kind": "spca", "n": 10, "seed": 0}',
+                     "--solver", "dce", "--gamma", "0", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "gamma must be positive" in capsys.readouterr().err
+
+
 def test_solve_unknown_solver_exits_one(tmp_path, capsys):
     code = cli.main(["solve", '{"kind": "synthetic", "name": "quad-linear-1d"}',
                      "--solver", "sorcery", "--out", str(tmp_path / "x")])
@@ -100,15 +107,28 @@ def test_bench_single_cell(tmp_path):
     assert os.path.exists(out / "traces" / "dce_n10_seed0.csv")
 
 
+# comparison.csv of the sweep below, recorded before the solvers shared one
+# driver; any change to iterates, counts or termination shows here
+PINNED_TABLE = "".join(row + "\r\n" for row in [
+    "solver,n,mean_iters,mean_prox_h,mean_prox_g,mean_grad_h,mean_wall_ns,seeds",
+    "dce,12,320.5,320.5,320.5,0.0,0.0,2",
+    "dce-lbfgs,12,28.0,29.0,30.0,0.0,0.0,2",
+    "fbs,12,177.5,177.5,177.5,177.5,0.0,2",
+    "dca,12,80.5,80.5,161.0,80.5,0.0,2",
+    "drs,12,160.0,320.0,160.0,0.0,0.0,2",
+    "three-prox,12,2682.0,2682.0,5364.0,0.0,0.0,2",
+])
+
+
 def test_bench_deterministic_bytes_without_timing(tmp_path):
-    args = ["bench", "--solvers", "dce,dce-lbfgs", "--n-values", "12",
-            "--seeds", "2", "--max-iter", "3000", "--no-timing"]
+    args = ["bench", "--solvers", "dce,dce-lbfgs,fbs,dca,drs,three-prox",
+            "--n-values", "12", "--seeds", "2", "--max-iter", "3000", "--no-timing"]
     code = cli.main(args + ["--out", str(tmp_path / "a")])
     assert code == 0
     code = cli.main(args + ["--out", str(tmp_path / "b")])
     assert code == 0
-    assert (tmp_path / "a" / "comparison.csv").read_bytes() == \
-        (tmp_path / "b" / "comparison.csv").read_bytes()
+    assert (tmp_path / "a" / "comparison.csv").read_bytes() == PINNED_TABLE.encode()
+    assert (tmp_path / "b" / "comparison.csv").read_bytes() == PINNED_TABLE.encode()
     trace = "traces/dce_n12_seed1.csv"
     assert (tmp_path / "a" / trace).read_bytes() == (tmp_path / "b" / trace).read_bytes()
 

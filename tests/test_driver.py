@@ -1,0 +1,115 @@
+"""The shared solver driver: traces, call accounting and start-point checks."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import dcprox as dp
+from dcprox import cli
+from dcprox.three_prox import default_config
+
+N = 12
+
+
+def spca_runs(record_trace=True):
+    """Solver name -> (runner taking a start point, the default start)."""
+    spca, inst = dp.make_spca(N, seed=1)
+    spca3, inst3 = dp.make_spca3(N, seed=1)
+    gamma = 0.9 / spca.lam_max
+    cfg = dp.TwoProxConfig(gamma=gamma, tol=1e-8, max_iter=300,
+                           record_trace=record_trace)
+    cfg3 = default_config(tol=1e-6, max_iter=300, record_trace=record_trace)
+    drs_gamma = 0.45 / spca.lam_max
+    # run_diag on the lifted form of the three-term instance (see run3_via_lifted)
+    lifted = dp.lifted_pair(inst3)
+    gamma_diag = np.concatenate([np.full(N, cfg3.gamma), np.full(N, 1.0 / cfg3.delta)])
+    lam_diag = np.concatenate([np.full(N, cfg3.lam), np.full(N, cfg3.mu)])
+    t0 = spca3.s0 / cfg3.delta
+    return {
+        "run": (lambda s: dp.run(inst, cfg, s), spca.s0),
+        "run_lbfgs": (lambda s: dp.run_lbfgs(inst, cfg, s), spca.s0),
+        "run_diag": (lambda s: dp.run_diag(lifted, gamma_diag, lam_diag,
+                                           np.concatenate([s, t0]),
+                                           m_diag=np.ones(2 * N), tol=1e-6,
+                                           max_iter=300, record_trace=record_trace),
+                     spca3.s0),
+        "run3": (lambda s: dp.run3(inst3, cfg3, s, spca3.s0), spca3.s0),
+        "fbs": (lambda s: dp.fbs_run(inst, gamma, 1e-8, 300, s), spca.s0),
+        "dca": (lambda s: dp.dca_run(inst, gamma, 1e-8, 300, s), spca.s0),
+        "drs": (lambda s: dp.drs_run(inst, drs_gamma, 1e-8, 300, s), spca.s0),
+    }
+
+
+@pytest.mark.parametrize("name", ["run", "run_lbfgs", "run_diag", "run3"])
+def test_unrecorded_trace_keeps_the_last_point_only(name):
+    fn, s0 = spca_runs(record_trace=True)[name]
+    recorded = fn(s0)
+    fn, s0 = spca_runs(record_trace=False)[name]
+    plain = fn(s0)
+    assert len(recorded.trace) == recorded.iterations > 1
+    assert len(plain.trace) == 1
+    assert (plain.termination, plain.iterations, plain.counts()) == \
+        (recorded.termination, recorded.iterations, recorded.counts())
+    for key in ("final_s", "final_u", "final_v", "final_t", "final_z"):
+        np.testing.assert_array_equal(getattr(plain, key), getattr(recorded, key))
+    assert dataclasses.replace(plain.trace[-1], wall_ns=0) == \
+        dataclasses.replace(recorded.trace[-1], wall_ns=0)
+
+
+class CountedAtom:
+    """Forwards an atom and counts its prox calls."""
+
+    def __init__(self, atom):
+        self._atom = atom
+        self.calls = 0
+
+    def prox(self, x, gamma):
+        self.calls += 1
+        return self._atom.prox(x, gamma)
+
+    def __getattr__(self, name):
+        return getattr(self._atom, name)
+
+
+def counted(fn, tally, key):
+    def wrapper(*args):
+        tally[key] += 1
+        return fn(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("solver", ["dce", "dce-lbfgs", "fbs", "dca", "drs",
+                                    "three-prox"])
+def test_counts_equal_the_oracle_calls_made(solver):
+    # three-prox tallies prox_f with prox_g, dca its subproblem solve with
+    # prox_g, drs its backward solve with prox_h
+    tally = {"grad": 0, "backward": 0, "dca": 0}
+    if solver == "three-prox":
+        spca, inst = dp.make_spca3(N, seed=2)
+        inst = dataclasses.replace(inst, f=CountedAtom(inst.f), g=CountedAtom(inst.g),
+                                   h=CountedAtom(inst.h))
+    else:
+        spca, inst = dp.make_spca(N, seed=2)
+        smooth = dataclasses.replace(
+            inst.smooth_h, grad=counted(inst.smooth_h.grad, tally, "grad"),
+            backward=counted(inst.smooth_h.backward, tally, "backward"))
+        inst = dataclasses.replace(inst, g=CountedAtom(inst.g), h=CountedAtom(inst.h),
+                                   smooth_h=smooth,
+                                   dca_step=counted(inst.dca_step, tally, "dca"))
+    report, _ = cli._solve_one(solver, "spca3" if solver == "three-prox" else "spca",
+                               (spca, inst), 1e-8, 400)
+    f_calls = inst.f.calls if solver == "three-prox" else 0
+    assert report.counts() == (inst.h.calls + tally["backward"],
+                               inst.g.calls + f_calls + tally["dca"],
+                               tally["grad"])
+    assert report.counts()[0] > 0
+
+
+@pytest.mark.parametrize("name", list(spca_runs()))
+def test_every_solver_rejects_a_bad_start_point(name):
+    fn, s0 = spca_runs()[name]
+    for bad in (s0[:-1], np.append(s0, 0.0), np.where(np.arange(N) == 3, np.nan, s0),
+                np.full(N, np.inf)):
+        with pytest.raises(ValueError, match="start point"):
+            fn(bad)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import dcprox as dp
-from dcprox.lbfgs import LbfgsMemory, LbfgsParams, _TrialEval, wolfe_linesearch
+from dcprox.lbfgs import LbfgsMemory, LbfgsParams, wolfe_linesearch
+from dcprox.reports import Iterate
 
 
 def quadratic_env_instance(n=5, seed=11):
@@ -110,7 +111,7 @@ def _env_oracle(inst, gamma):
         v = inst.g.prox(x, gamma)
         from dcprox.envelope import env_value_from_pair
         env = env_value_from_pair(inst, gamma, x, u, v)
-        return _TrialEval(x, u, v, env, (u - v) / gamma, float(np.linalg.norm(u - v)))
+        return Iterate(x, u, v, env, float(np.linalg.norm(u - v)), grad=(u - v) / gamma)
     return eval_at_point
 
 

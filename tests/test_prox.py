@@ -139,6 +139,14 @@ def test_prox_rejects_nonpositive_gamma():
             atom.prox(np.zeros(3), -1.0)
 
 
+def test_infinite_stepsize_rejected():
+    for atom in (dp.L1Norm(), dp.Zero(), dp.Quadratic(SIGMA3)):
+        with pytest.raises(ValueError, match="finite"):
+            atom.prox(np.zeros(3), np.inf)
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        dp.TwoProxConfig(gamma=np.inf).validate(0.0)
+
+
 # ---------------------------------------------------------------------------
 # Moreau envelope operations
 
