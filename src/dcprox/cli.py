@@ -131,15 +131,19 @@ def _solve_one(solver, kind, payload, tol, max_iter, gamma_override=None):
         if synth.dc is None:
             raise ValueError(f"{synth.name} has no two-function form")
         inst = synth.dc
-        gamma = synth.gamma if gamma_override is None else gamma_override
-        if solver in ("fbs", "dca") and inst.smooth_h is not None:
-            lip = inst.smooth_h.lipschitz
-            if lip > 0 and gamma >= 1.0 / lip:
-                gamma = 0.9 / lip
-        if solver == "drs":
-            curv = inst.smooth_h.curvature_max if inst.smooth_h else None
-            if curv is not None and curv > 0 and gamma >= 1.0 / curv:
-                gamma = 0.45 / curv
+        gamma = gamma_override
+        if gamma is None:
+            # the catalogue's stepsize, shrunk into the baselines' gates; an
+            # explicit stepsize is left for the solver to accept or reject
+            gamma = synth.gamma
+            if solver in ("fbs", "dca") and inst.smooth_h is not None:
+                lip = inst.smooth_h.lipschitz
+                if lip > 0 and gamma >= 1.0 / lip:
+                    gamma = 0.9 / lip
+            if solver == "drs":
+                curv = inst.smooth_h.curvature_max if inst.smooth_h else None
+                if curv is not None and curv > 0 and gamma >= 1.0 / curv:
+                    gamma = 0.45 / curv
         s0 = synth.s0
         info = {"name": synth.name, "gamma": gamma}
     else:

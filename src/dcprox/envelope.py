@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .prox import (
     NumericalError,
     ProxFunction,
+    _apply_inverse,
     _as_vector,
     _check_gamma,
+    _spd_inverse,
     prox_shifted,
 )
 
@@ -91,16 +92,15 @@ def quadratic_smooth(q, c=None, eig_range=None):
         return q @ x + c
 
     def backward(s, gamma):
-        # solve (I - gamma*Q) u = s + gamma*c
+        # u = inv(I - gamma*Q) (s + gamma*c), the inverse cached per gamma
         if gamma not in cache:
-            mat = np.eye(n) - gamma * q
             try:
-                cache[gamma] = cho_factor(mat)
+                cache[gamma] = _spd_inverse(np.eye(n) - gamma * q)
             except np.linalg.LinAlgError as exc:
                 raise ValueError(
                     f"backward prox undefined: I - gamma*Q not positive definite "
                     f"(gamma={gamma})") from exc
-        return cho_solve(cache[gamma], _as_vector(s) + gamma * c)
+        return _apply_inverse(cache[gamma], _as_vector(s) + gamma * c)
 
     return SmoothFunction(value=value, grad=grad, lipschitz=lip,
                           backward=backward, curvature_max=eigmax)

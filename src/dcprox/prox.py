@@ -7,14 +7,14 @@ proximal map
     prox(x, gamma) = argmin_w  f(w) + ||w - x||^2 / (2*gamma).
 
 Atoms are immutable after construction and safe for concurrent read access
-(linear-solve caches are one-slot and keyed by stepsize; pass ``gamma`` to
-constructors that accept it to pre-populate them). Some atoms additionally
-support a diagonal metric ``prox_diag`` (stepsize vector) and expose that
-through ``supports_diag``.
+(the quadratic's prox is one GEMV with an inverse cached in a one-slot,
+per-stepsize cache; pass ``gamma`` to constructors that accept it to
+pre-populate it). Some atoms additionally support a diagonal metric
+``prox_diag`` (stepsize vector) and expose that through ``supports_diag``.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import inv
 
 
 class CapabilityError(Exception):
@@ -35,6 +35,27 @@ def _check_gamma(gamma):
         raise ValueError("scalar stepsize expected; use prox_diag for vectors")
     if not 0.0 < gamma < np.inf:
         raise ValueError(f"stepsize must be positive and finite, got {gamma}")
+
+
+def _spd_inverse(mat):
+    """Explicit inverse of a symmetric positive definite matrix.
+
+    Computed once per matrix from its Cholesky factor, which checks ``mat``
+    for non-finite entries and raises LinAlgError unless it is positive
+    definite, so a linear solve with a fixed matrix then costs one
+    ``_apply_inverse`` GEMV per call. For matrices I + gamma*Sigma (every
+    eigenvalue >= 1) the explicit inverse is as accurate as two triangular
+    solves. ``mat`` is overwritten.
+    """
+    return inv(mat, overwrite_a=True, assume_a="pos")
+
+
+def _apply_inverse(inverse, x):
+    """inverse @ x after an O(n) check that x is finite (ValueError if not)."""
+    x = _as_vector(x)
+    if not np.isfinite(x).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return inverse @ x
 
 
 def validate_diagonal(entries, dim=None):
@@ -324,10 +345,9 @@ class ScaledSquare(ProxFunction):
 class Quadratic(ProxFunction):
     """f(x) = x' Sigma x / 2 for symmetric positive semidefinite Sigma.
 
-    The prox solves (I + gamma*Sigma) w = x through a Cholesky factorization
-    cached per stepsize (one slot each for the scalar, diagonal and backward
-    metrics; pass ``gamma`` to prefactorize so concurrent readers never
-    write).
+    The prox w = inv(I + gamma*Sigma) x is one GEMV with an explicit inverse
+    cached per stepsize (one slot each for the scalar and diagonal metrics;
+    pass ``gamma`` to precompute it so concurrent readers never write).
     """
 
     prox_is_affine = True
@@ -340,15 +360,14 @@ class Quadratic(ProxFunction):
             raise ValueError("Sigma must be symmetric")
         self.sigma = sigma
         self.dim = sigma.shape[0]
-        self._fwd = None   # (gamma, factor) for I + gamma*Sigma
-        self._diag = None  # (entries bytes, entries, factor) for inv(G) + Sigma
+        self._fwd = None   # (gamma, inverse of I + gamma*Sigma)
+        self._diag = None  # (entries bytes, inverse of inv(G) + Sigma)
         if gamma is not None:
-            self._fwd_factor(gamma)
+            self._fwd_inverse(gamma)
 
-    def _fwd_factor(self, gamma):
+    def _fwd_inverse(self, gamma):
         if self._fwd is None or self._fwd[0] != gamma:
-            mat = np.eye(self.dim) + gamma * self.sigma
-            self._fwd = (gamma, cho_factor(mat))
+            self._fwd = (gamma, _spd_inverse(np.eye(self.dim) + gamma * self.sigma))
         return self._fwd[1]
 
     def value(self, x):
@@ -362,7 +381,7 @@ class Quadratic(ProxFunction):
 
     def prox(self, x, gamma):
         _check_gamma(gamma)
-        return cho_solve(self._fwd_factor(gamma), _as_vector(x))
+        return _apply_inverse(self._fwd_inverse(gamma), x)
 
     @property
     def supports_diag(self):
@@ -375,9 +394,8 @@ class Quadratic(ProxFunction):
             return self.prox(x, float(entries[0]))
         key = entries.tobytes()
         if self._diag is None or self._diag[0] != key:
-            mat = np.diag(1.0 / entries) + self.sigma
-            self._diag = (key, cho_factor(mat))
-        return cho_solve(self._diag[1], _as_vector(x) / entries)
+            self._diag = (key, _spd_inverse(np.diag(1.0 / entries) + self.sigma))
+        return _apply_inverse(self._diag[1], _as_vector(x) / entries)
 
     def conjugate_value(self, y):
         y = _as_vector(y)

@@ -51,6 +51,17 @@ def test_solve_gamma_zero_is_an_error(tmp_path, capsys):
     assert "gamma must be positive" in capsys.readouterr().err
 
 
+def test_solve_explicit_gamma_is_not_clamped_on_synthetic(tmp_path, capsys):
+    # the default stepsize is shrunk into fbs's gate; an explicit one is not
+    code = cli.main(["solve", '{"kind": "synthetic", "name": "abs-quad-1d"}',
+                     "--solver", "fbs", "--gamma", "5", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "fbs needs gamma < 1/L_h" in capsys.readouterr().err
+    code = cli.main(["solve", '{"kind": "synthetic", "name": "abs-quad-1d"}',
+                     "--solver", "fbs", "--out", str(tmp_path / "y")])
+    assert code == 0
+
+
 def test_solve_unknown_solver_exits_one(tmp_path, capsys):
     code = cli.main(["solve", '{"kind": "synthetic", "name": "quad-linear-1d"}',
                      "--solver", "sorcery", "--out", str(tmp_path / "x")])

@@ -171,6 +171,16 @@ def test_backward_smooth_prox_random_spd(rng):
                                atol=1e-10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_backward_quadratic_rejects_non_finite_input(bad):
+    f = dp.quadratic_smooth(np.array([[1.5, 0.2], [0.2, 0.8]]))
+    f.backward(np.array([1.0, 0.0]), 0.5)  # populate the cached inverse
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        f.backward(np.array([1.0, bad]), 0.5)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        f.backward(np.array([bad, 0.0]), -0.5)
+
+
 def test_backward_smooth_prox_fixed_point_path(rng):
     f = dp.SmoothFunction(value=lambda x: float(np.sum(np.cos(x))),
                           grad=lambda x: -np.sin(x), lipschitz=1.0)

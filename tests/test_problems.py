@@ -28,7 +28,7 @@ def test_spca_lambda_max_against_dense_oracle():
     for seed in (0, 1, 2):
         spca, _ = dp.make_spca(60, seed=seed)
         dense = float(np.linalg.eigvalsh(spca.sigma).max())
-        assert spca.lam_max == pytest.approx(dense, rel=1e-6)
+        assert spca.lam_max == pytest.approx(dense, rel=1e-12)
 
 
 def test_spca_deterministic_regeneration():
@@ -52,6 +52,15 @@ def test_power_iteration_on_known_spectrum():
     sigma = np.diag([5.0, 2.0, 1.0])
     assert dp.power_lambda_max(sigma) == pytest.approx(5.0, rel=1e-9)
     assert dp.power_lambda_max(np.zeros((3, 3))) == 0.0
+    assert dp.power_lambda_max(np.zeros((0, 0))) == 0.0
+
+
+def test_lambda_max_on_near_degenerate_rotated_spectrum():
+    # a top gap of 1e-4 stalls a power iteration well short of the true value
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))
+    sigma = q @ np.diag([1.0, 1.0 - 1e-4, 0.5, 0.2, 0.1]) @ q.T
+    sigma = 0.5 * (sigma + sigma.T)
+    assert dp.power_lambda_max(sigma) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_spca_kappa_zero_recovers_leading_eigenvector():

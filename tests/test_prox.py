@@ -87,6 +87,36 @@ def test_quadratic_cache_survives_stepsize_change():
         np.testing.assert_allclose(atom.prox(s, gamma), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [0.9, 10.0, 1e3])
+def test_quadratic_prox_matches_dense_solve(rng, scale):
+    # scale = gamma * lambda_max, so I + gamma*Sigma has condition up to 1 + 1e3
+    a = rng.standard_normal((80, 40))
+    sigma = a.T @ a / 40
+    gamma = scale / np.linalg.eigvalsh(sigma)[-1]
+    entries = rng.uniform(0.1, 1.0, 40) * gamma
+    atom = dp.Quadratic(sigma)
+    for _ in range(3):
+        x = rng.standard_normal(40)
+        tol = 1e-12 * np.linalg.norm(x)
+        np.testing.assert_allclose(
+            atom.prox(x, gamma), np.linalg.solve(np.eye(40) + gamma * sigma, x),
+            rtol=0, atol=tol)
+        np.testing.assert_allclose(
+            atom.prox_diag(x, entries),
+            np.linalg.solve(np.eye(40) + np.diag(entries) @ sigma, x),
+            rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quadratic_prox_rejects_non_finite_input(bad):
+    atom = dp.Quadratic(SIGMA3, gamma=0.7)
+    x = np.array([1.0, bad, 0.5])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        atom.prox(x, 0.7)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        atom.prox_diag(x, np.array([0.5, 1.5, 2.0]))
+
+
 # ---------------------------------------------------------------------------
 # shared atom properties
 
