@@ -3,8 +3,12 @@
 Subcommands
 -----------
 solve  PROBLEM --solver NAME    run one solver, write trace.csv + summary.json
-bench  [--config FILE] ...      (solver, n, seed) sweep, write a comparison table
+bench  [--solvers A,B,...]      (solver, n, seed) sweep, write a comparison table
 check  PROBLEM                  run the invariant battery on an instance
+
+The solve stepsize --gamma is a number X or "X/lmax", X over the instance's
+largest eigenvalue (spca problems only); without it each solver takes its
+default stepsize.
 
 Problems are JSON documents, inline or in a file:
     {"kind": "spca",  "n": 100, "seed": 0, "kappa": null}
@@ -24,7 +28,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,7 +45,7 @@ GAMMA_POLICY = {"dce": 0.9, "dce-lbfgs": 0.9, "fbs": 0.9, "dca": 0.9, "drs": 0.4
 
 @dataclass
 class BenchConfig:
-    """Benchmark sweep settings; JSON file overridable by flags."""
+    """Validated benchmark sweep settings, one field per ``bench`` flag."""
 
     solvers: tuple = ("dce", "dce-lbfgs", "fbs", "dca", "drs")
     n_values: tuple = ()
@@ -83,24 +87,55 @@ def _load_problem(arg, seed_override=None):
     return problem_from_json(text)
 
 
-def _resolve_gamma(policy, solver, payload, kind):
-    """Turn a --gamma-policy string into a stepsize, or None for defaults.
+def _resolve_gamma(text, kind, payload):
+    """Turn a --gamma value into a stepsize, or None for the default.
 
-    Accepts "X/lmax" (Scale by the instance's largest eigenvalue; sparse-PCA
-    problems only) or a plain float meaning an absolute stepsize.
+    Accepts a plain float, or "X/lmax": X over the instance's largest
+    eigenvalue (sparse-PCA problems only).
     """
-    if policy is None:
+    if text is None:
         return None
-    policy = policy.strip()
-    if policy.endswith("/lmax"):
+    text = text.strip()
+    if text.endswith("/lmax"):
         if kind not in ("spca", "spca3"):
             raise ValueError("an .../lmax stepsize policy needs a spca problem")
-        return float(policy[:-len("/lmax")]) / payload[0].lam_max
-    return float(policy)
+        return float(text[:-len("/lmax")]) / payload[0].lam_max
+    return float(text)
 
 
-def _solve_one(solver, kind, payload, tol, max_iter, gamma_override=None):
-    """Dispatch one run; returns (report, info dict for the summary)."""
+def _dc_problem(solver, kind, payload):
+    """Two-function instance, start point, default stepsize and summary info.
+
+    The default is GAMMA_POLICY[solver] / lambda_max on sparse PCA. On a
+    synthetic problem it is the catalogue's stepsize, shrunk to
+    GAMMA_POLICY[solver] / L when it breaks the gate gamma < 1/L of fbs and
+    dca (L the gradient's Lipschitz constant) or of drs (L the largest
+    curvature).
+    """
+    if kind == "spca":
+        spca, inst = payload
+        return (inst, spca.s0, GAMMA_POLICY[solver] / spca.lam_max,
+                {"n": spca.n, "seed": spca.seed, "kappa": spca.kappa})
+    if kind != "synthetic":
+        raise ValueError(f"solver {solver} does not apply to problem kind {kind}")
+    synth = payload
+    if synth.dc is None:
+        raise ValueError(f"{synth.name} has no two-function form")
+    inst, gamma = synth.dc, synth.gamma
+    gate = {"fbs": "lipschitz", "dca": "lipschitz",
+            "drs": "curvature_max"}.get(solver)
+    bound = (getattr(inst.smooth_h, gate)
+             if gate and inst.smooth_h is not None else None)
+    if bound is not None and bound > 0 and gamma >= 1.0 / bound:
+        gamma = GAMMA_POLICY[solver] / bound
+    return inst, synth.s0, gamma, {"name": synth.name}
+
+
+def _solve_one(solver, kind, payload, tol, max_iter, gamma=None):
+    """Dispatch one run; returns (report, info dict for the summary).
+
+    ``gamma`` overrides the default stepsize of every solver but three-prox.
+    """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; pick one of {', '.join(SOLVERS)}")
     if solver == "three-prox":
@@ -119,51 +154,17 @@ def _solve_one(solver, kind, payload, tol, max_iter, gamma_override=None):
             raise ValueError("three-prox needs a spca3 or three-term synthetic problem")
         return report, info
 
-    if kind == "spca":
-        spca, inst = payload
-        lam_max = spca.lam_max
-        gamma = (GAMMA_POLICY[solver] / lam_max if gamma_override is None
-                 else gamma_override)
-        s0 = spca.s0
-        info = {"n": spca.n, "seed": spca.seed, "kappa": spca.kappa, "gamma": gamma}
-    elif kind == "synthetic":
-        synth = payload
-        if synth.dc is None:
-            raise ValueError(f"{synth.name} has no two-function form")
-        inst = synth.dc
-        gamma = gamma_override
-        if gamma is None:
-            # the catalogue's stepsize, shrunk into the baselines' gates; an
-            # explicit stepsize is left for the solver to accept or reject
-            gamma = synth.gamma
-            if solver in ("fbs", "dca") and inst.smooth_h is not None:
-                lip = inst.smooth_h.lipschitz
-                if lip > 0 and gamma >= 1.0 / lip:
-                    gamma = 0.9 / lip
-            if solver == "drs":
-                curv = inst.smooth_h.curvature_max if inst.smooth_h else None
-                if curv is not None and curv > 0 and gamma >= 1.0 / curv:
-                    gamma = 0.45 / curv
-        s0 = synth.s0
-        info = {"name": synth.name, "gamma": gamma}
+    inst, s0, default_gamma, info = _dc_problem(solver, kind, payload)
+    if gamma is None:
+        gamma = default_gamma
+    if solver in ("dce", "dce-lbfgs"):
+        cfg = TwoProxConfig(gamma=gamma, lam=default_relaxation(gamma, inst.mu),
+                            tol=tol, max_iter=max_iter)
+        report = (run if solver == "dce" else run_lbfgs)(inst, cfg, s0)
     else:
-        raise ValueError(f"solver {solver} does not apply to problem kind {kind}")
-
-    cfg = TwoProxConfig(gamma=gamma, lam=default_relaxation(gamma, inst.mu),
-                        tol=tol, max_iter=max_iter)
-    if solver == "dce":
-        report = run(inst, cfg, s0)
-    elif solver == "dce-lbfgs":
-        report = run_lbfgs(inst, cfg, s0)
-    elif solver == "fbs":
-        report = fbs_run(inst, gamma, tol, max_iter, s0)
-    elif solver == "dca":
-        report = dca_run(inst, gamma, tol, max_iter, s0)
-    elif solver == "drs":
-        report = drs_run(inst, gamma, tol, max_iter, s0)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    return report, info
+        baseline = {"fbs": fbs_run, "dca": dca_run, "drs": drs_run}[solver]
+        report = baseline(inst, gamma, tol, max_iter, s0)
+    return report, {**info, "gamma": gamma}
 
 
 def _write_trace(path, report, timing=True):
@@ -191,9 +192,7 @@ def _write_summary(path, report, info, phi_final):
 def cmd_solve(args):
     try:
         kind, payload = _load_problem(args.problem, args.seed)
-        gamma = args.gamma
-        if gamma is None:
-            gamma = _resolve_gamma(args.gamma_policy, args.solver, payload, kind)
+        gamma = _resolve_gamma(args.gamma, kind, payload)
         report, info = _solve_one(args.solver, kind, payload, args.tol,
                                   args.max_iter, gamma)
     except Exception as exc:
@@ -214,59 +213,39 @@ def cmd_solve(args):
 
 
 def _bench_task(task):
-    """One (solver, n, seed) run, executed possibly in a worker process."""
-    solver, n, seed, tol, max_iter, timing = task
+    """One (solver, n, seed) run, executed possibly in a worker process.
+
+    Writes the run's trace into ``trace_dir`` and returns its counts.
+    """
+    solver, n, seed, tol, max_iter, timing, trace_dir = task
     kind = "spca3" if solver == "three-prox" else "spca"
     try:
         payload = (make_spca3(n, seed=seed) if solver == "three-prox"
                    else make_spca(n, seed=seed))
-        report, info = _solve_one(solver, kind, payload, tol, max_iter)
+        report, _ = _solve_one(solver, kind, payload, tol, max_iter)
     except Exception as exc:
         return {"solver": solver, "n": n, "seed": seed, "failed": str(exc)}
+    _write_trace(os.path.join(trace_dir, f"{solver}_n{n}_seed{seed}.csv"),
+                 report, timing)
     prox_h, prox_g, grad_h = report.counts()
     return {"solver": solver, "n": n, "seed": seed, "failed": None,
             "converged": report.termination is Termination.CONVERGED,
             "iters": report.iterations, "prox_h": prox_h, "prox_g": prox_g,
             "grad_h": grad_h,
-            "wall_ns": report.trace[-1].wall_ns if (timing and report.trace) else 0,
-            "trace": [(tp.k, tp.env, tp.residual, tp.prox_h, tp.prox_g,
-                       tp.grad_h, tp.wall_ns if timing else 0)
-                      for tp in report.trace]}
+            "wall_ns": report.trace[-1].wall_ns if (timing and report.trace) else 0}
 
 
 def cmd_bench(args):
-    overrides = {}
-    if args.config:
-        with open(args.config) as fh:
-            overrides.update(json.load(fh))
-    if args.solvers:
-        overrides["solvers"] = tuple(args.solvers.split(","))
-    if args.n_values:
-        overrides["n_values"] = tuple(int(x) for x in args.n_values.split(","))
-    if args.seeds is not None:
-        overrides["seeds"] = args.seeds
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.max_iter is not None:
-        overrides["max_iter"] = args.max_iter
-    if args.full:
-        overrides["full"] = True
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    overrides["timing"] = args.timing
-    if args.out:
-        overrides["out_dir"] = args.out
-    if isinstance(overrides.get("solvers"), list):
-        overrides["solvers"] = tuple(overrides["solvers"])
-    if isinstance(overrides.get("n_values"), list):
-        overrides["n_values"] = tuple(overrides["n_values"])
     try:
-        cfg = BenchConfig(**overrides)
-    except (TypeError, ValueError) as exc:
+        cfg = BenchConfig(**{f.name: getattr(args, f.name)
+                             for f in fields(BenchConfig)})
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    tasks = [(solver, n, seed, cfg.tol, cfg.max_iter, cfg.timing)
+    trace_dir = os.path.join(cfg.out_dir, "traces")
+    os.makedirs(trace_dir, exist_ok=True)
+    tasks = [(solver, n, seed, cfg.tol, cfg.max_iter, cfg.timing, trace_dir)
              for solver in cfg.solvers for n in cfg.n_values
              for seed in range(cfg.seeds)]
     if cfg.jobs > 1:
@@ -275,25 +254,9 @@ def cmd_bench(args):
     else:
         results = [_bench_task(t) for t in tasks]
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    trace_dir = os.path.join(cfg.out_dir, "traces")
-    os.makedirs(trace_dir, exist_ok=True)
     by_cell = {}
-    any_ok = False
     for res in results:
-        key = (res["solver"], res["n"])
-        by_cell.setdefault(key, []).append(res)
-        if res["failed"] is None:
-            any_ok = True
-            path = os.path.join(
-                trace_dir, f"{res['solver']}_n{res['n']}_seed{res['seed']}.csv")
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["iter", "env", "residual", "cum_prox_h",
-                                 "cum_prox_g", "cum_grad_h", "wall_ns"])
-                for row in res["trace"]:
-                    writer.writerow([row[0], repr(row[1]), repr(row[2]), *row[3:]])
-
+        by_cell.setdefault((res["solver"], res["n"]), []).append(res)
     table_path = os.path.join(cfg.out_dir, "comparison.csv")
     with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -315,7 +278,7 @@ def cmd_bench(args):
                     row = [solver, n, "nan", "nan", "nan", "nan", "nan", cfg.seeds]
                 writer.writerow(row)
     print(f"wrote {table_path} ({len(results)} runs, seeds printed per row)")
-    return 0 if any_ok else 1
+    return 0 if any(res["failed"] is None for res in results) else 1
 
 
 def cmd_check(args):
@@ -326,12 +289,9 @@ def cmd_check(args):
         return 1
     from .checks import run_instance_checks
     rng = np.random.default_rng(args.seed)
-    if kind == "spca":
-        spca, inst = payload
-        gamma, s0 = 0.9 / spca.lam_max, spca.s0
-    elif kind == "synthetic" and payload.dc is not None:
-        inst, gamma, s0 = payload.dc, payload.gamma, payload.s0
-    else:
+    try:
+        inst, s0, gamma, _ = _dc_problem("dce", kind, payload)
+    except ValueError:
         print("error: check needs a two-function problem", file=sys.stderr)
         return 1
     results = run_instance_checks(inst, gamma, s0, rng)
@@ -355,10 +315,8 @@ def build_parser():
                          help="one of " + ", ".join(SOLVERS))
     p_solve.add_argument("--tol", type=float, default=1e-6)
     p_solve.add_argument("--max-iter", type=int, default=2000, dest="max_iter")
-    p_solve.add_argument("--gamma", type=float, default=None,
-                         help="absolute stepsize override")
-    p_solve.add_argument("--gamma-policy", default=None, dest="gamma_policy",
-                         help='stepsize policy, e.g. "0.45/lmax" or "0.8"')
+    p_solve.add_argument("--gamma", default=None,
+                         help='stepsize X or "X/lmax" (spca), e.g. 0.8 or 0.45/lmax')
     p_solve.add_argument("--seed", type=int, default=None,
                          help="override the problem document's seed")
     p_solve.add_argument("--out", default="solve-out")
@@ -367,19 +325,23 @@ def build_parser():
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run the comparison sweep")
-    p_bench.add_argument("--config", default=None, help="JSON BenchConfig file")
-    p_bench.add_argument("--solvers", default=None,
+    p_bench.add_argument("--solvers", type=lambda text: tuple(text.split(",")),
+                         default=BenchConfig.solvers,
                          help="comma-separated subset of " + ",".join(SOLVERS))
-    p_bench.add_argument("--n-values", default=None, dest="n_values",
+    p_bench.add_argument("--n-values", dest="n_values", default=(),
+                         type=lambda text: tuple(int(x) for x in text.split(",")),
                          help="comma-separated problem sizes")
-    p_bench.add_argument("--seeds", type=int, default=None, help="seeds per n")
-    p_bench.add_argument("--tol", type=float, default=None)
-    p_bench.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+    p_bench.add_argument("--seeds", type=int, default=BenchConfig.seeds,
+                         help="seeds per n")
+    p_bench.add_argument("--tol", type=float, default=BenchConfig.tol)
+    p_bench.add_argument("--max-iter", type=int, default=BenchConfig.max_iter,
+                         dest="max_iter")
     p_bench.add_argument("--full", action="store_true",
                          help="lift the desk-scale cap of n <= 300")
-    p_bench.add_argument("--jobs", type=int, default=None,
+    p_bench.add_argument("--jobs", type=int, default=BenchConfig.jobs,
                          help="concurrent runs (processes)")
-    p_bench.add_argument("--out", default=None)
+    p_bench.add_argument("--out", default=BenchConfig.out_dir, dest="out_dir",
+                         metavar="OUT")
     p_bench.add_argument("--no-timing", dest="timing", action="store_false",
                          help="zero wall_ns columns for byte-stable output")
     p_bench.set_defaults(func=cmd_bench)

@@ -81,7 +81,7 @@ def quadratic_smooth(q, c=None, eig_range=None):
         eig_range = (float(eigs.min()), float(eigs.max()))
     eigmax = eig_range[1]
     lip = max(abs(eig_range[0]), abs(eig_range[1]))
-    cache = {}
+    cached = None  # (gamma, inverse of I - gamma*Q) for the last gamma only
 
     def value(x):
         x = _as_vector(x)
@@ -92,15 +92,16 @@ def quadratic_smooth(q, c=None, eig_range=None):
         return q @ x + c
 
     def backward(s, gamma):
-        # u = inv(I - gamma*Q) (s + gamma*c), the inverse cached per gamma
-        if gamma not in cache:
+        # u = inv(I - gamma*Q) (s + gamma*c)
+        nonlocal cached
+        if cached is None or cached[0] != gamma:
             try:
-                cache[gamma] = _spd_inverse(np.eye(n) - gamma * q)
+                cached = (gamma, _spd_inverse(np.eye(n) - gamma * q))
             except np.linalg.LinAlgError as exc:
                 raise ValueError(
                     f"backward prox undefined: I - gamma*Q not positive definite "
                     f"(gamma={gamma})") from exc
-        return _apply_inverse(cache[gamma], _as_vector(s) + gamma * c)
+        return _apply_inverse(cached[1], _as_vector(s) + gamma * c)
 
     return SmoothFunction(value=value, grad=grad, lipschitz=lip,
                           backward=backward, curvature_max=eigmax)

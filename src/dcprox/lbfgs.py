@@ -4,9 +4,10 @@ The envelope is once continuously differentiable with a cheap exact
 gradient, so classical L-BFGS directions with a weak-Wolfe linesearch apply
 directly. Safeguards: curvature pairs are stored only when well-scaled
 (the envelope is C^1 but not C^2, so pairs near prox kinks can be noisy),
-a non-descent direction resets the memory to scaled steepest descent, and
-an exhausted linesearch falls back to the plain relaxed two-prox step,
-which carries its own guaranteed decrease.
+a non-descent direction is replaced by scaled steepest descent for that
+step (the memory is kept), and an exhausted linesearch resets the memory
+and falls back to the plain relaxed two-prox step, which carries its own
+guaranteed decrease.
 
 When the prox of h is affine in its argument (quadratic h, say), one prox
 evaluation per linesearch serves every trial stepsize; the call counters
@@ -34,7 +35,6 @@ class LbfgsParams:
     c2: float = 0.9
     max_backtracks: int = 30
     curvature_eps: float = 1e-12
-    direction_eps: float = 1e-12
     fixed_alpha: Optional[float] = None  # skip the linesearch, take this step
 
 
@@ -154,10 +154,6 @@ def run_lbfgs(inst, cfg, s0, params=None):
     def advance(ev):
         nonlocal h_zero_image
         d = lbfgs_direction(memory, ev.grad, gamma)
-        if float(d @ ev.grad) >= -params.direction_eps * float(
-                np.linalg.norm(d)) * float(np.linalg.norm(ev.grad)):
-            memory.reset()
-            d = -gamma * ev.grad
 
         # trial evaluations along s + alpha*d; affine prox_h needs one
         # fresh evaluation for the whole segment

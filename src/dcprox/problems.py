@@ -58,15 +58,9 @@ class SpcaInstance:
     n: int
     seed: int
     kappa: float
-    a_matrix: sparse.coo_matrix = field(repr=False)
     sigma: np.ndarray = field(repr=False)
     lam_max: float
     s0: np.ndarray = field(repr=False)
-
-    def to_json(self, gamma_policy="0.9/lam_max"):
-        """Portable descriptor; matrices regenerate from (n, seed)."""
-        return json.dumps({"kind": "spca", "n": self.n, "seed": self.seed,
-                           "kappa": self.kappa, "gamma_policy": gamma_policy})
 
 
 def _generate_spca_data(n, seed, density=0.1, rows_per_col=20):
@@ -91,6 +85,17 @@ def _generate_spca_data(n, seed, density=0.1, rows_per_col=20):
     return a, sigma, s0
 
 
+def _spca_instance(n, kappa, seed):
+    """The SpcaInstance of (n, seed); kappa None means the declared default."""
+    _, sigma, s0 = _generate_spca_data(n, seed)
+    if kappa is None:
+        kappa = kappa_default(sigma)
+    if kappa < 0:
+        raise ValueError("kappa must be nonnegative")
+    return SpcaInstance(n=n, seed=seed, kappa=kappa, sigma=sigma,
+                        lam_max=power_lambda_max(sigma), s0=s0)
+
+
 def make_spca(n, kappa=None, seed=0):
     """Build a sparse-PCA instance and its two-function splitting.
 
@@ -99,16 +104,9 @@ def make_spca(n, kappa=None, seed=0):
     closed-form DC-iteration subproblem (shrink the gradient, normalize to
     the sphere).
     """
-    a, sigma, s0 = _generate_spca_data(n, seed)
-    if kappa is None:
-        kappa = kappa_default(sigma)
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    lam_max = power_lambda_max(sigma)
-    spca = SpcaInstance(n=n, seed=seed, kappa=kappa, a_matrix=a, sigma=sigma,
-                        lam_max=lam_max, s0=s0)
-
-    smooth_h = quadratic_smooth(sigma, eig_range=(0.0, lam_max))
+    spca = _spca_instance(n, kappa, seed)
+    kappa, sigma = spca.kappa, spca.sigma
+    smooth_h = quadratic_smooth(sigma, eig_range=(0.0, spca.lam_max))
 
     def dca_step(v, _k=kappa):
         w = soft_threshold(v, _k)
@@ -123,14 +121,9 @@ def make_spca(n, kappa=None, seed=0):
 
 def make_spca3(n, kappa=None, seed=0):
     """Three-term split of the same objective: g as above, h = 0, f quadratic."""
-    a, sigma, s0 = _generate_spca_data(n, seed)
-    if kappa is None:
-        kappa = kappa_default(sigma)
-    lam_max = power_lambda_max(sigma)
-    spca = SpcaInstance(n=n, seed=seed, kappa=kappa, a_matrix=a, sigma=sigma,
-                        lam_max=lam_max, s0=s0)
-    inst = ThreeTermInstance(f=Quadratic(sigma), g=L1Ball(kappa), h=Zero(),
-                             dim=n)
+    spca = _spca_instance(n, kappa, seed)
+    inst = ThreeTermInstance(f=Quadratic(spca.sigma), g=L1Ball(spca.kappa),
+                             h=Zero(), dim=n)
     return spca, inst
 
 

@@ -84,25 +84,33 @@ def test_solve_problem_from_file(tmp_path):
     assert code == 0
 
 
-def test_solve_gamma_policy_and_seed_override(tmp_path):
+def test_solve_gamma_forms_and_seed_override(tmp_path):
     base = ["solve", '{"kind": "spca", "n": 20, "seed": 0}', "--solver", "dce",
             "--max-iter", "4000"]
-    code = cli.main(base + ["--gamma-policy", "0.45/lmax", "--seed", "3",
+    code = cli.main(base + ["--gamma", "0.45/lmax", "--seed", "3",
                             "--out", str(tmp_path / "a")])
     assert code == 0
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert summary["seed"] == 3
-    # the policy halved the default stepsize
+    # 0.45/lmax halved the default stepsize
     code = cli.main(base + ["--seed", "3", "--out", str(tmp_path / "b")])
     assert code == 0
     default = json.loads((tmp_path / "b" / "summary.json").read_text())
     assert summary["gamma"] == pytest.approx(0.5 * default["gamma"])
-    # absolute numeric policy and a bad policy
-    assert cli.main(base + ["--gamma-policy", "0.001",
+    # an absolute stepsize, and an .../lmax one on a problem without lmax
+    assert cli.main(base + ["--gamma", "0.001",
                             "--out", str(tmp_path / "c")]) == 0
     assert cli.main(["solve", '{"kind": "synthetic", "name": "quad-linear-1d"}',
-                     "--solver", "dce", "--gamma-policy", "0.9/lmax",
+                     "--solver", "dce", "--gamma", "0.9/lmax",
                      "--out", str(tmp_path / "d")]) == 1
+
+
+def test_solve_malformed_gamma_exits_one(tmp_path, capsys):
+    code = cli.main(["solve", '{"kind": "spca", "n": 10, "seed": 0}',
+                     "--solver", "dce", "--gamma", "0.45/lam",
+                     "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "could not convert" in capsys.readouterr().err
 
 
 def test_bench_single_cell(tmp_path):
@@ -144,16 +152,32 @@ def test_bench_deterministic_bytes_without_timing(tmp_path):
     assert (tmp_path / "a" / trace).read_bytes() == (tmp_path / "b" / trace).read_bytes()
 
 
-def test_bench_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "bench.json"
-    cfg.write_text(json.dumps({"solvers": ["dce"], "n_values": [10],
-                               "seeds": 2, "max_iter": 3000}))
-    out = tmp_path / "bench"
-    code = cli.main(["bench", "--config", str(cfg), "--seeds", "1",
-                     "--out", str(out)])
+def test_solve_and_bench_write_the_same_trace(tmp_path):
+    code = cli.main(["solve", '{"kind": "spca", "n": 12, "seed": 1}',
+                     "--solver", "dce-lbfgs", "--no-timing",
+                     "--out", str(tmp_path / "solve")])
     assert code == 0
-    rows = read_csv(out / "comparison.csv")
-    assert rows[1][-1] == "1"  # the flag beat the file
+    code = cli.main(["bench", "--solvers", "dce-lbfgs", "--n-values", "12",
+                     "--seeds", "2", "--no-timing", "--out", str(tmp_path / "bench")])
+    assert code == 0
+    bench_trace = tmp_path / "bench" / "traces" / "dce-lbfgs_n12_seed1.csv"
+    assert (tmp_path / "solve" / "trace.csv").read_bytes() == bench_trace.read_bytes()
+
+
+def test_bench_runs_the_solver_named_in_the_module(tmp_path, monkeypatch):
+    # the benchmark's tracer swaps solvers by module attribute; bench must
+    # look them up there when it runs
+    calls = []
+    original = cli.run
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cli, "run", spy)
+    code = cli.main(["bench", "--solvers", "dce", "--n-values", "10", "--seeds", "1",
+                     "--max-iter", "4000", "--out", str(tmp_path / "bench")])
+    assert code == 0
+    assert calls == ["spca-n10-seed0"]
 
 
 def test_bench_failed_runs_write_nan_rows(tmp_path, monkeypatch):

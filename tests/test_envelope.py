@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,25 @@ def test_backward_quadratic_rejects_non_finite_input(bad):
         f.backward(np.array([1.0, bad]), 0.5)
     with pytest.raises(ValueError, match="infs or NaNs"):
         f.backward(np.array([bad, 0.0]), -0.5)
+
+
+def test_backward_quadratic_keeps_one_inverse(rng):
+    # a stepsize sweep must not leave one n x n inverse behind per stepsize
+    n = 400
+    q = rng.standard_normal((n, n))
+    q = q @ q.T / n
+    f = dp.quadratic_smooth(q)
+    s = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 11):
+            f.backward(s, 0.05 * k / f.lipschitz)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    inverse_bytes = n * n * 8
+    assert inverse_bytes <= held < 2 * inverse_bytes
 
 
 def test_backward_smooth_prox_fixed_point_path(rng):

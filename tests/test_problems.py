@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 import dcprox as dp
-from dcprox.problems import find_synthetic, problem_from_json, problem_to_json
+from dcprox.problems import (
+    _generate_spca_data,
+    find_synthetic,
+    problem_from_json,
+    problem_to_json,
+)
 
 
 def test_spca_shapes_and_invariants():
+    a, _, _ = _generate_spca_data(50, seed=0)
+    assert a.shape == (1000, 50)
     spca, inst = dp.make_spca(50, seed=0)
-    assert spca.a_matrix.shape == (1000, 50)
     assert spca.sigma.shape == (50, 50)
     np.testing.assert_allclose(spca.sigma, spca.sigma.T)
     assert np.linalg.eigvalsh(spca.sigma).min() >= -1e-8
@@ -19,8 +25,8 @@ def test_spca_shapes_and_invariants():
 
 
 def test_spca_density_near_ten_percent():
-    spca, _ = dp.make_spca(100, seed=0)
-    density = spca.a_matrix.nnz / (2000 * 100)
+    a, _, _ = _generate_spca_data(100, seed=0)
+    density = a.nnz / (2000 * 100)
     assert 0.08 <= density <= 0.12
 
 
@@ -100,6 +106,8 @@ def test_spca_rejects_bad_arguments():
         dp.make_spca(1, seed=0)
     with pytest.raises(ValueError):
         dp.make_spca(10, kappa=-0.5, seed=0)
+    with pytest.raises(ValueError):
+        dp.make_spca3(10, kappa=-0.5, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +201,8 @@ def test_catalogue_atoms_pass_firm_nonexpansiveness(rng):
 
 def test_spca_json_roundtrip():
     spca, _ = dp.make_spca(25, seed=7)
-    kind, (again, inst) = problem_from_json(spca.to_json())
+    kind, (again, inst) = problem_from_json(
+        problem_to_json("spca", n=spca.n, seed=spca.seed, kappa=spca.kappa))
     assert kind == "spca"
     assert again.sigma.tobytes() == spca.sigma.tobytes()
     assert again.kappa == spca.kappa
