@@ -8,7 +8,8 @@ check  PROBLEM                  run the invariant battery on an instance
 
 The solve stepsize --gamma is a number X or "X/lmax", X over the instance's
 largest eigenvalue (spca problems only); without it each solver takes its
-default stepsize.
+default stepsize. three-prox takes its stepsizes from its own config and
+rejects --gamma.
 
 Problems are JSON documents, inline or in a file:
     {"kind": "spca",  "n": 100, "seed": 0, "kappa": null}
@@ -134,11 +135,15 @@ def _dc_problem(solver, kind, payload):
 def _solve_one(solver, kind, payload, tol, max_iter, gamma=None):
     """Dispatch one run; returns (report, info dict for the summary).
 
-    ``gamma`` overrides the default stepsize of every solver but three-prox.
+    ``gamma`` overrides the default stepsize of every solver but three-prox,
+    which raises ValueError rather than ignore it.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; pick one of {', '.join(SOLVERS)}")
     if solver == "three-prox":
+        if gamma is not None:
+            raise ValueError("three-prox takes no --gamma; its stepsizes come "
+                             "from its own config")
         if kind == "spca3":
             spca, inst = payload
             cfg = default_config(tol=tol, max_iter=max_iter)

@@ -2,10 +2,10 @@
 
 Sparse-PCA instances minimize -s'Sigma s/2 + kappa*||s||_1 over the unit
 ball, with Sigma = A'A for a sparse tall random matrix A (20n x n, about
-10% nonzeros, standard normal values). Generation is deterministic per
-(n, seed): one PCG64 stream seeded by SeedSequence([seed, n]), columns of A
-drawn in order, then the start vector. Matrices are never serialized; the
-JSON descriptor stores (n, seed, kappa) and regeneration is bit-exact.
+10% nonzeros, standard normal values); Sigma sums B'B over dense row blocks
+B of A, one in memory at a time. One PCG64 stream per (n, seed), seeded by
+SeedSequence([seed, n]), draws A column by column, then the start vector.
+The JSON descriptor stores (n, seed, kappa); regeneration is bit-exact.
 """
 
 import json
@@ -64,22 +64,22 @@ class SpcaInstance:
 
 
 def _generate_spca_data(n, seed, density=0.1, rows_per_col=20):
+    """Return A (CSC), Sigma = A'A and s0; Sigma adds B'B over 8 dense row
+    blocks B of A, so at most one block, ceil(m/8) x n, is dense at a time."""
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = _rng_for(n, seed)
     m = rows_per_col * n
-    rows, cols, vals = [], [], []
-    for j in range(n):
-        mask = rng.random(m) < density
-        idx = np.nonzero(mask)[0]
-        vals.append(rng.standard_normal(idx.shape[0]))
-        rows.append(idx)
-        cols.append(np.full(idx.shape[0], j))
-    a = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, n))
-    sigma = np.asarray((a.T @ a).todense())
-    sigma = 0.5 * (sigma + sigma.T)
+    rows, vals = [], []
+    for _ in range(n):
+        rows.append(np.nonzero(rng.random(m) < density)[0])
+        vals.append(rng.standard_normal(rows[-1].size))
+    a = sparse.csc_matrix((np.concatenate(vals), np.concatenate(rows),
+                           np.cumsum([0] + [r.size for r in rows])), shape=(m, n))
+    a_rows, step = a.tocsr(), -(-m // 8)  # 8 row blocks, 20 MB each at n=1000
+    sigma = np.zeros((n, n))
+    for block in (a_rows[lo:lo + step].toarray() for lo in range(0, m, step)):
+        sigma += block.T @ block
     s0 = rng.standard_normal(n)
     s0 /= np.linalg.norm(s0)
     return a, sigma, s0

@@ -62,6 +62,15 @@ def test_solve_explicit_gamma_is_not_clamped_on_synthetic(tmp_path, capsys):
     assert code == 0
 
 
+def test_solve_three_prox_rejects_gamma(tmp_path, capsys):
+    code = cli.main(["solve", '{"kind": "spca3", "n": 10, "seed": 0}',
+                     "--solver", "three-prox", "--gamma", "5",
+                     "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "three-prox takes no --gamma" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_solve_unknown_solver_exits_one(tmp_path, capsys):
     code = cli.main(["solve", '{"kind": "synthetic", "name": "quad-linear-1d"}',
                      "--solver", "sorcery", "--out", str(tmp_path / "x")])

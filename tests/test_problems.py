@@ -6,6 +6,7 @@ import pytest
 import dcprox as dp
 from dcprox.problems import (
     _generate_spca_data,
+    _rng_for,
     find_synthetic,
     problem_from_json,
     problem_to_json,
@@ -28,6 +29,37 @@ def test_spca_density_near_ten_percent():
     a, _, _ = _generate_spca_data(100, seed=0)
     density = a.nnz / (2000 * 100)
     assert 0.08 <= density <= 0.12
+
+
+@pytest.mark.parametrize("n", [2, 7, 130, 131])
+def test_spca_sigma_against_dense_oracle(n):
+    # Sigma is built from 8 row blocks of ceil(20n / 8) rows: even n split
+    # the rows evenly, odd n leave a short last block; a dropped, repeated
+    # or short last block shows here
+    a, sigma, _ = _generate_spca_data(n, seed=1)
+    dense = a.toarray()
+    oracle = dense.T @ dense
+    assert np.abs(sigma - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    assert np.array_equal(sigma, sigma.T)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_spca_random_stream_is_pinned(seed):
+    # replay the documented draw order: per column a row mask, then its
+    # values; then the start vector
+    n = 50
+    m = 20 * n
+    rng = _rng_for(n, seed)
+    a, _, s0 = _generate_spca_data(n, seed)
+    for j in range(n):
+        idx = np.nonzero(rng.random(m) < 0.1)[0]
+        vals = rng.standard_normal(idx.shape[0])
+        col = a[:, j]
+        assert np.array_equal(col.indices, idx)
+        assert col.data.tobytes() == vals.tobytes()
+    expected = rng.standard_normal(n)
+    expected /= np.linalg.norm(expected)
+    assert s0.tobytes() == expected.tobytes()
 
 
 def test_spca_lambda_max_against_dense_oracle():
