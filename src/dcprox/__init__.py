@@ -4,13 +4,10 @@ from .envelope import (
     DcInstance,
     EnvelopeEval,
     SmoothFunction,
-    SmoothProxFunction,
     backward_smooth_prox,
     dce_eval,
     dce_fbe_equivalence_check,
     fbe_value,
-    is_stationary,
-    linear_smooth,
     negate_smooth,
     quadratic_smooth,
     sandwich_bounds,
@@ -25,7 +22,6 @@ from .problems import (
     make_spca3,
     power_lambda_max,
     problem_from_json,
-    problem_to_json,
     synthetic_catalogue,
 )
 from .prox import (
@@ -33,21 +29,13 @@ from .prox import (
     CapabilityError,
     L1Ball,
     L1Norm,
-    LinfBall,
     Linear,
-    NumericalError,
     ProxFunction,
     Quadratic,
     ScaledSquare,
-    UnitBall,
     Zero,
-    ZeroIndicator,
-    moreau_gradient,
     moreau_value,
-    prox_conjugate,
-    prox_diag,
     prox_l1_ball,
-    prox_quadratic,
     prox_shifted,
     project_unit_ball,
     soft_threshold,
@@ -64,9 +52,9 @@ from .three_prox import (
     stationarity_certificate,
     three_prox_step,
 )
-from .two_prox import TwoProxConfig, descent_coefficient, run, run_diag, two_prox_step
+from .two_prox import TwoProxConfig, descent_coefficient, run, run_diag
 
-_submodules = {"baselines", "envelope", "lbfgs", "problems", "prox",
+_submodules = {"baselines", "checks", "envelope", "lbfgs", "problems", "prox",
                "reports", "three_prox", "two_prox"}
 __all__ = [name for name in dir()
            if not name.startswith("_") and name not in _submodules]

@@ -78,6 +78,28 @@ def check_fbe(inst, gamma, points, rel_tol=1e-8):
     return dev <= rel_tol * scale, dev, rel_tol * scale
 
 
+def subgradient_screen(candidates, sample_points, slack):
+    """Largest violation of fn(z) >= fn(x) + <xi, z - x> over the samples.
+
+    ``candidates`` lists (fn, x, xi) triples; each violation is reduced by
+    ``slack`` per unit distance, slack*(1 + ||z - x||). Samples where fn is
+    infinite are skipped (the inequality is vacuous there); an infinite
+    fn(x) returns inf. With no finite sample the result is -inf.
+    """
+    worst = -np.inf
+    for fn, x, xi in candidates:
+        base = fn.value(x)
+        if base == np.inf:
+            return np.inf
+        for z in sample_points:
+            val = fn.value(z)
+            if val == np.inf:
+                continue
+            gap = base + float(xi @ (z - x)) - val
+            worst = max(worst, gap - slack * (1.0 + float(np.linalg.norm(z - x))))
+    return worst
+
+
 def common_subgradient_gap(inst, gamma, s, u, v, sample_points, slack):
     """Violation of the approximate-stationarity certificate at (s, u, v).
 
@@ -87,18 +109,7 @@ def common_subgradient_gap(inst, gamma, s, u, v, sample_points, slack):
     """
     s, u, v = _as_vector(s), _as_vector(u), _as_vector(v)
     xi = (s - u) / gamma
-    worst = -np.inf
-    for fn, base_pt in ((inst.g, v), (inst.h, u)):
-        base = fn.value(base_pt)
-        if base == np.inf:
-            return np.inf
-        for z in sample_points:
-            val = fn.value(z)
-            if val == np.inf:
-                continue
-            gap = base + float(xi @ (z - base_pt)) - val
-            worst = max(worst, gap - slack * (1.0 + float(np.linalg.norm(z - base_pt))))
-    return worst
+    return subgradient_screen([(inst.g, v, xi), (inst.h, u, xi)], sample_points, slack)
 
 
 def run_instance_checks(inst, gamma, s0, rng, n_points=20):

@@ -73,6 +73,9 @@ class BenchConfig:
             raise ValueError("n must be at least 2")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        for name in ("seeds", "max_iter", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def _load_problem(arg, seed_override=None):

@@ -21,7 +21,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .prox import (
-    NumericalError,
     ProxFunction,
     _apply_inverse,
     _as_vector,
@@ -55,27 +54,25 @@ class SmoothFunction:
     """A differentiable function given by value/gradient oracles.
 
     ``lipschitz`` bounds the gradient's Lipschitz constant. ``backward``
-    optionally solves u - gamma*grad(u) = s in closed form; without it the
-    backward prox falls back to a fixed-point iteration (a contraction
-    whenever gamma*lipschitz < 1).
+    solves u - gamma*grad(u) = s in closed form; it is required, since the
+    backward prox has no iterative fallback.
     """
 
     value: Callable
     grad: Callable
     lipschitz: float
-    backward: Optional[Callable] = None
+    backward: Callable
     curvature_max: Optional[float] = None  # largest eigenvalue of the Hessian
 
 
-def quadratic_smooth(q, c=None, eig_range=None):
-    """Smooth function 0.5 x'Qx + <c,x> with a closed-form backward solve.
+def quadratic_smooth(q, eig_range=None):
+    """Smooth function 0.5 x'Qx with a closed-form backward solve.
 
     ``eig_range`` optionally supplies (lambda_min, lambda_max) of Q to skip
     the eigenvalue computation.
     """
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
-    c = np.zeros(n) if c is None else _as_vector(c)
     if eig_range is None:
         eigs = np.linalg.eigvalsh(q) if n > 0 else np.zeros(1)
         eig_range = (float(eigs.min()), float(eigs.max()))
@@ -85,14 +82,14 @@ def quadratic_smooth(q, c=None, eig_range=None):
 
     def value(x):
         x = _as_vector(x)
-        return 0.5 * float(x @ (q @ x)) + float(c @ x)
+        return 0.5 * float(x @ (q @ x))
 
     def grad(x):
         x = _as_vector(x)
-        return q @ x + c
+        return q @ x
 
     def backward(s, gamma):
-        # u = inv(I - gamma*Q) (s + gamma*c)
+        # u = inv(I - gamma*Q) s
         nonlocal cached
         if cached is None or cached[0] != gamma:
             try:
@@ -101,32 +98,19 @@ def quadratic_smooth(q, c=None, eig_range=None):
                 raise ValueError(
                     f"backward prox undefined: I - gamma*Q not positive definite "
                     f"(gamma={gamma})") from exc
-        return _apply_inverse(cached[1], _as_vector(s) + gamma * c)
+        return _apply_inverse(cached[1], s)
 
     return SmoothFunction(value=value, grad=grad, lipschitz=lip,
                           backward=backward, curvature_max=eigmax)
 
 
-def linear_smooth(c):
-    """Smooth function <c, x>: constant gradient, zero curvature."""
-    c = _as_vector(c)
-
-    def backward(s, gamma):
-        return _as_vector(s) + gamma * c
-
-    return SmoothFunction(value=lambda x: float(c @ _as_vector(x)),
-                          grad=lambda x: c.copy(),
-                          lipschitz=0.0, backward=backward, curvature_max=0.0)
-
-
 def negate_smooth(f):
-    """The smooth function -f, preserving a closed-form backward when known."""
-    backward = None
-    if f.backward is not None:
-        def backward(s, gamma, _b=f.backward):
-            # u + gamma*grad f(u) = s is the backward solve of f at -gamma;
-            # quadratic/linear closed forms accept negative stepsizes.
-            return _b(s, -gamma)
+    """The smooth function -f, with the closed-form backward solve of f."""
+    def backward(s, gamma):
+        # u + gamma*grad f(u) = s is the backward solve of f at -gamma;
+        # quadratic/linear closed forms accept negative stepsizes.
+        return f.backward(s, -gamma)
+
     return SmoothFunction(value=lambda x: -f.value(x),
                           grad=lambda x: -f.grad(x),
                           lipschitz=f.lipschitz,
@@ -134,51 +118,10 @@ def negate_smooth(f):
                           curvature_max=None)
 
 
-def backward_smooth_prox(f, gamma, s, tol=1e-12, max_iter=1000):
-    """The unique u with s = u - gamma*grad f(u).
-
-    Uses the closed-form solve when the smooth function carries one;
-    otherwise a damped fixed-point iteration u <- s + gamma*grad f(u),
-    a contraction for gamma*lipschitz < 1. Raises NumericalError if the
-    iteration does not reach tol*(1 + ||s||).
-    """
+def backward_smooth_prox(f, gamma, s):
+    """The unique u with s = u - gamma*grad f(u), from f's closed-form solve."""
     _check_gamma(gamma)
-    s = _as_vector(s)
-    if f.backward is not None:
-        return f.backward(s, gamma)
-    if gamma * f.lipschitz >= 1.0:
-        raise ValueError(
-            f"fixed-point backward prox needs gamma*L < 1, got {gamma * f.lipschitz}")
-    target = tol * (1.0 + float(np.linalg.norm(s)))
-    u = s.copy()
-    for _ in range(max_iter):
-        u_next = s + gamma * f.grad(u)
-        if float(np.linalg.norm(u_next - u)) <= target * (1.0 - gamma * f.lipschitz):
-            return u_next
-        u = u_next
-    res = float(np.linalg.norm(u - gamma * f.grad(u) - s))
-    raise NumericalError(
-        f"backward prox did not converge in {max_iter} iterations "
-        f"(residual {res:.3e}, target {target:.3e})")
-
-
-class SmoothProxFunction(ProxFunction):
-    """Wrap a smooth (possibly nonconvex) function as a prox-queryable one.
-
-    The prox solves w + gamma*grad(w) = s, which is the unique minimizer of
-    w -> f(w) + ||w - s||^2/(2*gamma) while gamma times the curvature stays
-    below one.
-    """
-
-    def __init__(self, smooth):
-        self.smooth = smooth
-        self._neg = negate_smooth(smooth)
-
-    def value(self, x):
-        return self.smooth.value(x)
-
-    def prox(self, x, gamma):
-        return backward_smooth_prox(self._neg, gamma, x)
+    return f.backward(_as_vector(s), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +236,6 @@ def sandwich_bounds(inst, gamma, s):
     lower = lower + gap if lower != np.inf else np.inf
     upper = upper - gap if upper != np.inf else np.inf
     return lower, upper
-
-
-def is_stationary(inst, gamma, s, tol):
-    """True when the fixed-point residual ||u - v|| is within tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return dce_eval(inst, gamma, s).residual <= tol
 
 
 # ---------------------------------------------------------------------------

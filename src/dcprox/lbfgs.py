@@ -16,7 +16,6 @@ reflect that.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,7 +34,6 @@ class LbfgsParams:
     c2: float = 0.9
     max_backtracks: int = 30
     curvature_eps: float = 1e-12
-    fixed_alpha: Optional[float] = None  # skip the linesearch, take this step
 
 
 class LbfgsMemory:
@@ -44,9 +42,6 @@ class LbfgsMemory:
     def __init__(self, memory=10, curvature_eps=1e-12):
         self.pairs = deque(maxlen=memory) if memory > 0 else deque(maxlen=0)
         self.curvature_eps = curvature_eps
-
-    def __len__(self):
-        return len(self.pairs)
 
     def reset(self):
         self.pairs.clear()
@@ -166,16 +161,13 @@ def run_lbfgs(inst, cfg, s0, params=None):
             x = ev.s + alpha * d
             return point(x, ev.u + alpha * h_dir if h_affine else prox_h(x, gamma))
 
-        if params.fixed_alpha is not None:
-            ev_next = eval_at(params.fixed_alpha)
-        else:
-            _, ev_next = wolfe_linesearch(
-                eval_at, ev.env, ev.grad, d,
-                c1=params.c1, c2=params.c2,
-                max_backtracks=params.max_backtracks)
+        _, ev_next = wolfe_linesearch(
+            eval_at, ev.env, ev.grad, d,
+            c1=params.c1, c2=params.c2,
+            max_backtracks=params.max_backtracks)
         if ev_next is None:
-            # plain relaxed step, bit-identical to two_prox_step, with its
-            # guaranteed decrease; quasi-Newton steps claim none
+            # plain relaxed step, bit-identical to the step of two_prox.run,
+            # with its guaranteed decrease; quasi-Newton steps claim none
             memory.reset()
             return (first(ev.s + cfg.lam * (ev.v - ev.u)),
                     fallback_coeff * ev.residual ** 2)

@@ -245,17 +245,6 @@ def find_synthetic(name):
 # JSON problem descriptors (shared with the command-line surface)
 
 
-def problem_to_json(kind, n=None, seed=None, kappa=None, name=None):
-    doc = {"kind": kind}
-    if kind in ("spca", "spca3"):
-        doc.update(n=n, seed=seed, kappa=kappa)
-    elif kind == "synthetic":
-        doc.update(name=name)
-    else:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    return json.dumps(doc)
-
-
 def problem_from_json(text):
     """Rebuild a problem from its JSON descriptor.
 

@@ -21,10 +21,6 @@ class CapabilityError(Exception):
     """An operation was requested from an atom that does not support it."""
 
 
-class NumericalError(RuntimeError):
-    """An inner numerical procedure failed to reach its tolerance."""
-
-
 def _as_vector(x):
     x = np.asarray(x, dtype=float)
     return np.atleast_1d(x)
@@ -91,11 +87,6 @@ def prox_l1_ball(x, tau):
     return project_unit_ball(soft_threshold(x, tau))
 
 
-def prox_quadratic(sigma, gamma, x):
-    """Solve (I + gamma*Sigma) w = x for symmetric PSD Sigma (one-shot)."""
-    return Quadratic(sigma, gamma=gamma).prox(x, gamma)
-
-
 # ---------------------------------------------------------------------------
 # atom interface
 
@@ -131,9 +122,6 @@ class ProxFunction:
     def conjugate_value(self, y):
         raise CapabilityError(f"{type(self).__name__} has no closed-form conjugate")
 
-    def __call__(self, x):
-        return self.value(x)
-
 
 class Zero(ProxFunction):
     """The zero function; its prox is the identity."""
@@ -146,40 +134,6 @@ class Zero(ProxFunction):
     def prox(self, x, gamma):
         _check_gamma(gamma)
         return _as_vector(x).copy()
-
-    @property
-    def supports_diag(self):
-        return True
-
-    def prox_diag(self, x, entries):
-        return _as_vector(x).copy()
-
-    def conjugate_value(self, y):
-        # conjugate is the indicator of {0}
-        return 0.0 if np.linalg.norm(_as_vector(y)) <= 1e-12 else np.inf
-
-
-class ZeroIndicator(ProxFunction):
-    """Indicator of {0}; its prox maps everything to the origin."""
-
-    prox_is_affine = True
-
-    def value(self, x):
-        return 0.0 if np.linalg.norm(_as_vector(x)) <= 1e-12 else np.inf
-
-    def prox(self, x, gamma):
-        _check_gamma(gamma)
-        return np.zeros_like(_as_vector(x))
-
-    @property
-    def supports_diag(self):
-        return True
-
-    def prox_diag(self, x, entries):
-        return np.zeros_like(_as_vector(x))
-
-    def conjugate_value(self, y):
-        return 0.0
 
 
 class Linear(ProxFunction):
@@ -221,58 +175,6 @@ class L1Norm(ProxFunction):
     def prox(self, x, gamma):
         _check_gamma(gamma)
         return soft_threshold(x, gamma * self.weight)
-
-    @property
-    def supports_diag(self):
-        return True
-
-    def prox_diag(self, x, entries):
-        entries = validate_diagonal(entries)
-        return soft_threshold(x, entries * self.weight)
-
-    def conjugate_value(self, y):
-        # conjugate is the indicator of the weight-radius sup-norm ball
-        y = _as_vector(y)
-        return 0.0 if np.max(np.abs(y), initial=0.0) <= self.weight + 1e-12 else np.inf
-
-
-class LinfBall(ProxFunction):
-    """Indicator of {x : ||x||_inf <= radius}; prox clips coordinatewise."""
-
-    def __init__(self, radius=1.0):
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        self.radius = float(radius)
-
-    def value(self, x):
-        x = _as_vector(x)
-        return 0.0 if np.max(np.abs(x), initial=0.0) <= self.radius + 1e-9 else np.inf
-
-    def prox(self, x, gamma):
-        _check_gamma(gamma)
-        return np.clip(_as_vector(x), -self.radius, self.radius)
-
-    @property
-    def supports_diag(self):
-        return True
-
-    def prox_diag(self, x, entries):
-        return np.clip(_as_vector(x), -self.radius, self.radius)
-
-
-class UnitBall(ProxFunction):
-    """Indicator of the Euclidean unit ball; prox is the projection."""
-
-    def value(self, x):
-        x = _as_vector(x)
-        return 0.0 if float(np.linalg.norm(x)) <= 1.0 + 1e-9 else np.inf
-
-    def prox(self, x, gamma):
-        _check_gamma(gamma)
-        return project_unit_ball(x)
-
-    def value_at_prox(self, w, x, gamma):
-        return 0.0
 
 
 class L1Ball(ProxFunction):
@@ -495,13 +397,6 @@ def moreau_value(f, gamma, x):
     return f.value_at_prox(p, x, gamma) + 0.5 * float(d @ d) / gamma
 
 
-def moreau_gradient(f, gamma, x):
-    """Gradient of the Moreau envelope: (x - prox(x, gamma)) / gamma."""
-    _check_gamma(gamma)
-    x = _as_vector(x)
-    return (x - f.prox(x, gamma)) / gamma
-
-
 def prox_shifted(f, mu, gamma, x):
     """Prox of f + (mu/2)||.||^2 with stepsize gamma, via rescaling.
 
@@ -515,25 +410,13 @@ def prox_shifted(f, mu, gamma, x):
     return f.prox(_as_vector(x) / scale, gamma / scale)
 
 
-def prox_conjugate(f, delta, t):
-    """Prox of conj(f)/delta at t: t - prox of delta*f at delta*t, over delta."""
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    t = _as_vector(t)
-    return t - f.prox(delta * t, delta) / delta
-
-
 def prox_conjugate_scaled(f, sigma, t):
-    """Prox of sigma*conj(f) at t for any sigma > 0 (same identity)."""
+    """Prox of sigma*conj(f) at t for any sigma > 0, by the Moreau identity
+
+    prox_{sigma*conj(f)}(t) = t - sigma * prox_{f/sigma}(t/sigma).
+    """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     t = _as_vector(t)
     return t - sigma * f.prox(t / sigma, 1.0 / sigma)
 
-
-def prox_diag(f, entries, x):
-    """Diagonal-metric prox argmin_w f(w) + ||w - x||^2_{diag(entries)^-1}/2."""
-    entries = validate_diagonal(entries)
-    if not f.supports_diag:
-        raise CapabilityError(f"{type(f).__name__} does not support a diagonal metric")
-    return f.prox_diag(x, entries)

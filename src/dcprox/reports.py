@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .prox import NumericalError, _as_vector
+from .prox import _as_vector
 
 DESCENT_SLACK = 1e-12
 
@@ -182,7 +182,7 @@ def drive(solver, dim, starts, first, advance, phi, counter, tol, max_iter,
                 if record_trace:
                     trace.append(trace_point(it, 0.0 if claim is None else claim, mark))
                 prev_env, it = it.env, nxt
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         status = Termination.NUMERICAL_ERROR
         message = f"oracle evaluation failed: {exc}"
 

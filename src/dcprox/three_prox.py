@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import subgradient_screen
 from .envelope import DcInstance, dc_value
 from .prox import (
     CapabilityError,
@@ -221,21 +222,10 @@ def stationarity_certificate(inst, cfg, report, sample_points, slack):
     """
     s, t, u = report.final_s, report.final_t, report.final_u
     w = _h_point(cfg, s, t)
-    candidates = [(inst.h, (w - u) / cfg.h_step),
-                  (inst.g, (s - u) / cfg.gamma),
-                  (inst.f, (t - u) / cfg.delta)]
-    worst = 0.0
-    for fn, xi in candidates:
-        base = fn.value(u)
-        if base == np.inf:
-            return np.inf
-        for zpt in sample_points:
-            val = fn.value(zpt)
-            if val == np.inf:
-                continue
-            gap = base + float(xi @ (zpt - u)) - val
-            worst = max(worst, gap - slack * (1.0 + float(np.linalg.norm(zpt - u))))
-    return worst
+    candidates = [(inst.h, u, (w - u) / cfg.h_step),
+                  (inst.g, u, (s - u) / cfg.gamma),
+                  (inst.f, u, (t - u) / cfg.delta)]
+    return max(0.0, subgradient_screen(candidates, sample_points, slack))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +236,8 @@ class ConjugatePart(ProxFunction):
     """Fenchel conjugate of an atom, proxed through the Moreau identity.
 
     The value is available only for atoms with a closed-form conjugate
-    (quadratics, the l1 norm, zero); that is all the lifted oracle needs.
+    (the quadratics ScaledSquare and Quadratic); that is all the lifted
+    oracle needs.
     """
 
     def __init__(self, f):

@@ -52,15 +52,6 @@ class TwoProxConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-def two_prox_step(inst, cfg, s):
-    """One relaxed step; returns (s_plus, u, v)."""
-    cfg.validate(inst.mu)
-    s = _as_vector(s)
-    u = inst.h.prox(s, cfg.gamma)
-    v = inst.g.prox(s, cfg.gamma)
-    return s + cfg.lam * (v - u), u, v
-
-
 def descent_coefficient(gamma, lam, mu=0.0):
     """Weight c with guaranteed decrease c*||u-v||^2 per relaxed step."""
     shrink = 1.0 - gamma * mu

@@ -215,6 +215,21 @@ def test_bench_rejects_bad_config(capsys):
     assert "unknown solver" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--seeds", "0", "seeds"),
+    ("--max-iter", "0", "max_iter"),
+    ("--jobs", "0", "jobs"),
+    ("--jobs", "-2", "jobs"),
+], ids=["seeds-0", "max-iter-0", "jobs-0", "jobs-negative"])
+def test_bench_rejects_counts_below_one(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "bench"
+    code = cli.main(["bench", "--solvers", "dce", "--n-values", "10", flag, value,
+                     "--out", str(out)])
+    assert code == 1
+    assert f"error: {field} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any task or file
+
+
 def test_check_passes_on_catalogue(capsys):
     code = cli.main(["check", '{"kind": "synthetic", "name": "quad-linear-1d"}'])
     out = capsys.readouterr().out

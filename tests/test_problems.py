@@ -9,7 +9,6 @@ from dcprox.problems import (
     _rng_for,
     find_synthetic,
     problem_from_json,
-    problem_to_json,
 )
 
 
@@ -233,8 +232,8 @@ def test_catalogue_atoms_pass_firm_nonexpansiveness(rng):
 
 def test_spca_json_roundtrip():
     spca, _ = dp.make_spca(25, seed=7)
-    kind, (again, inst) = problem_from_json(
-        problem_to_json("spca", n=spca.n, seed=spca.seed, kappa=spca.kappa))
+    kind, (again, inst) = problem_from_json(json.dumps(
+        {"kind": "spca", "n": spca.n, "seed": spca.seed, "kappa": spca.kappa}))
     assert kind == "spca"
     assert again.sigma.tobytes() == spca.sigma.tobytes()
     assert again.kappa == spca.kappa
@@ -242,11 +241,11 @@ def test_spca_json_roundtrip():
 
 
 def test_problem_descriptors():
-    doc = problem_to_json("synthetic", name="quad-linear-1d")
+    doc = json.dumps({"kind": "synthetic", "name": "quad-linear-1d"})
     kind, synth = problem_from_json(doc)
     assert kind == "synthetic" and synth.name == "quad-linear-1d"
     kind, (spca, inst) = problem_from_json(
-        problem_to_json("spca3", n=5, seed=1, kappa=0.2))
+        json.dumps({"kind": "spca3", "n": 5, "seed": 1, "kappa": 0.2}))
     assert kind == "spca3" and spca.kappa == 0.2
     with pytest.raises(ValueError):
         problem_from_json(json.dumps({"kind": "mystery"}))

@@ -4,17 +4,20 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dcprox as dp
-from dcprox.prox import CapabilityError
+from dcprox.prox import CapabilityError, prox_conjugate_scaled
 
 SIGMA3 = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]])
 
+# The ball atoms are L1Ball with kappa = 0: on its own (the Euclidean unit
+# ball) and as a sum of 1-d blocks (the sup-norm unit ball). "l1-ball-heavy"
+# maps most of the sampled points to the origin.
 ATOMS3 = [
     ("zero", dp.Zero()),
-    ("zero-indicator", dp.ZeroIndicator()),
+    ("l1-ball-heavy", dp.L1Ball(4.0)),
     ("linear", dp.Linear([0.5, -1.0, 2.0])),
     ("l1", dp.L1Norm(0.8)),
-    ("linf-ball", dp.LinfBall(1.0)),
-    ("unit-ball", dp.UnitBall()),
+    ("linf-ball", dp.BlockSeparable([(dp.L1Ball(0.0), 1)] * 3)),
+    ("unit-ball", dp.L1Ball(0.0)),
     ("l1-ball", dp.L1Ball(0.7)),
     ("scaled-square", dp.ScaledSquare(1.3)),
     ("quadratic", dp.Quadratic(SIGMA3)),
@@ -31,6 +34,12 @@ def grid_prox_1d_fast(value_fn, x, gamma, lo=-20.0, hi=20.0, n=400_001):
     vals = value_fn(w) + (w - x) ** 2 / (2 * gamma)
     i = int(np.argmin(vals))
     return w[i], float(vals[i])
+
+
+def envelope_grad(atom, gamma, x):
+    """Gradient of the Moreau envelope of ``atom``: (x - prox(x, gamma))/gamma."""
+    x = np.asarray(x, dtype=float)
+    return (x - atom.prox(x, gamma)) / gamma
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +80,7 @@ def test_prox_l1_ball_is_the_composite_minimizer(x, tau):
 
 def test_prox_quadratic_identity_sigma():
     s = np.array([2.0, -4.0])
-    np.testing.assert_allclose(dp.prox_quadratic(np.eye(2), 1.0, s), s / 2.0)
+    np.testing.assert_allclose(dp.Quadratic(np.eye(2)).prox(s, 1.0), s / 2.0)
 
 
 def test_quadratic_rejects_nonsymmetric():
@@ -183,7 +192,7 @@ def test_infinite_stepsize_rejected():
 def test_moreau_value_examples():
     assert dp.moreau_value(dp.Zero(), 1.0, [3.0, 4.0]) == 0.0
     assert dp.moreau_value(dp.ScaledSquare(1.0), 1.0, [2.0]) == pytest.approx(1.0)
-    assert dp.moreau_value(dp.UnitBall(), 1.0, [3.0, 0.0]) == pytest.approx(2.0)
+    assert dp.moreau_value(dp.L1Ball(0.0), 1.0, [3.0, 0.0]) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         dp.moreau_value(dp.Zero(), -0.5, [1.0])
 
@@ -197,7 +206,7 @@ def test_moreau_value_below_function_value(rng):
 def test_moreau_value_matches_grid_1d():
     cases = [(dp.L1Norm(1.0), lambda w: np.abs(w)),
              (dp.ScaledSquare(0.5), lambda w: 0.25 * w ** 2),
-             (dp.LinfBall(1.0), lambda w: np.where(np.abs(w) <= 1.0, 0.0, np.inf))]
+             (dp.L1Ball(0.5), lambda w: np.where(np.abs(w) <= 1.0, 0.5 * np.abs(w), np.inf))]
     for atom, value_fn in cases:
         for x, gamma in [(2.0, 1.0), (-0.7, 0.4), (3.5, 2.0)]:
             _, grid_val = grid_prox_1d_fast(value_fn, x, gamma)
@@ -205,12 +214,12 @@ def test_moreau_value_matches_grid_1d():
 
 
 def test_moreau_gradient_examples(rng):
-    assert np.all(dp.moreau_gradient(dp.Zero(), 2.0, [5.0, -1.0]) == 0.0)
-    assert dp.moreau_gradient(dp.ScaledSquare(1.0), 1.0, [2.0])[0] == pytest.approx(1.0)
+    assert np.all(envelope_grad(dp.Zero(), 2.0, [5.0, -1.0]) == 0.0)
+    assert envelope_grad(dp.ScaledSquare(1.0), 1.0, [2.0])[0] == pytest.approx(1.0)
     # finite differences on a random 5-d l1 envelope
     atom = dp.L1Norm(1.0)
     x = rng.standard_normal(5) * 2
-    g = dp.moreau_gradient(atom, 0.8, x)
+    g = envelope_grad(atom, 0.8, x)
     fd = np.empty(5)
     for i in range(5):
         e = np.zeros(5)
@@ -224,7 +233,7 @@ def test_moreau_gradient_lipschitz(name, atom, rng):
     gamma = 0.7
     for _ in range(50):
         s, s2 = rng.standard_normal(3), rng.standard_normal(3)
-        dg = dp.moreau_gradient(atom, gamma, s) - dp.moreau_gradient(atom, gamma, s2)
+        dg = envelope_grad(atom, gamma, s) - envelope_grad(atom, gamma, s2)
         assert np.linalg.norm(dg) <= np.linalg.norm(s - s2) / gamma + 1e-9
 
 
@@ -255,31 +264,33 @@ def test_prox_shifted_matches_grid(mu, gamma, x):
 
 
 def test_prox_conjugate_examples():
-    assert np.all(dp.prox_conjugate(dp.Zero(), 2.0, [1.0, -3.0]) == 0.0)
+    # conj(0) is the indicator of {0}; conj of the l1 norm is the indicator
+    # of the unit sup-norm ball, whose prox clips
+    assert np.all(prox_conjugate_scaled(dp.Zero(), 0.5, [1.0, -3.0]) == 0.0)
     t = np.array([0.3, -2.0])
-    np.testing.assert_allclose(dp.prox_conjugate(dp.ZeroIndicator(), 2.0, t), t)
-    assert dp.prox_conjugate(dp.ScaledSquare(1.0), 1.0, [4.0])[0] == pytest.approx(2.0)
+    np.testing.assert_allclose(prox_conjugate_scaled(dp.L1Norm(1.0), 0.5, t), [0.3, -1.0])
+    assert prox_conjugate_scaled(dp.ScaledSquare(1.0), 1.0, [4.0])[0] == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        dp.prox_conjugate(dp.L1Norm(), 0.0, [1.0])
+        prox_conjugate_scaled(dp.L1Norm(), 0.0, [1.0])
 
 
 @given(vec3, st.floats(0.2, 5.0))
 def test_moreau_identity_against_independent_conjugate(t, delta):
     # conj of the l1 norm is the sup-norm ball indicator, proxed by clipping
-    lhs = dp.prox_conjugate(dp.L1Norm(1.0), delta, t)
+    lhs = prox_conjugate_scaled(dp.L1Norm(1.0), 1.0 / delta, t)
     rhs = np.clip(t, -1.0, 1.0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_conjugate_values():
-    assert dp.L1Norm(1.0).conjugate_value([0.5, -1.0]) == 0.0
-    assert dp.L1Norm(1.0).conjugate_value([1.5, 0.0]) == np.inf
     assert dp.ScaledSquare(2.0).conjugate_value([2.0]) == pytest.approx(1.0)
+    with pytest.raises(CapabilityError):
+        dp.ScaledSquare(-1.0).conjugate_value([1.0])
     sig = dp.Quadratic(SIGMA3)
     y = np.array([0.4, -0.1, 0.2])
     assert sig.conjugate_value(y) == pytest.approx(0.5 * y @ np.linalg.solve(SIGMA3, y))
     with pytest.raises(CapabilityError):
-        dp.UnitBall().conjugate_value([0.0])
+        dp.L1Norm(1.0).conjugate_value([0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +306,9 @@ def test_prox_diag_uniform_reduces_to_scalar():
 
 
 def test_prox_diag_l1_example():
-    out = dp.prox_diag(dp.L1Norm(1.0), [1.0, 2.0], [3.0, 3.0])
-    np.testing.assert_allclose(out, [2.0, 1.0])
+    # each 1-d block has a uniform stepsize, so it takes the scalar prox
+    blocks = dp.BlockSeparable([(dp.L1Norm(1.0), 1), (dp.L1Norm(1.0), 1)])
+    np.testing.assert_allclose(blocks.prox_diag([3.0, 3.0], [1.0, 2.0]), [2.0, 1.0])
 
 
 def test_prox_diag_quadratic_matches_dense_solve(rng):
@@ -312,10 +324,10 @@ def test_prox_diag_quadratic_matches_dense_solve(rng):
 
 def test_prox_diag_capability_errors():
     with pytest.raises(CapabilityError):
-        dp.prox_diag(dp.UnitBall(), [1.0, 2.0], [3.0, 3.0])
+        dp.L1Ball(0.0).prox_diag([3.0, 3.0], [1.0, 2.0])
     with pytest.raises(ValueError):
-        dp.prox_diag(dp.L1Norm(), [1.0, -2.0], [3.0, 3.0])
-    blocks = dp.BlockSeparable([(dp.UnitBall(), 2), (dp.L1Norm(), 1)])
+        dp.Linear([1.0, 1.0]).prox_diag([3.0, 3.0], [1.0, -2.0])
+    blocks = dp.BlockSeparable([(dp.L1Ball(0.0), 2), (dp.L1Norm(), 1)])
     # uniform on the ball block is fine, nonuniform is not
     out = blocks.prox_diag(np.array([3.0, 0.0, 2.0]), np.array([1.0, 1.0, 0.5]))
     np.testing.assert_allclose(out, [1.0, 0.0, 1.5])
@@ -332,8 +344,8 @@ def test_block_separable_value_and_dim():
 
 
 def test_extended_value_atoms():
-    assert dp.UnitBall().value([2.0, 0.0]) == np.inf
+    assert dp.L1Ball(0.0).value([2.0, 0.0]) == np.inf
+    assert dp.L1Ball(0.0).value([0.6, 0.8]) == 0.0
+    assert dp.L1Ball(0.0).value([0.6, 0.81]) == np.inf
     assert dp.L1Ball(0.5).value([0.3, 0.3]) == pytest.approx(0.3)
     assert dp.L1Ball(0.5).value([1.2, 0.0]) == np.inf
-    assert dp.ZeroIndicator().value([0.0, 0.0]) == 0.0
-    assert dp.ZeroIndicator().value([0.1, 0.0]) == np.inf

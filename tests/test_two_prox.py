@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,22 +19,33 @@ def separable_2d():
 # ---------------------------------------------------------------------------
 # single step
 
+def first_step(inst, cfg, s):
+    """Iterates of ``run`` from s with a budget of two, and u, v at s.
+
+    The iterates are [s, s_plus], or [s] alone when s is already stationary.
+    """
+    at_s = dp.run(inst, replace(cfg, tol=0.0, max_iter=1), s)
+    rep = dp.run(inst, replace(cfg, tol=0.0, max_iter=2, record_iterates=True), s)
+    return rep.iterates, at_s.final_u, at_s.final_v
+
+
 def test_step_fixed_point_for_equal_pair(rng):
     atom = dp.L1Norm(1.0)
     inst = dp.DcInstance(g=atom, h=atom, dim=3)
     cfg = dp.TwoProxConfig(gamma=0.8, lam=1.3)
     s = rng.standard_normal(3)
-    s_plus, u, v = dp.two_prox_step(inst, cfg, s)
-    np.testing.assert_array_equal(s_plus, s)
+    iterates, u, v = first_step(inst, cfg, s)
+    assert len(iterates) == 1
+    np.testing.assert_array_equal(iterates[0], s)
     np.testing.assert_array_equal(u, v)
 
 
 def test_step_hand_example():
     cfg = dp.TwoProxConfig(gamma=1.0, lam=1.0)
-    s_plus, u, v = dp.two_prox_step(instance_a(), cfg, [0.0])
-    assert (u[0], v[0], s_plus[0]) == (-1.0, 0.0, 1.0)
-    s_plus, u, v = dp.two_prox_step(instance_a(), cfg, [2.0])
-    assert (u[0], v[0], s_plus[0]) == (1.0, 1.0, 2.0)
+    iterates, u, v = first_step(instance_a(), cfg, [0.0])
+    assert (u[0], v[0], iterates[1][0]) == (-1.0, 0.0, 1.0)
+    iterates, u, v = first_step(instance_a(), cfg, [2.0])
+    assert (u[0], v[0], len(iterates), iterates[0][0]) == (1.0, 1.0, 1, 2.0)
 
 
 def test_step_is_scaled_gradient_descent(rng):
@@ -40,7 +53,7 @@ def test_step_is_scaled_gradient_descent(rng):
     cfg = dp.TwoProxConfig(gamma=0.6, lam=1.4)
     for _ in range(20):
         s = rng.standard_normal(3) * 2
-        s_plus, u, v = dp.two_prox_step(inst, cfg, s)
+        (_, s_plus), _, _ = first_step(inst, cfg, s)
         grad = dp.dce_eval(inst, cfg.gamma, s).grad
         dev = np.linalg.norm((s_plus - s) + cfg.lam * cfg.gamma * grad)
         assert dev <= 1e-14 * (1.0 + np.linalg.norm(s))
