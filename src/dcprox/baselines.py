@@ -11,7 +11,7 @@ termination checks, so the per-iteration cost columns are directly
 comparable across solvers.
 """
 
-import numpy as np
+from math import sqrt
 
 from .envelope import backward_smooth_prox
 from .prox import CapabilityError, _check_gamma
@@ -39,14 +39,14 @@ def _baseline_run(solver, inst, gamma, tol, max_iter, x0, counter, prox_g,
         u = prox_h(point, gamma)
         if v is None:
             v = prox_g(point, gamma)
-        return Iterate(x, u, v, None, float(np.linalg.norm(u - v)), s_next=x_next)
+        d = u - v
+        return Iterate(x, u, v, None, sqrt(d @ d), s_next=x_next)
 
     def advance(it):
         return first(it.s_next), None
 
-    return drive(solver, inst.dim, [x0], first, advance,
-                 lambda it: inst.phi(phi_at(it)), counter, tol, max_iter,
-                 gamma=gamma)
+    return drive(solver, inst, [x0], first, advance, phi_at, counter, tol,
+                 max_iter, gamma=gamma)
 
 
 def fbs_run(inst, gamma, tol, max_iter, u0):

@@ -69,6 +69,12 @@ class BenchConfig:
         for name in self.solvers:
             if name not in SOLVERS:
                 raise ValueError(f"unknown solver {name!r}")
+        # a repeated value would run the same task twice and write its trace twice
+        for flag, values in (("--solvers", self.solvers),
+                             ("--n-values", self.n_values)):
+            if len(set(values)) != len(values):
+                raise ValueError(
+                    f"{flag} repeats a value: {','.join(map(str, values))}")
         if any(n < 2 for n in self.n_values):
             raise ValueError("n must be at least 2")
         if not self.tol > 0:

@@ -39,10 +39,18 @@ def dc_value(g_val, h_val):
     return g_val - h_val
 
 
+def dc_values(g_vals, h_vals):
+    """``dc_value`` elementwise over two arrays of values."""
+    with np.errstate(invalid="ignore"):
+        out = g_vals - h_vals
+    out[h_vals == np.inf] = -np.inf
+    out[g_vals == np.inf] = np.inf
+    return out
+
+
 def metric_half_sq(d, gamma):
     """0.5 * ||d||^2 weighted by 1/gamma; gamma scalar or positive vector."""
-    d = np.asarray(d)
-    return 0.5 * float(np.sum(d * d / gamma))
+    return 0.5 * float((d * d / gamma).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +166,10 @@ class DcInstance:
     def phi(self, x):
         """Objective value g(x) - h(x) with the inf - inf = +inf convention."""
         return dc_value(self.g.value(x), self.h.value(x))
+
+    def phis(self, rows):
+        """``phi`` at each row of a k-by-dim array, batched where atoms allow."""
+        return dc_values(self.g.values(rows), self.h.values(rows))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ reflect that.
 
 from collections import deque
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -34,6 +35,19 @@ class LbfgsParams:
     c2: float = 0.9
     max_backtracks: int = 30
     curvature_eps: float = 1e-12
+
+    def __post_init__(self):
+        if self.memory < 0:
+            raise ValueError(f"memory must be nonnegative, got {self.memory}")
+        if not 0.0 < self.c1 < self.c2 < 1.0:
+            raise ValueError(f"Wolfe constants need 0 < c1 < c2 < 1, got "
+                             f"c1={self.c1}, c2={self.c2}")
+        if self.max_backtracks < 0:
+            raise ValueError(
+                f"max_backtracks must be nonnegative, got {self.max_backtracks}")
+        if self.curvature_eps < 0:
+            raise ValueError(
+                f"curvature_eps must be nonnegative, got {self.curvature_eps}")
 
 
 class LbfgsMemory:
@@ -140,8 +154,8 @@ def run_lbfgs(inst, cfg, s0, params=None):
     def point(x, u):
         v = prox_g(x, gamma)
         env = env_value_from_pair(inst, gamma, x, u, v)
-        return Iterate(x, u, v, env, float(np.linalg.norm(u - v)),
-                       grad=(u - v) / gamma)
+        d = u - v
+        return Iterate(x, u, v, env, sqrt(d @ d), grad=d / gamma)
 
     def first(x):
         return point(x, prox_h(x, gamma))
@@ -174,7 +188,7 @@ def run_lbfgs(inst, cfg, s0, params=None):
         memory.push(ev_next.s - ev.s, ev_next.grad - ev.grad)
         return ev_next, None
 
-    return drive("dce-lbfgs", inst.dim, [s0], first, advance,
-                 lambda it: inst.phi(it.v), counter, cfg.tol, cfg.max_iter,
+    return drive("dce-lbfgs", inst, [s0], first, advance, lambda it: it.v,
+                 counter, cfg.tol, cfg.max_iter,
                  cfg.record_trace, cfg.record_iterates, gamma,
                  {"memory": params.memory, "lam": cfg.lam})

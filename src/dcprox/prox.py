@@ -11,7 +11,11 @@ Atoms are immutable after construction and safe for concurrent read access
 per-stepsize cache; pass ``gamma`` to constructors that accept it to
 pre-populate it). Some atoms additionally support a diagonal metric
 ``prox_diag`` (stepsize vector) and expose that through ``supports_diag``.
+``values`` evaluates the rows of a k-by-n array at once; by default it
+loops over ``value``, and the quadratic, the l1-ball and zero batch it.
 """
+
+from math import sqrt
 
 import numpy as np
 from scipy.linalg import inv
@@ -22,8 +26,9 @@ class CapabilityError(Exception):
 
 
 def _as_vector(x):
-    x = np.asarray(x, dtype=float)
-    return np.atleast_1d(x)
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64:
+        return x  # the common case, returned as asarray/atleast_1d would
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 def _check_gamma(gamma):
@@ -77,7 +82,7 @@ def soft_threshold(x, tau):
 def project_unit_ball(x):
     """Euclidean projection onto the closed unit ball."""
     x = _as_vector(x)
-    return x / max(1.0, float(np.linalg.norm(x)))
+    return x / max(1.0, sqrt(x @ x))
 
 
 def prox_l1_ball(x, tau):
@@ -105,6 +110,10 @@ class ProxFunction:
     def value(self, x):
         raise NotImplementedError
 
+    def values(self, rows):
+        """Values at the rows of a k-by-n array; atoms may batch them."""
+        return np.array([self.value(x) for x in rows])
+
     def prox(self, x, gamma):
         raise NotImplementedError
 
@@ -130,6 +139,9 @@ class Zero(ProxFunction):
 
     def value(self, x):
         return 0.0
+
+    def values(self, rows):
+        return np.zeros(len(rows))
 
     def prox(self, x, gamma):
         _check_gamma(gamma)
@@ -193,14 +205,20 @@ class L1Ball(ProxFunction):
         x = _as_vector(x)
         if float(np.linalg.norm(x)) > 1.0 + 1e-9:
             return np.inf
-        return self.kappa * float(np.sum(np.abs(x)))
+        return self.kappa * float(np.abs(x).sum())
+
+    def values(self, rows):
+        # a NaN row fails the comparison and stays NaN, as in ``value``
+        out = self.kappa * np.abs(rows).sum(axis=1)
+        out[np.linalg.norm(rows, axis=1) > 1.0 + 1e-9] = np.inf
+        return out
 
     def prox(self, x, gamma):
         _check_gamma(gamma)
         return prox_l1_ball(x, gamma * self.kappa)
 
     def value_at_prox(self, w, x, gamma):
-        return self.kappa * float(np.sum(np.abs(w)))
+        return self.kappa * float(np.abs(w).sum())
 
 
 class ScaledSquare(ProxFunction):
@@ -276,10 +294,14 @@ class Quadratic(ProxFunction):
         x = _as_vector(x)
         return 0.5 * float(x @ (self.sigma @ x))
 
+    def values(self, rows):
+        # one GEMM reads Sigma once for all k rows, not once per row
+        return 0.5 * np.einsum("ij,ij->i", rows, rows @ self.sigma)
+
     def value_at_prox(self, w, x, gamma):
         # (I + gamma*Sigma) w = x  =>  Sigma w = (x - w)/gamma; avoids a matvec
         w = _as_vector(w)
-        return 0.5 * float(np.sum(w * (_as_vector(x) - w) / gamma))
+        return 0.5 * float((w * (_as_vector(x) - w) / gamma).sum())
 
     def prox(self, x, gamma):
         _check_gamma(gamma)

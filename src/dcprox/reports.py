@@ -117,22 +117,28 @@ class Iterate:
     s_next: Optional[np.ndarray] = None
 
 
-def drive(solver, dim, starts, first, advance, phi, counter, tol, max_iter,
+def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
           record_trace=True, record_iterates=False, gamma=0.0, params=None):
     """Run one solver to convergence, the budget or a numerical error.
 
     ``first(*starts)`` evaluates the start point(s) and returns an
     ``Iterate``; ``advance(it)`` steps from ``it`` and returns the next
     evaluated ``Iterate`` with the envelope decrease the step claims, or
-    None for a step that makes no claim. ``phi(it)`` is the objective value
-    at ``it``; it is evaluated only for trace points that are kept. The run
-    stops at ``residual <= tol``, after ``max_iter`` evaluated iterates, or
-    with NUMERICAL_ERROR when an envelope rises above a claimed decrease or
-    an oracle fails. Without ``record_trace`` the trace keeps only the last
-    point. Counts come from ``counter``, which wraps the solver's oracles.
+    None for a step that makes no claim. ``phi_at(it)`` is the point at
+    which the trace evaluates the objective ``inst.phi``. Kept trace points
+    are copied into a buffer and their objective values taken with
+    ``inst.phis`` in chunks of 64 points, so that an atom's batched
+    ``values`` can read its data once per chunk; the final point is
+    evaluated alone with ``inst.phi``, so it does not depend on
+    ``record_trace``. The run stops at ``residual <= tol``, after
+    ``max_iter`` evaluated iterates, or with NUMERICAL_ERROR when an
+    envelope rises above a claimed decrease or an oracle fails. Without
+    ``record_trace`` the trace keeps only the last point. Counts come from
+    ``counter``, which wraps the solver's oracles.
     """
     if tol < 0 or max_iter < 1:
         raise ValueError("tol must be nonnegative and max_iter positive")
+    dim = inst.dim
     starts = [_as_vector(np.array(x, dtype=float)) for x in starts]
     for x in starts:
         if x.shape != (dim,):
@@ -142,18 +148,25 @@ def drive(solver, dim, starts, first, advance, phi, counter, tol, max_iter,
     params = {} if params is None else params
     iterates = [] if record_iterates else None
     trace = []
+    points = np.empty((64, dim)) if record_trace else None
+    pending = []  # (env, residual, decrement, mark) of the rows in ``points``
     status = Termination.CONVERGED if dim == 0 else Termination.MAX_ITER
     message = ""
     it = None
     k = 0
     t0 = time.perf_counter_ns()
 
-    def trace_point(it, decrement, mark):
-        value = phi(it)
-        return TracePoint(k=mark[0], env=value if it.env is None else it.env,
-                          residual=it.residual, phi=value, decrement=decrement,
+    def trace_point(value, env, residual, decrement, mark):
+        return TracePoint(k=mark[0], env=value if env is None else env,
+                          residual=residual, phi=value, decrement=decrement,
                           prox_h=mark[1], prox_g=mark[2], grad_h=mark[3],
                           wall_ns=mark[4])
+
+    def flush():
+        values = inst.phis(points[:len(pending)])
+        trace.extend(trace_point(value, *row)
+                     for value, row in zip(values.tolist(), pending))
+        pending.clear()
 
     try:
         if dim:
@@ -180,7 +193,11 @@ def drive(solver, dim, starts, first, advance, phi, counter, tol, max_iter,
                     break
                 nxt, claim = advance(it)
                 if record_trace:
-                    trace.append(trace_point(it, 0.0 if claim is None else claim, mark))
+                    points[len(pending)] = phi_at(it)
+                    pending.append((it.env, it.residual,
+                                    0.0 if claim is None else claim, mark))
+                    if len(pending) == len(points):
+                        flush()
                 prev_env, it = it.env, nxt
     except np.linalg.LinAlgError as exc:
         status = Termination.NUMERICAL_ERROR
@@ -193,7 +210,9 @@ def drive(solver, dim, starts, first, advance, phi, counter, tol, max_iter,
                          final_s=s, final_u=s, final_v=s, final_t=t, final_z=t,
                          iterates=iterates, gamma=gamma, params=params,
                          message=message)
-    trace.append(trace_point(it, 0.0, mark))
+    if pending:
+        flush()
+    trace.append(trace_point(inst.phi(phi_at(it)), it.env, it.residual, 0.0, mark))
     return RunReport(solver=solver, termination=status, iterations=k,
                      final_s=it.s, final_u=it.u, final_v=it.v, final_t=it.t,
                      final_z=it.z, trace=trace, iterates=iterates, gamma=gamma,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import subgradient_screen
-from .envelope import DcInstance, dc_value
+from .envelope import DcInstance, dc_value, dc_values
 from .prox import (
     CapabilityError,
     ProxFunction,
@@ -62,6 +62,11 @@ class ThreeTermInstance:
             return np.inf
         rest = self.h.value(x) + self.f.value(x)
         return dc_value(g_val, rest)
+
+    def phis(self, rows):
+        """``phi`` at each row of a k-by-dim array, batched where atoms allow."""
+        return dc_values(self.g.values(rows),
+                         self.h.values(rows) + self.f.values(rows))
 
 
 @dataclass(frozen=True)
@@ -205,8 +210,8 @@ def run3(inst, cfg, s0, t0):
         return (first(it.s + cfg.lam * (it.v - it.u), it.t + cfg.mu * (it.u - it.z)),
                 claim)
 
-    return drive("three-prox", inst.dim, [s0, t0], first, advance,
-                 lambda it: inst.phi(it.u), counter, cfg.tol, cfg.max_iter,
+    return drive("three-prox", inst, [s0, t0], first, advance, lambda it: it.u,
+                 counter, cfg.tol, cfg.max_iter,
                  cfg.record_trace, cfg.record_iterates, cfg.gamma,
                  {"delta": cfg.delta, "lam": cfg.lam, "mu": cfg.mu})
 

@@ -14,6 +14,7 @@ modulus on the instance.
 """
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -76,7 +77,8 @@ def _relaxed_steps(inst, prox_h, prox_g, gamma, lam, claim):
         u = prox_h(s, gamma)
         v = prox_g(s, gamma)
         env = env_value_from_pair(inst, gamma, s, u, v)
-        return Iterate(s, u, v, env, float(np.linalg.norm(u - v)))
+        d = u - v
+        return Iterate(s, u, v, env, sqrt(d @ d))
 
     def advance(it):
         return first(it.s + lam * (it.v - it.u)), claim(it.u - it.v)
@@ -97,9 +99,9 @@ def run(inst, cfg, s0):
     counter, first, advance = _relaxed_steps(
         inst, inst.h.prox, inst.g.prox, cfg.gamma, cfg.lam,
         lambda d: coeff * float(d @ d))
-    return drive("dce", inst.dim, [s0], first, advance, lambda it: inst.phi(it.v),
-                 counter, cfg.tol, cfg.max_iter, cfg.record_trace,
-                 cfg.record_iterates, cfg.gamma, {"lam": cfg.lam, "mu": inst.mu})
+    return drive("dce", inst, [s0], first, advance, lambda it: it.v, counter,
+                 cfg.tol, cfg.max_iter, cfg.record_trace, cfg.record_iterates,
+                 cfg.gamma, {"lam": cfg.lam, "mu": inst.mu})
 
 
 def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
@@ -127,7 +129,7 @@ def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
     counter, first, advance = _relaxed_steps(
         inst, inst.h.prox_diag, inst.g.prox_diag, gamma_diag, lam_diag,
         lambda d: 0.5 * float(np.sum(weight * d * d)))
-    return drive("dce-diag", inst.dim, [s0], first, advance,
-                 lambda it: inst.phi(it.v), counter, tol, max_iter, record_trace,
+    return drive("dce-diag", inst, [s0], first, advance, lambda it: it.v,
+                 counter, tol, max_iter, record_trace,
                  record_iterates, float(gamma_diag[0]),
                  {"gamma_diag": gamma_diag, "lam_diag": lam_diag, "m_diag": m_diag})

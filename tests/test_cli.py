@@ -230,6 +230,21 @@ def test_bench_rejects_counts_below_one(tmp_path, capsys, flag, value, field):
     assert not out.exists()  # rejected before any task or file
 
 
+@pytest.mark.parametrize("solvers,n_values,flag", [
+    ("dce", "10,10", "--n-values"),
+    ("dce,fbs,dce", "10", "--solvers"),
+], ids=["n-values", "solvers"])
+def test_bench_rejects_repeated_values(tmp_path, capsys, solvers, n_values, flag):
+    # a repeated value would run one task twice, with two workers writing
+    # the same trace file under --jobs 2
+    out = tmp_path / "bench"
+    code = cli.main(["bench", "--solvers", solvers, "--n-values", n_values,
+                     "--seeds", "1", "--out", str(out)])
+    assert code == 1
+    assert f"error: {flag} repeats a value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_passes_on_catalogue(capsys):
     code = cli.main(["check", '{"kind": "synthetic", "name": "quad-linear-1d"}'])
     out = capsys.readouterr().out

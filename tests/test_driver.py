@@ -6,20 +6,24 @@ import numpy as np
 import pytest
 
 import dcprox as dp
-from dcprox import cli
+from dcprox import baselines, cli, lbfgs, three_prox, two_prox
+from dcprox.problems import find_synthetic
+from dcprox.reports import drive
 from dcprox.three_prox import default_config
 
 N = 12
 
 
-def spca_runs(record_trace=True):
+def spca_runs(record_trace=True, record_iterates=False):
     """Solver name -> (runner taking a start point, the default start)."""
     spca, inst = dp.make_spca(N, seed=1)
     spca3, inst3 = dp.make_spca3(N, seed=1)
     gamma = 0.9 / spca.lam_max
     cfg = dp.TwoProxConfig(gamma=gamma, tol=1e-8, max_iter=300,
-                           record_trace=record_trace)
-    cfg3 = default_config(tol=1e-6, max_iter=300, record_trace=record_trace)
+                           record_trace=record_trace,
+                           record_iterates=record_iterates)
+    cfg3 = default_config(tol=1e-6, max_iter=300, record_trace=record_trace,
+                          record_iterates=record_iterates)
     drs_gamma = 0.45 / spca.lam_max
     # run_diag on the lifted form of the three-term instance (see run3_via_lifted)
     lifted = dp.lifted_pair(inst3)
@@ -32,7 +36,8 @@ def spca_runs(record_trace=True):
         "run_diag": (lambda s: dp.run_diag(lifted, gamma_diag, lam_diag,
                                            np.concatenate([s, t0]),
                                            m_diag=np.ones(2 * N), tol=1e-6,
-                                           max_iter=300, record_trace=record_trace),
+                                           max_iter=300, record_trace=record_trace,
+                                           record_iterates=record_iterates),
                      spca3.s0),
         "run3": (lambda s: dp.run3(inst3, cfg3, s, spca3.s0), spca3.s0),
         "fbs": (lambda s: dp.fbs_run(inst, gamma, 1e-8, 300, s), spca.s0),
@@ -43,9 +48,11 @@ def spca_runs(record_trace=True):
 
 @pytest.mark.parametrize("name", ["run", "run_lbfgs", "run_diag", "run3"])
 def test_unrecorded_trace_keeps_the_last_point_only(name):
-    fn, s0 = spca_runs(record_trace=True)[name]
+    # run, run_diag and run3 take 300 iterations, past several chunks of
+    # batched trace values; the iterates must not notice the trace
+    fn, s0 = spca_runs(record_trace=True, record_iterates=True)[name]
     recorded = fn(s0)
-    fn, s0 = spca_runs(record_trace=False)[name]
+    fn, s0 = spca_runs(record_trace=False, record_iterates=True)[name]
     plain = fn(s0)
     assert len(recorded.trace) == recorded.iterations > 1
     assert len(plain.trace) == 1
@@ -55,6 +62,9 @@ def test_unrecorded_trace_keeps_the_last_point_only(name):
         np.testing.assert_array_equal(getattr(plain, key), getattr(recorded, key))
     assert dataclasses.replace(plain.trace[-1], wall_ns=0) == \
         dataclasses.replace(recorded.trace[-1], wall_ns=0)
+    assert len(plain.iterates) == len(recorded.iterates) == recorded.iterations
+    for a, b in zip(plain.iterates, recorded.iterates):
+        np.testing.assert_array_equal(a, b)
 
 
 class CountedAtom:
@@ -113,3 +123,43 @@ def test_every_solver_rejects_a_bad_start_point(name):
                 np.full(N, np.inf)):
         with pytest.raises(ValueError, match="start point"):
             fn(bad)
+
+
+def spy_on_trace_points(monkeypatch):
+    """List that fills, as each solver runs, with inst.phi at every point the
+    driver takes for its trace, evaluated the moment the driver takes it."""
+    seen = []
+
+    def spied_drive(solver, inst, starts, first, advance, phi_at, *args, **kwargs):
+        def spied(it):
+            point = phi_at(it)
+            seen.append(inst.phi(point))
+            return point
+        return drive(solver, inst, starts, first, advance, spied, *args, **kwargs)
+
+    for module in (two_prox, lbfgs, baselines, three_prox):
+        monkeypatch.setattr(module, "drive", spied_drive)
+    return seen
+
+
+@pytest.mark.parametrize("solver", cli.SOLVERS)
+def test_trace_phi_is_phi_at_each_point(solver, monkeypatch):
+    # 140 iterations cross two chunks of batched trace values
+    seen = spy_on_trace_points(monkeypatch)
+    kind = "spca3" if solver == "three-prox" else "spca"
+    payload = (dp.make_spca3 if kind == "spca3" else dp.make_spca)(50, seed=0)
+    report, _ = cli._solve_one(solver, kind, payload, 0.0, 140)
+    assert report.iterations == len(report.trace) == len(seen) == 140
+    for tp, phi in zip(report.trace, seen):
+        assert tp.phi == pytest.approx(phi, rel=1e-12, abs=0.0)
+    # the final point is evaluated alone, with inst.phi
+    assert report.trace[-1].phi == seen[-1]
+
+
+@pytest.mark.parametrize("name,solver", [
+    (synth.name, solver) for synth in dp.synthetic_catalogue()
+    for solver in synth.solvers])
+def test_trace_phi_is_exact_where_atoms_do_not_batch(name, solver, monkeypatch):
+    seen = spy_on_trace_points(monkeypatch)
+    report, _ = cli._solve_one(solver, "synthetic", find_synthetic(name), 1e-12, 300)
+    assert [tp.phi for tp in report.trace] == seen

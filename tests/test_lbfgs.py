@@ -225,3 +225,21 @@ def test_fuzz_random_instances_monotone(rng):
         assert rep.converged, f"trial {trial} stalled"
         envs = [tp.env for tp in rep.trace]
         assert all(b <= a_ + 1e-12 * (1 + abs(a_)) for a_, b in zip(envs, envs[1:]))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("memory", -3),
+    ("c1", 0.0),
+    ("c2", 1.0),
+    ("c2", 1e-5),  # below c1
+    ("max_backtracks", -1),
+    ("curvature_eps", -1e-12),
+], ids=["memory", "c1", "c2", "c2-below-c1", "max_backtracks", "curvature_eps"])
+def test_params_reject_invalid_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        LbfgsParams(**{field: value})
+
+
+def test_params_accept_the_boundary_values():
+    # memory 0 is steepest descent, max_backtracks 0 forces the fallback
+    LbfgsParams(memory=0, max_backtracks=0, curvature_eps=0.0)

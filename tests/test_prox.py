@@ -349,3 +349,33 @@ def test_extended_value_atoms():
     assert dp.L1Ball(0.0).value([0.6, 0.81]) == np.inf
     assert dp.L1Ball(0.5).value([0.3, 0.3]) == pytest.approx(0.3)
     assert dp.L1Ball(0.5).value([1.2, 0.0]) == np.inf
+
+
+@pytest.mark.parametrize("atom", [dp.Quadratic(SIGMA3), dp.L1Ball(0.7), dp.Zero()],
+                         ids=["quadratic", "l1-ball", "zero"])
+def test_batched_values_match_value(atom, rng):
+    # row norms from 0.1 to 3: the ball atom's rows fall inside and outside
+    rows = rng.standard_normal((40, 3))
+    rows *= rng.uniform(0.1, 3.0, size=(40, 1)) / np.linalg.norm(rows, axis=1,
+                                                                  keepdims=True)
+    clean = atom.values(rows)
+    rows[7] = np.nan
+    batched = atom.values(rows)
+    assert batched.shape == (40,)
+    for i, x in enumerate(rows):
+        expected = atom.value(x)
+        if np.isnan(expected) or np.isinf(expected):
+            np.testing.assert_array_equal(batched[i], expected)
+        else:
+            assert batched[i] == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    if isinstance(atom, dp.L1Ball):
+        assert np.isinf(batched).sum() > 5 and np.isfinite(batched).sum() > 5
+    assert np.isnan(batched[7]) == (not isinstance(atom, dp.Zero))
+    others = np.arange(40) != 7
+    np.testing.assert_array_equal(batched[others], clean[others])
+
+
+def test_default_batched_values_are_the_value_loop(rng):
+    atom = dp.BlockSeparable([(dp.L1Norm(1.0), 2), (dp.ScaledSquare(0.5), 1)])
+    rows = rng.standard_normal((5, 3))
+    assert atom.values(rows).tolist() == [atom.value(x) for x in rows]
