@@ -26,6 +26,8 @@ from .prox import (
     _as_vector,
     _check_gamma,
     _spd_inverse,
+    _symmetric_matrix,
+    _symv,
     prox_shifted,
 )
 
@@ -76,10 +78,12 @@ class SmoothFunction:
 def quadratic_smooth(q, eig_range=None):
     """Smooth function 0.5 x'Qx with a closed-form backward solve.
 
-    ``eig_range`` optionally supplies (lambda_min, lambda_max) of Q to skip
-    the eigenvalue computation.
+    Q must be symmetric (ValueError otherwise), since the gradient Qx and
+    every product with Q or with the cached backward inverse read one
+    triangle. ``eig_range`` optionally supplies (lambda_min, lambda_max) of
+    Q to skip the eigenvalue computation.
     """
-    q = np.asarray(q, dtype=float)
+    q = _symmetric_matrix(q, "Q")
     n = q.shape[0]
     if eig_range is None:
         eigs = np.linalg.eigvalsh(q) if n > 0 else np.zeros(1)
@@ -90,11 +94,10 @@ def quadratic_smooth(q, eig_range=None):
 
     def value(x):
         x = _as_vector(x)
-        return 0.5 * float(x @ (q @ x))
+        return 0.5 * float(x @ _symv(q, x))
 
     def grad(x):
-        x = _as_vector(x)
-        return q @ x
+        return _symv(q, _as_vector(x))
 
     def backward(s, gamma):
         # u = inv(I - gamma*Q) s

@@ -7,10 +7,11 @@ proximal map
     prox(x, gamma) = argmin_w  f(w) + ||w - x||^2 / (2*gamma).
 
 Atoms are immutable after construction and safe for concurrent read access
-(the quadratic's prox is one GEMV with an inverse cached in a one-slot,
-per-stepsize cache; pass ``gamma`` to constructors that accept it to
-pre-populate it). Some atoms additionally support a diagonal metric
-``prox_diag`` (stepsize vector) and expose that through ``supports_diag``.
+(the quadratic's prox is one symmetric matrix-vector product, which reads
+one triangle of an inverse cached in a one-slot, per-stepsize cache; pass
+``gamma`` to constructors that accept it to pre-populate it). Some atoms
+additionally support a diagonal metric ``prox_diag`` (stepsize vector) and
+expose that through ``supports_diag``.
 ``values`` evaluates the rows of a k-by-n array at once; by default it
 loops over ``value``, and the quadratic, the l1-ball and zero batch it.
 """
@@ -19,6 +20,7 @@ from math import sqrt
 
 import numpy as np
 from scipy.linalg import inv
+from scipy.linalg.blas import dsymv
 
 
 class CapabilityError(Exception):
@@ -38,13 +40,45 @@ def _check_gamma(gamma):
         raise ValueError(f"stepsize must be positive and finite, got {gamma}")
 
 
+def _symmetric_matrix(mat, name):
+    """``mat`` as a C-ordered float64 array; ValueError unless square and symmetric.
+
+    Symmetric means equal to its transpose within 1e-10 relative to the
+    largest entry. An exactly symmetric matrix, the common case, passes on
+    one equality test, about ten times cheaper than the tolerance test.
+    """
+    mat = np.ascontiguousarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name} must be a square matrix")
+    if not (np.array_equal(mat, mat.T) or np.allclose(
+            mat, mat.T, atol=1e-10 * (1.0 + np.abs(mat).max()))):
+        raise ValueError(f"{name} must be symmetric")
+    return mat
+
+
+def _symv(mat, x):
+    """mat @ x for a C-ordered symmetric matrix, reading one triangle.
+
+    BLAS ``dsymv`` gets the Fortran-ordered view ``mat.T``, equal to ``mat``,
+    which f2py passes without a copy; a C-ordered matrix would be copied on
+    every call. f2py's wrapper rejects n = 0, so that product is built here,
+    and it would read a prefix of a longer x, so the shape is checked first.
+    """
+    if x.shape != mat.shape[:1]:
+        raise ValueError(f"shape mismatch: order-{mat.shape[0]} matrix times {x.shape}")
+    if not x.shape[0]:
+        return np.zeros(0)
+    return dsymv(1.0, mat.T, x)
+
+
 def _spd_inverse(mat):
     """Explicit inverse of a symmetric positive definite matrix.
 
     Computed once per matrix from its Cholesky factor, which checks ``mat``
     for non-finite entries and raises LinAlgError unless it is positive
     definite, so a linear solve with a fixed matrix then costs one
-    ``_apply_inverse`` GEMV per call. For matrices I + gamma*Sigma (every
+    ``_apply_inverse`` one-triangle product per call. The result is
+    C-ordered and exactly symmetric. For matrices I + gamma*Sigma (every
     eigenvalue >= 1) the explicit inverse is as accurate as two triangular
     solves. ``mat`` is overwritten.
     """
@@ -52,11 +86,12 @@ def _spd_inverse(mat):
 
 
 def _apply_inverse(inverse, x):
-    """inverse @ x after an O(n) check that x is finite (ValueError if not)."""
+    """inverse @ x, reading one triangle of the symmetric ``inverse``, after
+    an O(n) check that x is finite (ValueError if not)."""
     x = _as_vector(x)
     if not np.isfinite(x).all():
         raise ValueError("array must not contain infs or NaNs")
-    return inverse @ x
+    return _symv(inverse, x)
 
 
 def validate_diagonal(entries, dim=None):
@@ -265,21 +300,18 @@ class ScaledSquare(ProxFunction):
 class Quadratic(ProxFunction):
     """f(x) = x' Sigma x / 2 for symmetric positive semidefinite Sigma.
 
-    The prox w = inv(I + gamma*Sigma) x is one GEMV with an explicit inverse
-    cached per stepsize (one slot each for the scalar and diagonal metrics;
-    pass ``gamma`` to precompute it so concurrent readers never write).
+    The prox w = inv(I + gamma*Sigma) x is one symmetric matrix-vector
+    product, reading one triangle of an explicit inverse cached per stepsize
+    (one slot each for the scalar and diagonal metrics; pass ``gamma`` to
+    precompute it so concurrent readers never write). ``value`` reads one
+    triangle of Sigma the same way.
     """
 
     prox_is_affine = True
 
     def __init__(self, sigma, gamma=None):
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise ValueError("Sigma must be a square matrix")
-        if not np.allclose(sigma, sigma.T, atol=1e-10 * (1.0 + np.abs(sigma).max())):
-            raise ValueError("Sigma must be symmetric")
-        self.sigma = sigma
-        self.dim = sigma.shape[0]
+        self.sigma = _symmetric_matrix(sigma, "Sigma")
+        self.dim = self.sigma.shape[0]
         self._fwd = None   # (gamma, inverse of I + gamma*Sigma)
         self._diag = None  # (entries bytes, inverse of inv(G) + Sigma)
         if gamma is not None:
@@ -292,7 +324,7 @@ class Quadratic(ProxFunction):
 
     def value(self, x):
         x = _as_vector(x)
-        return 0.5 * float(x @ (self.sigma @ x))
+        return 0.5 * float(x @ _symv(self.sigma, x))
 
     def values(self, rows):
         # one GEMM reads Sigma once for all k rows, not once per row
@@ -314,7 +346,7 @@ class Quadratic(ProxFunction):
     def prox_diag(self, x, entries):
         # (I + G*Sigma) w = x  <=>  (inv(G) + Sigma) w = inv(G) x, SPD system
         entries = validate_diagonal(entries, self.dim)
-        if np.all(entries == entries[0]):
+        if entries.size and np.all(entries == entries[0]):
             return self.prox(x, float(entries[0]))
         key = entries.tobytes()
         if self._diag is None or self._diag[0] != key:

@@ -156,6 +156,12 @@ def test_backward_smooth_prox_quadratic():
                                [6.0, -2.0])
 
 
+def test_quadratic_smooth_rejects_nonsymmetric():
+    # 0.5 x'Qx has gradient (Q + Q')x/2, not Qx
+    with pytest.raises(ValueError, match="symmetric"):
+        dp.quadratic_smooth(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_backward_smooth_prox_random_spd(rng):
     q = rng.standard_normal((6, 6))
     q = q @ q.T / 6

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -124,6 +126,65 @@ def test_quadratic_prox_rejects_non_finite_input(bad):
         atom.prox(x, 0.7)
     with pytest.raises(ValueError, match="infs or NaNs"):
         atom.prox_diag(x, np.array([0.5, 1.5, 2.0]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 130])
+def test_symmetric_products_match_dense(n, rng):
+    # every product with Sigma, Q or a cached inverse reads one triangle;
+    # n = 0 is built without BLAS, whose wrapper rejects it
+    b = rng.standard_normal((n, n + 3))
+    sigma = b @ b.T / (n + 3)
+    gamma = 1.0 / max(np.linalg.eigvalsh(sigma)[-1], 1.0) if n else 0.5
+    entries = gamma * np.linspace(0.5, 1.5, n)  # non-uniform from n = 2 on
+    x = rng.standard_normal(n)
+    eye = np.eye(n)
+
+    def close(actual, expected):
+        np.testing.assert_allclose(actual, expected, rtol=0,
+                                   atol=1e-13 * np.linalg.norm(expected))
+
+    atom = dp.Quadratic(sigma)
+    close(atom.prox(x, gamma), np.linalg.solve(eye + gamma * sigma, x))
+    close(atom.prox_diag(x, entries),
+          np.linalg.solve(eye + np.diag(entries) @ sigma, x))
+    close(atom.value(x), 0.5 * x @ (sigma @ x))
+    f = dp.quadratic_smooth(sigma)
+    close(f.grad(x), sigma @ x)
+    close(f.value(x), 0.5 * x @ (sigma @ x))
+    for step in (0.5 * gamma, -0.5 * gamma):  # negate_smooth passes -gamma
+        close(f.backward(x, step), np.linalg.solve(eye - step * sigma, x))
+
+
+def test_symmetric_product_rejects_wrong_length():
+    # BLAS would read the first 3 entries of a longer vector
+    with pytest.raises(ValueError, match="shape mismatch"):
+        dp.Quadratic(SIGMA3).prox(np.ones(4), 0.5)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        dp.quadratic_smooth(SIGMA3).grad(np.ones(2))
+
+
+@pytest.mark.parametrize("path", ["prox", "value", "grad", "backward"])
+def test_symmetric_product_copies_no_matrix(path, rng):
+    # a C-ordered matrix handed to BLAS is copied on every call (n^2 * 8
+    # bytes); the one-triangle product must hand over the Fortran-ordered view
+    n = 400
+    b = rng.standard_normal((n, n))
+    sigma = b @ b.T / n
+    atom, f = dp.Quadratic(sigma), dp.quadratic_smooth(sigma)
+    call = {"prox": lambda x: atom.prox(x, 0.5),
+            "value": atom.value,
+            "grad": f.grad,
+            "backward": lambda x: f.backward(x, -0.5)}[path]
+    x = rng.standard_normal(n)
+    call(x)  # warm-up: builds the cached inverse
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call(x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
 
 
 # ---------------------------------------------------------------------------
