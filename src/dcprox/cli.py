@@ -17,6 +17,11 @@ Problems are JSON documents, inline or in a file:
     {"kind": "synthetic", "name": "quad-linear-1d"}
 A null/absent kappa means the declared default 0.1*max_i sqrt(Sigma_ii).
 
+bench runs its tasks (n, seed)-major, one solve per (solver, n, seed) task,
+on min(--jobs, tasks) processes. Each process builds the instances of an
+(n, seed) once and drops them before it builds the next (n, seed); a solve
+on a reused instance is bit-identical to one on a fresh build.
+
 Trace CSV columns: iter, env, residual, cum_prox_h, cum_prox_g, cum_grad_h,
 wall_ns. Bench table columns: solver, n, mean_iters, mean_prox_h,
 mean_prox_g, mean_grad_h, mean_wall_ns. Exit codes: 0 converged / all checks
@@ -226,6 +231,28 @@ def cmd_solve(args):
     return 1
 
 
+# the instances of one (n, seed) this process holds, by (kind, n, seed)
+_HELD = {}
+
+
+def _instance(kind, n, seed):
+    """(SpcaInstance, instance) of ``kind`` for (n, seed), built once per process.
+
+    The instances of a previous (n, seed) are dropped before the next one
+    is built, so a process never holds two groups. A build that raises
+    leaves nothing behind, and the next task builds again. Reuse is safe:
+    the only state an instance keeps is its atoms' per-stepsize inverse
+    cache, which is formed the same way whenever it is refilled.
+    """
+    key = (kind, n, seed)
+    if key not in _HELD:
+        if any(held[1:] != (n, seed) for held in _HELD):
+            _HELD.clear()
+        # looked up here, at call time, so that a wrapped builder is used
+        _HELD[key] = (make_spca3 if kind == "spca3" else make_spca)(n, seed=seed)
+    return _HELD[key]
+
+
 def _bench_task(task):
     """One (solver, n, seed) run, executed possibly in a worker process.
 
@@ -234,8 +261,7 @@ def _bench_task(task):
     solver, n, seed, tol, max_iter, timing, trace_dir = task
     kind = "spca3" if solver == "three-prox" else "spca"
     try:
-        payload = (make_spca3(n, seed=seed) if solver == "three-prox"
-                   else make_spca(n, seed=seed))
+        payload = _instance(kind, n, seed)
         report, _ = _solve_one(solver, kind, payload, tol, max_iter)
     except Exception as exc:
         return {"solver": solver, "n": n, "seed": seed, "failed": str(exc)}
@@ -259,14 +285,20 @@ def cmd_bench(args):
 
     trace_dir = os.path.join(cfg.out_dir, "traces")
     os.makedirs(trace_dir, exist_ok=True)
+    # (n, seed)-major, so that consecutive tasks share an instance
     tasks = [(solver, n, seed, cfg.tol, cfg.max_iter, cfg.timing, trace_dir)
-             for solver in cfg.solvers for n in cfg.n_values
-             for seed in range(cfg.seeds)]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_bench_task, tasks))
-    else:
-        results = [_bench_task(t) for t in tasks]
+             for n in cfg.n_values for seed in range(cfg.seeds)
+             for solver in cfg.solvers]
+    # a fork pool starts all its workers up front, needed or not
+    workers = min(cfg.jobs, len(tasks))
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_bench_task, tasks))
+        else:
+            results = [_bench_task(t) for t in tasks]
+    finally:
+        _HELD.clear()
 
     by_cell = {}
     for res in results:

@@ -28,6 +28,7 @@ from .prox import (
     _spd_inverse,
     _symmetric_matrix,
     _symv,
+    moreau_value,
     prox_shifted,
 )
 
@@ -269,7 +270,6 @@ def fbe_value(f, g, gamma, u):
     u = _as_vector(u)
     gf = f.grad(u)
     forward = u - gamma * gf
-    from .prox import moreau_value
     return f.value(u) - 0.5 * gamma * float(gf @ gf) + moreau_value(g, gamma, forward)
 
 
@@ -283,7 +283,6 @@ def envelope_of_smooth_pair(f, g, gamma, s):
     u = backward_smooth_prox(f, gamma, s)
     d = u - s
     h_env = -f.value(u) + 0.5 * float(d @ d) / gamma
-    from .prox import moreau_value
     return moreau_value(g, gamma, s) - h_env
 
 

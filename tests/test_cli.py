@@ -210,6 +210,103 @@ def test_bench_parallel_jobs_match_serial(tmp_path):
         (tmp_path / "par" / "comparison.csv").read_bytes()
 
 
+class RecordingPool:
+    """Stands in for the process pool: records its size, runs tasks in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("n_values,seeds,pools", [("10", "1", []),
+                                                   ("10,12", "2", [4])])
+def test_bench_pool_never_exceeds_task_count(tmp_path, monkeypatch, n_values,
+                                             seeds, pools):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code = cli.main(["bench", "--solvers", "dce", "--n-values", n_values,
+                     "--seeds", seeds, "--max-iter", "3000", "--jobs", "64",
+                     "--out", str(tmp_path / "bench")])
+    assert code == 0
+    # one task runs in this process; four tasks get four workers, not 64
+    assert RecordingPool.sizes == pools
+
+
+# drs evicts the gamma = 0.9/lambda_max inverse of the shared quadratic, so
+# the dce run after it must form that inverse again
+REUSE_ORDER = ("drs", "three-prox", "dce", "fbs", "dca", "dce-lbfgs")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_reused_instances_match_fresh_solves(tmp_path, jobs):
+    code = cli.main(["bench", "--solvers", ",".join(REUSE_ORDER), "--n-values", "12",
+                     "--seeds", "2", "--max-iter", "3000", "--no-timing",
+                     "--jobs", jobs, "--out", str(tmp_path / "bench")])
+    assert code == 0
+    for solver in REUSE_ORDER:
+        kind = "spca3" if solver == "three-prox" else "spca"
+        for seed in range(2):
+            out = tmp_path / f"{solver}-{seed}"
+            code = cli.main(["solve", json.dumps({"kind": kind, "n": 12, "seed": seed}),
+                             "--solver", solver, "--max-iter", "3000",
+                             "--no-timing", "--out", str(out)])
+            assert code in (0, 2)  # three-prox on seed 0 spends its budget
+            bench_trace = tmp_path / "bench" / "traces" / f"{solver}_n12_seed{seed}.csv"
+            assert bench_trace.read_bytes() == (out / "trace.csv").read_bytes()
+    # the same rows as the pinned table, in this sweep's solver order
+    table = (tmp_path / "bench" / "comparison.csv").read_bytes().decode()
+    pinned = PINNED_TABLE.splitlines(keepends=True)
+    by_solver = {row.split(",")[0]: row for row in pinned[1:]}
+    assert table == "".join([pinned[0]] + [by_solver[s] for s in REUSE_ORDER])
+
+
+def test_bench_builds_each_instance_once_and_holds_none(tmp_path, monkeypatch):
+    builds = []
+
+    def counted(kind, build):
+        def wrapper(n, kappa=None, seed=0):
+            # the previous (n, seed) is dropped before the next is built
+            assert {held[1:] for held in cli._HELD} <= {(n, seed)}
+            builds.append((kind, n, seed))
+            return build(n, kappa=kappa, seed=seed)
+        return wrapper
+    monkeypatch.setattr(cli, "make_spca", counted("spca", cli.make_spca))
+    monkeypatch.setattr(cli, "make_spca3", counted("spca3", cli.make_spca3))
+    code = cli.main(["bench", "--solvers", ",".join(REUSE_ORDER),
+                     "--n-values", "10,12", "--seeds", "2", "--max-iter", "3000",
+                     "--no-timing", "--out", str(tmp_path / "bench")])
+    assert code == 0
+    assert sorted(builds) == sorted(
+        {(kind, n, seed) for kind in ("spca", "spca3") for n in (10, 12)
+         for seed in range(2)})
+    assert cli._HELD == {}
+
+
+def test_bench_retries_a_build_that_raised(tmp_path, monkeypatch):
+    calls = []
+
+    def boom(n, kappa=None, seed=0):
+        calls.append((n, seed))
+        raise RuntimeError("generator down")
+    monkeypatch.setattr(cli, "make_spca", boom)
+    code = cli.main(["bench", "--solvers", "dce,fbs", "--n-values", "10",
+                     "--seeds", "1", "--out", str(tmp_path / "bench")])
+    assert code == 1
+    # the second task builds again rather than reuse the failure
+    assert calls == [(10, 0), (10, 0)]
+    assert cli._HELD == {}
+
+
 def test_bench_rejects_bad_config(capsys):
     assert cli.main(["bench", "--solvers", "warp-drive"]) == 1
     assert "unknown solver" in capsys.readouterr().err
