@@ -16,6 +16,7 @@ executed concurrently by callers.
 """
 
 from dataclasses import dataclass, field
+from math import sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,6 +29,7 @@ from .prox import (
     _spd_inverse,
     _symmetric_matrix,
     _symv,
+    metric_half_sq,
     moreau_value,
     prox_shifted,
 )
@@ -49,11 +51,6 @@ def dc_values(g_vals, h_vals):
     out[h_vals == np.inf] = -np.inf
     out[g_vals == np.inf] = np.inf
     return out
-
-
-def metric_half_sq(d, gamma):
-    """0.5 * ||d||^2 weighted by 1/gamma; gamma scalar or positive vector."""
-    return 0.5 * float((d * d / gamma).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +198,11 @@ def env_value_from_pair(inst, gamma, s, u, v):
 
     Exact because u and v are the minimizers defining the two Moreau
     envelopes: env(s) = [g(v) + d(v,s)] - [h(u) + d(u,s)] with the
-    1/(2*gamma) metric. ``gamma`` may be a scalar or a diagonal vector.
+    1/(2*gamma) metric, each bracket an atom's ``envelope_at_prox``.
+    ``gamma`` may be a scalar or a diagonal vector.
     """
-    g_val = inst.g.value_at_prox(v, s, gamma) + metric_half_sq(v - s, gamma)
-    h_val = inst.h.value_at_prox(u, s, gamma) + metric_half_sq(u - s, gamma)
-    return dc_value(g_val, h_val)
+    return dc_value(inst.g.envelope_at_prox(v, s, gamma),
+                    inst.h.envelope_at_prox(u, s, gamma))
 
 
 def dce_eval(inst, gamma, s):
@@ -231,10 +228,9 @@ def dce_eval(inst, gamma, s):
         u = inst.h.prox(s, gamma)
         v = inst.g.prox(s, gamma)
         env = env_value_from_pair(inst, gamma, s, u, v)
-    grad = (u - v) / gamma
-    return EnvelopeEval(s=s, u=u, v=v, env=env, grad=grad,
-                        residual=float(np.linalg.norm(u - v)),
-                        gamma=gamma, gamma_effective=g_eff)
+    d = u - v
+    return EnvelopeEval(s=s, u=u, v=v, env=env, grad=d / gamma,
+                        residual=sqrt(d @ d), gamma=gamma, gamma_effective=g_eff)
 
 
 def sandwich_bounds(inst, gamma, s):

@@ -16,7 +16,7 @@ reflect that.
 
 from collections import deque
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class LbfgsMemory:
     """Ring buffer of displacement/gradient-change pairs with two-loop apply."""
 
     def __init__(self, memory=10, curvature_eps=1e-12):
-        self.pairs = deque(maxlen=memory) if memory > 0 else deque(maxlen=0)
+        self.pairs = deque(maxlen=memory)
         self.curvature_eps = curvature_eps
 
     def reset(self):
@@ -65,7 +65,7 @@ class LbfgsMemory:
         if self.pairs.maxlen == 0:
             return False
         sy = float(ds @ dy)
-        guard = self.curvature_eps * float(np.linalg.norm(ds)) * float(np.linalg.norm(dy))
+        guard = self.curvature_eps * sqrt(ds @ ds) * sqrt(dy @ dy)
         if sy <= guard:
             return False
         self.pairs.append((ds.copy(), dy.copy(), 1.0 / sy))
@@ -98,10 +98,11 @@ class LbfgsMemory:
 def lbfgs_direction(memory, grad, fallback_scale):
     """Direction from ``memory``, replaced by scaled steepest descent unless
     it points downhill."""
+    grad = _as_vector(grad)
     d = memory.direction(grad, fallback_scale)
     dg = float(d @ grad)
-    if dg >= -1e-12 * float(np.linalg.norm(d)) * float(np.linalg.norm(grad)):
-        return -fallback_scale * _as_vector(grad)
+    if dg >= -1e-12 * sqrt(d @ d) * sqrt(grad @ grad):
+        return -fallback_scale * grad
     return d
 
 
@@ -120,14 +121,14 @@ def wolfe_linesearch(eval_at, env0, grad0, d, c1=1e-4, c2=0.9, max_backtracks=30
     alpha = 1.0
     for _ in range(max_backtracks):
         ev = eval_at(alpha)
-        if not np.isfinite(ev.env) or ev.env > env0 + c1 * alpha * g0d:
+        if not isfinite(ev.env) or ev.env > env0 + c1 * alpha * g0d:
             hi = alpha
         elif float(ev.grad @ d) < c2 * g0d:
             lo = alpha
         else:
             return alpha, ev
-        alpha = 0.5 * (lo + hi) if np.isfinite(hi) else 2.0 * lo
-        if alpha <= 0 or not np.isfinite(alpha):
+        alpha = 0.5 * (lo + hi) if isfinite(hi) else 2.0 * lo
+        if alpha <= 0 or not isfinite(alpha):
             break
     return None, None
 

@@ -10,6 +10,7 @@ The JSON descriptor stores (n, seed, kappa); regeneration is bit-exact.
 
 import json
 from dataclasses import dataclass, field
+from math import sqrt
 from typing import Optional
 
 import numpy as np
@@ -110,7 +111,7 @@ def make_spca(n, kappa=None, seed=0):
 
     def dca_step(v, _k=kappa):
         w = soft_threshold(v, _k)
-        norm = float(np.linalg.norm(w))
+        norm = sqrt(w @ w)
         return w / norm if norm > 0 else w
 
     inst = DcInstance(g=L1Ball(kappa), h=Quadratic(sigma), dim=n, mu=0.0,

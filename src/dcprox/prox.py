@@ -16,11 +16,11 @@ expose that through ``supports_diag``.
 loops over ``value``, and the quadratic, the l1-ball and zero batch it.
 """
 
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 from scipy.linalg import inv
-from scipy.linalg.blas import dsymv
+from scipy.linalg.blas import ddot, dsymv
 
 
 class CapabilityError(Exception):
@@ -87,9 +87,15 @@ def _spd_inverse(mat):
 
 def _apply_inverse(inverse, x):
     """inverse @ x, reading one triangle of the symmetric ``inverse``, after
-    an O(n) check that x is finite (ValueError if not)."""
+    a check that x is finite (ValueError if not).
+
+    A finite x @ x proves every entry finite; only when it is not (a
+    non-finite entry, or finite entries whose squares overflow) does the
+    elementwise test decide. BLAS ``ddot`` takes the dot without numpy's
+    overflow warning (its wrapper rejects n = 0, which is finite).
+    """
     x = _as_vector(x)
-    if not np.isfinite(x).all():
+    if x.size and not isfinite(ddot(x, x)) and not np.isfinite(x).all():
         raise ValueError("array must not contain infs or NaNs")
     return _symv(inverse, x)
 
@@ -109,9 +115,17 @@ def validate_diagonal(entries, dim=None):
 
 
 def soft_threshold(x, tau):
-    """Shrink x toward 0 by tau (elementwise); exact zero at |x_i| <= tau_i."""
+    """Shrink x toward 0 by tau (elementwise); exact zero at |x_i| <= tau_i.
+
+    sign(x) * max(|x| - tau, 0), computed in place in one buffer. The sign
+    stays a product: ``copysign`` would give -0.0 where x is -0.0, while
+    sign(-0.0) * 0.0 is +0.0.
+    """
     x = _as_vector(x)
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    out = np.abs(x)
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(np.sign(x), out, out=out)
 
 
 def project_unit_ball(x):
@@ -121,10 +135,23 @@ def project_unit_ball(x):
 
 
 def prox_l1_ball(x, tau):
-    """Prox of tau*||.||_1 + indicator of the unit ball: shrink then project."""
+    """Prox of tau*||.||_1 + indicator of the unit ball: shrink then project.
+
+    The projection divides the shrunk vector in place, and only when its
+    norm exceeds one (a NaN norm leaves it as it is, as the projection does).
+    """
     if tau < 0:
         raise ValueError("l1 weight must be nonnegative")
-    return project_unit_ball(soft_threshold(x, tau))
+    w = soft_threshold(x, tau)
+    norm = sqrt(w @ w)
+    if norm > 1.0:
+        w /= norm
+    return w
+
+
+def metric_half_sq(d, gamma):
+    """0.5 * ||d||^2 weighted by 1/gamma; gamma scalar or positive vector."""
+    return 0.5 * float((d * d / gamma).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +190,15 @@ class ProxFunction:
         """Value at w given that w = prox(x, gamma); atoms may shortcut."""
         return self.value(w)
 
+    def envelope_at_prox(self, w, x, gamma):
+        """Moreau envelope value at x given that w = prox(x, gamma).
+
+        f(w) + ||w - x||^2/(2*gamma), gamma scalar or a diagonal vector.
+        Every envelope value in the package comes from here; atoms may
+        override it with a cheaper evaluation of the same sums.
+        """
+        return self.value_at_prox(w, x, gamma) + metric_half_sq(w - x, gamma)
+
     def conjugate_value(self, y):
         raise CapabilityError(f"{type(self).__name__} has no closed-form conjugate")
 
@@ -181,6 +217,10 @@ class Zero(ProxFunction):
     def prox(self, x, gamma):
         _check_gamma(gamma)
         return _as_vector(x).copy()
+
+    def envelope_at_prox(self, w, x, gamma):
+        # w is a copy of x, so for finite x both terms are exactly 0
+        return 0.0
 
 
 class Linear(ProxFunction):
@@ -238,7 +278,7 @@ class L1Ball(ProxFunction):
 
     def value(self, x):
         x = _as_vector(x)
-        if float(np.linalg.norm(x)) > 1.0 + 1e-9:
+        if sqrt(x @ x) > 1.0 + 1e-9:
             return np.inf
         return self.kappa * float(np.abs(x).sum())
 
@@ -254,6 +294,15 @@ class L1Ball(ProxFunction):
 
     def value_at_prox(self, w, x, gamma):
         return self.kappa * float(np.abs(w).sum())
+
+    def envelope_at_prox(self, w, x, gamma):
+        # the default's two sums, through one buffer
+        buf = np.abs(w)
+        value = self.kappa * float(buf.sum())
+        np.subtract(w, x, out=buf)
+        buf *= buf
+        buf /= gamma
+        return value + 0.5 * float(buf.sum())
 
 
 class ScaledSquare(ProxFunction):
@@ -334,6 +383,18 @@ class Quadratic(ProxFunction):
         # (I + gamma*Sigma) w = x  =>  Sigma w = (x - w)/gamma; avoids a matvec
         w = _as_vector(w)
         return 0.5 * float((w * (_as_vector(x) - w) / gamma).sum())
+
+    def envelope_at_prox(self, w, x, gamma):
+        # the default's two sums over one difference e = x - w, squared in
+        # place once the value term has used it; (w - x)^2 and e^2 are the
+        # same floats
+        e = np.subtract(x, w)
+        buf = w * e
+        buf /= gamma
+        value = 0.5 * float(buf.sum())
+        e *= e
+        e /= gamma
+        return value + 0.5 * float(e.sum())
 
     def prox(self, x, gamma):
         _check_gamma(gamma)
@@ -446,9 +507,7 @@ def moreau_value(f, gamma, x):
     """Envelope value f(p) + ||p - x||^2/(2*gamma) at p = prox(x, gamma)."""
     _check_gamma(gamma)
     x = _as_vector(x)
-    p = f.prox(x, gamma)
-    d = p - x
-    return f.value_at_prox(p, x, gamma) + 0.5 * float(d @ d) / gamma
+    return f.envelope_at_prox(f.prox(x, gamma), x, gamma)
 
 
 def prox_shifted(f, mu, gamma, x):

@@ -88,8 +88,10 @@ class CallCounter:
 
     def wrap(self, fn, column):
         """``fn``, counting each call in ``column`` (prox_h, prox_g or grad_h)."""
+        counts = self.__dict__  # the attributes themselves, without getattr/setattr
+
         def counted(*args):
-            setattr(self, column, getattr(self, column) + 1)
+            counts[column] += 1
             return fn(*args)
         return counted
 
@@ -102,8 +104,10 @@ class Iterate:
     ``v`` the prox outputs whose gap is ``residual``, and ``z`` three-prox's
     prox_f output. ``env`` is the value the descent check and the trace
     use; None means the method has no envelope and traces the objective.
-    ``grad`` (L-BFGS) and ``s_next`` (the baselines, which compute their
-    next iterate while evaluating this one) carry what the next step reuses.
+    ``grad`` (L-BFGS), ``s_next`` (the baselines, which compute their
+    next iterate while evaluating this one) and ``gaps`` (the prox
+    differences and their squared norms behind ``residual``, for the
+    relaxed steps) carry what the next step reuses.
     """
 
     s: np.ndarray
@@ -115,6 +119,7 @@ class Iterate:
     z: Optional[np.ndarray] = None
     grad: Optional[np.ndarray] = None
     s_next: Optional[np.ndarray] = None
+    gaps: Optional[tuple] = None
 
 
 def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,

@@ -23,6 +23,7 @@ unit quadratic shift.
 """
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -136,17 +137,16 @@ def psi_value(inst, cfg, s, t):
     u = inst.h.prox(w, cfg.h_step)
     v = inst.g.prox(s, cfg.gamma)
     z = inst.f.prox(t, cfg.delta)
-    return _psi_from_points(inst, cfg, s, t, u, v, z)
+    return _psi_from_points(inst, cfg, s, t, w, u, v, z)
 
 
-def _psi_from_points(inst, cfg, s, t, u, v, z):
-    w = _h_point(cfg, s, t)
-    dv, dz, du, dst = v - s, z - t, u - w, s - t
-    g_env = inst.g.value_at_prox(v, s, cfg.gamma) + 0.5 * float(dv @ dv) / cfg.gamma
-    f_env = inst.f.value_at_prox(z, t, cfg.delta) + 0.5 * float(dz @ dz) / cfg.delta
-    h_env = inst.h.value_at_prox(u, w, cfg.h_step) + 0.5 * float(du @ du) / cfg.h_step
-    quad = 0.5 * float(dst @ dst) / (cfg.delta - cfg.gamma)
-    return g_env - f_env - h_env + quad
+def _psi_from_points(inst, cfg, s, t, w, u, v, z):
+    """Psi from the prox points u, v, z of (w, s, t), w the h-point of (s, t)."""
+    dst = s - t
+    return (inst.g.envelope_at_prox(v, s, cfg.gamma)
+            - inst.f.envelope_at_prox(z, t, cfg.delta)
+            - inst.h.envelope_at_prox(u, w, cfg.h_step)
+            + 0.5 * float(dst @ dst) / (cfg.delta - cfg.gamma))
 
 
 def psi_gradient_identity_check(inst, cfg, s, t, fd_step=None):
@@ -193,22 +193,27 @@ def run3(inst, cfg, s0, t0):
     # ||u-v||^2, t-block mu*(2*(1-1/delta)-mu)/(delta-1) on ||u-z||^2, halved
     w_s = cfg.lam * (2.0 * (1.0 - cfg.gamma) - cfg.lam) / (cfg.gamma * (1.0 - cfg.gamma))
     w_t = cfg.mu * (2.0 * (1.0 - 1.0 / cfg.delta) - cfg.mu) / (cfg.delta - 1.0)
+    h_step = cfg.h_step
 
+    # u - v, u - z and their squared norms are computed once per iterate:
+    # they serve the residual, the claim and the step, whose s-block
+    # s - lam*(u - v) is the same floats as s + lam*(v - u)
     def first(s, t):
-        u = prox_h(_h_point(cfg, s, t), cfg.h_step)
+        w = _h_point(cfg, s, t)
+        u = prox_h(w, h_step)
         v = prox_g(s, cfg.gamma)
         z = prox_f(t, cfg.delta)
         duv = u - v
         duz = u - z
-        return Iterate(s, u, v, _psi_from_points(inst, cfg, s, t, u, v, z),
-                       float(np.sqrt(duv @ duv + duz @ duz)), t=t, z=z)
+        nuv = float(duv @ duv)
+        nuz = float(duz @ duz)
+        return Iterate(s, u, v, _psi_from_points(inst, cfg, s, t, w, u, v, z),
+                       sqrt(nuv + nuz), t=t, z=z, gaps=(duv, nuv, duz, nuz))
 
     def advance(it):
-        duv = it.u - it.v
-        duz = it.u - it.z
-        claim = 0.5 * (w_s * float(duv @ duv) + w_t * float(duz @ duz))
-        return (first(it.s + cfg.lam * (it.v - it.u), it.t + cfg.mu * (it.u - it.z)),
-                claim)
+        duv, nuv, duz, nuz = it.gaps
+        return (first(it.s - cfg.lam * duv, it.t + cfg.mu * duz),
+                0.5 * (w_s * nuv + w_t * nuz))
 
     return drive("three-prox", inst, [s0, t0], first, advance, lambda it: it.u,
                  counter, cfg.tol, cfg.max_iter,

@@ -67,7 +67,10 @@ def default_relaxation(gamma, mu=0.0):
 def _relaxed_steps(inst, prox_h, prox_g, gamma, lam, claim):
     """Counter and first/advance callbacks of s+ = s + lam*(v - u).
 
-    ``claim(u - v)`` is the guaranteed envelope decrease of the step.
+    ``claim(d, d @ d)`` with d = u - v is the guaranteed envelope decrease
+    of the step. d and d @ d are computed once per iterate and serve the
+    residual, the step s - lam*d (the same floats as s + lam*(v - u)) and
+    the claim.
     """
     counter = CallCounter()
     prox_h = counter.wrap(prox_h, "prox_h")
@@ -76,12 +79,14 @@ def _relaxed_steps(inst, prox_h, prox_g, gamma, lam, claim):
     def first(s):
         u = prox_h(s, gamma)
         v = prox_g(s, gamma)
-        env = env_value_from_pair(inst, gamma, s, u, v)
         d = u - v
-        return Iterate(s, u, v, env, sqrt(d @ d))
+        dd = float(d @ d)
+        return Iterate(s, u, v, env_value_from_pair(inst, gamma, s, u, v),
+                       sqrt(dd), gaps=(d, dd))
 
     def advance(it):
-        return first(it.s + lam * (it.v - it.u)), claim(it.u - it.v)
+        d, dd = it.gaps
+        return first(it.s - lam * d), claim(d, dd)
 
     return counter, first, advance
 
@@ -98,7 +103,7 @@ def run(inst, cfg, s0):
     coeff = descent_coefficient(cfg.gamma, cfg.lam, inst.mu)
     counter, first, advance = _relaxed_steps(
         inst, inst.h.prox, inst.g.prox, cfg.gamma, cfg.lam,
-        lambda d: coeff * float(d @ d))
+        lambda d, dd: coeff * dd)
     return drive("dce", inst, [s0], first, advance, lambda it: it.v, counter,
                  cfg.tol, cfg.max_iter, cfg.record_trace, cfg.record_iterates,
                  cfg.gamma, {"lam": cfg.lam, "mu": inst.mu})
@@ -128,7 +133,7 @@ def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
     weight = (2.0 * shrink - lam_diag) * lam_diag / (gamma_diag * shrink)
     counter, first, advance = _relaxed_steps(
         inst, inst.h.prox_diag, inst.g.prox_diag, gamma_diag, lam_diag,
-        lambda d: 0.5 * float(np.sum(weight * d * d)))
+        lambda d, dd: 0.5 * float(np.sum(weight * d * d)))
     return drive("dce-diag", inst, [s0], first, advance, lambda it: it.v,
                  counter, tol, max_iter, record_trace,
                  record_iterates, float(gamma_diag[0]),

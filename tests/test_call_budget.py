@@ -1,0 +1,60 @@
+"""A deterministic guard on per-iteration overhead.
+
+At desk sizes a solve is bound by Python and numpy call overhead, not by
+arithmetic, so the number of Python calls into the package per iteration
+is the regression signal that wall clock is too noisy to give. The count
+is the difference between runs of 65 and 129 iterations (tol 0, so both
+run to their budget): 64 iterations plus one 64-point trace chunk.
+"""
+
+import os
+import sys
+
+import pytest
+
+import dcprox as dp
+from dcprox.three_prox import default_config
+
+PACKAGE = os.path.dirname(dp.__file__) + os.sep
+
+# calls per 64 iterations; lower them when a change saves calls
+BUDGET = {"dce": 1477, "three-prox": 1798}
+
+
+def counted_calls(solve):
+    """(Python calls into the package during solve(), its report)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        report = solve()
+    finally:
+        sys.setprofile(None)
+    return calls, report
+
+
+def solver(name):
+    if name == "dce":
+        spca, inst = dp.make_spca(30, seed=0)
+        gamma = 0.9 / spca.lam_max
+        return lambda budget: dp.run(
+            inst, dp.TwoProxConfig(gamma=gamma, tol=0.0, max_iter=budget), spca.s0)
+    spca, inst = dp.make_spca3(30, seed=0)
+    return lambda budget: dp.run3(
+        inst, default_config(tol=0.0, max_iter=budget), spca.s0, spca.s0)
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET))
+def test_calls_per_iteration_within_budget(name):
+    solve = solver(name)
+    short, short_report = counted_calls(lambda: solve(65))
+    long, long_report = counted_calls(lambda: solve(129))
+    assert (short_report.iterations, long_report.iterations) == (65, 129)
+    assert long - short <= BUDGET[name], (
+        f"{name}: {(long - short) / 64:.2f} calls per iteration, budget "
+        f"{BUDGET[name] / 64:.2f}")

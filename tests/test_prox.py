@@ -1,12 +1,15 @@
 import tracemalloc
+import warnings
+from math import sqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg.blas import dsymv
 
 import dcprox as dp
-from dcprox.prox import CapabilityError, prox_conjugate_scaled
+from dcprox.prox import CapabilityError, _spd_inverse, prox_conjugate_scaled
 
 SIGMA3 = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]])
 
@@ -352,6 +355,101 @@ def test_conjugate_values():
     assert sig.conjugate_value(y) == pytest.approx(0.5 * y @ np.linalg.solve(SIGMA3, y))
     with pytest.raises(CapabilityError):
         dp.L1Norm(1.0).conjugate_value([0.0])
+
+
+# ---------------------------------------------------------------------------
+# fused kernels and the envelope hook: the same floats as the compositions
+
+EDGES = np.array([0.0, -0.0, 0.5, -0.5, np.nan, -np.nan, np.inf, -np.inf,
+                  0.2, -0.2, 3.0, -3.0, 5e-324, -5e-324])
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def composed_shrink(x, tau):
+    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 5e-324, np.inf])
+def test_soft_threshold_is_the_composition_bit_for_bit(tau):
+    # |x| = tau exactly, both zeros and both NaNs included
+    with np.errstate(invalid="ignore"):
+        expected = composed_shrink(EDGES, tau)
+        actual = dp.soft_threshold(EDGES, tau)
+    assert np.array_equal(bits(actual), bits(expected))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 0.7])
+def test_l1_ball_prox_is_shrink_then_project_bit_for_bit(kappa):
+    gamma = 0.5
+    tau = gamma * kappa
+    points = [[0.1, -0.2, -0.0],        # inside the ball after the shrink
+              [1.0 + tau, -0.0, 0.0],   # on it (exactly, for tau a power of 2)
+              [3.0, -4.0, 0.5],         # outside
+              [-0.0, 0.0, -0.0], [np.nan, 1.0, -0.0], [-np.nan, 0.2, 0.0],
+              [np.inf, 0.0, -1.0], [1e200, -1e200, 0.0]]
+    for point in points:
+        x = np.array(point)
+        with np.errstate(invalid="ignore", over="ignore"):
+            w = composed_shrink(x, tau)
+            expected = w / max(1.0, sqrt(w @ w))
+            actual = dp.L1Ball(kappa).prox(x, gamma)
+            direct = dp.prox_l1_ball(x, tau)
+        assert np.array_equal(bits(actual), bits(expected)), point
+        assert np.array_equal(bits(direct), bits(expected)), point
+
+
+@pytest.mark.parametrize("name,atom", ATOMS3)
+def test_envelope_at_prox_is_the_default_formula_exactly(name, atom, rng):
+    # value_at_prox + ||w - x||^2/(2*gamma), the base-class formula
+    default = dp.ProxFunction.envelope_at_prox
+    for _ in range(20):
+        gamma = float(rng.uniform(0.1, 3.0))
+        x = rng.standard_normal(3) * 2
+        w = atom.prox(x, gamma)
+        assert float(atom.envelope_at_prox(w, x, gamma)).hex() == \
+            float(default(atom, w, x, gamma)).hex()
+        if atom.supports_diag:
+            entries = np.array([0.4, 0.4, 1.3]) * gamma  # uniform on each block
+            w = atom.prox_diag(x, entries)
+            assert float(atom.envelope_at_prox(w, x, entries)).hex() == \
+                float(default(atom, w, x, entries)).hex()
+
+
+def test_envelope_at_prox_is_the_moreau_value(rng):
+    for name, atom in ATOMS3:
+        x = rng.standard_normal(3)
+        assert dp.moreau_value(atom, 0.6, x) == atom.envelope_at_prox(
+            atom.prox(x, 0.6), x, 0.6)
+
+
+def test_finite_check_accepts_entries_whose_squares_overflow():
+    # x @ x overflows to inf, so the elementwise test decides, silently
+    x = np.array([1e200, -1e200, 3e199])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(x @ x)
+    atom, f = dp.Quadratic(SIGMA3), dp.quadratic_smooth(SIGMA3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = atom.prox(x, 0.7)
+        u = f.backward(x, 0.1)
+    inverse = _spd_inverse(np.eye(3) + 0.7 * SIGMA3)
+    assert np.array_equal(w, dsymv(1.0, inverse.T, x))
+    inverse = _spd_inverse(np.eye(3) - 0.1 * SIGMA3)
+    assert np.array_equal(u, dsymv(1.0, inverse.T, x))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("big", [1.0, 1e200])
+def test_finite_check_rejects_every_non_finite_input(bad, big):
+    x = np.array([big, bad, 0.5])
+    f = dp.quadratic_smooth(SIGMA3)
+    for call in (lambda: dp.Quadratic(SIGMA3).prox(x, 0.7),
+                 lambda: f.backward(x, 0.1)):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            call()
 
 
 # ---------------------------------------------------------------------------
