@@ -37,20 +37,14 @@ from .prox import (
     moreau_value,
     prox_l1_ball,
     prox_shifted,
-    project_unit_ball,
     soft_threshold,
 )
 from .reports import RunReport, Termination, TracePoint, residual_rate_check
 from .three_prox import (
     ThreeProxConfig,
     ThreeTermInstance,
-    lifted_pair,
-    psi_gradient_identity_check,
-    psi_value,
     run3,
-    run3_via_lifted,
     stationarity_certificate,
-    three_prox_step,
 )
 from .two_prox import TwoProxConfig, descent_coefficient, run, run_diag
 

@@ -128,12 +128,6 @@ def soft_threshold(x, tau):
     return np.multiply(np.sign(x), out, out=out)
 
 
-def project_unit_ball(x):
-    """Euclidean projection onto the closed unit ball."""
-    x = _as_vector(x)
-    return x / max(1.0, sqrt(x @ x))
-
-
 def prox_l1_ball(x, tau):
     """Prox of tau*||.||_1 + indicator of the unit ball: shrink then project.
 
@@ -198,9 +192,6 @@ class ProxFunction:
         override it with a cheaper evaluation of the same sums.
         """
         return self.value_at_prox(w, x, gamma) + metric_half_sq(w - x, gamma)
-
-    def conjugate_value(self, y):
-        raise CapabilityError(f"{type(self).__name__} has no closed-form conjugate")
 
 
 class Zero(ProxFunction):
@@ -339,12 +330,6 @@ class ScaledSquare(ProxFunction):
             raise ValueError("prox undefined for some diagonal entries")
         return _as_vector(x) / scale
 
-    def conjugate_value(self, y):
-        if self.curvature <= 0:
-            raise CapabilityError("conjugate value needs positive curvature")
-        y = _as_vector(y)
-        return 0.5 * float(y @ y) / self.curvature
-
 
 class Quadratic(ProxFunction):
     """f(x) = x' Sigma x / 2 for symmetric positive semidefinite Sigma.
@@ -413,14 +398,6 @@ class Quadratic(ProxFunction):
         if self._diag is None or self._diag[0] != key:
             self._diag = (key, _spd_inverse(np.diag(1.0 / entries) + self.sigma))
         return _apply_inverse(self._diag[1], _as_vector(x) / entries)
-
-    def conjugate_value(self, y):
-        y = _as_vector(y)
-        try:
-            w = np.linalg.solve(self.sigma, y)
-        except np.linalg.LinAlgError as exc:
-            raise CapabilityError("conjugate value needs invertible Sigma") from exc
-        return 0.5 * float(y @ w)
 
 
 class BlockSeparable(ProxFunction):
@@ -521,15 +498,3 @@ def prox_shifted(f, mu, gamma, x):
     if scale <= 0:
         raise ValueError(f"shifted prox undefined: 1 + gamma*mu = {scale} <= 0")
     return f.prox(_as_vector(x) / scale, gamma / scale)
-
-
-def prox_conjugate_scaled(f, sigma, t):
-    """Prox of sigma*conj(f) at t for any sigma > 0, by the Moreau identity
-
-    prox_{sigma*conj(f)}(t) = t - sigma * prox_{f/sigma}(t/sigma).
-    """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    t = _as_vector(t)
-    return t - sigma * f.prox(t / sigma, 1.0 / sigma)
-

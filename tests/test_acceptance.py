@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import dcprox as dp
-from dcprox.checks import finite_difference_gradient
+from dcprox.checks import check_gradient
 from dcprox.envelope import envelope_of_smooth_pair
 from dcprox.reports import Termination
 from dcprox.three_prox import ThreeProxConfig
+from oracles import psi_gradient_identity_check, run3_via_lifted
 
 RNG_SEED = 987
 N_DESK = 100
@@ -85,14 +86,9 @@ def test_criterion_1_gradient_exactness():
     spca, inst = dp.make_spca(30, seed=0)
     cases.append(("spca-30", inst, 0.9 / spca.lam_max, spca.s0))
     for name, inst_i, gamma, s0 in cases:
-        for _ in range(20):
-            s = np.asarray(s0, dtype=float) + rng.standard_normal(inst_i.dim)
-            ev = dp.dce_eval(inst_i, gamma, s)
-            step = 1e-5 * (1.0 + float(np.linalg.norm(s)))
-            fd = finite_difference_gradient(
-                lambda x: dp.dce_eval(inst_i, gamma, x).env, s, step)
-            err = np.linalg.norm(fd - ev.grad) / (1.0 + np.linalg.norm(ev.grad))
-            worst_env = max(worst_env, err)
+        points = [np.asarray(s0, dtype=float) + rng.standard_normal(inst_i.dim)
+                  for _ in range(20)]
+        worst_env = max(worst_env, check_gradient(inst_i, gamma, points)[1])
     assert worst_env <= 1e-5, f"envelope gradient fd mismatch {worst_env:.2e}"
 
     worst_psi = 0.0
@@ -105,7 +101,7 @@ def test_criterion_1_gradient_exactness():
         for _ in range(20):
             s = rng.standard_normal(dim)
             t = rng.standard_normal(dim)
-            dev = dp.psi_gradient_identity_check(inst_i, cfg, s, t)
+            dev = psi_gradient_identity_check(inst_i, cfg, s, t)
             scale = 1.0 + float(np.linalg.norm(np.concatenate([s, t])))
             worst_psi = max(worst_psi, dev / scale)
     assert worst_psi <= 1e-4, f"surrogate gradient fd mismatch {worst_psi:.2e}"
@@ -174,8 +170,7 @@ def test_criterion_5_lifted_equivalence():
     cfg = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.45, tol=0.0,
                           max_iter=100, record_iterates=True)
     direct = dp.run3(three.three, cfg, three.s0, three.t0)
-    lifted = dp.run3_via_lifted(three.three, cfg, three.s0, three.t0,
-                                record_iterates=True)
+    lifted = run3_via_lifted(three.three, cfg, three.s0, three.t0)
     assert len(direct.iterates) == len(lifted.iterates) == 100
     worst = 0.0
     for (s_d, _), x_l in zip(direct.iterates, lifted.iterates):

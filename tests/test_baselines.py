@@ -81,7 +81,7 @@ def test_dca_spca_subproblem_is_optimal(rng):
         assert np.linalg.norm(x) <= 1.0 + 1e-12
         best = obj(x)
         for _ in range(100):
-            z = dp.project_unit_ball(x + 0.5 * rng.standard_normal(6))
+            z = dp.prox_l1_ball(x + 0.5 * rng.standard_normal(6), 0.0)
             assert obj(z) >= best - 1e-9
 
 

@@ -10,6 +10,7 @@ from dcprox import baselines, cli, lbfgs, three_prox, two_prox
 from dcprox.problems import find_synthetic
 from dcprox.reports import drive
 from dcprox.three_prox import default_config
+from oracles import run3_via_lifted
 
 N = 12
 
@@ -25,20 +26,11 @@ def spca_runs(record_trace=True, record_iterates=False):
     cfg3 = default_config(tol=1e-6, max_iter=300, record_trace=record_trace,
                           record_iterates=record_iterates)
     drs_gamma = 0.45 / spca.lam_max
-    # run_diag on the lifted form of the three-term instance (see run3_via_lifted)
-    lifted = dp.lifted_pair(inst3)
-    gamma_diag = np.concatenate([np.full(N, cfg3.gamma), np.full(N, 1.0 / cfg3.delta)])
-    lam_diag = np.concatenate([np.full(N, cfg3.lam), np.full(N, cfg3.mu)])
-    t0 = spca3.s0 / cfg3.delta
     return {
         "run": (lambda s: dp.run(inst, cfg, s), spca.s0),
         "run_lbfgs": (lambda s: dp.run_lbfgs(inst, cfg, s), spca.s0),
-        "run_diag": (lambda s: dp.run_diag(lifted, gamma_diag, lam_diag,
-                                           np.concatenate([s, t0]),
-                                           m_diag=np.ones(2 * N), tol=1e-6,
-                                           max_iter=300, record_trace=record_trace,
-                                           record_iterates=record_iterates),
-                     spca3.s0),
+        # run_diag on the lifted form of the three-term instance
+        "run_diag": (lambda s: run3_via_lifted(inst3, cfg3, s, spca3.s0), spca3.s0),
         "run3": (lambda s: dp.run3(inst3, cfg3, s, spca3.s0), spca3.s0),
         "fbs": (lambda s: dp.fbs_run(inst, gamma, 1e-8, 300, s), spca.s0),
         "dca": (lambda s: dp.dca_run(inst, gamma, 1e-8, 300, s), spca.s0),

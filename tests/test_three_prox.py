@@ -4,7 +4,9 @@ import pytest
 import dcprox as dp
 from dcprox.envelope import env_value_from_pair
 from dcprox.reports import Termination
-from dcprox.three_prox import ThreeProxConfig, default_config, lifted_pair
+from dcprox.three_prox import ThreeProxConfig, default_config
+from oracles import (lifted_pair, psi_gradient_identity_check, psi_value,
+                     run3_via_lifted, three_prox_step)
 
 
 def zeros_instance():
@@ -29,14 +31,14 @@ def mixed_instance():
 
 def test_step_identity_proxes_fixed_point():
     cfg = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.5, mu=0.5)
-    s_plus, t_plus, u, v, z = dp.three_prox_step(zeros_instance(), cfg, [1.0], [1.0])
+    s_plus, t_plus, u, v, z = three_prox_step(zeros_instance(), cfg, [1.0], [1.0])
     assert u[0] == v[0] == z[0] == 1.0
     assert s_plus[0] == 1.0 and t_plus[0] == 1.0
 
 
 def test_step_hand_example():
     cfg = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.5, mu=0.5)
-    s_plus, t_plus, u, v, z = dp.three_prox_step(zeros_instance(), cfg, [1.0], [0.0])
+    s_plus, t_plus, u, v, z = three_prox_step(zeros_instance(), cfg, [1.0], [0.0])
     assert u[0] == pytest.approx(4.0 / 3.0)
     assert v[0] == 1.0 and z[0] == 0.0
     assert s_plus[0] == pytest.approx(5.0 / 6.0)
@@ -49,7 +51,7 @@ def test_updates_are_jacobi_not_gauss_seidel():
     inst = mixed_instance()
     s = np.array([0.8, -0.4])
     t = np.array([-0.2, 0.5])
-    s_plus, t_plus, u, v, z = dp.three_prox_step(inst, cfg, s, t)
+    s_plus, t_plus, u, v, z = three_prox_step(inst, cfg, s, t)
     np.testing.assert_allclose(s_plus, s + cfg.lam * (v - u), atol=1e-15)
     np.testing.assert_allclose(t_plus, t + cfg.mu * (u - z), atol=1e-15)
 
@@ -60,8 +62,8 @@ def test_psi_value_zero_functions(rng):
     for _ in range(10):
         s, t = rng.standard_normal(1), rng.standard_normal(1)
         expected = float((s - t) @ (s - t)) / (2.0 * (cfg.delta - cfg.gamma))
-        assert dp.psi_value(inst, cfg, s, t) == pytest.approx(expected)
-    assert dp.psi_value(inst, cfg, [2.0], [2.0]) == 0.0
+        assert psi_value(inst, cfg, s, t) == pytest.approx(expected)
+    assert psi_value(inst, cfg, [2.0], [2.0]) == 0.0
 
 
 def test_psi_matches_lifted_envelope(rng):
@@ -77,7 +79,7 @@ def test_psi_matches_lifted_envelope(rng):
             u_l = lifted.h.prox_diag(x, gamma_diag)
             v_l = lifted.g.prox_diag(x, gamma_diag)
             env = env_value_from_pair(lifted, gamma_diag, x, u_l, v_l)
-            assert dp.psi_value(inst, cfg, s, t) == pytest.approx(env, abs=1e-10)
+            assert psi_value(inst, cfg, s, t) == pytest.approx(env, abs=1e-10)
 
 
 def test_psi_gradient_identity(rng):
@@ -85,11 +87,11 @@ def test_psi_gradient_identity(rng):
     inst = quad_instance()
     for _ in range(50):
         s, t = rng.standard_normal(1) * 2, rng.standard_normal(1) * 2
-        dev = dp.psi_gradient_identity_check(inst, cfg, s, t)
+        dev = psi_gradient_identity_check(inst, cfg, s, t)
         scale = 1.0 + float(np.linalg.norm(np.concatenate([s, t])))
         assert dev <= 1e-5 * scale
     # exact quadratic surrogate: deviation at rounding level
-    dev = dp.psi_gradient_identity_check(zeros_instance(), cfg, [1.0], [0.5])
+    dev = psi_gradient_identity_check(zeros_instance(), cfg, [1.0], [0.5])
     assert dev <= 1e-9
 
 
@@ -175,7 +177,7 @@ def test_lifted_iteration_reproduces_direct_recursion(rng):
         cfg = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.45, tol=0.0,
                               max_iter=100, record_iterates=True)
         direct = dp.run3(inst, cfg, s0, t0)
-        lifted = dp.run3_via_lifted(inst, cfg, s0, t0, record_iterates=True)
+        lifted = run3_via_lifted(inst, cfg, s0, t0)
         assert lifted.termination is not Termination.NUMERICAL_ERROR
         assert len(direct.iterates) == len(lifted.iterates) == 100
         n = inst.dim
