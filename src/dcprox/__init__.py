@@ -13,7 +13,7 @@ from .envelope import (
     sandwich_bounds,
 )
 from .baselines import dca_run, drs_run, fbs_run
-from .lbfgs import LbfgsMemory, LbfgsParams, lbfgs_direction, run_lbfgs, wolfe_linesearch
+from .lbfgs import LbfgsMemory, lbfgs_direction, run_lbfgs, wolfe_linesearch
 from .problems import (
     SpcaInstance,
     SyntheticInstance,

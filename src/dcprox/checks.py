@@ -22,11 +22,11 @@ def finite_difference_gradient(fun, x, step):
     return grad
 
 
-def check_gradient(inst, gamma, points, rel_tol=1e-5):
+def check_gradient(inst, gamma, points):
     """Envelope gradient vs central differences at the given points.
 
     Measures ||fd - grad|| / (1 + ||grad||) with the documented step
-    1e-5*(1 + ||s||); returns (ok, worst, rel_tol).
+    1e-5*(1 + ||s||); returns (ok, worst, 1e-5).
     """
     worst = 0.0
     for s in points:
@@ -36,12 +36,12 @@ def check_gradient(inst, gamma, points, rel_tol=1e-5):
         fd = finite_difference_gradient(lambda x: dce_eval(inst, gamma, x).env, s, step)
         err = float(np.linalg.norm(fd - ev.grad)) / (1.0 + float(np.linalg.norm(ev.grad)))
         worst = max(worst, err)
-    return worst <= rel_tol, worst, rel_tol
+    return worst <= 1e-5, worst, 1e-5
 
 
-def check_descent(inst, cfg, s0, iters=50):
-    """Run a bounded number of iterations and re-verify the descent bound."""
-    probe = TwoProxConfig(gamma=cfg.gamma, lam=cfg.lam, tol=0.0, max_iter=iters,
+def check_descent(inst, cfg, s0):
+    """Run 50 iterations and re-verify the descent bound."""
+    probe = TwoProxConfig(gamma=cfg.gamma, lam=cfg.lam, tol=0.0, max_iter=50,
                           record_trace=True)
     report = run(inst, probe, s0)
     worst = -np.inf
@@ -66,16 +66,16 @@ def check_sandwich(inst, gamma, points):
     return worst <= 0.0, worst, 0.0
 
 
-def check_fbe(inst, gamma, points, rel_tol=1e-8):
+def check_fbe(inst, gamma, points):
     """Envelope vs forward-backward surrogate for smooth-h instances."""
     if inst.smooth_h is None:
-        return True, 0.0, rel_tol
+        return True, 0.0, 1e-8
     f = negate_smooth(inst.smooth_h)
     if f.lipschitz > 0 and gamma >= 1.0 / f.lipschitz:
         raise ValueError("fbe check needs gamma < 1/L_h")
     dev = dce_fbe_equivalence_check(f, inst.g, gamma, points)
     scale = 1.0 + max(abs(dce_eval(inst, gamma, _as_vector(s)).env) for s in points)
-    return dev <= rel_tol * scale, dev, rel_tol * scale
+    return dev <= 1e-8 * scale, dev, 1e-8 * scale
 
 
 def subgradient_screen(candidates, sample_points, slack):
@@ -112,10 +112,10 @@ def common_subgradient_gap(inst, gamma, s, u, v, sample_points, slack):
     return subgradient_screen([(inst.g, v, xi), (inst.h, u, xi)], sample_points, slack)
 
 
-def run_instance_checks(inst, gamma, s0, rng, n_points=20):
+def run_instance_checks(inst, gamma, s0, rng):
     """The standard battery; returns a list of (name, ok, measured, budget)."""
     s0 = _as_vector(s0)
-    points = [s0 + rng.standard_normal(inst.dim) for _ in range(n_points)]
+    points = [s0 + rng.standard_normal(inst.dim) for _ in range(20)]
     results = []
     ok, worst, budget = check_gradient(inst, gamma, points)
     results.append(("gradient-fd", ok, worst, budget))

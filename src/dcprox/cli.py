@@ -54,23 +54,17 @@ class BenchConfig:
     """Validated benchmark sweep settings, one field per ``bench`` flag."""
 
     solvers: tuple = ("dce", "dce-lbfgs", "fbs", "dca", "drs")
-    n_values: tuple = ()
+    n_values: tuple = (100, 190, 280)  # desk scale: n <= 300
     seeds: int = 3
     tol: float = 1e-6
     max_iter: int = 2000
-    full: bool = False
     jobs: int = 1
     timing: bool = True
     out_dir: str = "bench-out"
 
     def __post_init__(self):
-        if not self.n_values:
-            sweep = [int(round(x)) for x in np.linspace(100, 1000, 11)]
-            if not self.full:
-                sweep = [n for n in sweep if n <= 300]
-            self.n_values = tuple(sweep)
-        if not self.solvers:
-            raise ValueError("at least one solver required")
+        if not self.solvers or not self.n_values:
+            raise ValueError("at least one solver and one n required")
         for name in self.solvers:
             if name not in SOLVERS:
                 raise ValueError(f"unknown solver {name!r}")
@@ -374,7 +368,7 @@ def build_parser():
     p_bench.add_argument("--solvers", type=lambda text: tuple(text.split(",")),
                          default=BenchConfig.solvers,
                          help="comma-separated subset of " + ",".join(SOLVERS))
-    p_bench.add_argument("--n-values", dest="n_values", default=(),
+    p_bench.add_argument("--n-values", dest="n_values", default=BenchConfig.n_values,
                          type=lambda text: tuple(int(x) for x in text.split(",")),
                          help="comma-separated problem sizes")
     p_bench.add_argument("--seeds", type=int, default=BenchConfig.seeds,
@@ -382,8 +376,6 @@ def build_parser():
     p_bench.add_argument("--tol", type=float, default=BenchConfig.tol)
     p_bench.add_argument("--max-iter", type=int, default=BenchConfig.max_iter,
                          dest="max_iter")
-    p_bench.add_argument("--full", action="store_true",
-                         help="lift the desk-scale cap of n <= 300")
     p_bench.add_argument("--jobs", type=int, default=BenchConfig.jobs,
                          help="concurrent runs (processes)")
     p_bench.add_argument("--out", default=BenchConfig.out_dir, dest="out_dir",
@@ -409,4 +401,4 @@ def entrypoint():
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entrypoint()

@@ -15,7 +15,6 @@ reflect that.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from math import isfinite, sqrt
 
 import numpy as np
@@ -26,36 +25,20 @@ from .reports import CallCounter, Iterate, drive
 from .two_prox import descent_coefficient
 
 
-@dataclass(frozen=True)
-class LbfgsParams:
-    """Memory size, Wolfe constants and safeguards for the accelerated run."""
-
-    memory: int = 10
-    c1: float = 1e-4
-    c2: float = 0.9
-    max_backtracks: int = 30
-    curvature_eps: float = 1e-12
-
-    def __post_init__(self):
-        if self.memory < 0:
-            raise ValueError(f"memory must be nonnegative, got {self.memory}")
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError(f"Wolfe constants need 0 < c1 < c2 < 1, got "
-                             f"c1={self.c1}, c2={self.c2}")
-        if self.max_backtracks < 0:
-            raise ValueError(
-                f"max_backtracks must be nonnegative, got {self.max_backtracks}")
-        if self.curvature_eps < 0:
-            raise ValueError(
-                f"curvature_eps must be nonnegative, got {self.curvature_eps}")
+# the classical constants: memory size, weak-Wolfe c1 < c2, the trial
+# budget of one linesearch, and the relative curvature guard of a pair
+MEMORY = 10
+C1 = 1e-4
+C2 = 0.9
+MAX_BACKTRACKS = 30
+CURVATURE_EPS = 1e-12
 
 
 class LbfgsMemory:
     """Ring buffer of displacement/gradient-change pairs with two-loop apply."""
 
-    def __init__(self, memory=10, curvature_eps=1e-12):
+    def __init__(self, memory=MEMORY):
         self.pairs = deque(maxlen=memory)
-        self.curvature_eps = curvature_eps
 
     def reset(self):
         self.pairs.clear()
@@ -65,7 +48,7 @@ class LbfgsMemory:
         if self.pairs.maxlen == 0:
             return False
         sy = float(ds @ dy)
-        guard = self.curvature_eps * sqrt(ds @ ds) * sqrt(dy @ dy)
+        guard = CURVATURE_EPS * sqrt(ds @ ds) * sqrt(dy @ dy)
         if sy <= guard:
             return False
         self.pairs.append((ds.copy(), dy.copy(), 1.0 / sy))
@@ -106,12 +89,12 @@ def lbfgs_direction(memory, grad, fallback_scale):
     return d
 
 
-def wolfe_linesearch(eval_at, env0, grad0, d, c1=1e-4, c2=0.9, max_backtracks=30):
+def wolfe_linesearch(eval_at, env0, grad0, d):
     """Weak-Wolfe search along d from a point with value env0, gradient grad0.
 
     ``eval_at(alpha)`` returns an object with ``env`` and ``grad`` fields at
     the trial point. Expands/bisects a bracket starting from alpha = 1;
-    returns (alpha, evaluation) or (None, None) when the budget runs out.
+    returns (alpha, evaluation) or (None, None) after MAX_BACKTRACKS trials.
     Raises ValueError when d is not a descent direction.
     """
     g0d = float(grad0 @ d)
@@ -119,11 +102,11 @@ def wolfe_linesearch(eval_at, env0, grad0, d, c1=1e-4, c2=0.9, max_backtracks=30
         raise ValueError(f"linesearch needs a descent direction, got slope {g0d}")
     lo, hi = 0.0, np.inf
     alpha = 1.0
-    for _ in range(max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         ev = eval_at(alpha)
-        if not isfinite(ev.env) or ev.env > env0 + c1 * alpha * g0d:
+        if not isfinite(ev.env) or ev.env > env0 + C1 * alpha * g0d:
             hi = alpha
-        elif float(ev.grad @ d) < c2 * g0d:
+        elif float(ev.grad @ d) < C2 * g0d:
             lo = alpha
         else:
             return alpha, ev
@@ -133,7 +116,7 @@ def wolfe_linesearch(eval_at, env0, grad0, d, c1=1e-4, c2=0.9, max_backtracks=30
     return None, None
 
 
-def run_lbfgs(inst, cfg, s0, params=None):
+def run_lbfgs(inst, cfg, s0):
     """Accelerated envelope descent with the two-prox termination criterion.
 
     Uses the same stepsize, tolerance and budget fields as ``run``; ``lam``
@@ -142,12 +125,11 @@ def run_lbfgs(inst, cfg, s0, params=None):
     a linear change of variable, with gradient (u - v)/gamma.
     """
     cfg.validate(inst.mu)
-    params = params or LbfgsParams()
     gamma = cfg.gamma
     counter = CallCounter()
     prox_h = counter.wrap(inst.h.prox, "prox_h")
     prox_g = counter.wrap(inst.g.prox, "prox_g")
-    memory = LbfgsMemory(params.memory, params.curvature_eps)
+    memory = LbfgsMemory()
     fallback_coeff = descent_coefficient(gamma, cfg.lam, inst.mu)
     h_affine = inst.h.prox_is_affine
     h_zero_image = None  # prox_h(0), lazily cached for affine reuse
@@ -176,10 +158,7 @@ def run_lbfgs(inst, cfg, s0, params=None):
             x = ev.s + alpha * d
             return point(x, ev.u + alpha * h_dir if h_affine else prox_h(x, gamma))
 
-        _, ev_next = wolfe_linesearch(
-            eval_at, ev.env, ev.grad, d,
-            c1=params.c1, c2=params.c2,
-            max_backtracks=params.max_backtracks)
+        _, ev_next = wolfe_linesearch(eval_at, ev.env, ev.grad, d)
         if ev_next is None:
             # plain relaxed step, bit-identical to the step of two_prox.run,
             # with its guaranteed decrease; quasi-Newton steps claim none
@@ -192,4 +171,4 @@ def run_lbfgs(inst, cfg, s0, params=None):
     return drive("dce-lbfgs", inst, [s0], first, advance, lambda it: it.v,
                  counter, cfg.tol, cfg.max_iter,
                  cfg.record_trace, cfg.record_iterates, gamma,
-                 {"memory": params.memory, "lam": cfg.lam})
+                 {"memory": MEMORY, "lam": cfg.lam})

@@ -64,16 +64,16 @@ class SpcaInstance:
     s0: np.ndarray = field(repr=False)
 
 
-def _generate_spca_data(n, seed, density=0.1, rows_per_col=20):
+def _generate_spca_data(n, seed):
     """Return A (CSC), Sigma = A'A and s0; Sigma adds B'B over 8 dense row
     blocks B of A, so at most one block, ceil(m/8) x n, is dense at a time."""
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = _rng_for(n, seed)
-    m = rows_per_col * n
+    m = 20 * n
     rows, vals = [], []
     for _ in range(n):
-        rows.append(np.nonzero(rng.random(m) < density)[0])
+        rows.append(np.nonzero(rng.random(m) < 0.1)[0])
         vals.append(rng.standard_normal(rows[-1].size))
     a = sparse.csc_matrix((np.concatenate(vals), np.concatenate(rows),
                            np.cumsum([0] + [r.size for r in rows])), shape=(m, n))
@@ -229,7 +229,7 @@ def synthetic_catalogue():
         solvers=("three-prox",),
         three=ThreeTermInstance(f=ScaledSquare(1.0), g=ScaledSquare(2.0),
                                 h=Zero(), dim=1),
-        three_cfg=default_config(gamma=0.5, delta=2.0, safety=0.9),
+        three_cfg=default_config(),
         t0=arr(1.5)))
 
     return out

@@ -8,8 +8,8 @@ proximal map
 
 Atoms are immutable after construction and safe for concurrent read access
 (the quadratic's prox is one symmetric matrix-vector product, which reads
-one triangle of an inverse cached in a one-slot, per-stepsize cache; pass
-``gamma`` to constructors that accept it to pre-populate it). Some atoms
+one triangle of an inverse cached in a one-slot, per-stepsize cache; call
+``prox`` once at a stepsize to fill it before sharing the atom). Some atoms
 additionally support a diagonal metric ``prox_diag`` (stepsize vector) and
 expose that through ``supports_diag``.
 ``values`` evaluates the rows of a k-by-n array at once; by default it
@@ -336,20 +336,18 @@ class Quadratic(ProxFunction):
 
     The prox w = inv(I + gamma*Sigma) x is one symmetric matrix-vector
     product, reading one triangle of an explicit inverse cached per stepsize
-    (one slot each for the scalar and diagonal metrics; pass ``gamma`` to
-    precompute it so concurrent readers never write). ``value`` reads one
-    triangle of Sigma the same way.
+    (one slot each for the scalar and diagonal metrics; call ``prox`` once
+    at a stepsize to fill it, so concurrent readers at that stepsize never
+    write). ``value`` reads one triangle of Sigma the same way.
     """
 
     prox_is_affine = True
 
-    def __init__(self, sigma, gamma=None):
+    def __init__(self, sigma):
         self.sigma = _symmetric_matrix(sigma, "Sigma")
         self.dim = self.sigma.shape[0]
         self._fwd = None   # (gamma, inverse of I + gamma*Sigma)
         self._diag = None  # (entries bytes, inverse of inv(G) + Sigma)
-        if gamma is not None:
-            self._fwd_inverse(gamma)
 
     def _fwd_inverse(self, gamma):
         if self._fwd is None or self._fwd[0] != gamma:

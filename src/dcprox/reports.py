@@ -224,7 +224,7 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
                      params=params, message=message)
 
 
-def residual_rate_check(report, rel_slack=1e-10):
+def residual_rate_check(report):
     """Verify the telescoped-descent consequences on a completed run.
 
     Checks that the summed per-step decrements stay within the observed
@@ -238,7 +238,7 @@ def residual_rate_check(report, rel_slack=1e-10):
     envs = [tp.env for tp in report.trace]
     gap = envs[0] - min(envs)
     total_decr = sum(tp.decrement for tp in report.trace)
-    budget = gap + rel_slack * (1.0 + abs(gap) + abs(envs[0]))
+    budget = gap + 1e-10 * (1.0 + abs(gap) + abs(envs[0]))
     if total_decr > budget:
         return False
     running = 0.0

@@ -85,19 +85,17 @@ class ThreeProxConfig:
         hi = 2.0 * (1.0 - 1.0 / self.delta)
         if not 0.0 < self.mu < hi:
             raise ValueError(f"mu must lie in (0, {hi}), got {self.mu}")
-        if self.tol < 0 or self.max_iter < 1:
-            raise ValueError("tol must be nonnegative and max_iter positive")
 
     @property
     def h_step(self):
         return self.gamma * self.delta / (self.delta - self.gamma)
 
 
-def default_config(gamma=0.5, delta=2.0, safety=0.9, **kw):
-    """Config with relaxations at ``safety`` times half the admissible range."""
+def default_config(gamma=0.5, delta=2.0, **kw):
+    """Config with relaxations at 0.9 times half the admissible range."""
     return ThreeProxConfig(gamma=gamma, delta=delta,
-                           lam=safety * (1.0 - gamma),
-                           mu=safety * (1.0 - 1.0 / delta), **kw)
+                           lam=0.9 * (1.0 - gamma),
+                           mu=0.9 * (1.0 - 1.0 / delta), **kw)
 
 
 def _h_point(cfg, s, t):

@@ -47,10 +47,6 @@ class TwoProxConfig:
         hi = 2.0 * (1.0 - self.gamma * mu)
         if not 0.0 < self.lam < hi:
             raise ValueError(f"lam must lie in (0, {hi}), got {self.lam}")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 def descent_coefficient(gamma, lam, mu=0.0):

@@ -117,6 +117,29 @@ def test_every_solver_rejects_a_bad_start_point(name):
             fn(bad)
 
 
+@pytest.mark.parametrize("tol,max_iter", [(-1.0, 10), (1e-6, 0)], ids=["tol", "max_iter"])
+@pytest.mark.parametrize("name", ["run", "run_lbfgs", "run_diag", "run3", "fbs_run",
+                                  "dca_run", "drs_run"])
+def test_every_solver_rejects_a_negative_tol_or_empty_budget(name, tol, max_iter):
+    spca, inst = dp.make_spca(N, seed=1)
+    spca3, inst3 = dp.make_spca3(N, seed=1)
+    gamma = 0.9 / spca.lam_max
+    cfg = dp.TwoProxConfig(gamma=gamma, tol=tol, max_iter=max_iter)
+    runs = {
+        "run": lambda: dp.run(inst, cfg, spca.s0),
+        "run_lbfgs": lambda: dp.run_lbfgs(inst, cfg, spca.s0),
+        "run_diag": lambda: dp.run_diag(inst, np.full(N, gamma), np.ones(N), spca.s0,
+                                        tol=tol, max_iter=max_iter),
+        "run3": lambda: dp.run3(inst3, default_config(tol=tol, max_iter=max_iter),
+                                spca3.s0, spca3.s0),
+        "fbs_run": lambda: dp.fbs_run(inst, gamma, tol, max_iter, spca.s0),
+        "dca_run": lambda: dp.dca_run(inst, gamma, tol, max_iter, spca.s0),
+        "drs_run": lambda: dp.drs_run(inst, 0.5 * gamma, tol, max_iter, spca.s0),
+    }
+    with pytest.raises(ValueError, match="tol|max_iter"):
+        runs[name]()
+
+
 def spy_on_trace_points(monkeypatch):
     """List that fills, as each solver runs, with inst.phi at every point the
     driver takes for its trace, evaluated the moment the driver takes it."""

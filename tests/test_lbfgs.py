@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import dcprox as dp
-from dcprox.lbfgs import LbfgsMemory, LbfgsParams, wolfe_linesearch
+from dcprox import lbfgs
+from dcprox.lbfgs import MAX_BACKTRACKS, LbfgsMemory, wolfe_linesearch
 from dcprox.reports import Iterate
 
 
@@ -145,9 +146,16 @@ def test_wolfe_exhaustion_returns_none():
     s = np.ones(5)
     ev0 = evaluate(s)
     d = -0.5 * ev0.grad
-    alpha, ev = wolfe_linesearch(lambda a: evaluate(s + a * d), ev0.env,
-                                 ev0.grad, d, max_backtracks=0)
+    trials = []
+
+    def rejected(a):
+        # an infinite envelope fails the Armijo test at every trial stepsize
+        trials.append(a)
+        return Iterate(s, s, s, np.inf, 0.0, grad=ev0.grad)
+
+    alpha, ev = wolfe_linesearch(rejected, ev0.env, ev0.grad, d)
     assert alpha is None and ev is None
+    assert len(trials) == MAX_BACKTRACKS
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +186,13 @@ def test_run_fast_on_quadratic_envelope():
     assert envs[-1] < envs[0]
 
 
-def test_fallback_bit_matches_plain_step(rng):
+def test_fallback_bit_matches_plain_step(monkeypatch):
     spca, inst = dp.make_spca(10, seed=4)
     gamma = 0.9 / spca.lam_max
     cfg = dp.TwoProxConfig(gamma=gamma, lam=1.0, tol=1e-6, max_iter=3)
-    params = LbfgsParams(max_backtracks=0)  # force the fallback every time
-    rep = dp.run_lbfgs(inst, cfg, spca.s0, params)
+    # an exhausted linesearch forces the fallback every time
+    monkeypatch.setattr(lbfgs, "wolfe_linesearch", lambda *args: (None, None))
+    rep = dp.run_lbfgs(inst, cfg, spca.s0)
     plain = dp.run(inst, cfg, spca.s0)
     for a, b in zip(rep.trace, plain.trace):
         assert a.env == b.env and a.residual == b.residual
@@ -226,20 +235,3 @@ def test_fuzz_random_instances_monotone(rng):
         envs = [tp.env for tp in rep.trace]
         assert all(b <= a_ + 1e-12 * (1 + abs(a_)) for a_, b in zip(envs, envs[1:]))
 
-
-@pytest.mark.parametrize("field,value", [
-    ("memory", -3),
-    ("c1", 0.0),
-    ("c2", 1.0),
-    ("c2", 1e-5),  # below c1
-    ("max_backtracks", -1),
-    ("curvature_eps", -1e-12),
-], ids=["memory", "c1", "c2", "c2-below-c1", "max_backtracks", "curvature_eps"])
-def test_params_reject_invalid_fields(field, value):
-    with pytest.raises(ValueError, match=field):
-        LbfgsParams(**{field: value})
-
-
-def test_params_accept_the_boundary_values():
-    # memory 0 is steepest descent, max_backtracks 0 forces the fallback
-    LbfgsParams(memory=0, max_backtracks=0, curvature_eps=0.0)

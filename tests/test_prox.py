@@ -96,7 +96,7 @@ def test_quadratic_rejects_nonsymmetric():
 
 
 def test_quadratic_cache_survives_stepsize_change():
-    atom = dp.Quadratic(SIGMA3, gamma=0.7)
+    atom = dp.Quadratic(SIGMA3)
     s = np.array([1.0, -2.0, 0.5])
     for gamma in (0.7, 0.2, 0.7):
         expected = np.linalg.solve(np.eye(3) + gamma * SIGMA3, s)
@@ -125,7 +125,7 @@ def test_quadratic_prox_matches_dense_solve(rng, scale):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_quadratic_prox_rejects_non_finite_input(bad):
-    atom = dp.Quadratic(SIGMA3, gamma=0.7)
+    atom = dp.Quadratic(SIGMA3)
     x = np.array([1.0, bad, 0.5])
     with pytest.raises(ValueError, match="infs or NaNs"):
         atom.prox(x, 0.7)
