@@ -40,7 +40,7 @@ def _baseline_run(solver, inst, gamma, tol, max_iter, x0, counter, prox_g,
         if v is None:
             v = prox_g(point, gamma)
         d = u - v
-        return Iterate(x, u, v, None, sqrt(d @ d), s_next=x_next)
+        return Iterate(x, u, v, None, sqrt(d.dot(d)), s_next=x_next)
 
     def advance(it):
         return first(it.s_next), None

@@ -95,7 +95,7 @@ def subgradient_screen(candidates, sample_points, slack):
             val = fn.value(z)
             if val == np.inf:
                 continue
-            gap = base + float(xi @ (z - x)) - val
+            gap = base + float(xi.dot(z - x)) - val
             worst = max(worst, gap - slack * (1.0 + float(np.linalg.norm(z - x))))
     return worst
 

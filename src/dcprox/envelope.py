@@ -26,6 +26,7 @@ from .prox import (
     _apply_inverse,
     _as_vector,
     _check_gamma,
+    _identity_plus,
     _spd_inverse,
     _symmetric_matrix,
     _symv,
@@ -92,7 +93,7 @@ def quadratic_smooth(q, eig_range=None):
 
     def value(x):
         x = _as_vector(x)
-        return 0.5 * float(x @ _symv(q, x))
+        return 0.5 * float(x.dot(_symv(q, x)))
 
     def grad(x):
         return _symv(q, _as_vector(x))
@@ -102,7 +103,7 @@ def quadratic_smooth(q, eig_range=None):
         nonlocal cached
         if cached is None or cached[0] != gamma:
             try:
-                cached = (gamma, _spd_inverse(np.eye(n) - gamma * q))
+                cached = (gamma, _spd_inverse(_identity_plus(-gamma, q)))
             except np.linalg.LinAlgError as exc:
                 raise ValueError(
                     f"backward prox undefined: I - gamma*Q not positive definite "
@@ -230,7 +231,7 @@ def dce_eval(inst, gamma, s):
         env = env_value_from_pair(inst, gamma, s, u, v)
     d = u - v
     return EnvelopeEval(s=s, u=u, v=v, env=env, grad=d / gamma,
-                        residual=sqrt(d @ d), gamma=gamma, gamma_effective=g_eff)
+                        residual=sqrt(d.dot(d)), gamma=gamma, gamma_effective=g_eff)
 
 
 def sandwich_bounds(inst, gamma, s):
@@ -266,7 +267,7 @@ def fbe_value(f, g, gamma, u):
     u = _as_vector(u)
     gf = f.grad(u)
     forward = u - gamma * gf
-    return f.value(u) - 0.5 * gamma * float(gf @ gf) + moreau_value(g, gamma, forward)
+    return f.value(u) - 0.5 * gamma * float(gf.dot(gf)) + moreau_value(g, gamma, forward)
 
 
 def envelope_of_smooth_pair(f, g, gamma, s):
@@ -278,7 +279,7 @@ def envelope_of_smooth_pair(f, g, gamma, s):
     s = _as_vector(s)
     u = backward_smooth_prox(f, gamma, s)
     d = u - s
-    h_env = -f.value(u) + 0.5 * float(d @ d) / gamma
+    h_env = -f.value(u) + 0.5 * float(d.dot(d)) / gamma
     return moreau_value(g, gamma, s) - h_env
 
 

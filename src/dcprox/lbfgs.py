@@ -47,8 +47,8 @@ class LbfgsMemory:
         """Store a pair unless its curvature is below the relative guard."""
         if self.pairs.maxlen == 0:
             return False
-        sy = float(ds @ dy)
-        guard = CURVATURE_EPS * sqrt(ds @ ds) * sqrt(dy @ dy)
+        sy = float(ds.dot(dy))
+        guard = CURVATURE_EPS * sqrt(ds.dot(ds)) * sqrt(dy.dot(dy))
         if sy <= guard:
             return False
         self.pairs.append((ds.copy(), dy.copy(), 1.0 / sy))
@@ -67,13 +67,13 @@ class LbfgsMemory:
         q = grad.copy()
         alphas = []
         for ds, dy, rho in reversed(self.pairs):
-            a = rho * float(ds @ q)
+            a = rho * float(ds.dot(q))
             alphas.append(a)
             q -= a * dy
         ds, dy, _ = self.pairs[-1]
-        q *= float(ds @ dy) / float(dy @ dy)
+        q *= float(ds.dot(dy)) / float(dy.dot(dy))
         for (ds, dy, rho), a in zip(self.pairs, reversed(alphas)):
-            b = rho * float(dy @ q)
+            b = rho * float(dy.dot(q))
             q += (a - b) * ds
         return -q
 
@@ -83,8 +83,8 @@ def lbfgs_direction(memory, grad, fallback_scale):
     it points downhill."""
     grad = _as_vector(grad)
     d = memory.direction(grad, fallback_scale)
-    dg = float(d @ grad)
-    if dg >= -1e-12 * sqrt(d @ d) * sqrt(grad @ grad):
+    dg = float(d.dot(grad))
+    if dg >= -1e-12 * sqrt(d.dot(d)) * sqrt(grad.dot(grad)):
         return -fallback_scale * grad
     return d
 
@@ -97,7 +97,7 @@ def wolfe_linesearch(eval_at, env0, grad0, d):
     returns (alpha, evaluation) or (None, None) after MAX_BACKTRACKS trials.
     Raises ValueError when d is not a descent direction.
     """
-    g0d = float(grad0 @ d)
+    g0d = float(grad0.dot(d))
     if not g0d < 0:
         raise ValueError(f"linesearch needs a descent direction, got slope {g0d}")
     lo, hi = 0.0, np.inf
@@ -106,7 +106,7 @@ def wolfe_linesearch(eval_at, env0, grad0, d):
         ev = eval_at(alpha)
         if not isfinite(ev.env) or ev.env > env0 + C1 * alpha * g0d:
             hi = alpha
-        elif float(ev.grad @ d) < C2 * g0d:
+        elif float(ev.grad.dot(d)) < C2 * g0d:
             lo = alpha
         else:
             return alpha, ev
@@ -138,7 +138,7 @@ def run_lbfgs(inst, cfg, s0):
         v = prox_g(x, gamma)
         env = env_value_from_pair(inst, gamma, x, u, v)
         d = u - v
-        return Iterate(x, u, v, env, sqrt(d @ d), grad=d / gamma)
+        return Iterate(x, u, v, env, sqrt(d.dot(d)), grad=d / gamma)
 
     def first(x):
         return point(x, prox_h(x, gamma))

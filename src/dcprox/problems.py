@@ -2,10 +2,17 @@
 
 Sparse-PCA instances minimize -s'Sigma s/2 + kappa*||s||_1 over the unit
 ball, with Sigma = A'A for a sparse tall random matrix A (20n x n, about
-10% nonzeros, standard normal values); Sigma sums B'B over dense row blocks
-B of A, one in memory at a time. One PCG64 stream per (n, seed), seeded by
-SeedSequence([seed, n]), draws A column by column, then the start vector.
-The JSON descriptor stores (n, seed, kappa); regeneration is bit-exact.
+10% nonzeros, standard normal values). One PCG64 stream per (n, seed),
+seeded by SeedSequence([seed, n]), draws A column by column, then the
+start vector. The JSON descriptor stores (n, seed, kappa); regeneration is
+bit-exact.
+
+Memory layout of a build: A exists once, as CSC arrays (float64 values,
+int32 row indices: 12 bytes per nonzero) that the draws write into
+directly; Sigma sums B'B over 8 dense row blocks B of A, each filled from
+those arrays into one reused buffer, so the peak is A, one block, Sigma
+and one n x n product. Only Sigma and s0 outlive the build: A is dropped
+before the eigensolve for lambda_max.
 """
 
 import json
@@ -64,23 +71,79 @@ class SpcaInstance:
     s0: np.ndarray = field(repr=False)
 
 
+def _draw_a(rng, m, n, edges):
+    """Draw A column by column, a row mask then its values (the pinned
+    order), straight into the CSC value and int32 row-index arrays.
+
+    The arrays start at the expected nonzero count and grow in place by one
+    column's worst case when a draw overruns them; the last resize trims
+    them to size. Returns A and ``cuts``, an n x len(edges) array:
+    cuts[j, b] is the CSC position of column j's first entry in row
+    edges[b] or later, so block b of column j is positions cuts[j, b] to
+    cuts[j, b + 1].
+    """
+    data, indices = np.empty(m * n // 10), np.empty(m * n // 10, dtype=np.int32)
+    cuts = np.empty((n, len(edges)), dtype=np.int64)
+    bounds, start = np.array(edges), 0
+    for j in range(n):
+        idx = np.flatnonzero(rng.random(m) < 0.1)
+        end = start + idx.size
+        if end > data.size:  # no view of either array is alive here
+            data.resize(end + m, refcheck=False)
+            indices.resize(end + m, refcheck=False)
+        rng.standard_normal(out=data[start:end])
+        indices[start:end] = idx
+        cuts[j] = start + np.searchsorted(idx, bounds)
+        start = end
+    data.resize(start, refcheck=False)
+    indices.resize(start, refcheck=False)
+    indptr = np.append(cuts[:, 0], start)
+    return sparse.csc_matrix((data, indices, indptr), shape=(m, n)), cuts
+
+
+def _gram_by_blocks(a, cuts, edges):
+    """Sigma = A'A as the sum of B'B over the dense row blocks B = A[lo:hi].
+
+    Each block is filled straight from A's CSC arrays into one reused
+    C-ordered buffer, the entries of column j in block b being the run
+    cuts[j, b]:cuts[j, b + 1]. The blocks are the rows of A.tocsr() sliced
+    at ``edges`` and densified, so the sum is the same floats, in the same
+    order, as from those slices.
+    """
+    n = a.shape[1]
+    sigma = np.zeros((n, n))
+    buf = np.empty((edges[1], n))
+    cols = np.arange(n)
+    for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        block = buf[:hi - lo]
+        block.fill(0.0)
+        count = cuts[:, b + 1] - cuts[:, b]
+        at = np.repeat(cuts[:, b] - np.cumsum(count) + count, count)
+        at += np.arange(at.size)  # the block's CSC positions, column by column
+        flat = np.multiply(a.indices.take(at), n, dtype=np.intp)
+        flat += np.repeat(cols - lo * n, count)  # (row - lo) * n + column
+        np.put(buf, flat, a.data.take(at))
+        del at, flat  # not held through the product
+        sigma += block.T @ block
+    return sigma
+
+
 def _generate_spca_data(n, seed):
-    """Return A (CSC), Sigma = A'A and s0; Sigma adds B'B over 8 dense row
-    blocks B of A, so at most one block, ceil(m/8) x n, is dense at a time."""
+    """Return A (CSC, int32 row indices), Sigma = A'A and s0.
+
+    Memory: A is held once, as its CSC arrays (12 bytes per nonzero), which
+    the draws fill in place. Sigma adds B'B over 8 row blocks B of A,
+    ceil(m/8) x n each, filled one at a time into a single dense buffer; no
+    CSR copy of A is made. The peak is A, that buffer, Sigma and one n x n
+    product.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = _rng_for(n, seed)
     m = 20 * n
-    rows, vals = [], []
-    for _ in range(n):
-        rows.append(np.nonzero(rng.random(m) < 0.1)[0])
-        vals.append(rng.standard_normal(rows[-1].size))
-    a = sparse.csc_matrix((np.concatenate(vals), np.concatenate(rows),
-                           np.cumsum([0] + [r.size for r in rows])), shape=(m, n))
-    a_rows, step = a.tocsr(), -(-m // 8)  # 8 row blocks, 20 MB each at n=1000
-    sigma = np.zeros((n, n))
-    for block in (a_rows[lo:lo + step].toarray() for lo in range(0, m, step)):
-        sigma += block.T @ block
+    edges = [*range(0, m, -(-m // 8)), m]  # 8 row blocks
+    a, cuts = _draw_a(rng, m, n, edges)
+    sigma = _gram_by_blocks(a, cuts, edges)
     s0 = rng.standard_normal(n)
     s0 /= np.linalg.norm(s0)
     return a, sigma, s0
@@ -88,7 +151,7 @@ def _generate_spca_data(n, seed):
 
 def _spca_instance(n, kappa, seed):
     """The SpcaInstance of (n, seed); kappa None means the declared default."""
-    _, sigma, s0 = _generate_spca_data(n, seed)
+    sigma, s0 = _generate_spca_data(n, seed)[1:]  # A is freed before the eigensolve
     if kappa is None:
         kappa = kappa_default(sigma)
     if kappa < 0:
@@ -111,7 +174,7 @@ def make_spca(n, kappa=None, seed=0):
 
     def dca_step(v, _k=kappa):
         w = soft_threshold(v, _k)
-        norm = sqrt(w @ w)
+        norm = sqrt(w.dot(w))
         return w / norm if norm > 0 else w
 
     inst = DcInstance(g=L1Ball(kappa), h=Quadratic(sigma), dim=n, mu=0.0,

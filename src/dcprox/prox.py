@@ -71,6 +71,19 @@ def _symv(mat, x):
     return dsymv(1.0, mat.T, x)
 
 
+def _identity_plus(scale, mat):
+    """np.eye(n) + scale * mat, bit for bit, in one Fortran-ordered buffer,
+    which ``_spd_inverse`` overwrites with the inverse.
+
+    Adding 0.0 turns a -0.0 product into the +0.0 that eye's zero
+    off-diagonal gives, so scale = -gamma also reproduces eye - gamma*mat.
+    """
+    out = np.multiply(scale, mat, order="F")
+    out += 0.0
+    out.flat[::out.shape[0] + 1] += 1.0
+    return out
+
+
 def _spd_inverse(mat):
     """Explicit inverse of a symmetric positive definite matrix.
 
@@ -80,9 +93,11 @@ def _spd_inverse(mat):
     ``_apply_inverse`` one-triangle product per call. The result is
     C-ordered and exactly symmetric. For matrices I + gamma*Sigma (every
     eigenvalue >= 1) the explicit inverse is as accurate as two triangular
-    solves. ``mat`` is overwritten.
+    solves. A Fortran-ordered ``mat`` is inverted in place and its transpose
+    returned, so no second n x n buffer is made; a C-ordered one is copied.
     """
-    return inv(mat, overwrite_a=True, assume_a="pos")
+    inverse = inv(mat, overwrite_a=True, assume_a="pos")
+    return inverse if inverse.flags.c_contiguous else inverse.T
 
 
 def _apply_inverse(inverse, x):
@@ -137,7 +152,7 @@ def prox_l1_ball(x, tau):
     if tau < 0:
         raise ValueError("l1 weight must be nonnegative")
     w = soft_threshold(x, tau)
-    norm = sqrt(w @ w)
+    norm = sqrt(w.dot(w))
     if norm > 1.0:
         w /= norm
     return w
@@ -224,7 +239,7 @@ class Linear(ProxFunction):
         self.dim = self.c.shape[0]
 
     def value(self, x):
-        return float(self.c @ _as_vector(x))
+        return float(self.c.dot(_as_vector(x)))
 
     def prox(self, x, gamma):
         _check_gamma(gamma)
@@ -269,7 +284,7 @@ class L1Ball(ProxFunction):
 
     def value(self, x):
         x = _as_vector(x)
-        if sqrt(x @ x) > 1.0 + 1e-9:
+        if sqrt(x.dot(x)) > 1.0 + 1e-9:
             return np.inf
         return self.kappa * float(np.abs(x).sum())
 
@@ -310,7 +325,7 @@ class ScaledSquare(ProxFunction):
 
     def value(self, x):
         x = _as_vector(x)
-        return 0.5 * self.curvature * float(x @ x)
+        return 0.5 * self.curvature * float(x.dot(x))
 
     def prox(self, x, gamma):
         _check_gamma(gamma)
@@ -351,12 +366,12 @@ class Quadratic(ProxFunction):
 
     def _fwd_inverse(self, gamma):
         if self._fwd is None or self._fwd[0] != gamma:
-            self._fwd = (gamma, _spd_inverse(np.eye(self.dim) + gamma * self.sigma))
+            self._fwd = (gamma, _spd_inverse(_identity_plus(gamma, self.sigma)))
         return self._fwd[1]
 
     def value(self, x):
         x = _as_vector(x)
-        return 0.5 * float(x @ _symv(self.sigma, x))
+        return 0.5 * float(x.dot(_symv(self.sigma, x)))
 
     def values(self, rows):
         # one GEMM reads Sigma once for all k rows, not once per row

@@ -108,7 +108,7 @@ def _psi_from_points(inst, cfg, s, t, w, u, v, z):
     return (inst.g.envelope_at_prox(v, s, cfg.gamma)
             - inst.f.envelope_at_prox(z, t, cfg.delta)
             - inst.h.envelope_at_prox(u, w, cfg.h_step)
-            + 0.5 * float(dst @ dst) / (cfg.delta - cfg.gamma))
+            + 0.5 * float(dst.dot(dst)) / (cfg.delta - cfg.gamma))
 
 
 def run3(inst, cfg, s0, t0):
@@ -139,8 +139,8 @@ def run3(inst, cfg, s0, t0):
         z = prox_f(t, cfg.delta)
         duv = u - v
         duz = u - z
-        nuv = float(duv @ duv)
-        nuz = float(duz @ duz)
+        nuv = float(duv.dot(duv))
+        nuz = float(duz.dot(duz))
         return Iterate(s, u, v, _psi_from_points(inst, cfg, s, t, w, u, v, z),
                        sqrt(nuv + nuz), t=t, z=z, gaps=(duv, nuv, duz, nuz))
 

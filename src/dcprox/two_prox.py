@@ -76,7 +76,7 @@ def _relaxed_steps(inst, prox_h, prox_g, gamma, lam, claim):
         u = prox_h(s, gamma)
         v = prox_g(s, gamma)
         d = u - v
-        dd = float(d @ d)
+        dd = float(d.dot(d))
         return Iterate(s, u, v, env_value_from_pair(inst, gamma, s, u, v),
                        sqrt(dd), gaps=(d, dd))
 

@@ -9,9 +9,15 @@ instance on the doubled space (criterion 5): G(x, y) = g(x) + conj(f)(y)
 and H(x, y) = h(x) + <x, y>, iterated by the diagonal-metric two-prox
 solver with stepsize diag(gamma, 1/delta), relaxation diag(lam, mu) and
 unit quadratic shift.
+
+The reference sparse-PCA builder is the straightforward construction the
+lean one in ``dcprox.problems`` must reproduce byte for byte: int64
+column lists, their concatenation, a CSR copy of A and one fresh dense row
+block per step.
 """
 
 import numpy as np
+from scipy import sparse
 
 from dcprox import (
     BlockSeparable,
@@ -23,8 +29,33 @@ from dcprox import (
     run_diag,
 )
 from dcprox.checks import finite_difference_gradient
+from dcprox.problems import _rng_for
 from dcprox.prox import _as_vector, validate_diagonal
 from dcprox.three_prox import _h_point, _psi_from_points
+
+# ---------------------------------------------------------------------------
+# reference sparse-PCA builder
+
+
+def reference_spca_data(n, seed):
+    """A (CSC), Sigma = A'A and s0 of (n, seed), built the plain way: the
+    same draws, the same 8 row blocks and the same Gram sum order."""
+    rng = _rng_for(n, seed)
+    m = 20 * n
+    rows, vals = [], []
+    for _ in range(n):
+        rows.append(np.nonzero(rng.random(m) < 0.1)[0])
+        vals.append(rng.standard_normal(rows[-1].size))
+    a = sparse.csc_matrix((np.concatenate(vals), np.concatenate(rows),
+                           np.cumsum([0] + [r.size for r in rows])), shape=(m, n))
+    a_rows, step = a.tocsr(), -(-m // 8)
+    sigma = np.zeros((n, n))
+    for block in (a_rows[lo:lo + step].toarray() for lo in range(0, m, step)):
+        sigma += block.T @ block
+    s0 = rng.standard_normal(n)
+    s0 /= np.linalg.norm(s0)
+    return a, sigma, s0
+
 
 # ---------------------------------------------------------------------------
 # three-prox reference helpers

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dcprox.problems import (
     find_synthetic,
     problem_from_json,
 )
+from oracles import reference_spca_data
 
 
 def test_spca_shapes_and_invariants():
@@ -59,6 +61,42 @@ def test_spca_random_stream_is_pinned(seed):
     expected = rng.standard_normal(n)
     expected /= np.linalg.norm(expected)
     assert s0.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 7, 130, 131, 300])
+def test_spca_build_matches_reference_bytes(n, seed):
+    # compared in-process: Sigma's bytes depend on the BLAS thread count
+    # (they differ between 1 and 2 threads at n = 131 and 300), so a stored
+    # digest would pin one setting only. Five of these builds (n = 2 seed 0,
+    # n = 131 seeds 1 and 2, n = 300 seeds 0 and 1) draw more nonzeros than
+    # the expected count, so A's arrays grow during the draws
+    a, sigma, s0 = _generate_spca_data(n, seed)
+    ref_a, ref_sigma, ref_s0 = reference_spca_data(n, seed)
+    assert a.format == "csc" and a.shape == ref_a.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(a, name), getattr(ref_a, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert sigma.tobytes() == ref_sigma.tobytes()
+    assert s0.tobytes() == ref_s0.tobytes()
+
+
+def test_spca_build_peak_memory_near_its_floor():
+    # floor: A's CSC arrays (8-byte values, 4-byte rows), one dense row
+    # block of ceil(m/8) x n and two n x n matrices (Sigma and one B'B);
+    # a CSR copy of A or int64 column lists held alongside would add about
+    # 12 or 16 bytes per nonzero
+    n = 400
+    m = 20 * n
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        a, _, _ = _generate_spca_data(n, 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    floor = 12 * a.nnz + 8 * -(-m // 8) * n + 16 * n * n
+    assert peak <= 1.25 * floor, (peak, floor)
 
 
 def test_spca_lambda_max_against_dense_oracle():

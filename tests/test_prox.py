@@ -10,7 +10,7 @@ from scipy.linalg.blas import dsymv
 
 import dcprox as dp
 from dcprox.checks import finite_difference_gradient
-from dcprox.prox import CapabilityError, _spd_inverse
+from dcprox.prox import CapabilityError, _identity_plus, _spd_inverse
 from oracles import ConjugatePart, prox_conjugate_scaled
 
 SIGMA3 = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]])
@@ -190,6 +190,37 @@ def test_symmetric_product_copies_no_matrix(path, rng):
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 4
+
+
+@pytest.mark.parametrize("scale", [0.7, -0.1])
+def test_identity_plus_matches_the_eye_form_bit_for_bit(scale):
+    # -0.1 times SIGMA3's zeros gives -0.0, where eye's off-diagonal +0.0
+    # added to it gives +0.0
+    out = _identity_plus(scale, SIGMA3)
+    assert out.flags.f_contiguous
+    assert out.tobytes(order="C") == (np.eye(3) + scale * SIGMA3).tobytes()
+
+
+@pytest.mark.parametrize("path", ["prox", "backward"])
+def test_first_inverse_takes_one_matrix_buffer(path, rng):
+    # I +- gamma*Sigma is built in one buffer that LAPACK inverts in place;
+    # np.eye, the scaled matrix or a LAPACK-side copy would each add n^2 * 8
+    # bytes
+    n = 400
+    b = rng.standard_normal((n, n))
+    sigma = b @ b.T / n
+    atom, f = dp.Quadratic(sigma), dp.quadratic_smooth(sigma)
+    call = {"prox": lambda x: atom.prox(x, 0.5),
+            "backward": lambda x: f.backward(x, -0.5)}[path]
+    x = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call(x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
 
 
 # ---------------------------------------------------------------------------
