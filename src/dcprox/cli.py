@@ -15,7 +15,8 @@ Problems are JSON documents, inline or in a file:
     {"kind": "spca",  "n": 100, "seed": 0, "kappa": null}
     {"kind": "spca3", "n": 100, "seed": 0}
     {"kind": "synthetic", "name": "quad-linear-1d"}
-A null/absent kappa means the declared default 0.1*max_i sqrt(Sigma_ii).
+A null/absent kappa means the declared default 0.1*max_i sqrt(Sigma_ii);
+n is an integer, seed a nonnegative one and kappa finite and nonnegative.
 
 bench runs its tasks (n, seed)-major, one solve per (solver, n, seed) task,
 on min(--jobs, tasks) processes. Each process builds the instances of an
@@ -91,8 +92,9 @@ def _load_problem(arg, seed_override=None):
             text = fh.read()
     if seed_override is not None:
         doc = json.loads(text)
-        doc["seed"] = seed_override
-        text = json.dumps(doc)
+        if isinstance(doc, dict):  # problem_from_json rejects any other document
+            doc["seed"] = seed_override
+            text = json.dumps(doc)
     return problem_from_json(text)
 
 

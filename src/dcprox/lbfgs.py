@@ -2,12 +2,15 @@
 
 The envelope is once continuously differentiable with a cheap exact
 gradient, so classical L-BFGS directions with a weak-Wolfe linesearch apply
-directly. Safeguards: curvature pairs are stored only when well-scaled
-(the envelope is C^1 but not C^2, so pairs near prox kinks can be noisy),
-a non-descent direction is replaced by scaled steepest descent for that
-step (the memory is kept), and an exhausted linesearch resets the memory
-and falls back to the plain relaxed two-prox step, which carries its own
-guaranteed decrease.
+directly, around the relaxed two-prox step: its ``evaluate`` gives each
+point, with gradient (u - v)/gamma, and its ``plain_step`` is the fallback.
+Every step claims an envelope decrease that the driver checks, a
+quasi-Newton step the Armijo decrease C1*alpha*|grad'd| its linesearch
+accepted. Safeguards: curvature pairs are stored only when well-scaled (the
+envelope is C^1 but not C^2, so pairs near prox kinks can be noisy), a
+non-descent direction is replaced by scaled steepest descent for that step
+(the memory is kept), and an exhausted linesearch resets the memory and
+takes the plain step with its guaranteed decrease.
 
 When the prox of h is affine in its argument (quadratic h, say), one prox
 evaluation per linesearch serves every trial stepsize; the call counters
@@ -19,10 +22,10 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .envelope import env_value_from_pair
-from .prox import _as_vector
-from .reports import CallCounter, Iterate, drive
-from .two_prox import descent_coefficient
+# not called here: perfbench's layer tracer patches this name in this module
+from .envelope import env_value_from_pair  # noqa: F401
+from .reports import drive
+from .two_prox import _relaxed_steps, descent_coefficient
 
 
 # the classical constants: memory size, weak-Wolfe c1 < c2, the trial
@@ -39,9 +42,6 @@ class LbfgsMemory:
 
     def __init__(self, memory=MEMORY):
         self.pairs = deque(maxlen=memory)
-
-    def reset(self):
-        self.pairs.clear()
 
     def push(self, ds, dy):
         """Store a pair unless its curvature is below the relative guard."""
@@ -61,7 +61,6 @@ class LbfgsMemory:
         otherwise the standard two-loop recursion with the latest-pair
         initial scaling.
         """
-        grad = _as_vector(grad)
         if not self.pairs:
             return -fallback_scale * grad
         q = grad.copy()
@@ -81,7 +80,6 @@ class LbfgsMemory:
 def lbfgs_direction(memory, grad, fallback_scale):
     """Direction from ``memory``, replaced by scaled steepest descent unless
     it points downhill."""
-    grad = _as_vector(grad)
     d = memory.direction(grad, fallback_scale)
     dg = float(d.dot(grad))
     if dg >= -1e-12 * sqrt(d.dot(d)) * sqrt(grad.dot(grad)):
@@ -126,26 +124,20 @@ def run_lbfgs(inst, cfg, s0):
     """
     cfg.validate(inst.mu)
     gamma = cfg.gamma
-    counter = CallCounter()
-    prox_h = counter.wrap(inst.h.prox, "prox_h")
-    prox_g = counter.wrap(inst.g.prox, "prox_g")
+    coeff = descent_coefficient(gamma, cfg.lam, inst.mu)
+    counter, prox_h, evaluate, plain_step = _relaxed_steps(
+        inst, inst.h.prox, inst.g.prox, gamma, cfg.lam, lambda d, dd: coeff * dd)
     memory = LbfgsMemory()
-    fallback_coeff = descent_coefficient(gamma, cfg.lam, inst.mu)
     h_affine = inst.h.prox_is_affine
     h_zero_image = None  # prox_h(0), lazily cached for affine reuse
 
-    def point(x, u):
-        v = prox_g(x, gamma)
-        env = env_value_from_pair(inst, gamma, x, u, v)
-        d = u - v
-        return Iterate(x, u, v, env, sqrt(d.dot(d)), grad=d / gamma)
+    def with_grad(it):
+        it.grad = it.gaps[0] / gamma
+        return it
 
-    def first(x):
-        return point(x, prox_h(x, gamma))
-
-    def advance(ev):
+    def advance(it):
         nonlocal h_zero_image
-        d = lbfgs_direction(memory, ev.grad, gamma)
+        d = lbfgs_direction(memory, it.grad, gamma)
 
         # trial evaluations along s + alpha*d; affine prox_h needs one
         # fresh evaluation for the whole segment
@@ -155,20 +147,18 @@ def run_lbfgs(inst, cfg, s0):
             h_dir = prox_h(d, gamma) - h_zero_image
 
         def eval_at(alpha):
-            x = ev.s + alpha * d
-            return point(x, ev.u + alpha * h_dir if h_affine else prox_h(x, gamma))
+            return with_grad(evaluate(it.s + alpha * d,
+                                      it.u + alpha * h_dir if h_affine else None))
 
-        _, ev_next = wolfe_linesearch(eval_at, ev.env, ev.grad, d)
-        if ev_next is None:
-            # plain relaxed step, bit-identical to the step of two_prox.run,
-            # with its guaranteed decrease; quasi-Newton steps claim none
-            memory.reset()
-            return (first(ev.s + cfg.lam * (ev.v - ev.u)),
-                    fallback_coeff * ev.residual ** 2)
-        memory.push(ev_next.s - ev.s, ev_next.grad - ev.grad)
-        return ev_next, None
+        alpha, nxt = wolfe_linesearch(eval_at, it.env, it.grad, d)
+        if nxt is None:
+            memory.pairs.clear()
+            nxt, claim = plain_step(it)
+            return with_grad(nxt), claim
+        memory.push(nxt.s - it.s, nxt.grad - it.grad)
+        # the Armijo decrease the linesearch accepted, the same floats it tested
+        return nxt, -(C1 * alpha * float(it.grad.dot(d)))
 
-    return drive("dce-lbfgs", inst, [s0], first, advance, lambda it: it.v,
-                 counter, cfg.tol, cfg.max_iter,
-                 cfg.record_trace, cfg.record_iterates, gamma,
-                 {"memory": MEMORY, "lam": cfg.lam})
+    return drive("dce-lbfgs", inst, [s0], lambda s: with_grad(evaluate(s)), advance,
+                 lambda it: it.v, counter, cfg.tol, cfg.max_iter, cfg.record_trace,
+                 gamma, {"memory": MEMORY, "lam": cfg.lam})

@@ -309,21 +309,33 @@ def find_synthetic(name):
 # JSON problem descriptors (shared with the command-line surface)
 
 
+def _integer(doc, key, default, least):
+    """doc[key]: a JSON integer, not a float or a bool, of at least ``least``."""
+    value = doc.get(key, default)
+    if type(value) is not int or value < least:
+        raise ValueError(f'"{key}" must be an integer of at least {least}, '
+                         f"got {json.dumps(value)}")
+    return value
+
+
 def problem_from_json(text):
     """Rebuild a problem from its JSON descriptor.
 
     Returns (kind, payload): for "spca"/"spca3" the payload is
     (SpcaInstance, problem instance); for "synthetic" it is the
-    SyntheticInstance.
+    SyntheticInstance. Each rejected value is a ValueError naming its key.
     """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a problem document is a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind == "spca":
-        return kind, make_spca(int(doc["n"]), doc.get("kappa"),
-                               int(doc.get("seed", 0)))
-    if kind == "spca3":
-        return kind, make_spca3(int(doc["n"]), doc.get("kappa"),
-                                int(doc.get("seed", 0)))
+    if kind in ("spca", "spca3"):
+        kappa = doc.get("kappa")
+        if kappa is not None and not (type(kappa) in (int, float) and 0 <= kappa < np.inf):
+            raise ValueError('"kappa" must be null or a finite nonnegative number, '
+                             f"got {json.dumps(kappa)}")
+        build = make_spca3 if kind == "spca3" else make_spca
+        return kind, build(_integer(doc, "n", None, 2), kappa, _integer(doc, "seed", 0, 0))
     if kind == "synthetic":
         return kind, find_synthetic(doc["name"])
     raise ValueError(f"unknown problem kind {kind!r}")

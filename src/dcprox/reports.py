@@ -23,10 +23,10 @@ class TracePoint:
     """State after computing the k-th prox tuple (before stepping).
 
     ``decrement`` is the envelope decrease that the step taken from this
-    point claims; the driver checks it at run time against the next
-    point's envelope. It is 0 where no claim is made: baseline steps,
-    L-BFGS quasi-Newton steps, and the final point, from which no step is
-    taken. Call counters are cumulative.
+    point claims, checked at run time against the next point's envelope:
+    a relaxed step's guaranteed decrease, or the Armijo decrease an L-BFGS
+    linesearch accepted. It is 0 for baseline steps and the final point,
+    from which no step is taken. Call counters are cumulative.
     """
 
     k: int
@@ -53,7 +53,6 @@ class RunReport:
     final_t: Optional[np.ndarray] = None
     final_z: Optional[np.ndarray] = None
     trace: list = field(default_factory=list)
-    iterates: Optional[list] = None
     gamma: float = 0.0
     params: dict = field(default_factory=dict)
     message: str = ""
@@ -104,10 +103,10 @@ class Iterate:
     ``v`` the prox outputs whose gap is ``residual``, and ``z`` three-prox's
     prox_f output. ``env`` is the value the descent check and the trace
     use; None means the method has no envelope and traces the objective.
-    ``grad`` (L-BFGS), ``s_next`` (the baselines, which compute their
-    next iterate while evaluating this one) and ``gaps`` (the prox
-    differences and their squared norms behind ``residual``, for the
-    relaxed steps) carry what the next step reuses.
+    ``gaps`` (the prox differences and their squared norms behind
+    ``residual``), ``grad`` (set by L-BFGS) and ``s_next`` (the baselines,
+    which compute their next iterate while evaluating this one) carry what
+    the next step reuses.
     """
 
     s: np.ndarray
@@ -123,7 +122,7 @@ class Iterate:
 
 
 def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
-          record_trace=True, record_iterates=False, gamma=0.0, params=None):
+          record_trace=True, gamma=0.0, params=None):
     """Run one solver to convergence, the budget or a numerical error.
 
     ``first(*starts)`` evaluates the start point(s) and returns an
@@ -151,7 +150,6 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
         if not np.all(np.isfinite(x)):
             raise ValueError("start point must be finite")
     params = {} if params is None else params
-    iterates = [] if record_iterates else None
     trace = []
     points = np.empty((64, dim)) if record_trace else None
     pending = []  # (env, residual, decrement, mark) of the rows in ``points``
@@ -178,9 +176,6 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
             it = first(*starts)
             claim = None
             while True:
-                if iterates is not None:
-                    iterates.append(it.s.copy() if it.t is None
-                                    else (it.s.copy(), it.t.copy()))
                 mark = (k, counter.prox_h, counter.prox_g, counter.grad_h,
                         time.perf_counter_ns() - t0)
                 k += 1
@@ -213,15 +208,14 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
         t = starts[1] if len(starts) > 1 else None
         return RunReport(solver=solver, termination=status, iterations=0,
                          final_s=s, final_u=s, final_v=s, final_t=t, final_z=t,
-                         iterates=iterates, gamma=gamma, params=params,
-                         message=message)
+                         gamma=gamma, params=params, message=message)
     if pending:
         flush()
     trace.append(trace_point(inst.phi(phi_at(it)), it.env, it.residual, 0.0, mark))
     return RunReport(solver=solver, termination=status, iterations=k,
                      final_s=it.s, final_u=it.u, final_v=it.v, final_t=it.t,
-                     final_z=it.z, trace=trace, iterates=iterates, gamma=gamma,
-                     params=params, message=message)
+                     final_z=it.z, trace=trace, gamma=gamma, params=params,
+                     message=message)
 
 
 def residual_rate_check(report):

@@ -72,7 +72,6 @@ class ThreeProxConfig:
     tol: float = 1e-6
     max_iter: int = 1000
     record_trace: bool = True
-    record_iterates: bool = False
 
     def validate(self):
         if not 0.0 < self.gamma < 1.0:
@@ -151,7 +150,7 @@ def run3(inst, cfg, s0, t0):
 
     return drive("three-prox", inst, [s0, t0], first, advance, lambda it: it.u,
                  counter, cfg.tol, cfg.max_iter,
-                 cfg.record_trace, cfg.record_iterates, cfg.gamma,
+                 cfg.record_trace, cfg.gamma,
                  {"delta": cfg.delta, "lam": cfg.lam, "mu": cfg.mu})
 
 

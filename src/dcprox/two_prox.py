@@ -37,7 +37,6 @@ class TwoProxConfig:
     tol: float = 1e-6
     max_iter: int = 1000
     record_trace: bool = True
-    record_iterates: bool = False
 
     def validate(self, mu=0.0):
         if not 0.0 < self.gamma < np.inf:
@@ -61,30 +60,32 @@ def default_relaxation(gamma, mu=0.0):
 
 
 def _relaxed_steps(inst, prox_h, prox_g, gamma, lam, claim):
-    """Counter and first/advance callbacks of s+ = s + lam*(v - u).
+    """Counter, counted prox_h, evaluate and plain_step of s+ = s + lam*(v - u).
 
-    ``claim(d, d @ d)`` with d = u - v is the guaranteed envelope decrease
-    of the step. d and d @ d are computed once per iterate and serve the
-    residual, the step s - lam*d (the same floats as s + lam*(v - u)) and
-    the claim.
+    ``evaluate(s, u=None)`` evaluates s, taking u = prox_h(s) from a caller
+    that has it. ``plain_step(it)`` returns the next evaluated iterate and
+    the step's guaranteed decrease ``claim(d, d @ d)``, d = u - v. d and
+    d @ d are computed once per iterate and serve the residual, the step
+    s - lam*d (the same floats as s + lam*(v - u)) and the claim.
     """
     counter = CallCounter()
     prox_h = counter.wrap(prox_h, "prox_h")
     prox_g = counter.wrap(prox_g, "prox_g")
 
-    def first(s):
-        u = prox_h(s, gamma)
+    def evaluate(s, u=None):
+        if u is None:
+            u = prox_h(s, gamma)
         v = prox_g(s, gamma)
         d = u - v
         dd = float(d.dot(d))
         return Iterate(s, u, v, env_value_from_pair(inst, gamma, s, u, v),
                        sqrt(dd), gaps=(d, dd))
 
-    def advance(it):
+    def plain_step(it):
         d, dd = it.gaps
-        return first(it.s - lam * d), claim(d, dd)
+        return evaluate(it.s - lam * d), claim(d, dd)
 
-    return counter, first, advance
+    return counter, prox_h, evaluate, plain_step
 
 
 def run(inst, cfg, s0):
@@ -97,16 +98,16 @@ def run(inst, cfg, s0):
     """
     cfg.validate(inst.mu)
     coeff = descent_coefficient(cfg.gamma, cfg.lam, inst.mu)
-    counter, first, advance = _relaxed_steps(
+    counter, _, evaluate, plain_step = _relaxed_steps(
         inst, inst.h.prox, inst.g.prox, cfg.gamma, cfg.lam,
         lambda d, dd: coeff * dd)
-    return drive("dce", inst, [s0], first, advance, lambda it: it.v, counter,
-                 cfg.tol, cfg.max_iter, cfg.record_trace, cfg.record_iterates,
-                 cfg.gamma, {"lam": cfg.lam, "mu": inst.mu})
+    return drive("dce", inst, [s0], evaluate, plain_step, lambda it: it.v,
+                 counter, cfg.tol, cfg.max_iter, cfg.record_trace, cfg.gamma,
+                 {"lam": cfg.lam, "mu": inst.mu})
 
 
 def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
-             max_iter=1000, record_trace=True, record_iterates=False):
+             max_iter=1000, record_trace=True):
     """Two-prox iteration under diagonal stepsize and relaxation vectors.
 
     ``m_diag`` is the diagonal quadratic shift making both functions convex
@@ -127,10 +128,9 @@ def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
         raise ValueError("lam must lie in (0, 2*(1 - gamma*M)) elementwise")
     # decrease weight (2*(I - Gamma M) - Lambda) Gamma^-1 Lambda (I - Gamma M)^-1
     weight = (2.0 * shrink - lam_diag) * lam_diag / (gamma_diag * shrink)
-    counter, first, advance = _relaxed_steps(
+    counter, _, evaluate, plain_step = _relaxed_steps(
         inst, inst.h.prox_diag, inst.g.prox_diag, gamma_diag, lam_diag,
         lambda d, dd: 0.5 * float(np.sum(weight * d * d)))
-    return drive("dce-diag", inst, [s0], first, advance, lambda it: it.v,
-                 counter, tol, max_iter, record_trace,
-                 record_iterates, float(gamma_diag[0]),
+    return drive("dce-diag", inst, [s0], evaluate, plain_step, lambda it: it.v,
+                 counter, tol, max_iter, record_trace, float(gamma_diag[0]),
                  {"gamma_diag": gamma_diag, "lam_diag": lam_diag, "m_diag": m_diag})

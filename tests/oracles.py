@@ -1,5 +1,10 @@
 """Reference implementations that tests compare the product against.
 
+The recording atom logs the argument of every prox call an atom gets; the
+relaxed solvers prox g once at each evaluated iterate (and three-prox's f
+once at its second block), so the log is the iterate sequence that tests
+compare bit for bit.
+
 The three-prox helpers take one step of the recursion, evaluate the
 surrogate Psi at a point, and measure how far the update lies from a
 finite-difference gradient step on Psi (criterion 1).
@@ -16,6 +21,8 @@ column lists, their concatenation, a CSR copy of A and one fresh dense row
 block per step.
 """
 
+import dataclasses
+
 import numpy as np
 from scipy import sparse
 
@@ -31,7 +38,45 @@ from dcprox import (
 from dcprox.checks import finite_difference_gradient
 from dcprox.problems import _rng_for
 from dcprox.prox import _as_vector, validate_diagonal
-from dcprox.three_prox import _h_point, _psi_from_points
+from dcprox.three_prox import ThreeTermInstance, _h_point, _psi_from_points
+
+# ---------------------------------------------------------------------------
+# iterate recording
+
+
+class RecordingAtom:
+    """Forwards an atom and logs a copy of each ``prox``/``prox_diag`` argument."""
+
+    def __init__(self, atom):
+        self._atom = atom
+        self.log = []
+
+    def prox(self, x, gamma):
+        self.log.append(np.array(x, dtype=float))
+        return self._atom.prox(x, gamma)
+
+    def prox_diag(self, x, entries):
+        self.log.append(np.array(x, dtype=float))
+        return self._atom.prox_diag(x, entries)
+
+    def __getattr__(self, name):
+        return getattr(self._atom, name)
+
+
+def recording(inst):
+    """(``inst`` with its g atom, and f on a three-term instance, wrapped in
+    RecordingAtom; a function returning the iterates they logged so far).
+
+    The iterates are the s at which g was proxed, or the (s, t) pairs of g
+    and f. The relaxed solvers prox g once per evaluated iterate; L-BFGS
+    also proxes g at each linesearch trial, and three-prox's f takes t.
+    """
+    g = RecordingAtom(inst.g)
+    if isinstance(inst, ThreeTermInstance):
+        f = RecordingAtom(inst.f)
+        return dataclasses.replace(inst, g=g, f=f), lambda: list(zip(g.log, f.log))
+    return dataclasses.replace(inst, g=g), lambda: list(g.log)
+
 
 # ---------------------------------------------------------------------------
 # reference sparse-PCA builder
@@ -192,16 +237,17 @@ def run3_via_lifted(inst, cfg, s0, t0):
     """Run the diagonal two-prox solver on the lifted pair.
 
     Starts at (s0, t0/delta) with stepsize diag(gamma, 1/delta), relaxation
-    diag(lam, mu), unit shift and the tolerance, budget and recording flags
-    of ``cfg``; the s-block of its iterates reproduces the direct three-prox
-    recursion.
+    diag(lam, mu), unit shift and the tolerance, budget and trace flag of
+    ``cfg``. Returns the report and the lifted iterates, recorded on the
+    lifted g; their s-block reproduces the direct three-prox recursion.
     """
     cfg.validate()
     n = inst.dim
-    lifted = lifted_pair(inst)
+    lifted, iterates = recording(lifted_pair(inst))
     gamma_diag = np.concatenate([np.full(n, cfg.gamma), np.full(n, 1.0 / cfg.delta)])
     lam_diag = np.concatenate([np.full(n, cfg.lam), np.full(n, cfg.mu)])
     start = np.concatenate([_as_vector(s0), _as_vector(t0) / cfg.delta])
-    return run_diag(lifted, gamma_diag, lam_diag, start, m_diag=np.ones(2 * n),
-                    tol=cfg.tol, max_iter=cfg.max_iter, record_trace=cfg.record_trace,
-                    record_iterates=cfg.record_iterates)
+    report = run_diag(lifted, gamma_diag, lam_diag, start, m_diag=np.ones(2 * n),
+                      tol=cfg.tol, max_iter=cfg.max_iter,
+                      record_trace=cfg.record_trace)
+    return report, iterates()

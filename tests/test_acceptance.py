@@ -13,7 +13,7 @@ from dcprox.checks import check_gradient
 from dcprox.envelope import envelope_of_smooth_pair
 from dcprox.reports import Termination
 from dcprox.three_prox import ThreeProxConfig
-from oracles import psi_gradient_identity_check, run3_via_lifted
+from oracles import psi_gradient_identity_check, recording, run3_via_lifted
 
 RNG_SEED = 987
 N_DESK = 100
@@ -47,7 +47,10 @@ def gauntlet():
 @pytest.fixture(scope="module")
 def descent_runs(gauntlet):
     """Reports whose traces carry the guaranteed-decrease certificates."""
-    reports = [cell["dce"] for cell in gauntlet.values()]
+    # the gauntlet's relaxed and accelerated runs; an accepted L-BFGS step
+    # claims the Armijo decrease its linesearch tested
+    reports = [cell[solver] for cell in gauntlet.values()
+               for solver in ("dce", "dce-lbfgs")]
     # a long plain run for step volume
     spca, inst = dp.make_spca(N_DESK, seed=0)
     long_cfg = dp.TwoProxConfig(gamma=0.9 / spca.lam_max, tol=1e-9, max_iter=6000)
@@ -168,12 +171,13 @@ def test_criterion_4_dce_fbe_equivalence():
 def test_criterion_5_lifted_equivalence():
     three = next(c for c in dp.synthetic_catalogue() if c.name == "three-quad-1d")
     cfg = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.45, tol=0.0,
-                          max_iter=100, record_iterates=True)
-    direct = dp.run3(three.three, cfg, three.s0, three.t0)
-    lifted = run3_via_lifted(three.three, cfg, three.s0, three.t0)
-    assert len(direct.iterates) == len(lifted.iterates) == 100
+                          max_iter=100)
+    inst, direct = recording(three.three)
+    dp.run3(inst, cfg, three.s0, three.t0)
+    _, lifted = run3_via_lifted(three.three, cfg, three.s0, three.t0)
+    assert len(direct()) == len(lifted) == 100
     worst = 0.0
-    for (s_d, _), x_l in zip(direct.iterates, lifted.iterates):
+    for (s_d, _), x_l in zip(direct(), lifted):
         worst = max(worst, float(np.max(np.abs(s_d - x_l[:1]))))
     assert worst <= 1e-12, f"trace deviation {worst:.2e}"
     _say(f"CRITERION 5 PASS: doubled-space iteration matched the direct "

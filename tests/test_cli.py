@@ -77,6 +77,27 @@ def test_solve_malformed_problem_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("doc,key", [
+    ('{"kind": "spca", "n": 30, "kappa": Infinity}', '"kappa"'),
+    ('{"kind": "spca", "n": 30, "kappa": NaN}', '"kappa"'),
+    ('{"kind": "spca3", "n": 30, "kappa": -0.5}', '"kappa"'),
+    ('{"kind": "spca", "n": 30.5}', '"n"'),
+    ('{"kind": "spca", "n": true}', '"n"'),
+    ('{"kind": "spca"}', '"n"'),
+    ('[]', "JSON object"),
+    ('{"kind": "spca", "n": 30, "seed": -1}', '"seed"'),
+    ('{"kind": "spca", "n": 30, "seed": 1.0}', '"seed"'),
+])
+def test_solve_rejects_invalid_problem_documents(tmp_path, capsys, doc, key):
+    out = tmp_path / "x"
+    code = cli.main(["solve", doc, "--solver", "dce", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
+    assert not out.exists()
+
+
 def test_solve_problem_from_file(tmp_path):
     spec = tmp_path / "problem.json"
     spec.write_text('{"kind": "synthetic", "name": "separable-2d"}')

@@ -194,8 +194,31 @@ def test_fallback_bit_matches_plain_step(monkeypatch):
     monkeypatch.setattr(lbfgs, "wolfe_linesearch", lambda *args: (None, None))
     rep = dp.run_lbfgs(inst, cfg, spca.s0)
     plain = dp.run(inst, cfg, spca.s0)
-    for a, b in zip(rep.trace, plain.trace):
+    for a, b in zip(rep.trace, plain.trace, strict=True):
         assert a.env == b.env and a.residual == b.residual
+        assert a.decrement == b.decrement
+
+
+def test_every_step_claims_its_decrease(monkeypatch):
+    # an accepted quasi-Newton step claims the Armijo decrease its linesearch
+    # tested, a fallback the relaxed step's; the final point claims none
+    spca, inst = dp.make_spca(30, seed=0)
+    claims = []
+
+    def spied(eval_at, env0, grad0, d):
+        alpha, ev = wolfe_linesearch(eval_at, env0, grad0, d)
+        claims.append(None if ev is None else -(lbfgs.C1 * alpha * float(grad0.dot(d))))
+        return alpha, ev
+
+    monkeypatch.setattr(lbfgs, "wolfe_linesearch", spied)
+    rep = dp.run_lbfgs(inst, dp.TwoProxConfig(gamma=0.9 / spca.lam_max), spca.s0)
+    assert rep.converged and len(claims) == rep.iterations - 1
+    accepted = [(k, tp.decrement, claim)
+                for k, (tp, claim) in enumerate(zip(rep.trace, claims)) if claim is not None]
+    assert accepted
+    assert all(decrement == claim > 0 for _, decrement, claim in accepted), accepted
+    assert all(tp.decrement > 0 for tp in rep.trace[:-1])
+    assert rep.trace[-1].decrement == 0.0
 
 
 def test_spca_beats_plain(rng):

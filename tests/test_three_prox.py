@@ -6,7 +6,7 @@ from dcprox.envelope import env_value_from_pair
 from dcprox.reports import Termination
 from dcprox.three_prox import ThreeProxConfig, default_config
 from oracles import (lifted_pair, psi_gradient_identity_check, psi_value,
-                     run3_via_lifted, three_prox_step)
+                     recording, run3_via_lifted, three_prox_step)
 
 
 def zeros_instance():
@@ -175,13 +175,14 @@ def test_lifted_iteration_reproduces_direct_recursion(rng):
     for inst, s0, t0 in [(quad_instance(), [1.5], [0.7]),
                          (mixed_instance(), [0.9, -0.4], [0.2, 1.1])]:
         cfg = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.45, tol=0.0,
-                              max_iter=100, record_iterates=True)
-        direct = dp.run3(inst, cfg, s0, t0)
-        lifted = run3_via_lifted(inst, cfg, s0, t0)
-        assert lifted.termination is not Termination.NUMERICAL_ERROR
-        assert len(direct.iterates) == len(lifted.iterates) == 100
+                              max_iter=100)
+        recorded, direct = recording(inst)
+        dp.run3(recorded, cfg, s0, t0)
+        report, lifted = run3_via_lifted(inst, cfg, s0, t0)
+        assert report.termination is not Termination.NUMERICAL_ERROR
+        assert len(direct()) == len(lifted) == 100
         n = inst.dim
-        for (s_d, t_d), x_l in zip(direct.iterates, lifted.iterates):
+        for (s_d, t_d), x_l in zip(direct(), lifted):
             assert np.max(np.abs(s_d - x_l[:n])) <= 1e-12
             assert np.max(np.abs(t_d / cfg.delta - x_l[n:])) <= 1e-12
 

@@ -6,6 +6,7 @@ import pytest
 import dcprox as dp
 from dcprox.checks import common_subgradient_gap
 from dcprox.reports import Termination
+from oracles import recording
 
 
 def instance_a():
@@ -25,8 +26,9 @@ def first_step(inst, cfg, s):
     The iterates are [s, s_plus], or [s] alone when s is already stationary.
     """
     at_s = dp.run(inst, replace(cfg, tol=0.0, max_iter=1), s)
-    rep = dp.run(inst, replace(cfg, tol=0.0, max_iter=2, record_iterates=True), s)
-    return rep.iterates, at_s.final_u, at_s.final_v
+    recorded, iterates = recording(inst)
+    dp.run(recorded, replace(cfg, tol=0.0, max_iter=2), s)
+    return iterates(), at_s.final_u, at_s.final_v
 
 
 def test_step_fixed_point_for_equal_pair(rng):
@@ -110,10 +112,10 @@ def test_coercive_run_stays_bounded(rng):
     for c in dp.synthetic_catalogue():
         if c.dc is None or not c.coercive:
             continue
-        cfg = dp.TwoProxConfig(gamma=c.gamma, lam=c.lam, tol=0.0, max_iter=150,
-                               record_iterates=True)
-        rep = dp.run(c.dc, cfg, c.s0)
-        norms = [np.linalg.norm(s) for s in rep.iterates]
+        cfg = dp.TwoProxConfig(gamma=c.gamma, lam=c.lam, tol=0.0, max_iter=150)
+        inst, iterates = recording(c.dc)
+        rep = dp.run(inst, cfg, c.s0)
+        norms = [np.linalg.norm(s) for s in iterates()]
         assert max(norms) < 1e6
         assert rep.trace[-1].env <= rep.trace[0].env + 1e-12
 
@@ -207,13 +209,14 @@ def test_config_boundaries_rejected():
 
 def test_run_diag_uniform_reduces_to_scalar_bitwise():
     c = separable_2d()
-    cfg = dp.TwoProxConfig(gamma=0.5, lam=1.25, tol=1e-10, max_iter=60,
-                           record_iterates=True)
-    scalar = dp.run(c.dc, cfg, c.s0)
-    diag = dp.run_diag(c.dc, np.full(2, 0.5), np.full(2, 1.25), c.s0,
-                       tol=1e-10, max_iter=60, record_iterates=True)
-    assert scalar.iterations == diag.iterations
-    for a, b in zip(scalar.iterates, diag.iterates):
+    cfg = dp.TwoProxConfig(gamma=0.5, lam=1.25, tol=1e-10, max_iter=60)
+    inst, scalar_iterates = recording(c.dc)
+    scalar = dp.run(inst, cfg, c.s0)
+    inst, diag_iterates = recording(c.dc)
+    diag = dp.run_diag(inst, np.full(2, 0.5), np.full(2, 1.25), c.s0,
+                       tol=1e-10, max_iter=60)
+    assert scalar.iterations == diag.iterations == len(diag_iterates())
+    for a, b in zip(scalar_iterates(), diag_iterates(), strict=True):
         np.testing.assert_array_equal(a, b)
     for ta, tb in zip(scalar.trace, diag.trace):
         assert ta.env == tb.env and ta.residual == tb.residual
@@ -223,16 +226,17 @@ def test_run_diag_separable_matches_independent_scalar_runs():
     c = separable_2d()
     gammas = np.array([1.0, 2.0])
     lams = np.array([1.0, 0.5])
-    diag = dp.run_diag(c.dc, gammas, lams, c.s0, tol=0.0, max_iter=40,
-                       record_iterates=True)
+    inst, diag_iterates = recording(c.dc)
+    dp.run_diag(inst, gammas, lams, c.s0, tol=0.0, max_iter=40)
     # per-coordinate scalar problems
     insts = [dp.DcInstance(g=dp.ScaledSquare(1.0), h=dp.Linear([1.0]), dim=1),
              dp.DcInstance(g=dp.ScaledSquare(2.0), h=dp.Linear([2.0]), dim=1)]
     for coord in (0, 1):
         cfg = dp.TwoProxConfig(gamma=float(gammas[coord]), lam=float(lams[coord]),
-                               tol=0.0, max_iter=40, record_iterates=True)
-        rep = dp.run(insts[coord], cfg, c.s0[coord:coord + 1])
-        for full, single in zip(diag.iterates, rep.iterates):
+                               tol=0.0, max_iter=40)
+        inst, iterates = recording(insts[coord])
+        dp.run(inst, cfg, c.s0[coord:coord + 1])
+        for full, single in zip(diag_iterates(), iterates(), strict=True):
             assert full[coord] == pytest.approx(single[0], abs=1e-14)
 
 
