@@ -2,7 +2,6 @@
 
 from .envelope import (
     DcInstance,
-    EnvelopeEval,
     SmoothFunction,
     backward_smooth_prox,
     dce_eval,
@@ -11,6 +10,7 @@ from .envelope import (
     negate_smooth,
     quadratic_smooth,
     sandwich_bounds,
+    smooth_view,
 )
 from .baselines import dca_run, drs_run, fbs_run
 from .lbfgs import LbfgsMemory, lbfgs_direction, run_lbfgs, wolfe_linesearch
@@ -36,7 +36,6 @@ from .prox import (
     Zero,
     moreau_value,
     prox_l1_ball,
-    prox_shifted,
     soft_threshold,
 )
 from .reports import RunReport, Termination, TracePoint, residual_rate_check

@@ -17,6 +17,8 @@ Problems are JSON documents, inline or in a file:
     {"kind": "synthetic", "name": "quad-linear-1d"}
 A null/absent kappa means the declared default 0.1*max_i sqrt(Sigma_ii);
 n is an integer, seed a nonnegative one and kappa finite and nonnegative.
+A key not shown for its kind above is an error, and so is --seed on a
+synthetic problem, which has no random draw.
 
 bench runs its tasks (n, seed)-major, one solve per (solver, n, seed) task,
 on min(--jobs, tasks) processes. Each process builds the instances of an
@@ -93,6 +95,8 @@ def _load_problem(arg, seed_override=None):
     if seed_override is not None:
         doc = json.loads(text)
         if isinstance(doc, dict):  # problem_from_json rejects any other document
+            if doc.get("kind") == "synthetic":
+                raise ValueError("--seed needs a spca problem; a synthetic one draws nothing")
             doc["seed"] = seed_override
             text = json.dumps(doc)
     return problem_from_json(text)
@@ -117,11 +121,9 @@ def _resolve_gamma(text, kind, payload):
 def _dc_problem(solver, kind, payload):
     """Two-function instance, start point, default stepsize and summary info.
 
-    The default is GAMMA_POLICY[solver] / lambda_max on sparse PCA. On a
-    synthetic problem it is the catalogue's stepsize, shrunk to
-    GAMMA_POLICY[solver] / L when it breaks the gate gamma < 1/L of fbs and
-    dca (L the gradient's Lipschitz constant) or of drs (L the largest
-    curvature).
+    The default is GAMMA_POLICY[solver] / lambda_max on sparse PCA and the
+    catalogue's stepsize on a synthetic problem, which passes the stepsize
+    gate of each solver the entry lists.
     """
     if kind == "spca":
         spca, inst = payload
@@ -129,17 +131,9 @@ def _dc_problem(solver, kind, payload):
                 {"n": spca.n, "seed": spca.seed, "kappa": spca.kappa})
     if kind != "synthetic":
         raise ValueError(f"solver {solver} does not apply to problem kind {kind}")
-    synth = payload
-    if synth.dc is None:
-        raise ValueError(f"{synth.name} has no two-function form")
-    inst, gamma = synth.dc, synth.gamma
-    gate = {"fbs": "lipschitz", "dca": "lipschitz",
-            "drs": "curvature_max"}.get(solver)
-    bound = (getattr(inst.smooth_h, gate)
-             if gate and inst.smooth_h is not None else None)
-    if bound is not None and bound > 0 and gamma >= 1.0 / bound:
-        gamma = GAMMA_POLICY[solver] / bound
-    return inst, synth.s0, gamma, {"name": synth.name}
+    if payload.dc is None:
+        raise ValueError(f"{payload.name} has no two-function form")
+    return payload.dc, payload.s0, payload.gamma, {"name": payload.name}
 
 
 def _solve_one(solver, kind, payload, tol, max_iter, gamma=None):

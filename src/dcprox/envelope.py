@@ -15,7 +15,7 @@ precision at the same point; the two prox calls are independent and may be
 executed concurrently by callers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 from typing import Callable, Optional
 
@@ -23,17 +23,13 @@ import numpy as np
 
 from .prox import (
     ProxFunction,
-    _apply_inverse,
+    Quadratic,
     _as_vector,
     _check_gamma,
-    _identity_plus,
-    _spd_inverse,
-    _symmetric_matrix,
-    _symv,
     metric_half_sq,
     moreau_value,
-    prox_shifted,
 )
+from .reports import Iterate
 
 
 def dc_value(g_val, h_val):
@@ -64,7 +60,8 @@ class SmoothFunction:
 
     ``lipschitz`` bounds the gradient's Lipschitz constant. ``backward``
     solves u - gamma*grad(u) = s in closed form; it is required, since the
-    backward prox has no iterative fallback.
+    backward prox has no iterative fallback. ``smooth_view`` gives these
+    oracles as a smooth atom's own methods.
     """
 
     value: Callable
@@ -74,58 +71,41 @@ class SmoothFunction:
     curvature_max: Optional[float] = None  # largest eigenvalue of the Hessian
 
 
-def quadratic_smooth(q, eig_range=None):
-    """Smooth function 0.5 x'Qx with a closed-form backward solve.
+def smooth_view(atom, eig_range):
+    """The smooth function of a ``Linear`` or ``Quadratic`` atom.
 
-    Q must be symmetric (ValueError otherwise), since the gradient Qx and
-    every product with Q or with the cached backward inverse read one
-    triangle. ``eig_range`` optionally supplies (lambda_min, lambda_max) of
-    Q to skip the eigenvalue computation.
+    Its value, gradient and backward solve are the atom's own methods, so a
+    quadratic's backward inverse lives in the atom's cache beside the prox
+    inverses. ``eig_range`` is (lambda_min, lambda_max) of the Hessian.
     """
-    q = _symmetric_matrix(q, "Q")
-    n = q.shape[0]
+    return SmoothFunction(value=atom.value, grad=atom.grad,
+                          lipschitz=max(abs(eig_range[0]), abs(eig_range[1])),
+                          backward=atom.backward, curvature_max=eig_range[1])
+
+
+def quadratic_smooth(q, eig_range=None):
+    """``smooth_view`` of 0.5 x'Qx, Q a ``Quadratic`` or a symmetric matrix
+    (ValueError otherwise). ``eig_range`` optionally supplies (lambda_min,
+    lambda_max) of Q to skip the eigenvalue computation.
+    """
+    atom = q if isinstance(q, Quadratic) else Quadratic(q)
     if eig_range is None:
-        eigs = np.linalg.eigvalsh(q) if n > 0 else np.zeros(1)
+        eigs = np.linalg.eigvalsh(atom.sigma) if atom.dim else np.zeros(1)
         eig_range = (float(eigs.min()), float(eigs.max()))
-    eigmax = eig_range[1]
-    lip = max(abs(eig_range[0]), abs(eig_range[1]))
-    cached = None  # (gamma, inverse of I - gamma*Q) for the last gamma only
-
-    def value(x):
-        x = _as_vector(x)
-        return 0.5 * float(x.dot(_symv(q, x)))
-
-    def grad(x):
-        return _symv(q, _as_vector(x))
-
-    def backward(s, gamma):
-        # u = inv(I - gamma*Q) s
-        nonlocal cached
-        if cached is None or cached[0] != gamma:
-            try:
-                cached = (gamma, _spd_inverse(_identity_plus(-gamma, q)))
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(
-                    f"backward prox undefined: I - gamma*Q not positive definite "
-                    f"(gamma={gamma})") from exc
-        return _apply_inverse(cached[1], s)
-
-    return SmoothFunction(value=value, grad=grad, lipschitz=lip,
-                          backward=backward, curvature_max=eigmax)
+    return smooth_view(atom, eig_range)
 
 
 def negate_smooth(f):
     """The smooth function -f, with the closed-form backward solve of f."""
     def backward(s, gamma):
-        # u + gamma*grad f(u) = s is the backward solve of f at -gamma;
-        # quadratic/linear closed forms accept negative stepsizes.
+        # u + gamma*grad f(u) = s is the backward solve of f at -gamma; for a
+        # quadratic atom that reads the inverse its prox at gamma caches
         return f.backward(s, -gamma)
 
     return SmoothFunction(value=lambda x: -f.value(x),
                           grad=lambda x: -f.grad(x),
                           lipschitz=f.lipschitz,
-                          backward=backward,
-                          curvature_max=None)
+                          backward=backward)
 
 
 def backward_smooth_prox(f, gamma, s):
@@ -174,26 +154,6 @@ class DcInstance:
         return dc_values(self.g.values(rows), self.h.values(rows))
 
 
-@dataclass(frozen=True)
-class EnvelopeEval:
-    """One envelope evaluation: both prox points, value, gradient, residual.
-
-    ``gamma`` is the stepsize convention the evaluation was made under; for
-    hypoconvex instances it applies to the quadratically shifted pair and
-    ``gamma_effective`` = gamma/(1 + gamma*mu) is the stepsize actually
-    passed to the raw proximal maps.
-    """
-
-    s: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    env: float
-    grad: np.ndarray = field(repr=False)
-    residual: float
-    gamma: float
-    gamma_effective: float
-
-
 def env_value_from_pair(inst, gamma, s, u, v):
     """Envelope value from already-computed prox points u, v at s.
 
@@ -209,29 +169,22 @@ def env_value_from_pair(inst, gamma, s, u, v):
 def dce_eval(inst, gamma, s):
     """Evaluate the envelope of ``inst`` at s with stepsize gamma.
 
-    For mu > 0 the envelope is the one of the shifted convex pair
-    (g + mu/2||.||^2, h + mu/2||.||^2): the proxes route through the
-    shifted-prox identity and gamma is the shifted-pair stepsize.
+    Returns the ``Iterate`` of s, with gradient (u - v)/gamma. It is the
+    envelope of the shifted convex pair (g + mu/2||.||^2, h + mu/2||.||^2),
+    whose proxes are the plain ones at s/scale with stepsize gamma/scale,
+    scale = 1 + gamma*mu; at mu = 0 that division changes no bit.
     """
     _check_gamma(gamma)
+    scale = 1.0 + gamma * inst.mu
+    if scale <= 0:
+        raise ValueError(f"1 + gamma*mu must be positive, got {scale}")
     s = _as_vector(s)
-    if inst.mu != 0.0:
-        scale = 1.0 + gamma * inst.mu
-        if scale <= 0:
-            raise ValueError("1 + gamma*mu must be positive")
-        g_eff = gamma / scale
-        s_eff = s / scale
-        u = prox_shifted(inst.h, inst.mu, gamma, s)
-        v = prox_shifted(inst.g, inst.mu, gamma, s)
-        env = env_value_from_pair(inst, g_eff, s_eff, u, v)
-    else:
-        g_eff = gamma
-        u = inst.h.prox(s, gamma)
-        v = inst.g.prox(s, gamma)
-        env = env_value_from_pair(inst, gamma, s, u, v)
+    s_eff, g_eff = s / scale, gamma / scale
+    u = inst.h.prox(s_eff, g_eff)
+    v = inst.g.prox(s_eff, g_eff)
     d = u - v
-    return EnvelopeEval(s=s, u=u, v=v, env=env, grad=d / gamma,
-                        residual=sqrt(d.dot(d)), gamma=gamma, gamma_effective=g_eff)
+    return Iterate(s, u, v, env_value_from_pair(inst, g_eff, s_eff, u, v),
+                   sqrt(d.dot(d)), grad=d / gamma)
 
 
 def sandwich_bounds(inst, gamma, s):
@@ -243,7 +196,7 @@ def sandwich_bounds(inst, gamma, s):
     other function's domain.
     """
     ev = dce_eval(inst, gamma, s)
-    gap = metric_half_sq(ev.v - ev.u, ev.gamma)
+    gap = metric_half_sq(ev.v - ev.u, gamma)
     lower = inst.phi(ev.v)
     upper = inst.phi(ev.u)
     lower = lower + gap if lower != np.inf else np.inf

@@ -38,15 +38,13 @@ CURVATURE_EPS = 1e-12
 
 
 class LbfgsMemory:
-    """Ring buffer of displacement/gradient-change pairs with two-loop apply."""
+    """Ring buffer of the last MEMORY (displacement, gradient change) pairs."""
 
-    def __init__(self, memory=MEMORY):
-        self.pairs = deque(maxlen=memory)
+    def __init__(self):
+        self.pairs = deque(maxlen=MEMORY)
 
     def push(self, ds, dy):
         """Store a pair unless its curvature is below the relative guard."""
-        if self.pairs.maxlen == 0:
-            return False
         sy = float(ds.dot(dy))
         guard = CURVATURE_EPS * sqrt(ds.dot(ds)) * sqrt(dy.dot(dy))
         if sy <= guard:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .envelope import DcInstance, SmoothFunction, quadratic_smooth
+from .envelope import DcInstance, quadratic_smooth, smooth_view
 from .prox import (
     BlockSeparable,
     L1Ball,
@@ -170,16 +170,16 @@ def make_spca(n, kappa=None, seed=0):
     """
     spca = _spca_instance(n, kappa, seed)
     kappa, sigma = spca.kappa, spca.sigma
-    smooth_h = quadratic_smooth(sigma, eig_range=(0.0, spca.lam_max))
 
     def dca_step(v, _k=kappa):
         w = soft_threshold(v, _k)
         norm = sqrt(w.dot(w))
         return w / norm if norm > 0 else w
 
-    inst = DcInstance(g=L1Ball(kappa), h=Quadratic(sigma), dim=n, mu=0.0,
-                      smooth_h=smooth_h, dca_step=dca_step,
-                      name=f"spca-n{n}-seed{seed}")
+    h = Quadratic(sigma)
+    inst = DcInstance(g=L1Ball(kappa), h=h, dim=n, mu=0.0,
+                      smooth_h=quadratic_smooth(h, eig_range=(0.0, spca.lam_max)),
+                      dca_step=dca_step, name=f"spca-n{n}-seed{seed}")
     return spca, inst
 
 
@@ -226,16 +226,15 @@ def synthetic_catalogue():
     arr = lambda *xs: np.array(xs, dtype=float)
     out = []
 
+    def linear_h(*c):
+        # h = <c, .> and its smooth view, which has no curvature
+        h = Linear(c)
+        return {"h": h, "smooth_h": smooth_view(h, (0.0, 0.0))}
+
     # (a) smooth quadratic minus linear; unique stationary point at 1
     out.append(SyntheticInstance(
         name="quad-linear-1d",
-        dc=DcInstance(g=ScaledSquare(1.0), h=Linear([1.0]), dim=1,
-                      smooth_h=SmoothFunction(
-                          value=lambda x: float(x[0]),
-                          grad=lambda x: np.ones(1),
-                          lipschitz=0.0,
-                          backward=lambda s, gamma: np.asarray(s) + gamma,
-                          curvature_max=0.0),
+        dc=DcInstance(g=ScaledSquare(1.0), **linear_h(1.0), dim=1,
                       dca_step=lambda v: np.asarray(v, dtype=float).copy(),
                       name="quad-linear-1d"),
         gamma=1.0, s0=arr(0.0), stationary=(arr(1.0),),
@@ -243,7 +242,8 @@ def synthetic_catalogue():
         solvers=("dce", "dce-lbfgs", "fbs", "dca", "drs")))
 
     # (b1) l1 minus a convex quadratic: stationary set {-1, 0, 1}, objective
-    # unbounded below; starts near 0 stay in its basin
+    # unbounded below; starts near 0 stay in its basin. smooth_h is a 1 x 1
+    # Quadratic's, whose x*(1/scale) differs from ScaledSquare's x/scale in bits
     out.append(SyntheticInstance(
         name="abs-quad-1d",
         dc=DcInstance(g=L1Norm(1.0), h=ScaledSquare(1.0), dim=1,
@@ -270,13 +270,7 @@ def synthetic_catalogue():
         name="separable-2d",
         dc=DcInstance(g=BlockSeparable([(ScaledSquare(1.0), 1),
                                         (ScaledSquare(2.0), 1)]),
-                      h=Linear([1.0, 2.0]), dim=2,
-                      smooth_h=SmoothFunction(
-                          value=lambda x: float(x[0] + 2.0 * x[1]),
-                          grad=lambda x: np.array([1.0, 2.0]),
-                          lipschitz=0.0,
-                          backward=lambda s, gamma: np.asarray(s) + gamma * np.array([1.0, 2.0]),
-                          curvature_max=0.0),
+                      **linear_h(1.0, 2.0), dim=2,
                       dca_step=lambda v: np.array([v[0], v[1] / 2.0]),
                       name="separable-2d"),
         gamma=1.0, s0=arr(0.0, 0.0), stationary=(arr(1.0, 1.0),),
@@ -299,10 +293,12 @@ def synthetic_catalogue():
 
 
 def find_synthetic(name):
-    for inst in synthetic_catalogue():
+    catalogue = synthetic_catalogue()
+    for inst in catalogue:
         if inst.name == name:
             return inst
-    raise KeyError(f"unknown synthetic instance {name!r}")
+    raise ValueError(f'"name" must be one of {", ".join(c.name for c in catalogue)}; '
+                     f"got {json.dumps(name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,24 +314,33 @@ def _integer(doc, key, default, least):
     return value
 
 
+# the keys a problem document of each kind may hold
+_KEYS = {"spca": ("kind", "n", "seed", "kappa"), "spca3": ("kind", "n", "seed", "kappa"),
+         "synthetic": ("kind", "name")}
+
+
 def problem_from_json(text):
     """Rebuild a problem from its JSON descriptor.
 
     Returns (kind, payload): for "spca"/"spca3" the payload is
     (SpcaInstance, problem instance); for "synthetic" it is the
-    SyntheticInstance. Each rejected value is a ValueError naming its key.
+    SyntheticInstance. A rejected value or unknown key is a ValueError naming it.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"a problem document is a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind in ("spca", "spca3"):
-        kappa = doc.get("kappa")
-        if kappa is not None and not (type(kappa) in (int, float) and 0 <= kappa < np.inf):
-            raise ValueError('"kappa" must be null or a finite nonnegative number, '
-                             f"got {json.dumps(kappa)}")
-        build = make_spca3 if kind == "spca3" else make_spca
-        return kind, build(_integer(doc, "n", None, 2), kappa, _integer(doc, "seed", 0, 0))
+    if not isinstance(kind, str) or kind not in _KEYS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    for key in doc:
+        if key not in _KEYS[kind]:
+            raise ValueError(f'unknown key "{key}" in a {kind} problem; '
+                             f'its keys are {", ".join(_KEYS[kind])}')
     if kind == "synthetic":
-        return kind, find_synthetic(doc["name"])
-    raise ValueError(f"unknown problem kind {kind!r}")
+        return kind, find_synthetic(doc.get("name"))
+    kappa = doc.get("kappa")
+    if kappa is not None and not (type(kappa) in (int, float) and 0 <= kappa < np.inf):
+        raise ValueError('"kappa" must be null or a finite nonnegative number, '
+                         f"got {json.dumps(kappa)}")
+    build = make_spca3 if kind == "spca3" else make_spca
+    return kind, build(_integer(doc, "n", None, 2), kappa, _integer(doc, "seed", 0, 0))

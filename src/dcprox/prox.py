@@ -8,10 +8,12 @@ proximal map
 
 Atoms are immutable after construction and safe for concurrent read access
 (the quadratic's prox is one symmetric matrix-vector product, which reads
-one triangle of an inverse cached in a one-slot, per-stepsize cache; call
+one triangle of an inverse cached in one slot per stepsize sign; call
 ``prox`` once at a stepsize to fill it before sharing the atom). Some atoms
 additionally support a diagonal metric ``prox_diag`` (stepsize vector) and
-expose that through ``supports_diag``.
+expose that through ``supports_diag``. The smooth atoms, ``Linear`` and
+``Quadratic``, also give ``grad`` and the backward solve ``backward(s,
+gamma)``: the u with u - gamma*grad f(u) = s, gamma of either sign.
 ``values`` evaluates the rows of a k-by-n array at once; by default it
 loops over ``value``, and the quadratic, the l1-ball and zero batch it.
 """
@@ -241,9 +243,15 @@ class Linear(ProxFunction):
     def value(self, x):
         return float(self.c.dot(_as_vector(x)))
 
+    def grad(self, x):
+        return self.c.copy()
+
     def prox(self, x, gamma):
         _check_gamma(gamma)
         return _as_vector(x) - gamma * self.c
+
+    def backward(self, s, gamma):
+        return _as_vector(s) + gamma * self.c
 
     @property
     def supports_diag(self):
@@ -347,13 +355,15 @@ class ScaledSquare(ProxFunction):
 
 
 class Quadratic(ProxFunction):
-    """f(x) = x' Sigma x / 2 for symmetric positive semidefinite Sigma.
+    """f(x) = x' Sigma x / 2 for symmetric Sigma (positive semidefinite for a
+    prox at every stepsize).
 
-    The prox w = inv(I + gamma*Sigma) x is one symmetric matrix-vector
-    product, reading one triangle of an explicit inverse cached per stepsize
-    (one slot each for the scalar and diagonal metrics; call ``prox`` once
-    at a stepsize to fill it, so concurrent readers at that stepsize never
-    write). ``value`` reads one triangle of Sigma the same way.
+    The prox inv(I + gamma*Sigma) x and the backward solve inv(I - gamma*Sigma) s
+    are each one symmetric matrix-vector product, reading one triangle of an
+    inverse of I + t*Sigma cached in one slot per sign of t (and one for the
+    diagonal metric); call either once at a stepsize to fill its slot, so
+    concurrent readers at that stepsize never write. ``value`` and ``grad``
+    read one triangle of Sigma the same way.
     """
 
     prox_is_affine = True
@@ -361,13 +371,15 @@ class Quadratic(ProxFunction):
     def __init__(self, sigma):
         self.sigma = _symmetric_matrix(sigma, "Sigma")
         self.dim = self.sigma.shape[0]
-        self._fwd = None   # (gamma, inverse of I + gamma*Sigma)
+        self._slots = [None, None]  # (t, inverse of I + t*Sigma) for t > 0, t < 0
         self._diag = None  # (entries bytes, inverse of inv(G) + Sigma)
 
-    def _fwd_inverse(self, gamma):
-        if self._fwd is None or self._fwd[0] != gamma:
-            self._fwd = (gamma, _spd_inverse(_identity_plus(gamma, self.sigma)))
-        return self._fwd[1]
+    def _inverse(self, t):
+        i = 1 if t < 0 else 0  # a numpy bool, from a numpy t, cannot index a list
+        slot = self._slots[i]
+        if slot is None or slot[0] != t:
+            slot = self._slots[i] = (t, _spd_inverse(_identity_plus(t, self.sigma)))
+        return slot[1]
 
     def value(self, x):
         x = _as_vector(x)
@@ -394,9 +406,21 @@ class Quadratic(ProxFunction):
         e /= gamma
         return value + 0.5 * float(e.sum())
 
+    def grad(self, x):
+        return _symv(self.sigma, _as_vector(x))
+
     def prox(self, x, gamma):
         _check_gamma(gamma)
-        return _apply_inverse(self._fwd_inverse(gamma), x)
+        return _apply_inverse(self._inverse(gamma), x)
+
+    def backward(self, s, gamma):
+        """inv(I - gamma*Sigma) s; ValueError unless that is positive definite."""
+        try:
+            inverse = self._inverse(-gamma)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"backward prox undefined: I - gamma*Q not positive "
+                             f"definite (gamma={gamma})") from exc
+        return _apply_inverse(inverse, s)
 
     @property
     def supports_diag(self):
@@ -498,16 +522,3 @@ def moreau_value(f, gamma, x):
     _check_gamma(gamma)
     x = _as_vector(x)
     return f.envelope_at_prox(f.prox(x, gamma), x, gamma)
-
-
-def prox_shifted(f, mu, gamma, x):
-    """Prox of f + (mu/2)||.||^2 with stepsize gamma, via rescaling.
-
-    Valid while 1 + gamma*mu > 0; the shifted prox equals the plain prox of
-    f with effective stepsize gamma/(1 + gamma*mu) at x/(1 + gamma*mu).
-    """
-    _check_gamma(gamma)
-    scale = 1.0 + gamma * mu
-    if scale <= 0:
-        raise ValueError(f"shifted prox undefined: 1 + gamma*mu = {scale} <= 0")
-    return f.prox(_as_vector(x) / scale, gamma / scale)

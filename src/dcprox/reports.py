@@ -97,16 +97,17 @@ class CallCounter:
 
 @dataclass(eq=False)
 class Iterate:
-    """One evaluated iterate, as a solver hands it to ``drive``.
+    """One evaluated iterate, as a solver hands it to ``drive`` and as
+    ``envelope.dce_eval`` returns it.
 
     ``s`` is the iterate (``t`` its second block, for three-prox), ``u`` and
     ``v`` the prox outputs whose gap is ``residual``, and ``z`` three-prox's
     prox_f output. ``env`` is the value the descent check and the trace
     use; None means the method has no envelope and traces the objective.
-    ``gaps`` (the prox differences and their squared norms behind
-    ``residual``), ``grad`` (set by L-BFGS) and ``s_next`` (the baselines,
-    which compute their next iterate while evaluating this one) carry what
-    the next step reuses.
+    ``grad`` is the envelope gradient (u - v)/gamma, set by L-BFGS and
+    ``dce_eval``. ``gaps`` (the prox differences and their squared norms
+    behind ``residual``) and ``s_next`` (the baselines, which compute their
+    next iterate while evaluating this one) carry what the next step reuses.
     """
 
     s: np.ndarray

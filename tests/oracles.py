@@ -15,6 +15,10 @@ and H(x, y) = h(x) + <x, y>, iterated by the diagonal-metric two-prox
 solver with stepsize diag(gamma, 1/delta), relaxation diag(lam, mu) and
 unit quadratic shift.
 
+The shifted prox is the textbook rescaling identity for the prox of
+f + (mu/2)||.||^2, written out on its own; ``dcprox.dce_eval`` applies the
+same identity inline to hypoconvex pairs.
+
 The reference sparse-PCA builder is the straightforward construction the
 lean one in ``dcprox.problems`` must reproduce byte for byte: int64
 column lists, their concatenation, a CSR copy of A and one fresh dense row
@@ -76,6 +80,22 @@ def recording(inst):
         f = RecordingAtom(inst.f)
         return dataclasses.replace(inst, g=g, f=f), lambda: list(zip(g.log, f.log))
     return dataclasses.replace(inst, g=g), lambda: list(g.log)
+
+
+# ---------------------------------------------------------------------------
+# shifted prox
+
+
+def prox_shifted(f, mu, gamma, x):
+    """Prox of f + (mu/2)||.||^2 with stepsize gamma, via rescaling.
+
+    Valid while 1 + gamma*mu > 0; the shifted prox equals the plain prox of
+    f with effective stepsize gamma/(1 + gamma*mu) at x/(1 + gamma*mu).
+    """
+    scale = 1.0 + gamma * mu
+    if scale <= 0:
+        raise ValueError(f"shifted prox undefined: 1 + gamma*mu = {scale} <= 0")
+    return f.prox(_as_vector(x) / scale, gamma / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_solve_gamma_zero_is_an_error(tmp_path, capsys):
 
 
 def test_solve_explicit_gamma_is_not_clamped_on_synthetic(tmp_path, capsys):
-    # the default stepsize is shrunk into fbs's gate; an explicit one is not
+    # the catalogue's stepsize passes fbs's gate; an explicit one is not clamped
     code = cli.main(["solve", '{"kind": "synthetic", "name": "abs-quad-1d"}',
                      "--solver", "fbs", "--gamma", "5", "--out", str(tmp_path / "x")])
     assert code == 1
@@ -88,6 +88,11 @@ def test_solve_malformed_problem_exits_one(tmp_path, capsys):
     ('[]', "JSON object"),
     ('{"kind": "spca", "n": 30, "seed": -1}', '"seed"'),
     ('{"kind": "spca", "n": 30, "seed": 1.0}', '"seed"'),
+    ('{"kind": "spca", "n": 30, "sed": 3}', '"sed"'),
+    ('{"kind": "spca3", "n": 30, "name": "quad-linear-1d"}', '"name"'),
+    ('{"kind": "synthetic"}', '"name"'),
+    ('{"kind": "synthetic", "name": "nope"}', '"name"'),
+    ('{"kind": "synthetic", "name": "quad-linear-1d", "seed": 1}', '"seed"'),
 ])
 def test_solve_rejects_invalid_problem_documents(tmp_path, capsys, doc, key):
     out = tmp_path / "x"
@@ -96,6 +101,29 @@ def test_solve_rejects_invalid_problem_documents(tmp_path, capsys, doc, key):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
     assert not out.exists()
+
+
+def test_solve_rejects_seed_on_synthetic(tmp_path, capsys):
+    code = cli.main(["solve", '{"kind": "synthetic", "name": "quad-linear-1d"}',
+                     "--solver", "dce", "--seed", "4", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: --seed") and err.count("\n") == 1, err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("synth", [s for s in synthetic_catalogue() if s.dc is not None],
+                         ids=lambda s: s.name)
+def test_catalogue_stepsize_passes_every_listed_gate(synth):
+    # fbs and dca need gamma < 1/L, drs gamma*curvature_max < 1; the default
+    # stepsize of a solve is the catalogue's, with no clamp behind it
+    smooth = synth.dc.smooth_h
+    for solver in synth.solvers:
+        if solver in ("fbs", "dca"):
+            assert smooth.lipschitz == 0 or synth.gamma < 1.0 / smooth.lipschitz, (
+                synth.name, solver)
+        elif solver == "drs":
+            assert synth.gamma * smooth.curvature_max < 1.0, (synth.name, solver)
 
 
 def test_solve_problem_from_file(tmp_path):

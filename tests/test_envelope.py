@@ -7,6 +7,8 @@ import dcprox as dp
 from dcprox.checks import check_gradient, check_sandwich, finite_difference_gradient
 from dcprox.envelope import dc_value, env_value_from_pair, envelope_of_smooth_pair
 from dcprox.problems import find_synthetic
+from dcprox.reports import Iterate
+from oracles import prox_shifted
 
 
 def instance_a():
@@ -37,13 +39,14 @@ def test_equal_pair_envelope_vanishes(rng):
 
 def test_dce_eval_hand_example():
     ev = dp.dce_eval(instance_a(), 1.0, [0.0])
+    assert isinstance(ev, Iterate)
     assert ev.u[0] == pytest.approx(-1.0)
     assert ev.v[0] == pytest.approx(0.0)
     assert ev.env == pytest.approx(0.5)
     assert ev.grad[0] == pytest.approx(-1.0)
-    # eval invariants: grad = (u-v)/gamma, residual = gamma*||grad||
-    np.testing.assert_allclose(ev.grad, (ev.u - ev.v) / ev.gamma)
-    assert ev.residual == pytest.approx(ev.gamma * np.linalg.norm(ev.grad))
+    # eval invariants at gamma = 1: grad = (u-v)/gamma, residual = gamma*||grad||
+    np.testing.assert_allclose(ev.grad, ev.u - ev.v)
+    assert ev.residual == pytest.approx(np.linalg.norm(ev.grad))
 
 
 def test_envelope_matches_moreau_difference(rng):
@@ -123,7 +126,10 @@ def test_hypoconvex_eval_consistent_with_raw_proxes():
     np.testing.assert_allclose(ev.v, inst.g.prox(s, gamma_eff), atol=1e-14)
     assert ev.env == pytest.approx(
         env_value_from_pair(inst, gamma_eff, s, ev.u, ev.v), abs=1e-13)
-    assert ev.gamma_effective == pytest.approx(gamma_eff)
+    # the proxes are the shifted pair's, from the rescaling identity
+    for atom, point in ((inst.h, ev.u), (inst.g, ev.v)):
+        assert np.array_equal(point, prox_shifted(atom, inst.mu, gamma_eff / scale,
+                                                  s / scale))
 
 
 def test_hypoconvex_gradient_finite_differences(rng):
@@ -200,6 +206,26 @@ def test_backward_quadratic_keeps_one_inverse(rng):
         tracemalloc.stop()
     inverse_bytes = n * n * 8
     assert inverse_bytes <= held < 2 * inverse_bytes
+
+
+def test_negated_backward_reuses_the_prox_inverse(rng):
+    # -h's backward solve at gamma is h's prox at gamma, so it reads the
+    # inverse of I + gamma*Sigma that the prox cached: one per signed stepsize
+    n = 60
+    spca, inst = dp.make_spca(n, seed=0)
+    gamma = 0.9 / spca.lam_max
+    s = rng.standard_normal(n)
+    w = inst.h.prox(s, gamma)
+    neg = dp.negate_smooth(inst.smooth_h)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        u = neg.backward(s, gamma)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(u, w)
+    assert peak < n * n * 8
 
 
 def test_smooth_prox_function_matches_quadratic_atom(rng):

@@ -29,38 +29,32 @@ def dense_bfgs_apply(pairs, h0, g):
 # direction machinery
 
 def test_direction_zero_gradient():
-    mem = LbfgsMemory(memory=5)
+    mem = LbfgsMemory()
     assert np.all(mem.direction(np.zeros(3), 0.7) == 0.0)
     mem.push(np.array([1.0, 0, 0]), np.array([2.0, 0, 0]))
     assert np.all(mem.direction(np.zeros(3), 0.7) == 0.0)
 
 
 def test_direction_empty_memory_is_scaled_steepest():
-    mem = LbfgsMemory(memory=5)
+    mem = LbfgsMemory()
     g = np.array([1.0, -2.0, 0.5])
     np.testing.assert_array_equal(mem.direction(g, 0.3), -0.3 * g)
 
 
 def test_curvature_guard_rejects_bad_pairs():
-    mem = LbfgsMemory(memory=5)
+    mem = LbfgsMemory()
     assert not mem.push(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
     assert not mem.push(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert mem.push(np.array([1.0, 0.0]), np.array([0.5, 0.0]))
     assert len(mem.pairs) == 1
 
 
-def test_memory_zero_is_always_steepest():
-    mem = LbfgsMemory(memory=0)
-    assert not mem.push(np.ones(2), np.ones(2))
-    g = np.array([2.0, -1.0])
-    np.testing.assert_array_equal(mem.direction(g, 0.5), -0.5 * g)
-
-
-def test_two_loop_matches_dense_bfgs_oracle(rng):
+def test_two_loop_matches_dense_bfgs_oracle(rng, monkeypatch):
+    monkeypatch.setattr(lbfgs, "MEMORY", 50)  # keeps all n pairs
     n = 6
     a = rng.standard_normal((n, n))
     hess = a @ a.T + n * np.eye(n)
-    mem = LbfgsMemory(memory=50)
+    mem = LbfgsMemory()
     x = rng.standard_normal(n)
     for _ in range(n):
         g = hess @ x
@@ -76,12 +70,13 @@ def test_two_loop_matches_dense_bfgs_oracle(rng):
     np.testing.assert_allclose(mem.direction(g, 1.0), expected, atol=1e-12)
 
 
-def test_two_loop_recovers_newton_on_quadratic(rng):
+def test_two_loop_recovers_newton_on_quadratic(rng, monkeypatch):
     # after dim exact-linesearch updates the inverse Hessian is exact
+    monkeypatch.setattr(lbfgs, "MEMORY", 50)  # keeps all n pairs
     n = 6
     a = rng.standard_normal((n, n))
     hess = a @ a.T + n * np.eye(n)
-    mem = LbfgsMemory(memory=50)
+    mem = LbfgsMemory()
     x = rng.standard_normal(n)
     for _ in range(n):
         g = hess @ x
@@ -96,7 +91,7 @@ def test_two_loop_recovers_newton_on_quadratic(rng):
 
 
 def test_direction_safeguard_forces_descent():
-    mem = LbfgsMemory(memory=5)
+    mem = LbfgsMemory()
     mem.push(np.array([1.0, 0.0]), np.array([0.5, 0.0]))
     g = np.array([0.3, -0.8])
     d = dp.lbfgs_direction(mem, g, 0.7)

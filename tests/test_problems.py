@@ -287,5 +287,5 @@ def test_problem_descriptors():
     assert kind == "spca3" and spca.kappa == 0.2
     with pytest.raises(ValueError):
         problem_from_json(json.dumps({"kind": "mystery"}))
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match='"name"'):
         problem_from_json(json.dumps({"kind": "synthetic", "name": "nope"}))

@@ -11,7 +11,7 @@ from scipy.linalg.blas import dsymv
 import dcprox as dp
 from dcprox.checks import finite_difference_gradient
 from dcprox.prox import CapabilityError, _identity_plus, _spd_inverse
-from oracles import ConjugatePart, prox_conjugate_scaled
+from oracles import ConjugatePart, prox_conjugate_scaled, prox_shifted
 
 SIGMA3 = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]])
 
@@ -335,21 +335,21 @@ def test_moreau_gradient_lipschitz(name, atom, rng):
 
 def test_prox_shifted_examples():
     s = np.array([1.3, -0.2])
-    np.testing.assert_allclose(dp.prox_shifted(dp.L1Norm(), 0.0, 0.8, s),
+    np.testing.assert_allclose(prox_shifted(dp.L1Norm(), 0.0, 0.8, s),
                                dp.L1Norm().prox(s, 0.8))
-    assert dp.prox_shifted(dp.Zero(), 1.0, 1.0, [2.0])[0] == pytest.approx(1.0)
-    assert dp.prox_shifted(dp.L1Norm(), 1.0, 1.0, [3.0])[0] == pytest.approx(1.0)
+    assert prox_shifted(dp.Zero(), 1.0, 1.0, [2.0])[0] == pytest.approx(1.0)
+    assert prox_shifted(dp.L1Norm(), 1.0, 1.0, [3.0])[0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        dp.prox_shifted(dp.Zero(), -2.0, 1.0, [1.0])  # 1 + gamma*mu < 0
+        prox_shifted(dp.Zero(), -2.0, 1.0, [1.0])  # 1 + gamma*mu < 0
     with pytest.raises(ValueError):
-        dp.prox_shifted(dp.Zero(), -1.0, 1.0, [1.0])  # boundary
+        prox_shifted(dp.Zero(), -1.0, 1.0, [1.0])  # boundary
 
 
 @given(st.floats(-0.9, 3.0), steps, st.floats(-5, 5))
 def test_prox_shifted_matches_grid(mu, gamma, x):
     if 1.0 + gamma * mu < 0.2:
         return  # keep the rescaled point inside the grid window
-    p = dp.prox_shifted(dp.L1Norm(), mu, gamma, [x])[0]
+    p = prox_shifted(dp.L1Norm(), mu, gamma, [x])[0]
     w = np.linspace(-30, 30, 600_001)
     vals = np.abs(w) + 0.5 * mu * w ** 2 + (w - x) ** 2 / (2 * gamma)
     assert abs(p) <= 25.0
