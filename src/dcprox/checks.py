@@ -6,7 +6,7 @@ Each check returns (ok, measured, budget) so callers can print or assert;
 
 import numpy as np
 
-from .envelope import dce_eval, dce_fbe_equivalence_check, negate_smooth, sandwich_bounds
+from .envelope import _sandwich_at, dce_eval, dce_fbe_equivalence_check, negate_smooth
 from .prox import _as_vector
 from .two_prox import TwoProxConfig, default_relaxation, run
 
@@ -57,7 +57,7 @@ def check_sandwich(inst, gamma, points):
     worst = 0.0
     for s in points:
         ev = dce_eval(inst, gamma, s)
-        lower, upper = sandwich_bounds(inst, gamma, s)
+        lower, upper = _sandwich_at(inst, gamma, ev)
         slack = 1e-10 * (1.0 + abs(ev.env))
         if lower != np.inf:
             worst = max(worst, lower - ev.env - slack)

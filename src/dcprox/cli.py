@@ -23,7 +23,8 @@ synthetic problem, which has no random draw.
 bench runs its tasks (n, seed)-major, one solve per (solver, n, seed) task,
 on min(--jobs, tasks) processes. Each process builds the instances of an
 (n, seed) once and drops them before it builds the next (n, seed); a solve
-on a reused instance is bit-identical to one on a fresh build.
+on a reused instance is bit-identical to one on a fresh build. The two
+splits of an (n, seed), spca and spca3, share one draw of Sigma per process.
 
 Trace CSV columns: iter, env, residual, cum_prox_h, cum_prox_g, cum_grad_h,
 wall_ns. Bench table columns: solver, n, mean_iters, mean_prox_h,
@@ -177,13 +178,14 @@ def _solve_one(solver, kind, payload, tol, max_iter, gamma=None):
 
 
 def _write_trace(path, report, timing=True):
+    trace = report.trace
+    walls = trace.wall_ns if timing else [0] * len(trace)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "env", "residual", "cum_prox_h", "cum_prox_g",
                          "cum_grad_h", "wall_ns"])
-        for tp in report.trace:
-            writer.writerow([tp.k, repr(tp.env), repr(tp.residual), tp.prox_h,
-                             tp.prox_g, tp.grad_h, tp.wall_ns if timing else 0])
+        writer.writerows(zip(trace.k, map(repr, trace.env), map(repr, trace.residual),
+                             trace.prox_h, trace.prox_g, trace.grad_h, walls))
 
 
 def _write_summary(path, report, info, phi_final):
@@ -208,7 +210,7 @@ def cmd_solve(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
-    phi_final = report.trace[-1].phi if report.trace else float("nan")
+    phi_final = report.trace.phi[-1] if report.trace else float("nan")
     _write_trace(os.path.join(args.out, "trace.csv"), report, timing=args.timing)
     _write_summary(os.path.join(args.out, "summary.json"), report, info, phi_final)
     print(f"{report.solver}: {report.termination.value} after {report.iterations} "
@@ -228,18 +230,22 @@ _HELD = {}
 def _instance(kind, n, seed):
     """(SpcaInstance, instance) of ``kind`` for (n, seed), built once per process.
 
-    The instances of a previous (n, seed) are dropped before the next one
-    is built, so a process never holds two groups. A build that raises
-    leaves nothing behind, and the next task builds again. Reuse is safe:
-    the only state an instance keeps is its atoms' per-stepsize inverse
-    cache, which is formed the same way whenever it is refilled.
+    The group's first build draws A and forms Sigma; the other kind's split
+    is built on that SpcaInstance, so a process forms one Sigma per
+    (n, seed). The instances of a previous (n, seed) are dropped before the
+    next one is built, so a process never holds two groups. A build that
+    raises leaves nothing behind, and the next task builds again. Reuse is
+    safe: the only state an instance keeps is its atoms' per-stepsize
+    inverse cache, which is formed the same way whenever it is refilled.
     """
     key = (kind, n, seed)
     if key not in _HELD:
         if any(held[1:] != (n, seed) for held in _HELD):
             _HELD.clear()
+        spca = next(iter(_HELD.values()))[0] if _HELD else None
         # looked up here, at call time, so that a wrapped builder is used
-        _HELD[key] = (make_spca3 if kind == "spca3" else make_spca)(n, seed=seed)
+        build = make_spca3 if kind == "spca3" else make_spca
+        _HELD[key] = build(n, seed=seed, spca=spca)
     return _HELD[key]
 
 
@@ -262,7 +268,7 @@ def _bench_task(task):
             "converged": report.termination is Termination.CONVERGED,
             "iters": report.iterations, "prox_h": prox_h, "prox_g": prox_g,
             "grad_h": grad_h,
-            "wall_ns": report.trace[-1].wall_ns if (timing and report.trace) else 0}
+            "wall_ns": report.trace.wall_ns[-1] if (timing and report.trace) else 0}
 
 
 def cmd_bench(args):

@@ -195,7 +195,11 @@ def sandwich_bounds(inst, gamma, s):
     = upper; infinite values pass through when a prox point leaves the
     other function's domain.
     """
-    ev = dce_eval(inst, gamma, s)
+    return _sandwich_at(inst, gamma, dce_eval(inst, gamma, s))
+
+
+def _sandwich_at(inst, gamma, ev):
+    """``sandwich_bounds`` from the evaluated ``Iterate`` of its point."""
     gap = metric_half_sq(ev.v - ev.u, gamma)
     lower = inst.phi(ev.v)
     upper = inst.phi(ev.u)
@@ -230,7 +234,11 @@ def envelope_of_smooth_pair(f, g, gamma, s):
     Moreau value of -f is computed through the backward prox point.
     """
     s = _as_vector(s)
-    u = backward_smooth_prox(f, gamma, s)
+    return _smooth_pair_envelope_at(f, g, gamma, s, backward_smooth_prox(f, gamma, s))
+
+
+def _smooth_pair_envelope_at(f, g, gamma, s, u):
+    """``envelope_of_smooth_pair`` at s from its backward prox point u."""
     d = u - s
     h_env = -f.value(u) + 0.5 * float(d.dot(d)) / gamma
     return moreau_value(g, gamma, s) - h_env
@@ -245,7 +253,8 @@ def dce_fbe_equivalence_check(f, g, gamma, points):
     """
     worst = 0.0
     for s in points:
-        env = envelope_of_smooth_pair(f, g, gamma, s)
+        s = _as_vector(s)
         u = backward_smooth_prox(f, gamma, s)
+        env = _smooth_pair_envelope_at(f, g, gamma, s, u)
         worst = max(worst, abs(env - fbe_value(f, g, gamma, u)))
     return worst

@@ -160,15 +160,28 @@ def _spca_instance(n, kappa, seed):
                         lam_max=power_lambda_max(sigma), s0=s0)
 
 
-def make_spca(n, kappa=None, seed=0):
+def _spca_for(n, kappa, seed, spca):
+    """``spca`` if given, else a new build; ValueError if ``spca`` is the
+    SpcaInstance of another (n, seed) or kappa (None: the declared default)."""
+    if spca is None:
+        return _spca_instance(n, kappa, seed)
+    want = kappa_default(spca.sigma) if kappa is None else kappa
+    if (spca.n, spca.seed, spca.kappa) != (n, seed, want):
+        raise ValueError(f"spca= holds (n, seed, kappa) = ({spca.n}, {spca.seed}, "
+                         f"{spca.kappa!r}), not ({n}, {seed}, {want!r})")
+    return spca
+
+
+def make_spca(n, kappa=None, seed=0, *, spca=None):
     """Build a sparse-PCA instance and its two-function splitting.
 
     g = kappa*||.||_1 + indicator of the unit ball, h = s'Sigma s/2. The
     returned DC instance carries the smooth oracle for h and the
     closed-form DC-iteration subproblem (shrink the gradient, normalize to
-    the sphere).
+    the sphere). ``spca``, the SpcaInstance of the same (n, seed, kappa),
+    skips the draw and the product: the split is built on its Sigma.
     """
-    spca = _spca_instance(n, kappa, seed)
+    spca = _spca_for(n, kappa, seed, spca)
     kappa, sigma = spca.kappa, spca.sigma
 
     def dca_step(v, _k=kappa):
@@ -183,9 +196,13 @@ def make_spca(n, kappa=None, seed=0):
     return spca, inst
 
 
-def make_spca3(n, kappa=None, seed=0):
-    """Three-term split of the same objective: g as above, h = 0, f quadratic."""
-    spca = _spca_instance(n, kappa, seed)
+def make_spca3(n, kappa=None, seed=0, *, spca=None):
+    """Three-term split of the same objective: g as above, h = 0, f quadratic.
+
+    ``spca`` is taken as in ``make_spca``. f is an atom of its own, not the
+    two-term split's h, because its inverse slots serve other stepsizes.
+    """
+    spca = _spca_for(n, kappa, seed, spca)
     inst = ThreeTermInstance(f=Quadratic(spca.sigma), g=L1Ball(spca.kappa),
                              h=Zero(), dim=n)
     return spca, inst

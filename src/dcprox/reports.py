@@ -2,7 +2,9 @@
 
 import enum
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -40,9 +42,47 @@ class TracePoint:
     wall_ns: int
 
 
+_FIELDS = tuple(f.name for f in fields(TracePoint))
+_columns = attrgetter(*_FIELDS)
+
+
+class Trace(Sequence):
+    """A run's trace points, kept as one list per ``TracePoint`` field.
+
+    A read-only sequence: ``len``, indices (negative ones too), slices (a
+    ``Trace``) and iteration work as on a list of ``TracePoint``s, and a
+    point is built only when it is read. Each column is the attribute named
+    after its field, e.g. ``trace.env``; it is not to be changed.
+    """
+
+    __slots__ = _FIELDS
+
+    def __init__(self, *columns):
+        for name, column in zip(_FIELDS, columns or [[] for _ in _FIELDS], strict=True):
+            setattr(self, name, column)
+
+    def __len__(self):
+        return len(self.k)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(*(column[index] for column in _columns(self)))
+        return TracePoint(*(column[index] for column in _columns(self)))
+
+    def __iter__(self):
+        return map(TracePoint, *_columns(self))
+
+    def __repr__(self):
+        return f"Trace({len(self)} points)"
+
+
 @dataclass
 class RunReport:
-    """Outcome of one solver run."""
+    """Outcome of one solver run.
+
+    ``trace`` is a ``Trace``: every evaluated iterate when the run records
+    its trace, else the final point alone.
+    """
 
     solver: str
     termination: Termination
@@ -52,7 +92,7 @@ class RunReport:
     final_v: np.ndarray
     final_t: Optional[np.ndarray] = None
     final_z: Optional[np.ndarray] = None
-    trace: list = field(default_factory=list)
+    trace: Trace = field(default_factory=Trace)
     gamma: float = 0.0
     params: dict = field(default_factory=dict)
     message: str = ""
@@ -63,14 +103,14 @@ class RunReport:
 
     @property
     def final_residual(self):
-        return self.trace[-1].residual if self.trace else 0.0
+        return self.trace.residual[-1] if self.trace else 0.0
 
     def counts(self):
         """Final cumulative (prox_h, prox_g, grad_h) call counts."""
         if not self.trace:
             return (0, 0, 0)
-        last = self.trace[-1]
-        return (last.prox_h, last.prox_g, last.grad_h)
+        trace = self.trace
+        return (trace.prox_h[-1], trace.prox_g[-1], trace.grad_h[-1])
 
 
 class CallCounter:
@@ -130,10 +170,12 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
     ``Iterate``; ``advance(it)`` steps from ``it`` and returns the next
     evaluated ``Iterate`` with the envelope decrease the step claims, or
     None for a step that makes no claim. ``phi_at(it)`` is the point at
-    which the trace evaluates the objective ``inst.phi``. Kept trace points
-    are copied into a buffer and their objective values taken with
-    ``inst.phis`` in chunks of 64 points, so that an atom's batched
-    ``values`` can read its data once per chunk; the final point is
+    which the trace evaluates the objective ``inst.phi``. The trace is kept
+    as columns (a ``Trace``): each kept point's scalars are appended as it
+    is taken, its ``phi_at`` point is copied into a buffer, and the phi
+    column is taken with ``inst.phis`` in chunks of 64 points, so that an
+    atom's batched ``values`` can read its data once per chunk; no
+    ``TracePoint`` is built while the run goes on. The final point is
     evaluated alone with ``inst.phi``, so it does not depend on
     ``record_trace``. The run stops at ``residual <= tol``, after
     ``max_iter`` evaluated iterates, or with NUMERICAL_ERROR when an
@@ -151,26 +193,32 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
         if not np.all(np.isfinite(x)):
             raise ValueError("start point must be finite")
     params = {} if params is None else params
-    trace = []
+    trace = Trace()
     points = np.empty((64, dim)) if record_trace else None
-    pending = []  # (env, residual, decrement, mark) of the rows in ``points``
     status = Termination.CONVERGED if dim == 0 else Termination.MAX_ITER
     message = ""
     it = None
     k = 0
     t0 = time.perf_counter_ns()
 
-    def trace_point(value, env, residual, decrement, mark):
-        return TracePoint(k=mark[0], env=value if env is None else env,
-                          residual=residual, phi=value, decrement=decrement,
-                          prox_h=mark[1], prox_g=mark[2], grad_h=mark[3],
-                          wall_ns=mark[4])
+    def keep(env, residual, decrement, mark):
+        """Append one point's scalars; its phi comes with ``flush``."""
+        trace.k.append(mark[0])
+        trace.env.append(env)
+        trace.residual.append(residual)
+        trace.decrement.append(decrement)
+        trace.prox_h.append(mark[1])
+        trace.prox_g.append(mark[2])
+        trace.grad_h.append(mark[3])
+        trace.wall_ns.append(mark[4])
 
-    def flush():
-        values = inst.phis(points[:len(pending)])
-        trace.extend(trace_point(value, *row)
-                     for value, row in zip(values.tolist(), pending))
-        pending.clear()
+    def flush(values):
+        """Extend the phi column by the points kept since the last flush;
+        where env is None (a method with no envelope) it takes phi."""
+        envs, phis = trace.env, trace.phi
+        start = len(phis)
+        phis.extend(values)
+        envs[start:] = [p if e is None else e for e, p in zip(envs[start:], phis[start:])]
 
     try:
         if dim:
@@ -194,11 +242,11 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
                     break
                 nxt, claim = advance(it)
                 if record_trace:
-                    points[len(pending)] = phi_at(it)
-                    pending.append((it.env, it.residual,
-                                    0.0 if claim is None else claim, mark))
-                    if len(pending) == len(points):
-                        flush()
+                    row = len(trace.k) - len(trace.phi)
+                    points[row] = phi_at(it)
+                    keep(it.env, it.residual, 0.0 if claim is None else claim, mark)
+                    if row + 1 == len(points):
+                        flush(inst.phis(points).tolist())
                 prev_env, it = it.env, nxt
     except np.linalg.LinAlgError as exc:
         status = Termination.NUMERICAL_ERROR
@@ -210,9 +258,11 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
         return RunReport(solver=solver, termination=status, iterations=0,
                          final_s=s, final_u=s, final_v=s, final_t=t, final_z=t,
                          gamma=gamma, params=params, message=message)
+    pending = len(trace.k) - len(trace.phi)
     if pending:
-        flush()
-    trace.append(trace_point(inst.phi(phi_at(it)), it.env, it.residual, 0.0, mark))
+        flush(inst.phis(points[:pending]).tolist())
+    keep(it.env, it.residual, 0.0, mark)
+    flush([inst.phi(phi_at(it))])
     return RunReport(solver=solver, termination=status, iterations=k,
                      final_s=it.s, final_u=it.u, final_v=it.v, final_t=it.t,
                      final_z=it.z, trace=trace, gamma=gamma, params=params,

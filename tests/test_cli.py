@@ -6,6 +6,7 @@ import os
 import pytest
 
 import dcprox.cli as cli
+from dcprox import problems
 from dcprox.problems import synthetic_catalogue
 
 
@@ -268,7 +269,7 @@ def test_bench_runs_the_solver_named_in_the_module(tmp_path, monkeypatch):
 
 
 def test_bench_failed_runs_write_nan_rows(tmp_path, monkeypatch):
-    def boom(n, kappa=None, seed=0):
+    def boom(n, kappa=None, seed=0, *, spca=None):
         raise RuntimeError("generator down")
     monkeypatch.setattr(cli, "make_spca", boom)
     out = tmp_path / "bench"
@@ -349,31 +350,28 @@ def test_bench_reused_instances_match_fresh_solves(tmp_path, jobs):
 
 
 def test_bench_builds_each_instance_once_and_holds_none(tmp_path, monkeypatch):
-    builds = []
+    # one Sigma per (n, seed): the group's second kind is built on the first's
+    draws = []
+    original = problems._spca_instance
 
-    def counted(kind, build):
-        def wrapper(n, kappa=None, seed=0):
-            # the previous (n, seed) is dropped before the next is built
-            assert {held[1:] for held in cli._HELD} <= {(n, seed)}
-            builds.append((kind, n, seed))
-            return build(n, kappa=kappa, seed=seed)
-        return wrapper
-    monkeypatch.setattr(cli, "make_spca", counted("spca", cli.make_spca))
-    monkeypatch.setattr(cli, "make_spca3", counted("spca3", cli.make_spca3))
+    def counted(n, kappa, seed):
+        # the previous (n, seed) is dropped before the next is built
+        assert {held[1:] for held in cli._HELD} <= {(n, seed)}
+        draws.append((n, seed))
+        return original(n, kappa, seed)
+    monkeypatch.setattr(problems, "_spca_instance", counted)
     code = cli.main(["bench", "--solvers", ",".join(REUSE_ORDER),
                      "--n-values", "10,12", "--seeds", "2", "--max-iter", "3000",
                      "--no-timing", "--out", str(tmp_path / "bench")])
     assert code == 0
-    assert sorted(builds) == sorted(
-        {(kind, n, seed) for kind in ("spca", "spca3") for n in (10, 12)
-         for seed in range(2)})
+    assert sorted(draws) == [(n, seed) for n in (10, 12) for seed in range(2)]
     assert cli._HELD == {}
 
 
 def test_bench_retries_a_build_that_raised(tmp_path, monkeypatch):
     calls = []
 
-    def boom(n, kappa=None, seed=0):
+    def boom(n, kappa=None, seed=0, *, spca=None):
         calls.append((n, seed))
         raise RuntimeError("generator down")
     monkeypatch.setattr(cli, "make_spca", boom)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dcprox as dp
-from dcprox import baselines, cli, lbfgs, three_prox, two_prox
+from dcprox import baselines, cli, lbfgs, reports, three_prox, two_prox
 from dcprox.problems import find_synthetic
 from dcprox.reports import drive
 from dcprox.three_prox import default_config
@@ -173,3 +173,46 @@ def test_trace_phi_is_exact_where_atoms_do_not_batch(name, solver, monkeypatch):
     seen = spy_on_trace_points(monkeypatch)
     report, _ = cli._solve_one(solver, "synthetic", find_synthetic(name), 1e-12, 300)
     assert [tp.phi for tp in report.trace] == seen
+
+
+def test_drive_builds_no_trace_point_while_it_runs(monkeypatch):
+    # the trace is kept as columns; a TracePoint is built only when read
+    built = []
+    original = reports.TracePoint
+
+    def counted(*args, **kwargs):
+        built.append(args or kwargs)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(reports, "TracePoint", counted)
+    spca, inst = dp.make_spca(N, seed=1)
+    cfg = dp.TwoProxConfig(gamma=0.9 / spca.lam_max, tol=0.0, max_iter=500,
+                           record_trace=True)
+    report = dp.run(inst, cfg, spca.s0)
+    assert report.iterations == len(report.trace) == 500
+    assert built == []
+    last = report.trace[-1]
+    assert len(built) == 1 and isinstance(last, original)
+
+
+def test_trace_reads_as_a_list_of_points():
+    spca, inst = dp.make_spca(N, seed=1)
+    cfg = dp.TwoProxConfig(gamma=0.9 / spca.lam_max, tol=0.0, max_iter=70)
+    trace = dp.run(inst, cfg, spca.s0).trace
+    points = [dp.TracePoint(*row) for row in zip(
+        trace.k, trace.env, trace.residual, trace.phi, trace.decrement,
+        trace.prox_h, trace.prox_g, trace.grad_h, trace.wall_ns)]
+    assert isinstance(trace, reports.Trace) and len(trace) == len(points) == 70
+    assert list(trace) == points
+    assert trace[-1] == points[-1] and trace[0] == points[0] and trace[-70] == points[0]
+    with pytest.raises(IndexError):
+        trace[70]
+    # what check_descent and residual_rate_check do with a trace
+    assert list(zip(trace, trace[1:])) == list(zip(points, points[1:]))
+    assert isinstance(trace[:-1], reports.Trace) and list(trace[:-1]) == points[:-1]
+    assert list(trace[-10::3]) == points[-10::3]
+    assert dp.residual_rate_check(dp.RunReport(
+        solver="dce", termination=dp.Termination.MAX_ITER, iterations=70,
+        final_s=spca.s0, final_u=spca.s0, final_v=spca.s0, trace=trace))
+    assert len(dp.RunReport(solver="dce", termination=dp.Termination.MAX_ITER,
+                            iterations=0, final_s=spca.s0, final_u=spca.s0,
+                            final_v=spca.s0).trace) == 0

@@ -271,6 +271,26 @@ def test_dce_fbe_equivalence_spca(rng):
     assert dev <= 1e-8 * scale
 
 
+def test_checks_evaluate_each_point_once(rng, monkeypatch):
+    # one prox_h per point for the sandwich check, one backward solve per
+    # point for the FBE check
+    calls = {"prox": 0, "backward": 0}
+    for name in calls:
+        original = getattr(dp.Quadratic, name)
+
+        def counted(self, *args, _name=name, _fn=original):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(dp.Quadratic, name, counted)
+    spca, inst = dp.make_spca(30, seed=1)
+    gamma = 0.9 / spca.lam_max
+    points = [spca.s0 + rng.standard_normal(30) for _ in range(20)]
+    assert check_sandwich(inst, gamma, points)[0]
+    f = dp.negate_smooth(inst.smooth_h)
+    assert dp.dce_fbe_equivalence_check(f, inst.g, gamma, points) <= 1e-8
+    assert calls == {"prox": 20, "backward": 20}
+
+
 def test_envelope_convexity_preserved_for_convex_smooth_part(rng):
     # convex f (concave smooth h): midpoint convexity of the envelope
     q = rng.standard_normal((6, 6))

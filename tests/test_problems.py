@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dcprox as dp
+from dcprox import cli
 from dcprox.problems import (
     _generate_spca_data,
     _rng_for,
@@ -168,6 +169,39 @@ def test_make_spca3_exercises_all_three_parts():
     assert isinstance(inst.g, dp.L1Ball)
     assert isinstance(inst.h, dp.Zero)
     assert inst.dim == 8
+
+
+def _solved(solver, payload):
+    """What must match bit for bit between two solves of one (n, seed)."""
+    kind = "spca3" if solver == "three-prox" else "spca"
+    report, _ = cli._solve_one(solver, kind, payload, 1e-6, 300)
+    trace = report.trace
+    return (report.termination, report.iterations, report.final_s.tobytes(),
+            trace.env, trace.residual, trace.phi, trace.decrement,
+            trace.prox_h, trace.prox_g, trace.grad_h)
+
+
+@pytest.mark.parametrize("first,second", [("three-prox", "dce"), ("dce", "three-prox")])
+def test_splits_built_on_one_sigma_match_fresh_builds(first, second):
+    builds = {"three-prox": dp.make_spca3, "dce": dp.make_spca}
+    held = builds[first](12, seed=1)
+    solved_first = _solved(first, held)
+    spca, inst = builds[second](12, seed=1, spca=held[0])
+    assert spca is held[0]
+    atom = inst.f if second == "three-prox" else inst.h
+    assert atom.sigma is spca.sigma  # Sigma is shared, not copied
+    assert atom is not (held[1].f if first == "three-prox" else held[1].h)
+    assert _solved(second, (spca, inst)) == _solved(second, builds[second](12, seed=1))
+    assert _solved(first, held) == solved_first
+
+
+def test_splits_reject_the_instance_of_another_problem():
+    spca = dp.make_spca(12, seed=1)[0]
+    for build in (dp.make_spca, dp.make_spca3):
+        assert build(12, kappa=spca.kappa, seed=1, spca=spca)[0] is spca
+        for n, kappa, seed in ((13, None, 1), (12, None, 2), (12, 0.5, 1)):
+            with pytest.raises(ValueError, match="spca= holds"):
+                build(n, kappa=kappa, seed=seed, spca=spca)
 
 
 def test_spca_rejects_bad_arguments():
