@@ -7,10 +7,12 @@ in one process on the same machine state. Every round solves each
 (solver, seed) on the sparse-PCA instances of every tree, the trees taking
 turns in alternating order; a solve's time is the minimum over the rounds.
 The table prints microseconds per iteration (summed minimum times over
-summed iterations across seeds) and, with ``--calls``, the Python calls
-into the package per iteration on the first seed, counted with
-``sys.setprofile``. Solves go through ``cli._solve_one``, as ``dcprox
-bench`` runs them (traces recorded, tol 1e-6, budget 2000).
+summed iterations across seeds), the oracle calls per iteration on the
+first seed from the report's counts (prox_h/prox_g/grad_h, the columns
+of a trace), and, with ``--calls``, the Python calls into the package per
+iteration on the first seed, counted with ``sys.setprofile``. Solves go
+through ``cli._solve_one``, as ``dcprox bench`` runs them (traces
+recorded, tol 1e-6, budget 2000).
 
     python3 scripts/iter_cost.py OTHER_CHECKOUT/src src --n 300 --k 16
 
@@ -82,8 +84,9 @@ def main():
         payload = payloads[i][(kinds[solver], seed)]
         return trees[i].cli._solve_one(solver, kinds[solver], payload, 1e-6, 2000)[0]
 
-    best = {}   # (tree, solver, seed) -> min seconds
-    iters = {}  # (tree, solver, seed) -> iterations
+    best = {}    # (tree, solver, seed) -> min seconds
+    iters = {}   # (tree, solver, seed) -> iterations
+    oracle = {}  # (tree, solver) -> (prox_h, prox_g, grad_h) per iteration, first seed
     for r in range(args.k):
         order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
         for i in order:
@@ -95,6 +98,9 @@ def main():
                     key = (i, solver, seed)
                     best[key] = min(best.get(key, dt), dt)
                     iters[key] = report.iterations
+                    if seed == args.seeds[0]:
+                        oracle[i, solver] = [c / report.iterations
+                                             for c in report.counts()]
 
     calls = {}
     if args.calls:
@@ -110,7 +116,8 @@ def main():
     for i, src in enumerate(args.trees):
         print(f"  tree {i}: {os.path.abspath(src)}")
     head = f"{'solver':<11} {'iters':>7}" + "".join(
-        f" {'us/it ' + str(i):>10}" for i in range(len(trees)))
+        f" {'us/it ' + str(i):>10}" for i in range(len(trees))) + "".join(
+        f" {'h/g/grad per it ' + str(i):>18}" for i in range(len(trees)))
     if calls:
         head += "".join(f" {'calls/it ' + str(i):>11}" for i in range(len(trees)))
     print(head)
@@ -121,7 +128,9 @@ def main():
         totals = [a + b for a, b in zip(totals, times)]
         same = len(set(counts)) == 1
         row = f"{solver:<11} {counts[0] if same else 'differ':>7}" + "".join(
-            f" {1e6 * t / c:>10.1f}" for t, c in zip(times, counts))
+            f" {1e6 * t / c:>10.1f}" for t, c in zip(times, counts)) + "".join(
+            f" {'/'.join(f'{x:.2f}' for x in oracle[i, solver]):>18}"
+            for i in range(len(trees)))
         if calls:
             row += "".join(f" {calls[i, solver]:>11.1f}" for i in range(len(trees)))
         print(row)

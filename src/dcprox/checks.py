@@ -22,16 +22,21 @@ def finite_difference_gradient(fun, x, step):
     return grad
 
 
-def check_gradient(inst, gamma, points):
-    """Envelope gradient vs central differences at the given points.
+def evaluate_points(inst, gamma, points):
+    """The ``dce_eval`` iterates of the sample points at gamma, which the
+    checks below take, so that each point is evaluated once at a stepsize."""
+    return [dce_eval(inst, gamma, s) for s in points]
+
+
+def check_gradient(inst, gamma, evals):
+    """Envelope gradient vs central differences at the evaluated points.
 
     Measures ||fd - grad|| / (1 + ||grad||) with the documented step
     1e-5*(1 + ||s||); returns (ok, worst, 1e-5).
     """
     worst = 0.0
-    for s in points:
-        s = _as_vector(s)
-        ev = dce_eval(inst, gamma, s)
+    for ev in evals:
+        s = ev.s
         step = 1e-5 * (1.0 + float(np.linalg.norm(s)))
         fd = finite_difference_gradient(lambda x: dce_eval(inst, gamma, x).env, s, step)
         err = float(np.linalg.norm(fd - ev.grad)) / (1.0 + float(np.linalg.norm(ev.grad)))
@@ -52,11 +57,10 @@ def check_descent(inst, cfg, s0):
     return ok, worst, 0.0
 
 
-def check_sandwich(inst, gamma, points):
-    """lower <= env <= upper at each point; returns the worst violation."""
+def check_sandwich(inst, gamma, evals):
+    """lower <= env <= upper at each evaluated point; returns the worst violation."""
     worst = 0.0
-    for s in points:
-        ev = dce_eval(inst, gamma, s)
+    for ev in evals:
         lower, upper = _sandwich_at(inst, gamma, ev)
         slack = 1e-10 * (1.0 + abs(ev.env))
         if lower != np.inf:
@@ -66,13 +70,14 @@ def check_sandwich(inst, gamma, points):
     return worst <= 0.0, worst, 0.0
 
 
-def check_fbe(inst, gamma, points):
-    """Envelope vs forward-backward surrogate for smooth-h instances."""
+def check_fbe(inst, gamma, evals):
+    """Envelope vs forward-backward surrogate for smooth-h instances, at the
+    evaluated points; their envelope values set the budget's scale."""
     if inst.smooth_h is None:
         return True, 0.0, 1e-8
     f = negate_smooth(inst.smooth_h)
-    dev = dce_fbe_equivalence_check(f, inst.g, gamma, points)
-    scale = 1.0 + max(abs(dce_eval(inst, gamma, _as_vector(s)).env) for s in points)
+    dev = dce_fbe_equivalence_check(f, inst.g, gamma, [ev.s for ev in evals])
+    scale = 1.0 + max(abs(ev.env) for ev in evals)
     return dev <= 1e-8 * scale, dev, 1e-8 * scale
 
 
@@ -111,20 +116,27 @@ def common_subgradient_gap(inst, gamma, s, u, v, sample_points, slack):
 
 
 def run_instance_checks(inst, gamma, s0, rng):
-    """The standard battery; returns a list of (name, ok, measured, budget)."""
+    """The standard battery; returns a list of (name, ok, measured, budget).
+
+    Each of the 20 sample points is evaluated once at gamma, and once more
+    at the FBE check's stepsize only where that differs from gamma.
+    """
     s0 = _as_vector(s0)
     points = [s0 + rng.standard_normal(inst.dim) for _ in range(20)]
+    evals = evaluate_points(inst, gamma, points)
     results = []
-    ok, worst, budget = check_gradient(inst, gamma, points)
+    ok, worst, budget = check_gradient(inst, gamma, evals)
     results.append(("gradient-fd", ok, worst, budget))
     cfg = TwoProxConfig(gamma=gamma, lam=default_relaxation(gamma, inst.mu))
     ok, worst, budget = check_descent(inst, cfg, s0)
     results.append(("descent-50-iters", ok, worst, budget))
-    ok, worst, budget = check_sandwich(inst, gamma, points)
+    ok, worst, budget = check_sandwich(inst, gamma, evals)
     results.append(("sandwich-bounds", ok, worst, budget))
     if inst.smooth_h is not None:
         lip = inst.smooth_h.lipschitz
         fbe_gamma = gamma if lip == 0 or gamma < 1.0 / lip else 0.9 / lip
-        ok, worst, budget = check_fbe(inst, fbe_gamma, points)
+        fbe_evals = evals if fbe_gamma == gamma else evaluate_points(inst, fbe_gamma,
+                                                                     points)
+        ok, worst, budget = check_fbe(inst, fbe_gamma, fbe_evals)
         results.append(("dce-fbe-equivalence", ok, worst, budget))
     return results

@@ -16,7 +16,9 @@ Problems are JSON documents, inline or in a file:
     {"kind": "spca3", "n": 100, "seed": 0}
     {"kind": "synthetic", "name": "quad-linear-1d"}
 A null/absent kappa means the declared default 0.1*max_i sqrt(Sigma_ii);
-n is an integer, seed a nonnegative one and kappa finite and nonnegative.
+n is an integer from 2 up to the largest whose build, about 60*n^2 bytes,
+fits in physical memory (so is each --n-values entry of bench), seed a
+nonnegative integer and kappa finite and nonnegative.
 A key not shown for its kind above is an error, and so is --seed on a
 synthetic problem, which has no random draw.
 
@@ -44,7 +46,7 @@ import numpy as np
 
 from .baselines import dca_run, drs_run, fbs_run
 from .lbfgs import run_lbfgs
-from .problems import make_spca, make_spca3, problem_from_json
+from .problems import make_spca, make_spca3, max_spca_n, problem_from_json
 from .reports import Termination
 from .three_prox import default_config, run3
 from .two_prox import TwoProxConfig, default_relaxation, run
@@ -80,6 +82,10 @@ class BenchConfig:
                     f"{flag} repeats a value: {','.join(map(str, values))}")
         if any(n < 2 for n in self.n_values):
             raise ValueError("n must be at least 2")
+        most = max_spca_n()
+        if max(self.n_values) > most:
+            raise ValueError(f"--n-values holds {max(self.n_values)}, above {most}, the "
+                             "largest n whose build (60*n^2 bytes) fits in memory")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         for name in ("seeds", "max_iter", "jobs"):

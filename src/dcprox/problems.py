@@ -16,8 +16,9 @@ before the eigensolve for lambda_max.
 """
 
 import json
+import os
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isqrt, sqrt
 from typing import Optional
 
 import numpy as np
@@ -147,6 +148,13 @@ def _generate_spca_data(n, seed):
     s0 = rng.standard_normal(n)
     s0 /= np.linalg.norm(s0)
     return a, sigma, s0
+
+
+def max_spca_n():
+    """The largest n whose build floor, 60*n^2 bytes, fits in this machine's
+    physical memory: A at 24*n^2 (2*n^2 nonzeros at 12 bytes), one row block
+    at 20*n^2, Sigma and one n x n product at 16*n^2."""
+    return isqrt(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 60)
 
 
 def _spca_instance(n, kappa, seed):
@@ -359,5 +367,9 @@ def problem_from_json(text):
     if kappa is not None and not (type(kappa) in (int, float) and 0 <= kappa < np.inf):
         raise ValueError('"kappa" must be null or a finite nonnegative number, '
                          f"got {json.dumps(kappa)}")
+    n, most = _integer(doc, "n", None, 2), max_spca_n()
+    if n > most:
+        raise ValueError(f'"n" must be at most {most}, the largest whose build '
+                         f"(60*n^2 bytes) fits in this machine's memory; got {n}")
     build = make_spca3 if kind == "spca3" else make_spca
-    return kind, build(_integer(doc, "n", None, 2), kappa, _integer(doc, "seed", 0, 0))
+    return kind, build(n, kappa, _integer(doc, "seed", 0, 0))

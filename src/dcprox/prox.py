@@ -42,6 +42,26 @@ def _check_gamma(gamma):
         raise ValueError(f"stepsize must be positive and finite, got {gamma}")
 
 
+def _check_gamma_mu(gamma, mu):
+    """ValueError unless gamma*mu < 1: at a larger stepsize the prox of a
+    function that is mu-hypoconvex (convex after adding mu/2 ||.||^2) is
+    undefined."""
+    if gamma * mu >= 1.0:
+        raise ValueError(f"gamma*mu must stay below 1, got {gamma * mu}")
+
+
+def _check_finite(x):
+    """ValueError unless every entry of the float64 vector x is finite.
+
+    A finite x @ x proves every entry finite; only when it is not (a
+    non-finite entry, or finite entries whose squares overflow) does the
+    elementwise test decide. BLAS ``ddot`` takes the dot without numpy's
+    overflow warning (its wrapper rejects n = 0, which is finite).
+    """
+    if x.size and not isfinite(ddot(x, x)) and not np.isfinite(x).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _symmetric_matrix(mat, name):
     """``mat`` as a C-ordered float64 array; ValueError unless square and symmetric.
 
@@ -104,16 +124,11 @@ def _spd_inverse(mat):
 
 def _apply_inverse(inverse, x):
     """inverse @ x, reading one triangle of the symmetric ``inverse``, after
-    a check that x is finite (ValueError if not).
-
-    A finite x @ x proves every entry finite; only when it is not (a
-    non-finite entry, or finite entries whose squares overflow) does the
-    elementwise test decide. BLAS ``ddot`` takes the dot without numpy's
-    overflow warning (its wrapper rejects n = 0, which is finite).
-    """
+    ``_check_finite`` (ValueError unless x is finite). Its first test runs
+    inline, so a finite x, the common case, costs no further call."""
     x = _as_vector(x)
-    if x.size and not isfinite(ddot(x, x)) and not np.isfinite(x).all():
-        raise ValueError("array must not contain infs or NaNs")
+    if x.size and not isfinite(ddot(x, x)):
+        _check_finite(x)
     return _symv(inverse, x)
 
 

@@ -19,7 +19,7 @@ from math import sqrt
 import numpy as np
 
 from .envelope import env_value_from_pair
-from .prox import _as_vector, validate_diagonal
+from .prox import _as_vector, _check_gamma_mu, validate_diagonal
 from .reports import CallCounter, Iterate, drive
 
 
@@ -41,8 +41,7 @@ class TwoProxConfig:
     def validate(self, mu=0.0):
         if not 0.0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if self.gamma * mu >= 1.0:
-            raise ValueError(f"gamma*mu must stay below 1, got {self.gamma * mu}")
+        _check_gamma_mu(self.gamma, mu)
         hi = 2.0 * (1.0 - self.gamma * mu)
         if not 0.0 < self.lam < hi:
             raise ValueError(f"lam must lie in (0, {hi}), got {self.lam}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dcprox as dp
-from dcprox.checks import check_gradient
+from dcprox.checks import check_gradient, evaluate_points
 from dcprox.envelope import envelope_of_smooth_pair
 from dcprox.reports import Termination
 from dcprox.three_prox import ThreeProxConfig
@@ -91,7 +91,8 @@ def test_criterion_1_gradient_exactness():
     for name, inst_i, gamma, s0 in cases:
         points = [np.asarray(s0, dtype=float) + rng.standard_normal(inst_i.dim)
                   for _ in range(20)]
-        worst_env = max(worst_env, check_gradient(inst_i, gamma, points)[1])
+        evals = evaluate_points(inst_i, gamma, points)
+        worst_env = max(worst_env, check_gradient(inst_i, gamma, evals)[1])
     assert worst_env <= 1e-5, f"envelope gradient fd mismatch {worst_env:.2e}"
 
     worst_psi = 0.0

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import dcprox as dp
+from dcprox import baselines, reports
+from dcprox.cli import GAMMA_POLICY
+from dcprox.problems import find_synthetic
 from dcprox.prox import CapabilityError
 
 
@@ -157,20 +162,97 @@ def test_smooth_oracle_consistent_with_prox_atom(rng):
 
 
 def test_termination_counts_include_checks():
-    # fbs: per iteration one grad_h, one prox_g for the step, one prox_h
-    # for the shared criterion
+    # the criterion's prox_h image is a point the iteration holds (the
+    # resolvent identity), so only drs's backward solve counts as prox_h.
+    # fbs: per iteration one grad_h and one prox_g, for the step and the
+    # criterion alike
     rep = dp.fbs_run(instance_a(), 0.9, 1e-10, 500, [0.0])
     prox_h, prox_g, grad_h = rep.counts()
-    assert prox_h == rep.iterations
+    assert prox_h == 0
     assert prox_g == rep.iterations
     assert grad_h == rep.iterations
-    # drs: two h-proxes (backward + criterion), one g-prox
+    # drs: one h-prox (the backward solve), one g-prox
     rep = dp.drs_run(instance_a(), 0.4, 1e-10, 500, [0.0])
     prox_h, prox_g, grad_h = rep.counts()
-    assert prox_h == 2 * rep.iterations
+    assert prox_h == rep.iterations
     assert prox_g == rep.iterations
-    # dca: criterion adds one prox_h and one prox_g on top of the subproblem
+    # dca: the criterion adds one prox_g to the subproblem solve
     rep = dp.dca_run(instance_a(), 0.9, 1e-10, 500, [0.0])
     prox_h, prox_g, grad_h = rep.counts()
-    assert prox_h == rep.iterations
+    assert prox_h == 0
     assert prox_g == 2 * rep.iterations
+
+
+# ---------------------------------------------------------------------------
+# the resolvent identity behind the shared criterion, and the rejections
+# that the criterion's prox_h call used to make
+
+BASELINES = {"fbs": dp.fbs_run, "dca": dp.dca_run, "drs": dp.drs_run}
+
+
+def identity_cases():
+    cases = [pytest.param(c.dc, c.gamma, c.s0, solver, id=f"{c.name}-{solver}")
+             for c in dp.synthetic_catalogue() for solver in c.solvers
+             if solver in BASELINES]
+    spca, inst = dp.make_spca(30, seed=0)
+    return cases + [pytest.param(inst, GAMMA_POLICY[solver] / spca.lam_max, spca.s0,
+                                 solver, id=f"spca-30-{solver}") for solver in BASELINES]
+
+
+@pytest.mark.parametrize("inst,gamma,s0,solver", identity_cases())
+def test_criterion_u_is_prox_h_of_the_criterion_point(monkeypatch, inst, gamma, s0,
+                                                      solver):
+    # the u a baseline hands drive is prox_h of its criterion point: the
+    # forward point u + gamma*grad h(u) of fbs and dca, whose u is the
+    # iterate, and drs's reflected point 2u - s, whose u is the backward point
+    seen = []
+
+    def recording_drive(solver, inst, starts, first, advance, *args, **kwargs):
+        def first_seen(*x):
+            seen.append(first(*x))
+            return seen[-1]
+
+        def advance_seen(it):
+            nxt, claim = advance(it)
+            seen.append(nxt)
+            return nxt, claim
+        return reports.drive(solver, inst, starts, first_seen, advance_seen,
+                             *args, **kwargs)
+    monkeypatch.setattr(baselines, "drive", recording_drive)
+    BASELINES[solver](inst, gamma, 0.0, 50, s0)
+    assert 0 < len(seen) <= 50
+    for it in seen:
+        if solver == "drs":
+            point = 2.0 * it.u - it.s
+        else:
+            assert np.array_equal(it.u, it.s)
+            point = it.u + gamma * inst.smooth_h.grad(it.u)
+        # the residual's prox_g side is evaluated at this same point
+        assert np.array_equal(it.v, inst.g.prox(point, gamma))
+        gap = np.linalg.norm(inst.h.prox(point, gamma) - it.u)
+        assert gap <= 1e-12 * (1.0 + np.linalg.norm(it.u))
+
+
+@pytest.mark.parametrize("solver", ["fbs", "dca"])
+def test_nan_gradient_mid_run_raises(solver):
+    # the criterion point turns NaN with the gradient; the solver raises
+    # there, as the criterion's prox_h did, rather than run to its budget
+    spca, inst = dp.make_spca(12, seed=1)
+    grad, calls = inst.smooth_h.grad, []
+
+    def turning_nan(x):
+        calls.append(x)
+        return grad(x) if len(calls) < 5 else np.full_like(x, np.nan)
+    inst = dataclasses.replace(
+        inst, smooth_h=dataclasses.replace(inst.smooth_h, grad=turning_nan))
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        BASELINES[solver](inst, 0.9 / spca.lam_max, 0.0, 50, spca.s0)
+    assert len(calls) == 5
+
+
+def test_dca_refuses_gamma_mu_of_one():
+    # abs-hypo-1d has mu = 0.5, so at gamma = 2 its prox_h is undefined
+    synth = find_synthetic("abs-hypo-1d")
+    inst = dataclasses.replace(synth.dc, dca_step=lambda v: np.zeros_like(v))
+    with pytest.raises(ValueError, match=r"gamma\*mu must stay below 1, got 1.0"):
+        dp.dca_run(inst, 2.0, 1e-6, 10, synth.s0)

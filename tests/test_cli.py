@@ -55,6 +55,18 @@ def test_solve_explicit_gamma_is_not_clamped_on_synthetic(tmp_path, capsys):
     assert code == 0
 
 
+def test_solve_refuses_a_stepsize_where_prox_h_is_undefined(tmp_path, capsys):
+    # abs-hypo-1d has mu = 0.5: at gamma = 3 drs's backward solve exists,
+    # but the prox_h behind its stopping test does not
+    out = tmp_path / "x"
+    code = cli.main(["solve", '{"kind": "synthetic", "name": "abs-hypo-1d"}',
+                     "--solver", "drs", "--gamma", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: gamma*mu must stay below 1, got 1.5\n", err
+    assert not out.exists()
+
+
 def test_solve_three_prox_rejects_gamma(tmp_path, capsys):
     code = cli.main(["solve", '{"kind": "spca3", "n": 10, "seed": 0}',
                      "--solver", "three-prox", "--gamma", "5",
@@ -102,6 +114,31 @@ def test_solve_rejects_invalid_problem_documents(tmp_path, capsys, doc, key):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
     assert not out.exists()
+
+
+def test_n_above_the_memory_bound_is_rejected_before_any_build(tmp_path, capsys,
+                                                              monkeypatch):
+    # the bound is read from the message only; nothing near it is built
+    builds = []
+    monkeypatch.setattr(problems, "make_spca",
+                        lambda n, kappa, seed: builds.append(n) or (None, None))
+    most = problems.max_spca_n()
+    code = cli.main(["solve", '{"kind": "spca", "n": 10000000}', "--solver", "dce",
+                     "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (f'error: "n" must be at most {most}, the largest whose build '
+                   "(60*n^2 bytes) fits in this machine's memory; got 10000000\n"), err
+    code = cli.main(["bench", "--n-values", "100,10000000", "--out", str(tmp_path / "b")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: --n-values holds 10000000") and f" {most}," in err
+    assert err.count("\n") == 1, err
+    assert builds == [] and not (tmp_path / "b").exists()
+    # n = 1000, about 60 MB, passes both checks and reaches the builder
+    cli.BenchConfig(n_values=(100, 1000))
+    problems.problem_from_json('{"kind": "spca", "n": 1000}')
+    assert builds == [1000]
 
 
 def test_solve_rejects_seed_on_synthetic(tmp_path, capsys):
@@ -183,9 +220,9 @@ PINNED_TABLE = "".join(row + "\r\n" for row in [
     "solver,n,mean_iters,mean_prox_h,mean_prox_g,mean_grad_h,mean_wall_ns,seeds",
     "dce,12,320.5,320.5,320.5,0.0,0.0,2",
     "dce-lbfgs,12,28.0,29.0,30.0,0.0,0.0,2",
-    "fbs,12,177.5,177.5,177.5,177.5,0.0,2",
-    "dca,12,80.5,80.5,161.0,80.5,0.0,2",
-    "drs,12,160.0,320.0,160.0,0.0,0.0,2",
+    "fbs,12,177.5,0.0,177.5,177.5,0.0,2",
+    "dca,12,80.5,0.0,161.0,80.5,0.0,2",
+    "drs,12,160.0,160.0,160.0,0.0,0.0,2",
     "three-prox,12,2682.0,2682.0,5364.0,0.0,0.0,2",
 ])
 
@@ -210,22 +247,22 @@ def test_bench_deterministic_bytes_without_timing(tmp_path):
 SYNTHETIC_DIGESTS = {
     "quad-linear-1d/dce": "06d20366950399ff6191e1f935f007ce0d1042d120f19d488f2724ecf8887359",
     "quad-linear-1d/dce-lbfgs": "9deb4cb756e51170bbaf6f66699abf86f17d9a40c73061001e1337819c1aeb48",
-    "quad-linear-1d/fbs": "7281d7bdc411fe746f7e1a4ff589496d25d027c96e31436b496b4b9f5cee4273",
-    "quad-linear-1d/dca": "4b73f9ac326c7ebf57a092ac317a5e5b7c4b72aa76617449f7fb37e5d7d7a245",
-    "quad-linear-1d/drs": "704a0ffd489dbaf3482e1f88a61256174369b81b82bd7eb4876315f4ff48b55e",
+    "quad-linear-1d/fbs": "42476524ea0d5f1602e0c8c05071011291e76004a896d14798f3e6a2fcd495c2",
+    "quad-linear-1d/dca": "4284e5636f07cac045f64fdbce4ed0559b7fc43e2930485833841213594cea5c",
+    "quad-linear-1d/drs": "3f8b3dd995fafff99b4be498457b093cf1154007df549cf831cb1341d092d7bd",
     "abs-quad-1d/dce": "7fc3d1d7b4e8aff206489d8558110df742274431df8f4caca60a93897ec3a7d4",
     "abs-quad-1d/dce-lbfgs": "e8073c0e5b3b6954db36331b686435a44685b4ca4deb2766e3c013f1800b8609",
-    "abs-quad-1d/fbs": "d181bbacf118a9ecee8aeae1639196920c79775574823b4a3957ab92a6371db8",
-    "abs-quad-1d/drs": "ced0dcef833f75b2c4d86ba374f0ce5cf47a7c09a29cd374a184cfdc8180542e",
+    "abs-quad-1d/fbs": "029c942917db4cc357a5a513e86ed1a0ea527d9b147f7fa80a92478d18eb6dbb",
+    "abs-quad-1d/drs": "9fc09670a62c6a5ad74dcaefc52bd1306ca9ba473c9f4f4f35eb31034097a519",
     "abs-hypo-1d/dce": "360c1ae0c58c27a6dc640cad7138cd96fa54d0206a5cb79f086c52f01d528681",
     "abs-hypo-1d/dce-lbfgs": "2612dad494d06aa0f3de7411a8705532e7d37f62d3f153abe792a1d45b6ae00c",
-    "abs-hypo-1d/fbs": "b2ed0545f0ccb6fabdcce619af6df6bc72f4033a2fb257e003d3f5129170b610",
-    "abs-hypo-1d/drs": "fec93b3460e409b077ee46fd05bc1ebec8020c9f434b3d66cee2f341344112fc",
+    "abs-hypo-1d/fbs": "4160b93a50a1c08c118a56c3fa421eedd5e82aa71a6e4db0a241476e3fe2f9d8",
+    "abs-hypo-1d/drs": "2662d15673ebaaeb670f2a7cc6dc84d28ec21f77457aaff1012bf27598e3cddf",
     "separable-2d/dce": "1486ab7654890c0dadd8357afe5b8c392409711c23f8b251889abdfccfd9716e",
     "separable-2d/dce-lbfgs": "419ce83d28d780134a29578ea09eac60473d1359a17d3a735111e62ab6178781",
-    "separable-2d/fbs": "6b51f1f86329e1654f95d8d7bc7df46e9c92db0f9e2002b34dc213e875d9e3af",
-    "separable-2d/dca": "a119208df43f23f36153967db50b7a6def564489a0748233a465abe817a737dd",
-    "separable-2d/drs": "acea9fa07ad5da4989ea77a9a9f91ceba3413eeaecddaad54e00a9c65df83a19",
+    "separable-2d/fbs": "33fa0c051d06edff58dd4492d1bdd4875f8e5b59178ff0d45b834e9a759ae79d",
+    "separable-2d/dca": "581c263c8e738fb3b0a10c7a707ae6131e9e38b3efbdc5d014468f5e5293bc64",
+    "separable-2d/drs": "a360b0dab5caa15bcc2ff41c0c58675dbb862d9284cdea5391897ad40c4cfbfe",
     "three-quad-1d/three-prox": "4493969359083e35b69f53095d5c6918483172e3f9e8a962b0c42cf349940626",
 }
 
@@ -321,8 +358,9 @@ def test_bench_pool_never_exceeds_task_count(tmp_path, monkeypatch, n_values,
     assert RecordingPool.sizes == pools
 
 
-# drs evicts the gamma = 0.9/lambda_max inverse of the shared quadratic, so
-# the dce run after it must form that inverse again
+# drs runs first, so its backward solve fills the shared quadratic's t < 0
+# inverse slot before the other solvers fill the t > 0 one; every solve on
+# the reused instances must match a fresh build's
 REUSE_ORDER = ("drs", "three-prox", "dce", "fbs", "dca", "dce-lbfgs")
 
 

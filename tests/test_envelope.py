@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import dcprox as dp
-from dcprox.checks import check_gradient, check_sandwich, finite_difference_gradient
+from dcprox.checks import (
+    check_gradient,
+    check_sandwich,
+    evaluate_points,
+    finite_difference_gradient,
+    run_instance_checks,
+)
 from dcprox.envelope import dc_value, env_value_from_pair, envelope_of_smooth_pair
 from dcprox.problems import find_synthetic
 from dcprox.reports import Iterate
@@ -61,7 +67,7 @@ def test_envelope_matches_moreau_difference(rng):
 @pytest.mark.parametrize("name,inst,gamma,s0", catalogue_dc())
 def test_gradient_matches_finite_differences(name, inst, gamma, s0, rng):
     points = [s0 + rng.standard_normal(inst.dim) for _ in range(20)]
-    ok, worst, budget = check_gradient(inst, gamma, points)
+    ok, worst, budget = check_gradient(inst, gamma, evaluate_points(inst, gamma, points))
     assert ok, f"{name}: fd mismatch {worst:.2e} > {budget:.2e}"
 
 
@@ -90,7 +96,7 @@ def test_sandwich_on_random_points(rng):
     spca, inst = dp.make_spca(20, seed=1)
     gamma = 0.9 / spca.lam_max
     points = [rng.standard_normal(20) for _ in range(10)]
-    ok, worst, _ = check_sandwich(inst, gamma, points)
+    ok, worst, _ = check_sandwich(inst, gamma, evaluate_points(inst, gamma, points))
     assert ok, f"violation {worst}"
 
 
@@ -134,8 +140,8 @@ def test_hypoconvex_eval_consistent_with_raw_proxes():
 
 def test_hypoconvex_gradient_finite_differences(rng):
     inst = dp.DcInstance(g=dp.L1Norm(), h=dp.ScaledSquare(-0.5), dim=1, mu=0.5)
-    ok, worst, budget = check_gradient(
-        inst, 1.5, [rng.standard_normal(1) * 2 for _ in range(20)])
+    points = [rng.standard_normal(1) * 2 for _ in range(20)]
+    ok, worst, budget = check_gradient(inst, 1.5, evaluate_points(inst, 1.5, points))
     assert ok, worst
 
 
@@ -271,9 +277,8 @@ def test_dce_fbe_equivalence_spca(rng):
     assert dev <= 1e-8 * scale
 
 
-def test_checks_evaluate_each_point_once(rng, monkeypatch):
-    # one prox_h per point for the sandwich check, one backward solve per
-    # point for the FBE check
+def count_quadratic_calls(monkeypatch):
+    """Counts of ``Quadratic.prox`` and ``Quadratic.backward`` calls, live."""
     calls = {"prox": 0, "backward": 0}
     for name in calls:
         original = getattr(dp.Quadratic, name)
@@ -282,13 +287,32 @@ def test_checks_evaluate_each_point_once(rng, monkeypatch):
             calls[_name] += 1
             return _fn(self, *args)
         monkeypatch.setattr(dp.Quadratic, name, counted)
+    return calls
+
+
+def test_checks_evaluate_each_point_once(rng, monkeypatch):
+    # one prox_h per point to evaluate it, none more for the sandwich check,
+    # one backward solve per point for the FBE check
+    calls = count_quadratic_calls(monkeypatch)
     spca, inst = dp.make_spca(30, seed=1)
     gamma = 0.9 / spca.lam_max
     points = [spca.s0 + rng.standard_normal(30) for _ in range(20)]
-    assert check_sandwich(inst, gamma, points)[0]
+    assert check_sandwich(inst, gamma, evaluate_points(inst, gamma, points))[0]
     f = dp.negate_smooth(inst.smooth_h)
     assert dp.dce_fbe_equivalence_check(f, inst.g, gamma, points) <= 1e-8
     assert calls == {"prox": 20, "backward": 20}
+
+
+def test_battery_evaluates_each_point_once_at_its_stepsize(rng, monkeypatch):
+    # gamma = 0.9/lambda_max < 1/L, so the FBE check runs at gamma too and
+    # reuses the gradient check's evaluations, as does the sandwich check:
+    # 20 points, 2 * 30 finite-difference evaluations each, 50 descent
+    # iterations; no prox_h beyond those
+    calls = count_quadratic_calls(monkeypatch)
+    spca, inst = dp.make_spca(30, seed=1)
+    results = run_instance_checks(inst, 0.9 / spca.lam_max, spca.s0, rng)
+    assert [ok for _, ok, _, _ in results] == [True] * 4
+    assert calls == {"prox": 20 * (1 + 2 * 30) + 50, "backward": 20}
 
 
 def test_envelope_convexity_preserved_for_convex_smooth_part(rng):

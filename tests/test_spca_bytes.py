@@ -35,16 +35,16 @@ BENCH = ["bench", "--no-timing", "--n-values", "100", "--seeds", "2"]
 DIGESTS = {
     "spca/30/dce": (0, "e2fe839e529835be82cee5253be834aaadcde84136601cf57c766dfba7bb3c16"),
     "spca/30/dce-lbfgs": (0, "6f7e3e235fd892cf9bc1170e4e52bd6f84f9d4bf4e33028d9e8a088afa89adff"),
-    "spca/30/fbs": (0, "fdf7ee80323407b0bb2ee2a3bb970b07ca9dba2e2bca5251e1ba67dbb372f14a"),
-    "spca/30/dca": (0, "89688fd902ddba0182ca191cb177191faeb388f99d10c9869e84ac8da16b203c"),
-    "spca/30/drs": (0, "b3c3b74e60e345453ae7bcb1382097978337ef95a7d023166473ddc662a9874d"),
+    "spca/30/fbs": (0, "d97ba36213a33f6bebddf02519255f37d3b99389072467fc7967a7809e43f7ab"),
+    "spca/30/dca": (0, "31ada950f08b92a9a72e52bfac18634c94637be47b84efd335537e49e51654a6"),
+    "spca/30/drs": (0, "c30ebeeb07ef04dc0ac631e282f271b16f8e72d0f773b8b5d172ef8e6bc6f919"),
     "spca/131/dce": (0, "11a1bbc935b1d3fb40021e1220b7c247aa1f637129686a6d70979789c4c64bc5"),
     "spca/131/dce-lbfgs": (0, "da223babf9e5f146dd0b781ac887e4d7d646843fa6d649f6bdac965699e25fca"),
-    "spca/131/fbs": (0, "6ccf19c971618358f1dd48c8240337916a9e16b96b031b78c8d3ac336cb458d1"),
-    "spca/131/dca": (0, "d276f02b08e8a1c7c3558ae8509ad1e72a0edf56f1340834eb314280526ae925"),
-    "spca/131/drs": (0, "b0f0c967edc03361cd8a8e0393edad2d86840dbd8d68b073475d34d17bbb04b1"),
+    "spca/131/fbs": (0, "ad93c0a7b42dbb2c056d4aac4c2829432e79522bf1b7fa915d5d59a537e7c3c9"),
+    "spca/131/dca": (0, "83854357b28ffe109710825dfc8eccf01e77ad3d4838c897c4577268fd521749"),
+    "spca/131/drs": (0, "feaa9b37bdec616db8108093ab79f8da0ae4ca2db6267045f88c6cc744e12f9f"),
     "spca3/30/three-prox": (2, "6a20d946bc3d291ff57a33745cb76932b934e4f343a06c24403ae19ca04f08c6"),
-    "bench": (0, "cc67c9bf36006321ad2399ba1102b90e0bac6bdec38965d819c2823dfe64f592"),
+    "bench": (0, "288feb64c4228dc71fb710c2505d3deed13fa872f58f93ed0bb542a1632eb119"),
 }
 
 
