@@ -7,15 +7,21 @@ Each tree is the directory that holds a ``dcprox`` package (a checkout's
 build runs through the tree's own ``problems._spca_instance``, with its
 stage functions wrapped in place:
 
-    draws into A   _draw_a              the random draws, written into A's CSC arrays
-    Gram           _gram_by_blocks      Sigma = A'A over dense row blocks
-    builder total  _generate_spca_data  both above plus the start vector
-    lambda_max     power_lambda_max     the dense eigensolve
+    draws into A      _draw_a              the random draws, staged and split into
+                                           A's 8 row-block CSC pieces
+    Gram over blocks  _gram_by_blocks      Sigma = A'A: each dense row block filled
+                                           from its piece, which is then freed, and
+                                           its SYRK written into Sigma's spare
+                                           triangle and summed there
+    builder total     _generate_spca_data  both above plus the start vector
+    lambda_max        power_lambda_max     the dense eigensolve
 
 then the first forward inverse (``Quadratic(Sigma).prox`` at the dce
 stepsize) and the first backward inverse (``quadratic_smooth(Sigma)``'s
-``backward`` at the drs stepsize). A tree without a stage function (one
-from before the builder was split into stages) prints "-" on that row.
+``backward`` at the drs stepsize). A tree from before the row-block pieces
+has the same stage functions: its draws write one CSC matrix, and its Gram
+sums an n x n product B.T @ B per block. A tree without a stage function
+(one from before the builder was split into stages) prints "-" on that row.
 
 Times are the minimum over ``--k`` untraced rounds, the trees taking turns
 in alternating order. Peaks come from one further run per tree under
@@ -37,7 +43,7 @@ from time import perf_counter
 
 from iter_cost import load_tree
 
-BUILD_STAGES = (("draws into A", "_draw_a"), ("Gram", "_gram_by_blocks"),
+BUILD_STAGES = (("draws into A", "_draw_a"), ("Gram over blocks", "_gram_by_blocks"),
                 ("builder total", "_generate_spca_data"), ("lambda_max", "power_lambda_max"))
 ROWS = [label for label, _ in BUILD_STAGES] + ["first inverse", "first backward inverse"]
 

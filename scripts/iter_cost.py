@@ -7,7 +7,11 @@ in one process on the same machine state. Every round solves each
 (solver, seed) on the sparse-PCA instances of every tree, the trees taking
 turns in alternating order; a solve's time is the minimum over the rounds.
 The table prints microseconds per iteration (summed minimum times over
-summed iterations across seeds), the oracle calls per iteration on the
+summed iterations across seeds); for every tree after the first, the
+median over rounds of the paired ratio of its time in a round (summed over
+seeds) to tree 0's in the same round, so that a slow stretch of the
+machine, which a minimum over rounds credits to whichever tree missed it,
+weighs on both sides of a pair; the oracle calls per iteration on the
 first seed from the report's counts (prox_h/prox_g/grad_h, the columns
 of a trace), and, with ``--calls``, the Python calls into the package per
 iteration on the first seed, counted with ``sys.setprofile``. Solves go
@@ -25,6 +29,7 @@ import importlib.util
 import os
 import sys
 import time
+from statistics import median
 
 
 def load_tree(src, name):
@@ -87,20 +92,24 @@ def main():
     best = {}    # (tree, solver, seed) -> min seconds
     iters = {}   # (tree, solver, seed) -> iterations
     oracle = {}  # (tree, solver) -> (prox_h, prox_g, grad_h) per iteration, first seed
+    rounds = {}  # (tree, solver) -> seconds of each round, summed over seeds
     for r in range(args.k):
         order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
         for i in order:
             for solver in solvers:
+                spent = 0.0
                 for seed in args.seeds:
                     t0 = time.perf_counter()
                     report = solve(i, solver, seed)
                     dt = time.perf_counter() - t0
+                    spent += dt
                     key = (i, solver, seed)
                     best[key] = min(best.get(key, dt), dt)
                     iters[key] = report.iterations
                     if seed == args.seeds[0]:
                         oracle[i, solver] = [c / report.iterations
                                              for c in report.counts()]
+                rounds.setdefault((i, solver), []).append(spent)
 
     calls = {}
     if args.calls:
@@ -117,6 +126,7 @@ def main():
         print(f"  tree {i}: {os.path.abspath(src)}")
     head = f"{'solver':<11} {'iters':>7}" + "".join(
         f" {'us/it ' + str(i):>10}" for i in range(len(trees))) + "".join(
+        f" {'ratio ' + str(i) + '/0':>10}" for i in range(1, len(trees))) + "".join(
         f" {'h/g/grad per it ' + str(i):>18}" for i in range(len(trees)))
     if calls:
         head += "".join(f" {'calls/it ' + str(i):>11}" for i in range(len(trees)))
@@ -127,8 +137,11 @@ def main():
         times = [sum(best[i, solver, s] for s in args.seeds) for i in range(len(trees))]
         totals = [a + b for a, b in zip(totals, times)]
         same = len(set(counts)) == 1
+        ratios = [median(a / b for a, b in zip(rounds[i, solver], rounds[0, solver]))
+                  for i in range(1, len(trees))]
         row = f"{solver:<11} {counts[0] if same else 'differ':>7}" + "".join(
             f" {1e6 * t / c:>10.1f}" for t, c in zip(times, counts)) + "".join(
+            f" {x:>10.3f}" for x in ratios) + "".join(
             f" {'/'.join(f'{x:.2f}' for x in oracle[i, solver]):>18}"
             for i in range(len(trees)))
         if calls:

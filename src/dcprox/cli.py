@@ -16,7 +16,7 @@ Problems are JSON documents, inline or in a file:
     {"kind": "spca3", "n": 100, "seed": 0}
     {"kind": "synthetic", "name": "quad-linear-1d"}
 A null/absent kappa means the declared default 0.1*max_i sqrt(Sigma_ii);
-n is an integer from 2 up to the largest whose build, about 60*n^2 bytes,
+n is an integer from 2 up to the largest whose build, about 48*n^2 bytes,
 fits in physical memory (so is each --n-values entry of bench), seed a
 nonnegative integer and kappa finite and nonnegative.
 A key not shown for its kind above is an error, and so is --seed on a
@@ -29,14 +29,17 @@ on a reused instance is bit-identical to one on a fresh build. The two
 splits of an (n, seed), spca and spca3, share one draw of Sigma per process.
 
 Trace CSV columns: iter, env, residual, cum_prox_h, cum_prox_g, cum_grad_h,
-wall_ns. Bench table columns: solver, n, mean_iters, mean_prox_h,
-mean_prox_g, mean_grad_h, mean_wall_ns. Exit codes: 0 converged / all checks
-pass, 2 iteration budget exhausted, 1 error. Every output embeds the seed.
+wall_ns. summary.json writes a phi_final or final_residual that is inf or
+NaN as null, so strict JSON parsers read it. Bench table columns: solver,
+n, mean_iters, mean_prox_h, mean_prox_g, mean_grad_h, mean_wall_ns.
+Exit codes: 0 converged / all checks pass, 2 iteration budget exhausted,
+1 error. Every output embeds the seed.
 """
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -46,7 +49,7 @@ import numpy as np
 
 from .baselines import dca_run, drs_run, fbs_run
 from .lbfgs import run_lbfgs
-from .problems import make_spca, make_spca3, max_spca_n, problem_from_json
+from .problems import FLOOR_PER_N2, make_spca, make_spca3, max_spca_n, problem_from_json
 from .reports import Termination
 from .three_prox import default_config, run3
 from .two_prox import TwoProxConfig, default_relaxation, run
@@ -85,7 +88,8 @@ class BenchConfig:
         most = max_spca_n()
         if max(self.n_values) > most:
             raise ValueError(f"--n-values holds {max(self.n_values)}, above {most}, the "
-                             "largest n whose build (60*n^2 bytes) fits in memory")
+                             f"largest n whose build (about {FLOOR_PER_N2}*n^2 bytes) "
+                             "fits in memory")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         for name in ("seeds", "max_iter", "jobs"):
@@ -183,23 +187,33 @@ def _solve_one(solver, kind, payload, tol, max_iter, gamma=None):
     return report, {**info, "gamma": gamma}
 
 
+# one trace row, as csv.writer writes it: no field needs quoting, and rows
+# end with the excel dialect's \r\n
+_TRACE_HEADER = "iter,env,residual,cum_prox_h,cum_prox_g,cum_grad_h,wall_ns\r\n"
+_TRACE_ROW = "%d,%r,%r,%d,%d,%d,%d\r\n"
+
+
 def _write_trace(path, report, timing=True):
     trace = report.trace
     walls = trace.wall_ns if timing else [0] * len(trace)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "env", "residual", "cum_prox_h", "cum_prox_g",
-                         "cum_grad_h", "wall_ns"])
-        writer.writerows(zip(trace.k, map(repr, trace.env), map(repr, trace.residual),
-                             trace.prox_h, trace.prox_g, trace.grad_h, walls))
+        fh.write(_TRACE_HEADER)
+        fh.writelines(_TRACE_ROW % row for row in zip(
+            trace.k, trace.env, trace.residual, trace.prox_h, trace.prox_g,
+            trace.grad_h, walls))
+
+
+def _finite_or_null(x):
+    """x, or None (JSON null) if it is inf or NaN, which strict parsers reject."""
+    return x if math.isfinite(x) else None
 
 
 def _write_summary(path, report, info, phi_final):
     doc = {"solver": report.solver,
            "termination": report.termination.value,
            "iterations": report.iterations,
-           "final_residual": report.final_residual,
-           "phi_final": phi_final,
+           "final_residual": _finite_or_null(report.final_residual),
+           "phi_final": _finite_or_null(phi_final),
            **info}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -7,22 +7,24 @@ seeded by SeedSequence([seed, n]), draws A column by column, then the
 start vector. The JSON descriptor stores (n, seed, kappa); regeneration is
 bit-exact.
 
-Memory layout of a build: A exists once, as CSC arrays (float64 values,
-int32 row indices: 12 bytes per nonzero) that the draws write into
-directly; Sigma sums B'B over 8 dense row blocks B of A, each filled from
-those arrays into one reused buffer, so the peak is A, one block, Sigma
-and one n x n product. Only Sigma and s0 outlive the build: A is dropped
+Memory layout of a build: A exists once, as 8 row-block CSC pieces
+(float64 values, 16-bit block-local row indices: 10 bytes per nonzero).
+Sigma sums B'B over the dense row blocks B of A, each filled from its
+piece into one reused buffer, after which the piece is freed; each B'B is
+written into the spare triangle of Sigma's own buffer, so the peak is A,
+one block and Sigma. Only Sigma and s0 outlive the build: A is gone
 before the eigensolve for lambda_max.
 """
 
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isqrt, sqrt
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
+from scipy.linalg.blas import dsyrk
 
 from .envelope import DcInstance, quadratic_smooth, smooth_view
 from .prox import (
@@ -72,94 +74,166 @@ class SpcaInstance:
     s0: np.ndarray = field(repr=False)
 
 
+# a row block's local row indices are 16-bit when it has at most this many rows
+_NARROW_ROWS = 1 << 16
+_STAGE = 64  # columns drawn into the staging buffer before it is split into the pieces
+_TILE = 64  # rows per tile when Sigma's triangles are summed and mirrored
+
+
 def _draw_a(rng, m, n, edges):
     """Draw A column by column, a row mask then its values (the pinned
-    order), straight into the CSC value and int32 row-index arrays.
+    order), into one CSC piece per row block edges[b]:edges[b + 1].
 
-    The arrays start at the expected nonzero count and grow in place by one
-    column's worst case when a draw overruns them; the last resize trims
-    them to size. Returns A and ``cuts``, an n x len(edges) array:
-    cuts[j, b] is the CSC position of column j's first entry in row
-    edges[b] or later, so block b of column j is positions cuts[j, b] to
-    cuts[j, b + 1].
+    A piece is (indptr, rows, values): float64 values and block-local row
+    indices, 16-bit when a block has at most 65,536 rows, else 32-bit, so
+    10 or 12 bytes per nonzero. _STAGE columns at a time are drawn into one
+    staging buffer. Its rows are kept in the pieces' index type, modulo
+    that type's range; a local row is in range, so subtracting edges[b] in
+    the same wrapping arithmetic gives it exactly. cuts[c, b] counts column
+    c's rows below edges[b], so block b's run of column c is staged at
+    cuts[c, b] to cuts[c, b + 1] past the column's start, and each block's
+    runs, column by column, are copied to the end of its piece. The staging
+    buffer and the pieces start at their expected sizes (the pieces with a
+    stage's expected entries to spare), grow in place when a draw overruns
+    them, and the pieces are trimmed to size at the end.
     """
-    data, indices = np.empty(m * n // 10), np.empty(m * n // 10, dtype=np.int32)
-    cuts = np.empty((n, len(edges)), dtype=np.int64)
-    bounds, start = np.array(edges), 0
-    for j in range(n):
-        idx = np.flatnonzero(rng.random(m) < 0.1)
-        end = start + idx.size
-        if end > data.size:  # no view of either array is alive here
-            data.resize(end + m, refcheck=False)
-            indices.resize(end + m, refcheck=False)
-        rng.standard_normal(out=data[start:end])
-        indices[start:end] = idx
-        cuts[j] = start + np.searchsorted(idx, bounds)
-        start = end
-    data.resize(start, refcheck=False)
-    indices.resize(start, refcheck=False)
-    indptr = np.append(cuts[:, 0], start)
-    return sparse.csc_matrix((data, indices, indptr), shape=(m, n)), cuts
+    index = np.uint16 if edges[1] <= _NARROW_ROWS else np.uint32
+    bounds = np.array(edges)
+    lows = bounds.astype(index)  # each block's first row, modulo the index range
+    sizes = [(hi - lo) * (n + _STAGE) // 10 for lo, hi in zip(edges, edges[1:])]
+    pieces = [(np.zeros(n + 1, dtype=np.int64), np.empty(size, dtype=index), np.empty(size))
+              for size in sizes]
+    rows, values = np.empty(_STAGE * m // 10, dtype=index), np.empty(_STAGE * m // 10)
+    uniform, mask = np.empty(m), np.empty(m, dtype=bool)
+    cuts, starts = np.empty((_STAGE, len(edges)), dtype=np.int64), np.empty(_STAGE, dtype=np.int64)
+    for c0 in range(0, n, _STAGE):
+        width, end = min(_STAGE, n - c0), 0
+        for c in range(width):
+            rng.random(out=uniform)
+            idx = np.less(uniform, 0.1, out=mask).nonzero()[0]
+            starts[c], end = end, end + idx.size
+            if end > values.size:  # no view of either buffer is alive here
+                rows.resize(end + m, refcheck=False)
+                values.resize(end + m, refcheck=False)
+            rng.standard_normal(out=values[starts[c]:end])
+            rows[starts[c]:end] = idx  # wraps modulo the index type's range
+            cuts[c] = idx.searchsorted(bounds)
+        # every run of the stage, block by block, then column by column
+        first = (cuts[:width, :-1] + starts[:width, None]).T.ravel()
+        count = np.diff(cuts[:width], axis=1).T
+        at = np.repeat(first - np.cumsum(count) + count.ravel(), count.ravel())
+        at += np.arange(at.size)  # the staged positions of those runs
+        split = np.concatenate(([0], np.cumsum(count.sum(axis=1))))
+        for b, (indptr, local, vals) in enumerate(pieces):
+            filled, size = indptr[c0], split[b + 1] - split[b]
+            if filled + size > vals.size:  # no view of the piece is alive here
+                local.resize(filled + size + sizes[b], refcheck=False)
+                vals.resize(filled + size + sizes[b], refcheck=False)
+            # "clip": every position is in range, and take's default mode
+            # would gather into a temporary before copying to ``out``
+            rows.take(at[split[b]:split[b + 1]], out=local[filled:filled + size], mode="clip")
+            local[filled:filled + size] -= lows[b]
+            values.take(at[split[b]:split[b + 1]], out=vals[filled:filled + size], mode="clip")
+            np.cumsum(count[b], out=indptr[c0 + 1:c0 + width + 1])
+            indptr[c0 + 1:c0 + width + 1] += filled
+    for indptr, local, vals in pieces:
+        local.resize(indptr[-1], refcheck=False)
+        vals.resize(indptr[-1], refcheck=False)
+    return pieces
 
 
-def _gram_by_blocks(a, cuts, edges):
-    """Sigma = A'A as the sum of B'B over the dense row blocks B = A[lo:hi].
+def _gram_by_blocks(pieces, edges):
+    """Sigma = A'A as the sum of B'B over the dense row blocks B of A,
+    consuming ``pieces``: each piece is dropped from the list, and so
+    freed, as soon as its block is filled.
 
-    Each block is filled straight from A's CSC arrays into one reused
-    C-ordered buffer, the entries of column j in block b being the run
-    cuts[j, b]:cuts[j, b + 1]. The blocks are the rows of A.tocsr() sliced
-    at ``edges`` and densified, so the sum is the same floats, in the same
-    order, as from those slices.
+    Each block is filled into one reused C-ordered buffer, and its product
+    is formed by SYRK (lower, no transpose, on the F-ordered view B') into
+    one triangle of Sigma's own buffer: the upper one, read C-ordered. The
+    running sum sits in the strict lower triangle and a diagonal vector and
+    takes each product tile by tile; the lower triangle is mirrored once at
+    the end. This SYRK is the one numpy runs for B.T @ B, whose result is
+    exactly symmetric, and the sum adds the same floats in the same order,
+    so Sigma is bit-equal to summing B.T @ B over the blocks.
     """
-    n = a.shape[1]
-    sigma = np.zeros((n, n))
+    n = len(pieces[0][0]) - 1
+    sigma, diag = np.zeros((n, n)), np.zeros(n)
     buf = np.empty((edges[1], n))
     cols = np.arange(n)
+    tiles = [(lo, min(lo + _TILE, n)) for lo in range(0, n, _TILE)]
+    below = {hi - lo: np.tri(hi - lo, k=-1, dtype=bool) for lo, hi in tiles}  # built once
     for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        indptr, rows, values = pieces[b]
+        pieces[b] = None
         block = buf[:hi - lo]
         block.fill(0.0)
-        count = cuts[:, b + 1] - cuts[:, b]
-        at = np.repeat(cuts[:, b] - np.cumsum(count) + count, count)
-        at += np.arange(at.size)  # the block's CSC positions, column by column
-        flat = np.multiply(a.indices.take(at), n, dtype=np.intp)
-        flat += np.repeat(cols - lo * n, count)  # (row - lo) * n + column
-        np.put(buf, flat, a.data.take(at))
-        del at, flat  # not held through the product
-        sigma += block.T @ block
+        for c0 in range(0, n, _STAGE):  # a column group at a time: small index temporaries
+            c1 = min(c0 + _STAGE, n)
+            start, end = indptr[c0], indptr[c1]
+            flat = np.multiply(rows[start:end], n, dtype=np.intp)
+            flat += np.repeat(cols[c0:c1], np.diff(indptr[c0:c1 + 1]))  # row * n + column
+            np.put(block, flat, values[start:end])
+        del indptr, rows, values, flat  # the piece is freed here
+        dsyrk(1.0, block.T, beta=0.0, c=sigma.T, lower=1, overwrite_c=1)
+        diag += sigma.diagonal()
+        for r0, r1 in tiles:
+            sigma[r0:r1, :r0] += sigma[:r0, r0:r1].T
+            tile = sigma[r0:r1, r0:r1]
+            np.add(tile, tile.T, out=tile, where=below[r1 - r0])
+    for r0, r1 in tiles:
+        sigma[:r0, r0:r1] = sigma[r0:r1, :r0].T
+        tile = sigma[r0:r1, r0:r1]
+        np.copyto(tile, tile.T, where=below[r1 - r0].T)
+    np.fill_diagonal(sigma, diag)
     return sigma
 
 
 def _generate_spca_data(n, seed):
-    """Return A (CSC, int32 row indices), Sigma = A'A and s0.
+    """Return Sigma = A'A and s0.
 
-    Memory: A is held once, as its CSC arrays (12 bytes per nonzero), which
-    the draws fill in place. Sigma adds B'B over 8 row blocks B of A,
-    ceil(m/8) x n each, filled one at a time into a single dense buffer; no
-    CSR copy of A is made. The peak is A, that buffer, Sigma and one n x n
-    product.
+    Memory: A is held once, as 8 row-block pieces (10 bytes per nonzero
+    below 65,536 rows per block), and each piece is freed once its dense
+    block, ceil(m/8) x n in one reused buffer, is filled. Each block's
+    product is written into Sigma's own buffer, so the peak is A, that
+    buffer and Sigma: about FLOOR_PER_N2 * n^2 bytes (``_floor_bytes``).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = _rng_for(n, seed)
     m = 20 * n
     edges = [*range(0, m, -(-m // 8)), m]  # 8 row blocks
-    a, cuts = _draw_a(rng, m, n, edges)
-    sigma = _gram_by_blocks(a, cuts, edges)
+    pieces = _draw_a(rng, m, n, edges)
+    sigma = _gram_by_blocks(pieces, edges)
     s0 = rng.standard_normal(n)
     s0 /= np.linalg.norm(s0)
-    return a, sigma, s0
+    return sigma, s0
+
+
+# a build's peak, in bytes per n^2 (_generate_spca_data): A's pieces, 2n^2
+# nonzeros at 10 bytes, one row block of 20n/8 x n doubles and Sigma; 4 more
+# once a block has too many rows for 16-bit indices. tracemalloc reads
+# 48.4 n^2 at n = 1000 (scripts/build_cost.py, "builder total")
+FLOOR_PER_N2 = 48
+
+
+def _floor_bytes(n):
+    """The peak of a build of size n, in bytes, up to terms linear in n."""
+    wide = -(-20 * n // 8) > _NARROW_ROWS
+    return (FLOOR_PER_N2 + 4 * wide) * n * n
 
 
 def max_spca_n():
-    """The largest n whose build floor, 60*n^2 bytes, fits in this machine's
-    physical memory: A at 24*n^2 (2*n^2 nonzeros at 12 bytes), one row block
-    at 20*n^2, Sigma and one n x n product at 16*n^2."""
-    return isqrt(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 60)
+    """The largest n whose build floor, ``_floor_bytes(n)``, fits in this
+    machine's physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    # the floor rises with n and is at least FLOOR_PER_N2 * n^2
+    candidates = range(isqrt(memory // FLOOR_PER_N2) + 1)
+    return bisect_right(candidates, memory, key=_floor_bytes) - 1
 
 
 def _spca_instance(n, kappa, seed):
     """The SpcaInstance of (n, seed); kappa None means the declared default."""
-    sigma, s0 = _generate_spca_data(n, seed)[1:]  # A is freed before the eigensolve
+    sigma, s0 = _generate_spca_data(n, seed)  # A is freed before the eigensolve
     if kappa is None:
         kappa = kappa_default(sigma)
     if kappa < 0:
@@ -370,6 +444,7 @@ def problem_from_json(text):
     n, most = _integer(doc, "n", None, 2), max_spca_n()
     if n > most:
         raise ValueError(f'"n" must be at most {most}, the largest whose build '
-                         f"(60*n^2 bytes) fits in this machine's memory; got {n}")
+                         f"(about {FLOOR_PER_N2}*n^2 bytes) fits in this machine's "
+                         f"memory; got {n}")
     build = make_spca3 if kind == "spca3" else make_spca
     return kind, build(n, kappa, _integer(doc, "seed", 0, 0))

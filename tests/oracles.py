@@ -22,7 +22,10 @@ same identity inline to hypoconvex pairs.
 The reference sparse-PCA builder is the straightforward construction the
 lean one in ``dcprox.problems`` must reproduce byte for byte: int64
 column lists, their concatenation, a CSR copy of A and one fresh dense row
-block per step.
+block per step, whose product is numpy's B.T @ B. The lean build holds A
+only as row-block pieces and frees each once its block is filled, so
+``assemble_a`` puts A together from the pieces and ``spca_build_with_a``
+runs the lean build with A assembled as the draws leave it.
 """
 
 import dataclasses
@@ -37,6 +40,7 @@ from dcprox import (
     ProxFunction,
     Quadratic,
     ScaledSquare,
+    problems,
     run_diag,
 )
 from dcprox.checks import finite_difference_gradient
@@ -120,6 +124,38 @@ def reference_spca_data(n, seed):
     s0 = rng.standard_normal(n)
     s0 /= np.linalg.norm(s0)
     return a, sigma, s0
+
+
+def assemble_a(pieces, edges):
+    """A (CSC) from the row-block pieces (indptr, local rows, values) of
+    ``problems._draw_a``: each column's entries of every block, in row order."""
+    n = len(pieces[0][0]) - 1
+    cols = np.concatenate([np.repeat(np.arange(n), np.diff(indptr)) for indptr, _, _ in pieces])
+    rows = np.concatenate([rows.astype(np.int64) + lo for (_, rows, _), lo in zip(pieces, edges)])
+    vals = np.concatenate([vals for _, _, vals in pieces])
+    order = np.argsort(cols, kind="stable")  # blocks stay in row order within a column
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    return sparse.csc_matrix((vals[order], rows[order], indptr), shape=(edges[-1], n))
+
+
+def spca_build_with_a(n, seed):
+    """(A, Sigma, s0, pieces' row-index dtypes) of the lean build of (n, seed),
+    A assembled from its pieces as the draws leave them, before the Gram
+    consumes them."""
+    draw, seen = problems._draw_a, {}
+
+    def drawn(rng, m, width, edges):
+        pieces = draw(rng, m, width, edges)
+        seen["a"] = assemble_a(pieces, edges)
+        seen["dtypes"] = [(rows.dtype, vals.dtype) for _, rows, vals in pieces]
+        return pieces
+
+    problems._draw_a = drawn
+    try:
+        sigma, s0 = problems._generate_spca_data(n, seed)
+    finally:
+        problems._draw_a = draw
+    return seen["a"], sigma, s0, seen["dtypes"]
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ import sys
 import pytest
 
 import dcprox as dp
+from dcprox.cli import GAMMA_POLICY
 from dcprox.three_prox import default_config
 
 PACKAGE = os.path.dirname(dp.__file__) + os.sep
 
 # calls per 64 iterations; lower them when a change saves calls
-BUDGET = {"dce": 1477, "three-prox": 1798}
+BUDGET = {"dce": 1477, "dce-lbfgs": 1771, "fbs": 1030, "dca": 1286, "drs": 1412,
+          "three-prox": 1798}
 
 
 def counted_calls(solve):
@@ -39,14 +41,20 @@ def counted_calls(solve):
 
 
 def solver(name):
-    if name == "dce":
-        spca, inst = dp.make_spca(30, seed=0)
-        gamma = 0.9 / spca.lam_max
-        return lambda budget: dp.run(
+    if name == "three-prox":
+        spca, inst = dp.make_spca3(30, seed=0)
+        return lambda budget: dp.run3(
+            inst, default_config(tol=0.0, max_iter=budget), spca.s0, spca.s0)
+    # L-BFGS reaches rounding level by iteration 65 at n = 30, where every
+    # linesearch runs out; at n = 300 its residual is 4e-4 to 4e-7 over 65-129
+    spca, inst = dp.make_spca(300 if name == "dce-lbfgs" else 30, seed=0)
+    gamma = GAMMA_POLICY[name] / spca.lam_max
+    if name in ("dce", "dce-lbfgs"):
+        run = dp.run if name == "dce" else dp.run_lbfgs
+        return lambda budget: run(
             inst, dp.TwoProxConfig(gamma=gamma, tol=0.0, max_iter=budget), spca.s0)
-    spca, inst = dp.make_spca3(30, seed=0)
-    return lambda budget: dp.run3(
-        inst, default_config(tol=0.0, max_iter=budget), spca.s0, spca.s0)
+    baseline = {"fbs": dp.fbs_run, "dca": dp.dca_run, "drs": dp.drs_run}[name]
+    return lambda budget: baseline(inst, gamma, 0.0, budget, spca.s0)
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET))

@@ -2,12 +2,14 @@ import csv
 import hashlib
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
 import dcprox.cli as cli
 from dcprox import problems
 from dcprox.problems import synthetic_catalogue
+from dcprox.reports import Termination
 
 
 def read_csv(path):
@@ -28,6 +30,22 @@ def test_solve_synthetic_converges(tmp_path):
     assert rows[0] == ["iter", "env", "residual", "cum_prox_h", "cum_prox_g",
                        "cum_grad_h", "wall_ns"]
     assert len(rows) == summary["iterations"] + 1
+
+
+@pytest.mark.parametrize("residual, phi", [(float("nan"), float("inf")),
+                                           (float("inf"), float("-inf")),
+                                           (1e-3, float("nan"))])
+def test_summary_writes_non_finite_numbers_as_null(tmp_path, residual, phi):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = SimpleNamespace(solver="dce", termination=Termination.MAX_ITER,
+                             iterations=3, final_residual=residual)
+    path = tmp_path / "summary.json"
+    cli._write_summary(path, report, {"n": 30}, phi)
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert doc["phi_final"] is None
+    assert doc["final_residual"] == (None if residual != 1e-3 else 1e-3)
 
 
 def test_solve_budget_exhaustion_exits_two(tmp_path):
@@ -123,12 +141,14 @@ def test_n_above_the_memory_bound_is_rejected_before_any_build(tmp_path, capsys,
     monkeypatch.setattr(problems, "make_spca",
                         lambda n, kappa, seed: builds.append(n) or (None, None))
     most = problems.max_spca_n()
+    assert f"about {problems.FLOOR_PER_N2}*n^2 bytes" in cli.__doc__
     code = cli.main(["solve", '{"kind": "spca", "n": 10000000}', "--solver", "dce",
                      "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert code == 1
     assert err == (f'error: "n" must be at most {most}, the largest whose build '
-                   "(60*n^2 bytes) fits in this machine's memory; got 10000000\n"), err
+                   f"(about {problems.FLOOR_PER_N2}*n^2 bytes) fits in this machine's "
+                   "memory; got 10000000\n"), err
     code = cli.main(["bench", "--n-values", "100,10000000", "--out", str(tmp_path / "b")])
     err = capsys.readouterr().err
     assert code == 1

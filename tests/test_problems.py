@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,17 +8,21 @@ import pytest
 import dcprox as dp
 from dcprox import cli
 from dcprox.problems import (
+    _draw_a,
     _generate_spca_data,
+    _gram_by_blocks,
     _rng_for,
     find_synthetic,
     problem_from_json,
 )
-from oracles import reference_spca_data
+from oracles import assemble_a, reference_spca_data, spca_build_with_a
 
 
 def test_spca_shapes_and_invariants():
-    a, _, _ = _generate_spca_data(50, seed=0)
+    # A is held as 8 row-block pieces of 16-bit local rows and float64 values
+    a, _, _, dtypes = spca_build_with_a(50, seed=0)
     assert a.shape == (1000, 50)
+    assert dtypes == [(np.uint16, np.float64)] * 8
     spca, inst = dp.make_spca(50, seed=0)
     assert spca.sigma.shape == (50, 50)
     np.testing.assert_allclose(spca.sigma, spca.sigma.T)
@@ -28,7 +33,7 @@ def test_spca_shapes_and_invariants():
 
 
 def test_spca_density_near_ten_percent():
-    a, _, _ = _generate_spca_data(100, seed=0)
+    a = spca_build_with_a(100, seed=0)[0]
     density = a.nnz / (2000 * 100)
     assert 0.08 <= density <= 0.12
 
@@ -38,7 +43,7 @@ def test_spca_sigma_against_dense_oracle(n):
     # Sigma is built from 8 row blocks of ceil(20n / 8) rows: even n split
     # the rows evenly, odd n leave a short last block; a dropped, repeated
     # or short last block shows here
-    a, sigma, _ = _generate_spca_data(n, seed=1)
+    a, sigma, _, _ = spca_build_with_a(n, seed=1)
     dense = a.toarray()
     oracle = dense.T @ dense
     assert np.abs(sigma - oracle).max() <= 1e-13 * np.abs(oracle).max()
@@ -52,7 +57,7 @@ def test_spca_random_stream_is_pinned(seed):
     n = 50
     m = 20 * n
     rng = _rng_for(n, seed)
-    a, _, s0 = _generate_spca_data(n, seed)
+    a, _, s0, _ = spca_build_with_a(n, seed)
     for j in range(n):
         idx = np.nonzero(rng.random(m) < 0.1)[0]
         vals = rng.standard_normal(idx.shape[0])
@@ -69,10 +74,10 @@ def test_spca_random_stream_is_pinned(seed):
 def test_spca_build_matches_reference_bytes(n, seed):
     # compared in-process: Sigma's bytes depend on the BLAS thread count
     # (they differ between 1 and 2 threads at n = 131 and 300), so a stored
-    # digest would pin one setting only. Five of these builds (n = 2 seed 0,
-    # n = 131 seeds 1 and 2, n = 300 seeds 0 and 1) draw more nonzeros than
-    # the expected count, so A's arrays grow during the draws
-    a, sigma, s0 = _generate_spca_data(n, seed)
+    # digest would pin one setting only. Seven of these builds (n = 130
+    # seeds 0 and 2, n = 131 seeds 1 and 2, n = 300 seeds 0 to 2) draw more
+    # nonzeros in some stage than expected, so the staging buffer grows
+    a, sigma, s0, _ = spca_build_with_a(n, seed)
     ref_a, ref_sigma, ref_s0 = reference_spca_data(n, seed)
     assert a.format == "csc" and a.shape == ref_a.shape
     for name in ("indptr", "indices", "data"):
@@ -83,21 +88,77 @@ def test_spca_build_matches_reference_bytes(n, seed):
 
 
 def test_spca_build_peak_memory_near_its_floor():
-    # floor: A's CSC arrays (8-byte values, 4-byte rows), one dense row
-    # block of ceil(m/8) x n and two n x n matrices (Sigma and one B'B);
-    # a CSR copy of A or int64 column lists held alongside would add about
-    # 12 or 16 bytes per nonzero
+    # floor: A's pieces (8-byte values, 2-byte local rows), one dense row
+    # block of ceil(m/8) x n and Sigma, into whose spare triangle each
+    # block's product is written; an n x n product temporary, 4-byte rows
+    # or an index array per nonzero held alongside would add 8 * n * n, 2
+    # or 8 bytes per nonzero
     n = 400
     m = 20 * n
+    nnz = spca_build_with_a(n, 0)[0].nnz
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        a, _, _ = _generate_spca_data(n, 0)
+        _generate_spca_data(n, 0)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    floor = 12 * a.nnz + 8 * -(-m // 8) * n + 16 * n * n
-    assert peak <= 1.25 * floor, (peak, floor)
+    floor = 10 * nnz + 8 * -(-m // 8) * n + 8 * n * n
+    assert peak <= 1.1 * floor, (peak, floor)
+
+
+@pytest.mark.parametrize("block_rows, index", [(17500, np.uint16), (70000, np.uint32)])
+def test_draw_keeps_exact_local_rows_past_16_bits(block_rows, index):
+    # 8 blocks of 17,500 rows put global rows past 65,535, which the 16-bit
+    # staging wraps; blocks of 70,000 rows need 32-bit local rows. Two
+    # columns keep the draw small; the stream is replayed as above
+    n, m = 2, 8 * block_rows
+    edges = list(range(0, m + 1, block_rows))
+    pieces = _draw_a(_rng_for(n, 5), m, n, edges)
+    assert all(rows.dtype == index for _, rows, _ in pieces)
+    a, rng = assemble_a(pieces, edges), _rng_for(n, 5)
+    for j in range(n):
+        idx = np.nonzero(rng.random(m) < 0.1)[0]
+        col = a[:, j]
+        assert np.array_equal(col.indices, idx)
+        assert col.data.tobytes() == rng.standard_normal(idx.size).tobytes()
+
+
+class EveryEntry:
+    """A stand-in generator whose mask keeps every row (all uniforms 0) and
+    whose normals count up, so the draws overrun every initial size."""
+
+    def __init__(self):
+        self.drawn = 0
+
+    def random(self, out):
+        out.fill(0.0)
+
+    def standard_normal(self, out):
+        out[:] = np.arange(self.drawn, self.drawn + out.size)
+        self.drawn += out.size
+
+
+def test_draw_grows_the_staging_buffer_and_the_pieces():
+    # 9 columns of 40 rows: the staging buffer starts at 64 * 40 / 10
+    # entries and each piece at 5 * (9 + 64) / 10; they get 360 and 45
+    n, m = 9, 40
+    edges = [*range(0, m, -(-m // 8)), m]
+    a = assemble_a(_draw_a(EveryEntry(), m, n, edges), edges)
+    assert np.array_equal(a.toarray(), np.arange(m * n).reshape(n, m).T)
+
+
+def test_gram_consumes_the_pieces_and_returns_a_symmetric_sigma():
+    # each piece is dropped from the list as its block is filled, so none is
+    # alive when the Gram returns; the mirrored Sigma is symmetric bit for bit
+    n, m = 131, 20 * 131
+    edges = [*range(0, m, -(-m // 8)), m]
+    pieces = _draw_a(_rng_for(n, 2), m, n, edges)
+    alive = [weakref.ref(array) for piece in pieces for array in piece]
+    sigma = _gram_by_blocks(pieces, edges)
+    assert pieces == [None] * 8
+    assert [ref() for ref in alive] == [None] * 24
+    assert np.array_equal(sigma, sigma.T) and sigma.flags.c_contiguous
 
 
 def test_spca_lambda_max_against_dense_oracle():
