@@ -23,6 +23,11 @@ has the same stage functions: its draws write one CSC matrix, and its Gram
 sums an n x n product B.T @ B per block. A tree without a stage function
 (one from before the builder was split into stages) prints "-" on that row.
 
+The last row, "import dcprox.cli", is the package's import: its wall time
+and the process's peak resident memory (VmHWM) right after it, both taken
+in a fresh interpreter per round with only the tree on its path; its
+"peak MB" column is that VmHWM, not a traced peak.
+
 Times are the minimum over ``--k`` untraced rounds, the trees taking turns
 in alternating order. Peaks come from one further run per tree under
 ``tracemalloc``: the highest traced memory during the stage, above the
@@ -37,7 +42,10 @@ is imported; the table's header prints the setting.
 """
 
 import argparse
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from time import perf_counter
 
@@ -46,6 +54,16 @@ from iter_cost import load_tree
 BUILD_STAGES = (("draws into A", "_draw_a"), ("Gram over blocks", "_gram_by_blocks"),
                 ("builder total", "_generate_spca_data"), ("lambda_max", "power_lambda_max"))
 ROWS = [label for label, _ in BUILD_STAGES] + ["first inverse", "first backward inverse"]
+IMPORT_ROW = "import dcprox.cli"
+# run in a fresh interpreter: seconds to import the package, then VmHWM in bytes
+IMPORT_PROBE = """import json, time
+t0 = time.perf_counter()
+import dcprox.cli
+seconds = time.perf_counter() - t0
+with open("/proc/self/status") as fh:
+    kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps([seconds, 1024 * kb]))
+"""
 
 
 class Probe:
@@ -105,6 +123,15 @@ def run_stages(tree, n, seed, traced):
     return probe
 
 
+def import_cost(src):
+    """(seconds, VmHWM bytes) of ``import dcprox.cli`` from ``src`` in a fresh
+    interpreter whose path holds ``src`` only."""
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    child = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                           capture_output=True, text=True, check=True)
+    return json.loads(child.stdout)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -121,20 +148,26 @@ def main():
 
     trees = [load_tree(src, f"dcprox_tree{i}") for i, src in enumerate(args.trees)]
     best = [{} for _ in trees]
+    peaks = [{} for _ in trees]
     for r in range(args.k):
         order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
         for i in order:
             for label, s in run_stages(trees[i], args.n, args.seed, False).seconds.items():
                 best[i][label] = min(best[i].get(label, s), s)
-    peaks = [run_stages(t, args.n, args.seed, True).peaks for t in trees]
+            seconds, hwm = import_cost(args.trees[i])
+            best[i][IMPORT_ROW] = min(best[i].get(IMPORT_ROW, seconds), seconds)
+            peaks[i][IMPORT_ROW] = min(peaks[i].get(IMPORT_ROW, hwm), hwm)
+    for i, t in enumerate(trees):
+        peaks[i].update(run_stages(t, args.n, args.seed, True).peaks)
 
-    print(f"n={args.n} seed={args.seed} time min of {args.k}, traced peak of 1, "
+    print(f"n={args.n} seed={args.seed} time min of {args.k}, traced peak of 1 "
+          f"(import row: VmHWM, min of {args.k}), "
           f"BLAS threads {args.blas_threads} (OPENBLAS/OMP/MKL_NUM_THREADS)")
     for i, src in enumerate(args.trees):
         print(f"  tree {i}: {os.path.abspath(src)}")
     print(f"{'stage':<23}" + "".join(f" {'ms ' + str(i):>9} {'peak MB ' + str(i):>10}"
                                      for i in range(len(trees))))
-    for label in ROWS:
+    for label in ROWS + [IMPORT_ROW]:
         row = f"{label:<23}"
         for i in range(len(trees)):
             if label in best[i]:

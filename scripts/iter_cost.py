@@ -2,9 +2,12 @@
 """Per-solver cost of one iteration, for one or more dcprox source trees.
 
 Each tree is the directory that holds a ``dcprox`` package (a checkout's
-``src``). It is imported under its own package name, so two versions run
-in one process on the same machine state. Every round solves each
-(solver, seed) on the sparse-PCA instances of every tree, the trees taking
+``src``). Each tree runs in a worker process of its own, which imports the
+tree and builds its sparse-PCA instances once, so each tree's matrices
+land on a heap that only its own code has used: two trees compared in one
+process read paired ratios of up to 1.10 with identical solve code, from
+where each builder left the heap. Only one worker computes at a time.
+Every round solves each (solver, seed) on every tree, the trees taking
 turns in alternating order; a solve's time is the minimum over the rounds.
 The table prints microseconds per iteration (summed minimum times over
 summed iterations across seeds); for every tree after the first, the
@@ -20,13 +23,15 @@ recorded, tol 1e-6, budget 2000).
 
     python3 scripts/iter_cost.py OTHER_CHECKOUT/src src --n 300 --k 16
 
-BLAS threads are pinned with ``--blas-threads`` (default 1) before numpy
-is imported; the table's header prints the setting.
+BLAS threads are pinned with ``--blas-threads`` (default 1) in the
+environment the workers start with; the table's header prints the setting.
 """
 
 import argparse
 import importlib.util
+import json
 import os
+import subprocess
 import sys
 import time
 from statistics import median
@@ -61,10 +66,64 @@ def count_calls(fn, prefix):
     return result, calls
 
 
+def worker(args):
+    """Serve one tree: build its instances, then answer each command read
+    from stdin ("round" or "calls") with one JSON line on stdout."""
+    tree = load_tree(args.worker, "dcprox_tree")
+    solvers = args.solvers.split(",")
+    kinds = {s: "spca3" if s == "three-prox" else "spca" for s in solvers}
+    payloads = {(kind, seed): (tree.make_spca3 if kind == "spca3" else tree.make_spca)(
+        args.n, seed=seed) for kind in set(kinds.values()) for seed in args.seeds}
+
+    def solve(solver, seed):
+        payload = payloads[kinds[solver], seed]
+        return tree.cli._solve_one(solver, kinds[solver], payload, 1e-6, 2000)[0]
+
+    prefix = os.path.dirname(tree.__file__) + os.sep
+    for command in sys.stdin:
+        if command.strip() == "round":  # [solver, seed, seconds, iterations, counts]
+            out = []
+            for solver in solvers:
+                for seed in args.seeds:
+                    t0 = time.perf_counter()
+                    report = solve(solver, seed)
+                    out.append([solver, seed, time.perf_counter() - t0,
+                                report.iterations, list(report.counts())])
+        else:  # "calls": package calls per iteration, first seed
+            out = {}
+            for solver in solvers:
+                report, n_calls = count_calls(lambda: solve(solver, args.seeds[0]), prefix)
+                out[solver] = n_calls / report.iterations
+        print(json.dumps(out), flush=True)
+
+
+class Worker:
+    """A worker process serving one tree."""
+
+    def __init__(self, src, args):
+        argv = [sys.executable, os.path.abspath(__file__), "--worker", src,
+                "--n", str(args.n), "--solvers", args.solvers,
+                "--seeds", *map(str, args.seeds)]
+        self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, text=True)
+
+    def ask(self, command):
+        self.proc.stdin.write(command + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise SystemExit(f"worker exited with status {self.proc.wait()}")
+        return json.loads(line)
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("trees", nargs="+", help="directories holding a dcprox package")
+    ap.add_argument("trees", nargs="*", help="directories holding a dcprox package")
     ap.add_argument("--n", type=int, default=300)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument("--k", type=int, default=16, help="rounds; each solve keeps its min")
@@ -72,80 +131,72 @@ def main():
     ap.add_argument("--blas-threads", type=int, default=1)
     ap.add_argument("--calls", action="store_true",
                     help="also count package calls per iteration (first seed)")
+    ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.worker:
+        return worker(args)
+    if not args.trees:
+        ap.error("give at least one tree")
     if args.k < 1:
         ap.error("--k must be at least 1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(args.blas_threads)
 
-    trees = [load_tree(src, f"dcprox_tree{i}") for i, src in enumerate(args.trees)]
+    workers = [Worker(src, args) for src in args.trees]
     solvers = args.solvers.split(",")
-    kinds = {s: "spca3" if s == "three-prox" else "spca" for s in solvers}
-    payloads = [{(kind, seed): (t.make_spca3 if kind == "spca3" else t.make_spca)(
-        args.n, seed=seed) for kind in set(kinds.values()) for seed in args.seeds}
-        for t in trees]
-
-    def solve(i, solver, seed):
-        payload = payloads[i][(kinds[solver], seed)]
-        return trees[i].cli._solve_one(solver, kinds[solver], payload, 1e-6, 2000)[0]
-
     best = {}    # (tree, solver, seed) -> min seconds
     iters = {}   # (tree, solver, seed) -> iterations
     oracle = {}  # (tree, solver) -> (prox_h, prox_g, grad_h) per iteration, first seed
     rounds = {}  # (tree, solver) -> seconds of each round, summed over seeds
-    for r in range(args.k):
-        order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
-        for i in order:
-            for solver in solvers:
-                spent = 0.0
-                for seed in args.seeds:
-                    t0 = time.perf_counter()
-                    report = solve(i, solver, seed)
-                    dt = time.perf_counter() - t0
-                    spent += dt
+    calls = {}
+    try:
+        for r in range(args.k):
+            order = range(len(workers)) if r % 2 == 0 else reversed(range(len(workers)))
+            for i in order:
+                spent = {}
+                for solver, seed, dt, its, counts in workers[i].ask("round"):
+                    spent[solver] = spent.get(solver, 0.0) + dt
                     key = (i, solver, seed)
                     best[key] = min(best.get(key, dt), dt)
-                    iters[key] = report.iterations
+                    iters[key] = its
                     if seed == args.seeds[0]:
-                        oracle[i, solver] = [c / report.iterations
-                                             for c in report.counts()]
-                rounds.setdefault((i, solver), []).append(spent)
+                        oracle[i, solver] = [c / its for c in counts]
+                for solver, seconds in spent.items():
+                    rounds.setdefault((i, solver), []).append(seconds)
+        if args.calls:
+            for i, w in enumerate(workers):
+                for solver, per_iter in w.ask("calls").items():
+                    calls[i, solver] = per_iter
+    finally:
+        for w in workers:
+            w.close()
 
-    calls = {}
-    if args.calls:
-        for i, t in enumerate(trees):
-            prefix = os.path.dirname(t.__file__) + os.sep
-            for solver in solvers:
-                seed = args.seeds[0]
-                report, n_calls = count_calls(lambda: solve(i, solver, seed), prefix)
-                calls[i, solver] = n_calls / report.iterations
-
-    print(f"n={args.n} seeds={args.seeds} min of {args.k}, "
-          f"BLAS threads {args.blas_threads} (OPENBLAS/OMP/MKL_NUM_THREADS)")
+    print(f"n={args.n} seeds={args.seeds} min of {args.k}, one worker process per "
+          f"tree, BLAS threads {args.blas_threads} (OPENBLAS/OMP/MKL_NUM_THREADS)")
     for i, src in enumerate(args.trees):
         print(f"  tree {i}: {os.path.abspath(src)}")
     head = f"{'solver':<11} {'iters':>7}" + "".join(
-        f" {'us/it ' + str(i):>10}" for i in range(len(trees))) + "".join(
-        f" {'ratio ' + str(i) + '/0':>10}" for i in range(1, len(trees))) + "".join(
-        f" {'h/g/grad per it ' + str(i):>18}" for i in range(len(trees)))
+        f" {'us/it ' + str(i):>10}" for i in range(len(workers))) + "".join(
+        f" {'ratio ' + str(i) + '/0':>10}" for i in range(1, len(workers))) + "".join(
+        f" {'h/g/grad per it ' + str(i):>18}" for i in range(len(workers)))
     if calls:
-        head += "".join(f" {'calls/it ' + str(i):>11}" for i in range(len(trees)))
+        head += "".join(f" {'calls/it ' + str(i):>11}" for i in range(len(workers)))
     print(head)
-    totals = [0.0] * len(trees)
+    totals = [0.0] * len(workers)
     for solver in solvers:
-        counts = [sum(iters[i, solver, s] for s in args.seeds) for i in range(len(trees))]
-        times = [sum(best[i, solver, s] for s in args.seeds) for i in range(len(trees))]
+        counts = [sum(iters[i, solver, s] for s in args.seeds) for i in range(len(workers))]
+        times = [sum(best[i, solver, s] for s in args.seeds) for i in range(len(workers))]
         totals = [a + b for a, b in zip(totals, times)]
         same = len(set(counts)) == 1
         ratios = [median(a / b for a, b in zip(rounds[i, solver], rounds[0, solver]))
-                  for i in range(1, len(trees))]
+                  for i in range(1, len(workers))]
         row = f"{solver:<11} {counts[0] if same else 'differ':>7}" + "".join(
             f" {1e6 * t / c:>10.1f}" for t, c in zip(times, counts)) + "".join(
             f" {x:>10.3f}" for x in ratios) + "".join(
             f" {'/'.join(f'{x:.2f}' for x in oracle[i, solver]):>18}"
-            for i in range(len(trees)))
+            for i in range(len(workers)))
         if calls:
-            row += "".join(f" {calls[i, solver]:>11.1f}" for i in range(len(trees)))
+            row += "".join(f" {calls[i, solver]:>11.1f}" for i in range(len(workers)))
         print(row)
     print("total solve s " + " ".join(f"{t:.3f}" for t in totals))
 

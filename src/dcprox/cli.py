@@ -365,8 +365,26 @@ def cmd_check(args):
     return 0 if all_ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error reported as every other error is: one
+    line, "error: ...", on stderr and exit status 1 (status 2 means an
+    exhausted iteration budget)."""
+
+    def error(self, message):
+        self.exit(1, f"error: {self.prog}: {message}\n")
+
+
+def _int_list(text):
+    """A --n-values argument: comma-separated integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"comma-separated integers expected, got {text!r}") from None
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcprox", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -391,7 +409,7 @@ def build_parser():
                          default=BenchConfig.solvers,
                          help="comma-separated subset of " + ",".join(SOLVERS))
     p_bench.add_argument("--n-values", dest="n_values", default=BenchConfig.n_values,
-                         type=lambda text: tuple(int(x) for x in text.split(",")),
+                         type=_int_list,
                          help="comma-separated problem sizes")
     p_bench.add_argument("--seeds", type=int, default=BenchConfig.seeds,
                          help="seeds per n")

@@ -13,7 +13,8 @@ Sigma sums B'B over the dense row blocks B of A, each filled from its
 piece into one reused buffer, after which the piece is freed; each B'B is
 written into the spare triangle of Sigma's own buffer, so the peak is A,
 one block and Sigma. Only Sigma and s0 outlive the build: A is gone
-before the eigensolve for lambda_max.
+before the eigensolve for lambda_max. The SYRK is BLAS ``dsyrk`` from
+``dcprox.kernels``.
 """
 
 import json
@@ -24,9 +25,9 @@ from math import isqrt, sqrt
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 
 from .envelope import DcInstance, quadratic_smooth, smooth_view
+from .kernels import dsyrk
 from .prox import (
     BlockSeparable,
     L1Ball,
@@ -35,6 +36,7 @@ from .prox import (
     Quadratic,
     ScaledSquare,
     Zero,
+    mirror_lower,
     soft_threshold,
 )
 from .three_prox import ThreeTermInstance, default_config
@@ -77,7 +79,7 @@ class SpcaInstance:
 # a row block's local row indices are 16-bit when it has at most this many rows
 _NARROW_ROWS = 1 << 16
 _STAGE = 64  # columns drawn into the staging buffer before it is split into the pieces
-_TILE = 64  # rows per tile when Sigma's triangles are summed and mirrored
+_TILE = 64  # rows per tile when Sigma's triangles are summed
 
 
 def _draw_a(rng, m, n, edges):
@@ -180,10 +182,7 @@ def _gram_by_blocks(pieces, edges):
             sigma[r0:r1, :r0] += sigma[:r0, r0:r1].T
             tile = sigma[r0:r1, r0:r1]
             np.add(tile, tile.T, out=tile, where=below[r1 - r0])
-    for r0, r1 in tiles:
-        sigma[:r0, r0:r1] = sigma[r0:r1, :r0].T
-        tile = sigma[r0:r1, r0:r1]
-        np.copyto(tile, tile.T, where=below[r1 - r0].T)
+    mirror_lower(sigma)
     np.fill_diagonal(sigma, diag)
     return sigma
 
@@ -413,6 +412,8 @@ def _integer(doc, key, default, least):
     return value
 
 
+_FLOAT_MAX = float(np.finfo(float).max)  # a larger JSON integer has no float
+
 # the keys a problem document of each kind may hold
 _KEYS = {"spca": ("kind", "n", "seed", "kappa"), "spca3": ("kind", "n", "seed", "kappa"),
          "synthetic": ("kind", "name")}
@@ -433,12 +434,12 @@ def problem_from_json(text):
         raise ValueError(f"unknown problem kind {kind!r}")
     for key in doc:
         if key not in _KEYS[kind]:
-            raise ValueError(f'unknown key "{key}" in a {kind} problem; '
+            raise ValueError(f"unknown key {json.dumps(key)} in a {kind} problem; "
                              f'its keys are {", ".join(_KEYS[kind])}')
     if kind == "synthetic":
         return kind, find_synthetic(doc.get("name"))
     kappa = doc.get("kappa")
-    if kappa is not None and not (type(kappa) in (int, float) and 0 <= kappa < np.inf):
+    if kappa is not None and not (type(kappa) in (int, float) and 0 <= kappa <= _FLOAT_MAX):
         raise ValueError('"kappa" must be null or a finite nonnegative number, '
                          f"got {json.dumps(kappa)}")
     n, most = _integer(doc, "n", None, 2), max_spca_n()

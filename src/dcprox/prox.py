@@ -16,13 +16,16 @@ expose that through ``supports_diag``. The smooth atoms, ``Linear`` and
 gamma)``: the u with u - gamma*grad f(u) = s, gamma of either sign.
 ``values`` evaluates the rows of a k-by-n array at once; by default it
 loops over ``value``, and the quadratic, the l1-ball and zero batch it.
+The BLAS and LAPACK routines behind the quadratic (``ddot``, ``dsymv`` and
+the Cholesky inverse) come from ``dcprox.kernels``.
 """
 
+import warnings
 from math import isfinite, sqrt
 
 import numpy as np
-from scipy.linalg import inv
-from scipy.linalg.blas import ddot, dsymv
+
+from .kernels import ddot, dlange, dpocon, dpotrf, dpotri, dsymv
 
 
 class CapabilityError(Exception):
@@ -106,20 +109,59 @@ def _identity_plus(scale, mat):
     return out
 
 
+_TILE = 64  # rows per strip when a triangle is mirrored
+
+
+def mirror_lower(mat):
+    """Copy the strict lower triangle of the C-ordered square ``mat`` onto its
+    strict upper one, in place, _TILE rows at a time: no temporary is
+    larger than one strip of _TILE rows."""
+    n = mat.shape[0]
+    for r0 in range(0, n, _TILE):
+        r1 = min(r0 + _TILE, n)
+        mat[:r0, r0:r1] = mat[r0:r1, :r0].T
+        block = mat[r0:r1, r0:r1]
+        np.copyto(block, block.T, where=np.tri(r1 - r0, k=-1, dtype=bool).T)
+
+
 def _spd_inverse(mat):
     """Explicit inverse of a symmetric positive definite matrix.
 
-    Computed once per matrix from its Cholesky factor, which checks ``mat``
-    for non-finite entries and raises LinAlgError unless it is positive
-    definite, so a linear solve with a fixed matrix then costs one
-    ``_apply_inverse`` one-triangle product per call. The result is
-    C-ordered and exactly symmetric. For matrices I + gamma*Sigma (every
-    eigenvalue >= 1) the explicit inverse is as accurate as two triangular
-    solves. A Fortran-ordered ``mat`` is inverted in place and its transpose
-    returned, so no second n x n buffer is made; a C-ordered one is copied.
+    Computed once per matrix from its Cholesky factor, so a linear solve
+    with a fixed matrix then costs one ``_apply_inverse`` one-triangle
+    product per call. LAPACK's ``dpotrf`` factors the upper triangle,
+    ``dpocon`` estimates the reciprocal condition number from the 1-norm,
+    and ``dpotri`` writes the inverse's upper triangle, which is mirrored
+    into the lower one: the calls, and so the bits, of
+    ``scipy.linalg.inv(mat, assume_a="pos")``. Like it, this raises
+    ValueError on a non-finite entry, LinAlgError unless ``mat`` is
+    positive definite, and warns (RuntimeWarning) when the reciprocal
+    condition number is below machine epsilon. The result is C-ordered and
+    exactly symmetric. For matrices I + gamma*Sigma (every eigenvalue >= 1)
+    the explicit inverse is as accurate as two triangular solves. A
+    Fortran-ordered float64 ``mat`` is inverted in place and its transpose
+    returned, so no second n x n buffer is made; any other is copied.
     """
-    inverse = inv(mat, overwrite_a=True, assume_a="pos")
-    return inverse if inverse.flags.c_contiguous else inverse.T
+    out = np.asfortranarray(mat, dtype=float)
+    if not out.size:
+        return np.empty((0, 0))
+    # dlange's column sums propagate a NaN or inf; only when they are not
+    # finite does the elementwise test decide, as in _check_finite
+    norm = dlange("1", out)
+    if not isfinite(norm) and not np.isfinite(out).all():
+        raise ValueError("array must not contain infs or NaNs")
+    out, info = dpotrf(out, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"matrix is not positive definite (leading minor of order {info})")
+    rcond, _ = dpocon(out, norm)
+    if rcond < np.finfo(float).eps:
+        warnings.warn(f"ill-conditioned matrix: reciprocal condition number {rcond:.3g}",
+                      RuntimeWarning, stacklevel=3)
+    # the factor's diagonal is positive, so dpotri cannot fail
+    out, _ = dpotri(out, lower=0, overwrite_c=1)
+    mirror_lower(out.T)  # the upper triangle of ``out`` is the lower of ``out.T``
+    return out.T
 
 
 def _apply_inverse(inverse, x):

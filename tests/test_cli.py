@@ -120,6 +120,8 @@ def test_solve_malformed_problem_exits_one(tmp_path, capsys):
     ('{"kind": "spca", "n": 30, "seed": -1}', '"seed"'),
     ('{"kind": "spca", "n": 30, "seed": 1.0}', '"seed"'),
     ('{"kind": "spca", "n": 30, "sed": 3}', '"sed"'),
+    ('{"kind": "spca", "n": 30, "a\\nb": 3}', '"a\\nb"'),  # a newline, escaped
+    ('{"kind": "spca", "n": 30, "kappa": 1%s}' % ("0" * 400), '"kappa"'),  # no float
     ('{"kind": "spca3", "n": 30, "name": "quad-linear-1d"}', '"name"'),
     ('{"kind": "synthetic"}', '"name"'),
     ('{"kind": "synthetic", "name": "nope"}', '"name"'),

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from math import sqrt
@@ -221,6 +224,93 @@ def test_first_inverse_takes_one_matrix_buffer(path, rng):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * n * 8
+
+
+# ---------------------------------------------------------------------------
+# the BLAS/LAPACK kernels, bound without the scipy.linalg package
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 130, 300, 1000])
+def test_spd_inverse_is_bit_equal_to_scipy_inv(n):
+    # scipy.linalg.inv(assume_a="pos") makes the same LAPACK calls; scipy is
+    # the oracle here, imported by the test only
+    from scipy.linalg import inv
+    b = np.random.default_rng(n).standard_normal((n, 2 * n))
+    sigma = b @ b.T
+    lam = np.linalg.eigvalsh(sigma)[-1]
+    for t in (0.9 / lam, -0.45 / lam, 2.0):
+        for order in "FC":
+            mat = np.array(_identity_plus(t, sigma), order=order)
+            expected = inv(mat.copy(order=order), overwrite_a=True, assume_a="pos")
+            got = _spd_inverse(mat)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), (t, order)
+
+
+def test_spd_inverse_error_cases():
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        _spd_inverse(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        _spd_inverse(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        _spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3 and -1
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        inverse = _spd_inverse(np.diag([1.0, 1e-17]))
+    assert inverse[1, 1] == pytest.approx(1e17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empty = _spd_inverse(np.zeros((0, 0)))
+        _spd_inverse(np.diag([1.0, 1e-15]))  # rcond 1e-15, above machine epsilon
+    assert empty.shape == (0, 0)
+
+
+def test_finite_entries_whose_norm_overflows_are_inverted():
+    # the 1-norm's column sums overflow to inf; the elementwise test then
+    # finds every entry finite, and the inverse is scipy's, warning included
+    from scipy.linalg import inv
+    mat = np.array([[1.5e308, 0.5e308], [0.5e308, 1.5e308]])
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        got = _spd_inverse(mat.copy())
+    with pytest.warns(RuntimeWarning):  # scipy's LinAlgWarning
+        expected = inv(mat, assume_a="pos")
+    assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_kernels_are_the_scipy_linalg_objects():
+    import scipy.linalg.blas
+    import scipy.linalg.lapack
+
+    from dcprox import kernels, problems, prox
+    for name in ("ddot", "dsymv", "dsyrk"):
+        assert getattr(scipy.linalg.blas, name) is getattr(kernels, name)
+    for name in ("dpotrf", "dpotri", "dpocon", "dlange"):
+        assert getattr(scipy.linalg.lapack, name) is getattr(kernels, name)
+    assert prox.ddot is kernels.ddot and prox.dsymv is kernels.dsymv
+    assert problems.dsyrk is kernels.dsyrk
+
+
+def _child(code):
+    """Run ``code`` in a fresh interpreter that imports this dcprox."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dp.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_leaves_the_scipy_linalg_package_unloaded():
+    child = _child("import sys, dcprox.cli\n"
+                   "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["['scipy.linalg._fblas',", "'scipy.linalg._flapack']"]
+
+
+def test_solve_after_scipy_linalg_is_imported(tmp_path):
+    child = _child("import scipy.linalg, sys\n"
+                   "from dcprox import cli, kernels\n"
+                   "assert kernels.dsymv is scipy.linalg.blas.dsymv\n"
+                   f"sys.exit(cli.main(['solve', '{{\"kind\": \"spca\", \"n\": 12}}', "
+                   f"'--solver', 'dce-lbfgs', '--out', {str(tmp_path / 'x')!r}]))")
+    assert child.returncode == 0, child.stderr
 
 
 # ---------------------------------------------------------------------------
