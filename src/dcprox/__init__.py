@@ -38,17 +38,12 @@ from .prox import (
     prox_l1_ball,
     soft_threshold,
 )
-from .reports import RunReport, Termination, TracePoint, residual_rate_check
-from .three_prox import (
-    ThreeProxConfig,
-    ThreeTermInstance,
-    run3,
-    stationarity_certificate,
-)
-from .two_prox import TwoProxConfig, descent_coefficient, run, run_diag
+from .reports import RunReport, Termination, TracePoint
+from .three_prox import ThreeProxConfig, ThreeTermInstance, run3
+from .two_prox import TwoProxConfig, descent_coefficient, run
 
-_submodules = {"baselines", "checks", "envelope", "lbfgs", "problems", "prox",
-               "reports", "three_prox", "two_prox"}
+_submodules = {"baselines", "checks", "envelope", "kernels", "lbfgs", "problems",
+               "prox", "reports", "three_prox", "two_prox"}
 __all__ = [name for name in dir()
            if not name.startswith("_") and name not in _submodules]
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ import numpy as np
 
 from .envelope import _sandwich_at, dce_eval, dce_fbe_equivalence_check, negate_smooth
 from .prox import _as_vector
+from .reports import DESCENT_SLACK
 from .two_prox import TwoProxConfig, default_relaxation, run
 
 
@@ -51,7 +52,7 @@ def check_descent(inst, cfg, s0):
     report = run(inst, probe, s0)
     worst = -np.inf
     for a, b in zip(report.trace, report.trace[1:]):
-        slack = 1e-12 * (1.0 + abs(a.env))
+        slack = DESCENT_SLACK * (1.0 + abs(a.env))
         worst = max(worst, b.env - (a.env - a.decrement + slack))
     ok = (report.termination.value != "numerical_error") and worst <= 0.0
     return ok, worst, 0.0
@@ -79,40 +80,6 @@ def check_fbe(inst, gamma, evals):
     dev = dce_fbe_equivalence_check(f, inst.g, gamma, [ev.s for ev in evals])
     scale = 1.0 + max(abs(ev.env) for ev in evals)
     return dev <= 1e-8 * scale, dev, 1e-8 * scale
-
-
-def subgradient_screen(candidates, sample_points, slack):
-    """Largest violation of fn(z) >= fn(x) + <xi, z - x> over the samples.
-
-    ``candidates`` lists (fn, x, xi) triples; each violation is reduced by
-    ``slack`` per unit distance, slack*(1 + ||z - x||). Samples where fn is
-    infinite are skipped (the inequality is vacuous there); an infinite
-    fn(x) returns inf. With no finite sample the result is -inf.
-    """
-    worst = -np.inf
-    for fn, x, xi in candidates:
-        base = fn.value(x)
-        if base == np.inf:
-            return np.inf
-        for z in sample_points:
-            val = fn.value(z)
-            if val == np.inf:
-                continue
-            gap = base + float(xi.dot(z - x)) - val
-            worst = max(worst, gap - slack * (1.0 + float(np.linalg.norm(z - x))))
-    return worst
-
-
-def common_subgradient_gap(inst, gamma, s, u, v, sample_points, slack):
-    """Violation of the approximate-stationarity certificate at (s, u, v).
-
-    xi = (s - u)/gamma should be a subgradient of g at v (exactly it is one
-    up to ||u - v||/gamma) and of h at u; screens both subgradient
-    inequalities at the samples with the given slack per unit distance.
-    """
-    s, u, v = _as_vector(s), _as_vector(u), _as_vector(v)
-    xi = (s - u) / gamma
-    return subgradient_screen([(inst.g, v, xi), (inst.h, u, xi)], sample_points, slack)
 
 
 def run_instance_checks(inst, gamma, s0, rng):

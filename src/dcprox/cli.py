@@ -90,8 +90,8 @@ class BenchConfig:
             raise ValueError(f"--n-values holds {max(self.n_values)}, above {most}, the "
                              f"largest n whose build (about {FLOOR_PER_N2}*n^2 bytes) "
                              "fits in memory")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         for name in ("seeds", "max_iter", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -235,7 +235,7 @@ def cmd_solve(args):
     _write_summary(os.path.join(args.out, "summary.json"), report, info, phi_final)
     print(f"{report.solver}: {report.termination.value} after {report.iterations} "
           f"iterations, residual {report.final_residual:.3e}")
-    if report.termination is Termination.CONVERGED:
+    if report.converged:
         return 0
     if report.termination is Termination.MAX_ITER:
         return 2
@@ -285,7 +285,7 @@ def _bench_task(task):
                  report, timing)
     prox_h, prox_g, grad_h = report.counts()
     return {"solver": solver, "n": n, "seed": seed, "failed": None,
-            "converged": report.termination is Termination.CONVERGED,
+            "converged": report.converged,
             "iters": report.iterations, "prox_h": prox_h, "prox_g": prox_g,
             "grad_h": grad_h,
             "wall_ns": report.trace.wall_ns[-1] if (timing and report.trace) else 0}

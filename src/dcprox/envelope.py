@@ -90,7 +90,7 @@ def quadratic_smooth(q, eig_range=None):
     """
     atom = q if isinstance(q, Quadratic) else Quadratic(q)
     if eig_range is None:
-        eigs = np.linalg.eigvalsh(atom.sigma) if atom.dim else np.zeros(1)
+        eigs = np.linalg.eigvalsh(atom.sigma)
         eig_range = (float(eigs.min()), float(eigs.max()))
     return smooth_view(atom, eig_range)
 
@@ -138,8 +138,8 @@ class DcInstance:
     name: str = ""
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dim must be nonnegative")
+        if self.dim < 1:
+            raise ValueError(f"dim must be at least 1, got {self.dim}")
         for part in (self.g, self.h):
             if part.dim is not None and part.dim != self.dim:
                 raise ValueError(
@@ -227,18 +227,9 @@ def fbe_value(f, g, gamma, u):
     return f.value(u) - 0.5 * gamma * float(gf.dot(gf)) + moreau_value(g, gamma, forward)
 
 
-def envelope_of_smooth_pair(f, g, gamma, s):
-    """Envelope value of (g, -f) at s when -f plays the concave part.
-
-    Valid for any smooth f with gamma below the backward-prox range; the
-    Moreau value of -f is computed through the backward prox point.
-    """
-    s = _as_vector(s)
-    return _smooth_pair_envelope_at(f, g, gamma, s, backward_smooth_prox(f, gamma, s))
-
-
 def _smooth_pair_envelope_at(f, g, gamma, s, u):
-    """``envelope_of_smooth_pair`` at s from its backward prox point u."""
+    """Envelope value of (g, -f) at s, -f the concave part, from the
+    backward prox point u of s: the Moreau value of -f is taken at u."""
     d = u - s
     h_env = -f.value(u) + 0.5 * float(d.dot(d)) / gamma
     return moreau_value(g, gamma, s) - h_env

@@ -52,10 +52,8 @@ def power_lambda_max(sigma):
     Exact to rounding: an iterative estimate that stops early underestimates
     L, the unsafe side of every gamma < 1/L gate. The name predates the
     eigensolve and is kept because callers, and the benchmark's layer
-    tracer, refer to it by name. Returns 0.0 for an empty matrix.
+    tracer, refer to it by name.
     """
-    if sigma.shape[0] == 0:
-        return 0.0
     return float(np.linalg.eigvalsh(sigma)[-1])
 
 

@@ -66,7 +66,8 @@ def _check_finite(x):
 
 
 def _symmetric_matrix(mat, name):
-    """``mat`` as a C-ordered float64 array; ValueError unless square and symmetric.
+    """``mat`` as a C-ordered float64 array; ValueError unless square,
+    nonempty and symmetric.
 
     Symmetric means equal to its transpose within 1e-10 relative to the
     largest entry. An exactly symmetric matrix, the common case, passes on
@@ -75,6 +76,8 @@ def _symmetric_matrix(mat, name):
     mat = np.ascontiguousarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    if not mat.size:
+        raise ValueError(f"{name} must not be empty")
     if not (np.array_equal(mat, mat.T) or np.allclose(
             mat, mat.T, atol=1e-10 * (1.0 + np.abs(mat).max()))):
         raise ValueError(f"{name} must be symmetric")
@@ -86,13 +89,11 @@ def _symv(mat, x):
 
     BLAS ``dsymv`` gets the Fortran-ordered view ``mat.T``, equal to ``mat``,
     which f2py passes without a copy; a C-ordered matrix would be copied on
-    every call. f2py's wrapper rejects n = 0, so that product is built here,
-    and it would read a prefix of a longer x, so the shape is checked first.
+    every call. f2py's wrapper would read a prefix of a longer x, so the
+    shape is checked first.
     """
     if x.shape != mat.shape[:1]:
         raise ValueError(f"shape mismatch: order-{mat.shape[0]} matrix times {x.shape}")
-    if not x.shape[0]:
-        return np.zeros(0)
     return dsymv(1.0, mat.T, x)
 
 
@@ -143,8 +144,6 @@ def _spd_inverse(mat):
     returned, so no second n x n buffer is made; any other is copied.
     """
     out = np.asfortranarray(mat, dtype=float)
-    if not out.size:
-        return np.empty((0, 0))
     # dlange's column sums propagate a NaN or inf; only when they are not
     # finite does the elementwise test decide, as in _check_finite
     norm = dlange("1", out)
@@ -363,9 +362,6 @@ class L1Ball(ProxFunction):
         _check_gamma(gamma)
         return prox_l1_ball(x, gamma * self.kappa)
 
-    def value_at_prox(self, w, x, gamma):
-        return self.kappa * float(np.abs(w).sum())
-
     def envelope_at_prox(self, w, x, gamma):
         # the default's two sums, through one buffer
         buf = np.abs(w)
@@ -564,10 +560,6 @@ class BlockSeparable(ProxFunction):
                 raise CapabilityError(
                     f"{type(atom).__name__} block needs a uniform diagonal stepsize")
         return out
-
-    @property
-    def prox_is_affine(self):
-        return all(atom.prox_is_affine for atom, _, _ in self.parts)
 
 
 # ---------------------------------------------------------------------------

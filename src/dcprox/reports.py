@@ -72,9 +72,6 @@ class Trace(Sequence):
     def __iter__(self):
         return map(TracePoint, *_columns(self))
 
-    def __repr__(self):
-        return f"Trace({len(self)} points)"
-
 
 @dataclass
 class RunReport:
@@ -183,8 +180,9 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
     ``record_trace`` the trace keeps only the last point. Counts come from
     ``counter``, which wraps the solver's oracles.
     """
-    if tol < 0 or max_iter < 1:
-        raise ValueError("tol must be nonnegative and max_iter positive")
+    if not 0.0 <= tol < np.inf or max_iter < 1:
+        raise ValueError(f"tol must be nonnegative and finite and max_iter positive, "
+                         f"got tol={tol}, max_iter={max_iter}")
     dim = inst.dim
     starts = [_as_vector(np.array(x, dtype=float)) for x in starts]
     for x in starts:
@@ -195,7 +193,7 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
     params = {} if params is None else params
     trace = Trace()
     points = np.empty((64, dim)) if record_trace else None
-    status = Termination.CONVERGED if dim == 0 else Termination.MAX_ITER
+    status = Termination.MAX_ITER
     message = ""
     it = None
     k = 0
@@ -221,38 +219,37 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
         envs[start:] = [p if e is None else e for e, p in zip(envs[start:], phis[start:])]
 
     try:
-        if dim:
-            it = first(*starts)
-            claim = None
-            while True:
-                mark = (k, counter.prox_h, counter.prox_g, counter.grad_h,
-                        time.perf_counter_ns() - t0)
-                k += 1
-                if claim is not None and it.env > (
-                        prev_env - claim + DESCENT_SLACK * (1.0 + abs(prev_env))):
-                    status = Termination.NUMERICAL_ERROR
-                    message = (f"descent violated at iteration {k}: env rose from "
-                               f"{prev_env:.12g} to {it.env:.12g} against a claimed "
-                               f"decrease of {claim:.3e}")
-                    break
-                if it.residual <= tol:
-                    status = Termination.CONVERGED
-                    break
-                if k >= max_iter:
-                    break
-                nxt, claim = advance(it)
-                if record_trace:
-                    row = len(trace.k) - len(trace.phi)
-                    points[row] = phi_at(it)
-                    keep(it.env, it.residual, 0.0 if claim is None else claim, mark)
-                    if row + 1 == len(points):
-                        flush(inst.phis(points).tolist())
-                prev_env, it = it.env, nxt
+        it = first(*starts)
+        claim = None
+        while True:
+            mark = (k, counter.prox_h, counter.prox_g, counter.grad_h,
+                    time.perf_counter_ns() - t0)
+            k += 1
+            if claim is not None and it.env > (
+                    prev_env - claim + DESCENT_SLACK * (1.0 + abs(prev_env))):
+                status = Termination.NUMERICAL_ERROR
+                message = (f"descent violated at iteration {k}: env rose from "
+                           f"{prev_env:.12g} to {it.env:.12g} against a claimed "
+                           f"decrease of {claim:.3e}")
+                break
+            if it.residual <= tol:
+                status = Termination.CONVERGED
+                break
+            if k >= max_iter:
+                break
+            nxt, claim = advance(it)
+            if record_trace:
+                row = len(trace.k) - len(trace.phi)
+                points[row] = phi_at(it)
+                keep(it.env, it.residual, 0.0 if claim is None else claim, mark)
+                if row + 1 == len(points):
+                    flush(inst.phis(points).tolist())
+            prev_env, it = it.env, nxt
     except np.linalg.LinAlgError as exc:
         status = Termination.NUMERICAL_ERROR
         message = f"oracle evaluation failed: {exc}"
 
-    if it is None:  # dim 0, or the start point could not be evaluated
+    if it is None:  # the start point could not be evaluated
         s = starts[0]
         t = starts[1] if len(starts) > 1 else None
         return RunReport(solver=solver, termination=status, iterations=0,
@@ -267,31 +264,3 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
                      final_s=it.s, final_u=it.u, final_v=it.v, final_t=it.t,
                      final_z=it.z, trace=trace, gamma=gamma, params=params,
                      message=message)
-
-
-def residual_rate_check(report):
-    """Verify the telescoped-descent consequences on a completed run.
-
-    Checks that the summed per-step decrements stay within the observed
-    envelope gap (for scalar runs this is the bound
-    sum ||u-v||^2 <= 2*gamma*(env0 - min env)/(lam*(2-lam))), and that
-    k * min residual^2 over the first k steps never exceeds the running sum
-    of squared residuals. Returns True when both hold.
-    """
-    if not report.trace:
-        return True
-    envs = [tp.env for tp in report.trace]
-    gap = envs[0] - min(envs)
-    total_decr = sum(tp.decrement for tp in report.trace)
-    budget = gap + 1e-10 * (1.0 + abs(gap) + abs(envs[0]))
-    if total_decr > budget:
-        return False
-    running = 0.0
-    min_sq = np.inf
-    for k, tp in enumerate(report.trace[:-1], start=1):
-        r2 = tp.residual ** 2
-        running += r2
-        min_sq = min(min_sq, r2)
-        if k * min_sq > running * (1.0 + 1e-12) + 1e-300:
-            return False
-    return True

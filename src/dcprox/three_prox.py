@@ -21,7 +21,6 @@ from math import sqrt
 
 import numpy as np
 
-from .checks import subgradient_screen
 from .envelope import dc_value, dc_values
 from .prox import ProxFunction
 from .reports import CallCounter, Iterate, drive
@@ -37,8 +36,8 @@ class ThreeTermInstance:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dim must be nonnegative")
+        if self.dim < 1:
+            raise ValueError(f"dim must be at least 1, got {self.dim}")
         for part in (self.f, self.g, self.h):
             if part.dim is not None and part.dim != self.dim:
                 raise ValueError(
@@ -152,20 +151,3 @@ def run3(inst, cfg, s0, t0):
                  counter, cfg.tol, cfg.max_iter,
                  cfg.record_trace, cfg.gamma,
                  {"delta": cfg.delta, "lam": cfg.lam, "mu": cfg.mu})
-
-
-def stationarity_certificate(inst, cfg, report, sample_points, slack):
-    """Largest violation of the three subgradient inequalities at the limit.
-
-    At convergence, xi_h = (w - u) / h_step, xi_g = (s - u)/gamma and
-    xi_f = (t - u)/delta should be subgradients of h, g, f at u; each is
-    screened against its defining inequality at the given sample points.
-    Infinite function values at a sample are skipped (the inequality is
-    vacuous there).
-    """
-    s, t, u = report.final_s, report.final_t, report.final_u
-    w = _h_point(cfg, s, t)
-    candidates = [(inst.h, u, (w - u) / cfg.h_step),
-                  (inst.g, u, (s - u) / cfg.gamma),
-                  (inst.f, u, (t - u) / cfg.delta)]
-    return max(0.0, subgradient_screen(candidates, sample_points, slack))

@@ -7,7 +7,7 @@ are independent and may run concurrently) and oversteps along their gap:
 
 which equals s - lam*gamma*grad env(s). The envelope decreases by at least
 lam*(2-lam)/(2*gamma) * ||u-v||^2 per step (suitably reweighted for
-hypoconvex pairs and diagonal metrics), and the solver enforces that as a
+hypoconvex pairs), and the solver enforces that as a
 runtime assertion: a violation beyond rounding slack terminates the run
 with a numerical-error status, usually signalling a wrong curvature
 modulus on the instance.
@@ -19,7 +19,7 @@ from math import sqrt
 import numpy as np
 
 from .envelope import env_value_from_pair
-from .prox import _as_vector, _check_gamma_mu, validate_diagonal
+from .prox import _check_gamma_mu
 from .reports import CallCounter, Iterate, drive
 
 
@@ -103,33 +103,3 @@ def run(inst, cfg, s0):
     return drive("dce", inst, [s0], evaluate, plain_step, lambda it: it.v,
                  counter, cfg.tol, cfg.max_iter, cfg.record_trace, cfg.gamma,
                  {"lam": cfg.lam, "mu": inst.mu})
-
-
-def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
-             max_iter=1000, record_trace=True):
-    """Two-prox iteration under diagonal stepsize and relaxation vectors.
-
-    ``m_diag`` is the diagonal quadratic shift making both functions convex
-    (entries may have any sign; defaults to zero). Admissibility:
-    0 < lam_diag < 2*(1 - gamma_diag*m_diag) elementwise. The instance's
-    atoms must support the diagonal metric (blockwise-uniform fallbacks
-    included); descent is enforced in the correspondingly weighted norm.
-    """
-    gamma_diag = validate_diagonal(gamma_diag, inst.dim)
-    lam_diag = validate_diagonal(lam_diag, inst.dim)
-    m_diag = np.zeros(inst.dim) if m_diag is None else _as_vector(m_diag)
-    if m_diag.shape != (inst.dim,):
-        raise ValueError("m_diag has wrong shape")
-    shrink = 1.0 - gamma_diag * m_diag
-    if np.any(shrink <= 0):
-        raise ValueError("gamma*M must stay below 1 elementwise")
-    if np.any(lam_diag >= 2.0 * shrink) or np.any(lam_diag <= 0):
-        raise ValueError("lam must lie in (0, 2*(1 - gamma*M)) elementwise")
-    # decrease weight (2*(I - Gamma M) - Lambda) Gamma^-1 Lambda (I - Gamma M)^-1
-    weight = (2.0 * shrink - lam_diag) * lam_diag / (gamma_diag * shrink)
-    counter, _, evaluate, plain_step = _relaxed_steps(
-        inst, inst.h.prox_diag, inst.g.prox_diag, gamma_diag, lam_diag,
-        lambda d, dd: 0.5 * float(np.sum(weight * d * d)))
-    return drive("dce-diag", inst, [s0], evaluate, plain_step, lambda it: it.v,
-                 counter, tol, max_iter, record_trace, float(gamma_diag[0]),
-                 {"gamma_diag": gamma_diag, "lam_diag": lam_diag, "m_diag": m_diag})

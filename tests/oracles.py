@@ -15,6 +15,18 @@ and H(x, y) = h(x) + <x, y>, iterated by the diagonal-metric two-prox
 solver with stepsize diag(gamma, 1/delta), relaxation diag(lam, mu) and
 unit quadratic shift.
 
+The certificates check the paper's guarantees on a finished run:
+``residual_rate_check`` the telescoped descent behind residual
+summability, and ``common_subgradient_gap`` (two-prox) and
+``stationarity_certificate`` (three-prox) the subgradient inequalities at
+the limit, both screened at sample points by ``subgradient_screen``.
+``envelope_of_smooth_pair`` is the envelope of (g, -f) for a smooth f,
+from its backward prox point.
+
+``run_diag`` is the two-prox iteration under diagonal stepsize and
+relaxation vectors, the package's relaxed step driven with a diagonal
+metric; the lifted oracle runs on it.
+
 The shifted prox is the textbook rescaling identity for the prox of
 f + (mu/2)||.||^2, written out on its own; ``dcprox.dce_eval`` applies the
 same identity inline to hypoconvex pairs.
@@ -40,13 +52,16 @@ from dcprox import (
     ProxFunction,
     Quadratic,
     ScaledSquare,
+    backward_smooth_prox,
     problems,
-    run_diag,
 )
 from dcprox.checks import finite_difference_gradient
+from dcprox.envelope import _smooth_pair_envelope_at
 from dcprox.problems import _rng_for
 from dcprox.prox import _as_vector, validate_diagonal
+from dcprox.reports import drive
 from dcprox.three_prox import ThreeTermInstance, _h_point, _psi_from_points
+from dcprox.two_prox import _relaxed_steps
 
 # ---------------------------------------------------------------------------
 # iterate recording
@@ -84,6 +99,133 @@ def recording(inst):
         f = RecordingAtom(inst.f)
         return dataclasses.replace(inst, g=g, f=f), lambda: list(zip(g.log, f.log))
     return dataclasses.replace(inst, g=g), lambda: list(g.log)
+
+
+# ---------------------------------------------------------------------------
+# certificates
+
+
+def residual_rate_check(report):
+    """Verify the telescoped-descent consequences on a completed run.
+
+    Checks that the summed per-step decrements stay within the observed
+    envelope gap (for scalar runs this is the bound
+    sum ||u-v||^2 <= 2*gamma*(env0 - min env)/(lam*(2-lam))), and that
+    k * min residual^2 over the first k steps never exceeds the running sum
+    of squared residuals. Returns True when both hold.
+    """
+    if not report.trace:
+        return True
+    envs = [tp.env for tp in report.trace]
+    gap = envs[0] - min(envs)
+    total_decr = sum(tp.decrement for tp in report.trace)
+    budget = gap + 1e-10 * (1.0 + abs(gap) + abs(envs[0]))
+    if total_decr > budget:
+        return False
+    running = 0.0
+    min_sq = np.inf
+    for k, tp in enumerate(report.trace[:-1], start=1):
+        r2 = tp.residual ** 2
+        running += r2
+        min_sq = min(min_sq, r2)
+        if k * min_sq > running * (1.0 + 1e-12) + 1e-300:
+            return False
+    return True
+
+
+def subgradient_screen(candidates, sample_points, slack):
+    """Largest violation of fn(z) >= fn(x) + <xi, z - x> over the samples.
+
+    ``candidates`` lists (fn, x, xi) triples; each violation is reduced by
+    ``slack`` per unit distance, slack*(1 + ||z - x||). Samples where fn is
+    infinite are skipped (the inequality is vacuous there); an infinite
+    fn(x) returns inf. With no finite sample the result is -inf.
+    """
+    worst = -np.inf
+    for fn, x, xi in candidates:
+        base = fn.value(x)
+        if base == np.inf:
+            return np.inf
+        for z in sample_points:
+            val = fn.value(z)
+            if val == np.inf:
+                continue
+            gap = base + float(xi.dot(z - x)) - val
+            worst = max(worst, gap - slack * (1.0 + float(np.linalg.norm(z - x))))
+    return worst
+
+
+def common_subgradient_gap(inst, gamma, s, u, v, sample_points, slack):
+    """Violation of the approximate-stationarity certificate at (s, u, v).
+
+    xi = (s - u)/gamma should be a subgradient of g at v (exactly it is one
+    up to ||u - v||/gamma) and of h at u; screens both subgradient
+    inequalities at the samples with the given slack per unit distance.
+    """
+    s, u, v = _as_vector(s), _as_vector(u), _as_vector(v)
+    xi = (s - u) / gamma
+    return subgradient_screen([(inst.g, v, xi), (inst.h, u, xi)], sample_points, slack)
+
+
+def stationarity_certificate(inst, cfg, report, sample_points, slack):
+    """Largest violation of the three subgradient inequalities at the limit.
+
+    At convergence, xi_h = (w - u) / h_step, xi_g = (s - u)/gamma and
+    xi_f = (t - u)/delta should be subgradients of h, g, f at u; each is
+    screened against its defining inequality at the given sample points.
+    Infinite function values at a sample are skipped (the inequality is
+    vacuous there).
+    """
+    s, t, u = report.final_s, report.final_t, report.final_u
+    w = _h_point(cfg, s, t)
+    candidates = [(inst.h, u, (w - u) / cfg.h_step),
+                  (inst.g, u, (s - u) / cfg.gamma),
+                  (inst.f, u, (t - u) / cfg.delta)]
+    return max(0.0, subgradient_screen(candidates, sample_points, slack))
+
+
+def envelope_of_smooth_pair(f, g, gamma, s):
+    """Envelope value of (g, -f) at s when -f plays the concave part.
+
+    Valid for any smooth f with gamma below the backward-prox range; the
+    Moreau value of -f is computed through the backward prox point.
+    """
+    s = _as_vector(s)
+    return _smooth_pair_envelope_at(f, g, gamma, s, backward_smooth_prox(f, gamma, s))
+
+
+# ---------------------------------------------------------------------------
+# diagonal-metric two-prox
+
+
+def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
+             max_iter=1000, record_trace=True):
+    """Two-prox iteration under diagonal stepsize and relaxation vectors.
+
+    ``m_diag`` is the diagonal quadratic shift making both functions convex
+    (entries may have any sign; defaults to zero). Admissibility:
+    0 < lam_diag < 2*(1 - gamma_diag*m_diag) elementwise. The instance's
+    atoms must support the diagonal metric (blockwise-uniform fallbacks
+    included); descent is enforced in the correspondingly weighted norm.
+    """
+    gamma_diag = validate_diagonal(gamma_diag, inst.dim)
+    lam_diag = validate_diagonal(lam_diag, inst.dim)
+    m_diag = np.zeros(inst.dim) if m_diag is None else _as_vector(m_diag)
+    if m_diag.shape != (inst.dim,):
+        raise ValueError("m_diag has wrong shape")
+    shrink = 1.0 - gamma_diag * m_diag
+    if np.any(shrink <= 0):
+        raise ValueError("gamma*M must stay below 1 elementwise")
+    if np.any(lam_diag >= 2.0 * shrink) or np.any(lam_diag <= 0):
+        raise ValueError("lam must lie in (0, 2*(1 - gamma*M)) elementwise")
+    # decrease weight (2*(I - Gamma M) - Lambda) Gamma^-1 Lambda (I - Gamma M)^-1
+    weight = (2.0 * shrink - lam_diag) * lam_diag / (gamma_diag * shrink)
+    counter, _, evaluate, plain_step = _relaxed_steps(
+        inst, inst.h.prox_diag, inst.g.prox_diag, gamma_diag, lam_diag,
+        lambda d, dd: 0.5 * float(np.sum(weight * d * d)))
+    return drive("dce-diag", inst, [s0], evaluate, plain_step, lambda it: it.v,
+                 counter, tol, max_iter, record_trace, float(gamma_diag[0]),
+                 {"gamma_diag": gamma_diag, "lam_diag": lam_diag, "m_diag": m_diag})
 
 
 # ---------------------------------------------------------------------------

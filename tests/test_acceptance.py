@@ -10,10 +10,10 @@ import pytest
 
 import dcprox as dp
 from dcprox.checks import check_gradient, evaluate_points
-from dcprox.envelope import envelope_of_smooth_pair
 from dcprox.reports import Termination
 from dcprox.three_prox import ThreeProxConfig
-from oracles import psi_gradient_identity_check, recording, run3_via_lifted
+from oracles import (envelope_of_smooth_pair, psi_gradient_identity_check, recording,
+                     residual_rate_check, run3_via_lifted, run_diag)
 
 RNG_SEED = 987
 N_DESK = 100
@@ -65,10 +65,10 @@ def descent_runs(gauntlet):
     sep = next(c for c in dp.synthetic_catalogue() if c.name == "separable-2d")
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(4):
-        reports.append(dp.run_diag(sep.dc, rng.uniform(0.3, 2.0, 2),
-                                   rng.uniform(0.2, 1.8, 2),
-                                   rng.standard_normal(2) * 2,
-                                   tol=1e-12, max_iter=400))
+        reports.append(run_diag(sep.dc, rng.uniform(0.3, 2.0, 2),
+                                rng.uniform(0.2, 1.8, 2),
+                                rng.standard_normal(2) * 2,
+                                tol=1e-12, max_iter=400))
     # three-term runs
     three = next(c for c in dp.synthetic_catalogue() if c.name == "three-quad-1d")
     cfg3 = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.9, tol=1e-11,
@@ -131,7 +131,7 @@ def test_criterion_2_descent_inequality(descent_runs):
 def test_criterion_3_residual_summability(descent_runs):
     checked = 0
     for rep in descent_runs:
-        assert dp.residual_rate_check(rep), rep.solver
+        assert residual_rate_check(rep), rep.solver
         envs = [tp.env for tp in rep.trace]
         gap = envs[0] - min(envs)
         if rep.solver == "dce" and rep.params.get("mu", 0.0) == 0.0:
@@ -314,8 +314,8 @@ def test_criterion_9_parameter_gates():
     sep = next(c for c in dp.synthetic_catalogue() if c.name == "separable-2d")
     m = np.array([0.25, 0.25])
     with pytest.raises(ValueError):
-        dp.run_diag(sep.dc, np.ones(2), np.array([1.5, 1.5]), sep.s0, m_diag=m)
-    rep = dp.run_diag(sep.dc, np.ones(2), np.array([1.49, 1.49]), sep.s0,
-                      m_diag=m, max_iter=5)
+        run_diag(sep.dc, np.ones(2), np.array([1.5, 1.5]), sep.s0, m_diag=m)
+    rep = run_diag(sep.dc, np.ones(2), np.array([1.49, 1.49]), sep.s0,
+                   m_diag=m, max_iter=5)
     assert rep.termination is not Termination.NUMERICAL_ERROR
     _say("CRITERION 9 PASS: boundary configurations rejected, interior accepted")

@@ -55,6 +55,21 @@ def test_solve_budget_exhaustion_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("solver", cli.SOLVERS)
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_solve_rejects_a_tol_that_is_not_finite(tmp_path, capsys, tol, solver):
+    # nan would run to the budget, inf would report convergence at once
+    kind = "spca3" if solver == "three-prox" else "spca"
+    out = tmp_path / "x"
+    code = cli.main(["solve", json.dumps({"kind": kind, "n": 12}), "--solver", solver,
+                     "--tol", tol, "--max-iter", "50", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: tol must be nonnegative and finite") and (
+        err.count("\n") == 1), err
+    assert not out.exists()
+
+
 def test_solve_gamma_zero_is_an_error(tmp_path, capsys):
     code = cli.main(["solve", '{"kind": "spca", "n": 10, "seed": 0}',
                      "--solver", "dce", "--gamma", "0", "--out", str(tmp_path / "x")])
@@ -502,8 +517,9 @@ def test_default_sweep_is_desk_scale():
 def test_bench_config_invariants():
     with pytest.raises(ValueError):
         cli.BenchConfig(n_values=(1,))
-    with pytest.raises(ValueError):
-        cli.BenchConfig(tol=0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            cli.BenchConfig(tol=tol)
     with pytest.raises(ValueError):
         cli.BenchConfig(solvers=())
 

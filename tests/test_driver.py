@@ -10,7 +10,8 @@ from dcprox import baselines, cli, lbfgs, reports, three_prox, two_prox
 from dcprox.problems import find_synthetic
 from dcprox.reports import drive
 from dcprox.three_prox import default_config
-from oracles import RecordingAtom, recording, run3_via_lifted
+from oracles import (RecordingAtom, recording, residual_rate_check, run3_via_lifted,
+                     run_diag)
 
 N = 12
 
@@ -113,7 +114,9 @@ def test_every_solver_rejects_a_bad_start_point(name):
             fn(bad)
 
 
-@pytest.mark.parametrize("tol,max_iter", [(-1.0, 10), (1e-6, 0)], ids=["tol", "max_iter"])
+@pytest.mark.parametrize("tol,max_iter",
+                         [(-1.0, 10), (1e-6, 0), (float("nan"), 10), (float("inf"), 10)],
+                         ids=["tol", "max_iter", "tol_nan", "tol_inf"])
 @pytest.mark.parametrize("name", ["run", "run_lbfgs", "run_diag", "run3", "fbs_run",
                                   "dca_run", "drs_run"])
 def test_every_solver_rejects_a_negative_tol_or_empty_budget(name, tol, max_iter):
@@ -124,8 +127,8 @@ def test_every_solver_rejects_a_negative_tol_or_empty_budget(name, tol, max_iter
     runs = {
         "run": lambda: dp.run(inst, cfg, spca.s0),
         "run_lbfgs": lambda: dp.run_lbfgs(inst, cfg, spca.s0),
-        "run_diag": lambda: dp.run_diag(inst, np.full(N, gamma), np.ones(N), spca.s0,
-                                        tol=tol, max_iter=max_iter),
+        "run_diag": lambda: run_diag(inst, np.full(N, gamma), np.ones(N), spca.s0,
+                                     tol=tol, max_iter=max_iter),
         "run3": lambda: dp.run3(inst3, default_config(tol=tol, max_iter=max_iter),
                                 spca3.s0, spca3.s0),
         "fbs_run": lambda: dp.fbs_run(inst, gamma, tol, max_iter, spca.s0),
@@ -211,7 +214,7 @@ def test_trace_reads_as_a_list_of_points():
     assert list(zip(trace, trace[1:])) == list(zip(points, points[1:]))
     assert isinstance(trace[:-1], reports.Trace) and list(trace[:-1]) == points[:-1]
     assert list(trace[-10::3]) == points[-10::3]
-    assert dp.residual_rate_check(dp.RunReport(
+    assert residual_rate_check(dp.RunReport(
         solver="dce", termination=dp.Termination.MAX_ITER, iterations=70,
         final_s=spca.s0, final_u=spca.s0, final_v=spca.s0, trace=trace))
     assert len(dp.RunReport(solver="dce", termination=dp.Termination.MAX_ITER,

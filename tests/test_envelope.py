@@ -11,10 +11,10 @@ from dcprox.checks import (
     finite_difference_gradient,
     run_instance_checks,
 )
-from dcprox.envelope import dc_value, env_value_from_pair, envelope_of_smooth_pair
+from dcprox.envelope import dc_value, env_value_from_pair
 from dcprox.problems import find_synthetic
 from dcprox.reports import Iterate
-from oracles import prox_shifted
+from oracles import envelope_of_smooth_pair, prox_shifted
 
 
 def instance_a():

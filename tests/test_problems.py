@@ -189,7 +189,6 @@ def test_power_iteration_on_known_spectrum():
     sigma = np.diag([5.0, 2.0, 1.0])
     assert dp.power_lambda_max(sigma) == pytest.approx(5.0, rel=1e-9)
     assert dp.power_lambda_max(np.zeros((3, 3))) == 0.0
-    assert dp.power_lambda_max(np.zeros((0, 0))) == 0.0
 
 
 def test_lambda_max_on_near_degenerate_rotated_spectrum():

@@ -98,6 +98,13 @@ def test_quadratic_rejects_nonsymmetric():
         dp.Quadratic(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def test_quadratic_rejects_an_empty_sigma():
+    with pytest.raises(ValueError, match="Sigma must not be empty"):
+        dp.Quadratic(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="Sigma must not be empty"):
+        dp.quadratic_smooth(np.zeros((0, 0)))
+
+
 def test_quadratic_cache_survives_stepsize_change():
     atom = dp.Quadratic(SIGMA3)
     s = np.array([1.0, -2.0, 0.5])
@@ -136,13 +143,12 @@ def test_quadratic_prox_rejects_non_finite_input(bad):
         atom.prox_diag(x, np.array([0.5, 1.5, 2.0]))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 130])
+@pytest.mark.parametrize("n", [1, 2, 7, 130])
 def test_symmetric_products_match_dense(n, rng):
-    # every product with Sigma, Q or a cached inverse reads one triangle;
-    # n = 0 is built without BLAS, whose wrapper rejects it
+    # every product with Sigma, Q or a cached inverse reads one triangle
     b = rng.standard_normal((n, n + 3))
     sigma = b @ b.T / (n + 3)
-    gamma = 1.0 / max(np.linalg.eigvalsh(sigma)[-1], 1.0) if n else 0.5
+    gamma = 1.0 / max(np.linalg.eigvalsh(sigma)[-1], 1.0)
     entries = gamma * np.linspace(0.5, 1.5, n)  # non-uniform from n = 2 on
     x = rng.standard_normal(n)
     eye = np.eye(n)
@@ -258,9 +264,7 @@ def test_spd_inverse_error_cases():
     assert inverse[1, 1] == pytest.approx(1e17)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        empty = _spd_inverse(np.zeros((0, 0)))
         _spd_inverse(np.diag([1.0, 1e-15]))  # rcond 1e-15, above machine epsilon
-    assert empty.shape == (0, 0)
 
 
 def test_finite_entries_whose_norm_overflows_are_inverted():
@@ -355,6 +359,37 @@ def test_value_at_prox_matches_value(name, atom, rng):
         s = rng.standard_normal(3)
         x = atom.prox(s, gamma)
         assert atom.value_at_prox(x, s, gamma) == pytest.approx(atom.value(x), abs=1e-10)
+
+
+# every atom whose prox claims to be affine, with the stepsize bound of its
+# prox: run_lbfgs reuses one prox_h across a linesearch on that claim
+AFFINE = [
+    ("zero", dp.Zero(), 20.0),
+    ("linear", dp.Linear([0.5, -1.0, 2.0]), 20.0),
+    ("scaled-square", dp.ScaledSquare(1.3), 20.0),
+    ("hypoconvex-square", dp.ScaledSquare(-0.5), 2.0),  # needs 1 - gamma/2 > 0
+    ("quadratic", dp.Quadratic(SIGMA3), 20.0),
+]
+
+
+def test_every_affine_claim_is_tested():
+    claimed = {cls for cls in vars(dp.prox).values()
+               if isinstance(cls, type) and issubclass(cls, dp.ProxFunction)
+               and cls.prox_is_affine is True}
+    assert claimed == {type(atom) for _, atom, _ in AFFINE}
+
+
+@pytest.mark.parametrize("name,atom,most", AFFINE, ids=[a[0] for a in AFFINE])
+@given(x=vec3, y=vec3, alpha=st.floats(-2.0, 3.0), frac=st.floats(0.01, 0.95))
+def test_affine_prox_maps_combinations_to_combinations(name, atom, most, x, y, alpha,
+                                                       frac):
+    gamma = frac * most
+    px, py = atom.prox(x, gamma), atom.prox(y, gamma)
+    lhs = atom.prox((1.0 - alpha) * x + alpha * y, gamma)
+    rhs = (1.0 - alpha) * px + alpha * py
+    scale = (abs(1.0 - alpha) * (np.linalg.norm(x) + np.linalg.norm(px))
+             + abs(alpha) * (np.linalg.norm(y) + np.linalg.norm(py)))
+    assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
 
 
 def test_prox_rejects_nonpositive_gamma():

@@ -1,0 +1,193 @@
+"""The reach gate: every function in ``src/dcprox`` is run by a ``dcprox`` command.
+
+``src`` holds what a command runs; code that only a criterion or a unit test
+reaches lives test-side, in ``tests/oracles.py``. This test runs a fixed
+script of commands in-process under ``sys.setprofile``, records the code
+object of every Python call, and fails on each function or lambda of the
+package that was never called and is not on ``ALLOWLIST``. Every allowlist
+entry states why it may stay unreached. Comprehensions and generator
+expressions are not counted; they run inside their function.
+
+The script: ``solve`` on every synthetic entry with each of its solvers; on
+spca n=30 with the five two-term solvers, once more with ``--gamma
+0.5/lmax`` and once with dce-lbfgs at ``--tol 0``, whose linesearch then
+fails past the rounding floor; on spca3 n=30 with three-prox. ``check`` on
+every synthetic entry and on spca n=30; one ``bench --n-values 12 --seeds
+1`` of all six solvers, in this process (``--jobs 1``); and inputs that
+each command rejects. It takes about a second.
+
+Run as a script, this file prints the reach table: every function of the
+package, its span in lines, and whether the script reached it or the
+allowlist excuses it, with the reason:
+
+    PYTHONPATH=src python3 tests/test_reach.py
+"""
+
+import contextlib
+import inspect
+import io
+import json
+import os
+import sys
+import tempfile
+import types
+
+import dcprox
+import dcprox.cli as cli
+from dcprox.problems import synthetic_catalogue
+
+PACKAGE = os.path.dirname(os.path.realpath(dcprox.__file__))
+
+DIAG = ("diagonal metric: perfbench's proxy test asserts supports_diag, so it "
+        "moves test-side in the benchmark's change (ROADMAP items 6 and 13)")
+STUB = "abstract ProxFunction stub; every atom overrides it"
+
+# "file:qualname" -> why no command needs to reach it
+ALLOWLIST = {
+    "cli.py:entrypoint": "the console-script target in pyproject.toml; the script calls main",
+    "envelope.py:sandwich_bounds": ("perfbench/workloads.py and "
+                                    "scripts/envelope_slice.py import it"),
+    "kernels.py:_extension": "runs at import, before the profile starts",
+    "prox.py:ProxFunction.value": STUB,
+    "prox.py:ProxFunction.prox": STUB,
+    "prox.py:Quadratic.value_at_prox": (
+        "perfbench's proxy test and test_envelope_at_prox_is_the_default_formula_exactly "
+        "compare against it"),
+    "prox.py:validate_diagonal": DIAG,
+    **{f"prox.py:{atom}.{member}": DIAG
+       for atom in ("ProxFunction", "Linear", "ScaledSquare", "Quadratic", "BlockSeparable")
+       for member in ("supports_diag", "prox_diag")},
+}
+
+
+def script(out):
+    """The commands the gate runs: (argv, whether the command should accept it).
+
+    An accepted command exits 0 or 2, a rejected one 1. Outputs go under ``out``.
+    """
+    runs = []
+
+    def solve(doc, solver, *flags, ok=True):
+        runs.append((["solve", json.dumps(doc), "--solver", solver, "--no-timing",
+                      "--out", os.path.join(out, f"solve{len(runs)}"), *flags], ok))
+
+    for entry in synthetic_catalogue():
+        doc = {"kind": "synthetic", "name": entry.name}
+        for solver in entry.solvers:
+            solve(doc, solver)
+        runs.append((["check", json.dumps(doc)], entry.dc is not None))
+    spca = {"kind": "spca", "n": 30}
+    for solver in cli.SOLVERS:
+        if solver != "three-prox":
+            solve(spca, solver)
+    solve(spca, "dce", "--gamma", "0.5/lmax")
+    # past the rounding floor the linesearch fails and takes the plain step
+    solve(spca, "dce-lbfgs", "--tol", "0", "--max-iter", "150")
+    solve({"kind": "spca3", "n": 30}, "three-prox")
+    runs.append((["check", json.dumps(spca)], True))
+    runs.append((["bench", "--no-timing", "--n-values", "12", "--seeds", "1",
+                  "--solvers", ",".join(cli.SOLVERS), "--out",
+                  os.path.join(out, "bench")], True))
+    # rejected: a document, a name, a solver for the kind, a tolerance, a flag
+    solve({"kind": "spca", "n": 1}, "dce", ok=False)
+    solve({"kind": "synthetic", "name": "none"}, "dce", ok=False)
+    solve(spca, "three-prox", ok=False)
+    solve(spca, "dce", "--tol", "nan", ok=False)
+    runs.append((["bench", "--n-values", "12,x"], False))
+    return runs
+
+
+def defined_functions():
+    """(file, qualname, first line) -> span in lines, of every function and
+    lambda defined in the package's modules."""
+    found = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE, name)
+        with open(path) as fh:
+            stack = [compile(fh.read(), path, "exec")]
+        while stack:
+            for const in stack.pop().co_consts:
+                if not isinstance(const, types.CodeType):
+                    continue
+                stack.append(const)
+                # class bodies have no locals of their own; comprehensions are named <...>
+                if const.co_flags & inspect.CO_NEWLOCALS and (
+                        const.co_name == "<lambda>" or not const.co_name.startswith("<")):
+                    last = max(line for _, _, line in const.co_lines() if line is not None)
+                    found[name, const.co_qualname, const.co_firstlineno] = (
+                        last - const.co_firstlineno + 1)
+    return found
+
+
+def run_script(out):
+    """Run ``script(out)`` under the profile: (code objects called, the
+    commands whose exit status disagrees with the script)."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    wrong, previous = [], sys.getprofile()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv, ok in script(out):
+            sys.setprofile(profile)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            finally:
+                sys.setprofile(previous)
+            if (code in (0, 2)) != ok or code not in (0, 1, 2):
+                wrong.append((argv, code))
+    return called, wrong
+
+
+def reach_table(out):
+    """(rows, wrong): one row per package function, (file, line, span,
+    qualname, status), status "reached", "allowed" or "UNREACHED"; and the
+    script's commands whose exit status was not the expected one."""
+    called, wrong = run_script(out)
+    hit = {(os.path.basename(co.co_filename), co.co_qualname, co.co_firstlineno)
+           for co in called
+           if os.path.dirname(os.path.realpath(co.co_filename)) == PACKAGE}
+    rows = []
+    for (name, qualname, line), span in sorted(defined_functions().items(),
+                                               key=lambda item: (item[0][0], item[0][2])):
+        if (name, qualname, line) in hit:
+            status = "reached"
+        elif f"{name}:{qualname}" in ALLOWLIST:
+            status = "allowed"
+        else:
+            status = "UNREACHED"
+        rows.append((name, line, span, qualname, status))
+    return rows, wrong
+
+
+def test_every_src_function_is_reached_by_a_command(tmp_path):
+    rows, wrong = reach_table(str(tmp_path))
+    assert not wrong, f"commands with an unexpected exit status: {wrong}"
+    unreached = [f"{name}:{line} {qualname} ({span} lines)"
+                 for name, line, span, qualname, status in rows if status == "UNREACHED"]
+    assert not unreached, (
+        "no dcprox command calls these functions; move them test-side "
+        "(tests/oracles.py), delete them, or allowlist them with a reason: "
+        + "; ".join(unreached))
+    keys = {f"{name}:{qualname}": status for name, _, _, qualname, status in rows}
+    stale = sorted(key for key in ALLOWLIST if keys.get(key) != "allowed")
+    assert not stale, f"allowlisted but reached or no longer defined: {stale}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out:
+        rows, wrong = reach_table(out)
+    for name, line, span, qualname, status in rows:
+        reason = f"  ({ALLOWLIST[f'{name}:{qualname}']})" if status == "allowed" else ""
+        print(f"{f'{name}:{line}':<18} {span:>4}  {status:<9}  {qualname}{reason}")
+    for status in ("reached", "allowed", "UNREACHED"):
+        picked = [row for row in rows if row[4] == status]
+        print(f"{status}: {len(picked)} functions, {sum(row[2] for row in picked)} lines")
+    for argv, code in wrong:
+        print(f"unexpected exit status {code}: dcprox {' '.join(argv)}")

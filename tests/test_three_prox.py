@@ -6,7 +6,8 @@ from dcprox.envelope import env_value_from_pair
 from dcprox.reports import Termination
 from dcprox.three_prox import ThreeProxConfig, default_config
 from oracles import (lifted_pair, psi_gradient_identity_check, psi_value,
-                     recording, run3_via_lifted, three_prox_step)
+                     recording, residual_rate_check, run3_via_lifted,
+                     stationarity_certificate, three_prox_step)
 
 
 def zeros_instance():
@@ -115,7 +116,7 @@ def test_run3_converges_on_quadratic():
     envs = [tp.env for tp in rep.trace]
     assert all(b <= a - d + 1e-12 * (1 + abs(a)) for (a, d), b in
                zip([(tp.env, tp.decrement) for tp in rep.trace], envs[1:]))
-    assert dp.residual_rate_check(rep)
+    assert residual_rate_check(rep)
 
 
 def test_run3_stationarity_certificate(rng):
@@ -124,8 +125,8 @@ def test_run3_stationarity_certificate(rng):
     rep = dp.run3(inst, cfg, [1.0, -0.5], [0.5, 0.5])
     assert rep.converged
     samples = [rep.final_u + rng.standard_normal(2) for _ in range(30)]
-    gap = dp.stationarity_certificate(inst, cfg, rep, samples,
-                                      slack=cfg.tol / min(cfg.gamma, 1.0))
+    gap = stationarity_certificate(inst, cfg, rep, samples,
+                                   slack=cfg.tol / min(cfg.gamma, 1.0))
     assert gap <= 1e-8
 
 
@@ -138,10 +139,10 @@ def test_run3_residual_summability():
         (envs[0] - min(envs)) * (1 + 1e-10) + 1e-12
 
 
-def test_run3_zero_dim():
-    inst = dp.ThreeTermInstance(f=dp.Zero(), g=dp.Zero(), h=dp.Zero(), dim=0)
-    rep = dp.run3(inst, ThreeProxConfig(), np.zeros(0), np.zeros(0))
-    assert rep.converged and rep.iterations == 0
+def test_run3_rejects_a_zero_dimensional_instance():
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim must be at least 1"):
+            dp.ThreeTermInstance(f=dp.Zero(), g=dp.Zero(), h=dp.Zero(), dim=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +219,11 @@ def test_fuzz_random_triples_keep_surrogate_descent(rng):
             tol=1e-8, max_iter=20000)
         rep = dp.run3(inst, cfg, rng.standard_normal(dim), rng.standard_normal(dim))
         assert rep.termination is not Termination.NUMERICAL_ERROR, rep.message
-        assert dp.residual_rate_check(rep)
+        assert residual_rate_check(rep)
         if rep.converged:
             zs = [rep.final_u + rng.standard_normal(dim) for _ in range(8)]
-            gap = dp.stationarity_certificate(inst, cfg, rep, zs,
-                                              slack=cfg.tol / min(gamma, 1.0))
+            gap = stationarity_certificate(inst, cfg, rep, zs,
+                                           slack=cfg.tol / min(gamma, 1.0))
             assert gap <= 1e-6, f"trial {trial}: certificate gap {gap:.2e}"
 
 

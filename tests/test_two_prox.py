@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import dcprox as dp
-from dcprox.checks import common_subgradient_gap
 from dcprox.reports import Termination
-from oracles import recording
+from oracles import common_subgradient_gap, recording, residual_rate_check, run_diag
 
 
 def instance_a():
@@ -78,7 +77,7 @@ def test_run_converges_to_unique_stationary_point():
     assert rep.final_s[0] == pytest.approx(2.0, abs=1e-9)
     assert rep.final_u[0] == pytest.approx(1.0, abs=1e-9)
     assert rep.final_v[0] == pytest.approx(1.0, abs=1e-9)
-    assert dp.residual_rate_check(rep)
+    assert residual_rate_check(rep)
     # quantified decrease holds along the recorded trace
     coeff = dp.descent_coefficient(cfg.gamma, cfg.lam)
     for a, b in zip(rep.trace, rep.trace[1:]):
@@ -91,7 +90,7 @@ def test_env_trace_nonincreasing_and_summable(rng):
     rep = dp.run(inst, cfg, spca.s0)
     envs = [tp.env for tp in rep.trace]
     assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(envs, envs[1:]))
-    assert dp.residual_rate_check(rep)
+    assert residual_rate_check(rep)
     # explicit summability constant implied by the per-step decrease
     coeff = dp.descent_coefficient(cfg.gamma, cfg.lam)
     total = sum(tp.residual ** 2 for tp in rep.trace[:-1])
@@ -155,7 +154,7 @@ def test_hypoconvex_run_with_correct_mu():
     rep = dp.run(inst, cfg, [1.5])
     assert rep.converged
     assert rep.final_u[0] == pytest.approx(0.0, abs=1e-9)
-    assert dp.residual_rate_check(rep)
+    assert residual_rate_check(rep)
 
 
 def test_strongly_convex_pair_allows_wider_relaxation():
@@ -170,13 +169,13 @@ def test_strongly_convex_pair_allows_wider_relaxation():
     rep = dp.run(inst, cfg, [2.0])
     assert rep.converged
     assert rep.final_u[0] == pytest.approx(0.0, abs=1e-10)
-    assert dp.residual_rate_check(rep)
+    assert residual_rate_check(rep)
 
 
-def test_zero_dimensional_run():
-    inst = dp.DcInstance(g=dp.Zero(), h=dp.Zero(), dim=0)
-    rep = dp.run(inst, dp.TwoProxConfig(gamma=1.0), np.zeros(0))
-    assert rep.converged and rep.iterations == 0
+def test_zero_dimensional_instance_is_rejected():
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim must be at least 1"):
+            dp.DcInstance(g=dp.Zero(), h=dp.Zero(), dim=dim)
 
 
 def test_run_rejects_nonfinite_start():
@@ -213,8 +212,8 @@ def test_run_diag_uniform_reduces_to_scalar_bitwise():
     inst, scalar_iterates = recording(c.dc)
     scalar = dp.run(inst, cfg, c.s0)
     inst, diag_iterates = recording(c.dc)
-    diag = dp.run_diag(inst, np.full(2, 0.5), np.full(2, 1.25), c.s0,
-                       tol=1e-10, max_iter=60)
+    diag = run_diag(inst, np.full(2, 0.5), np.full(2, 1.25), c.s0,
+                    tol=1e-10, max_iter=60)
     assert scalar.iterations == diag.iterations == len(diag_iterates())
     for a, b in zip(scalar_iterates(), diag_iterates(), strict=True):
         np.testing.assert_array_equal(a, b)
@@ -227,7 +226,7 @@ def test_run_diag_separable_matches_independent_scalar_runs():
     gammas = np.array([1.0, 2.0])
     lams = np.array([1.0, 0.5])
     inst, diag_iterates = recording(c.dc)
-    dp.run_diag(inst, gammas, lams, c.s0, tol=0.0, max_iter=40)
+    run_diag(inst, gammas, lams, c.s0, tol=0.0, max_iter=40)
     # per-coordinate scalar problems
     insts = [dp.DcInstance(g=dp.ScaledSquare(1.0), h=dp.Linear([1.0]), dim=1),
              dp.DcInstance(g=dp.ScaledSquare(2.0), h=dp.Linear([2.0]), dim=1)]
@@ -245,8 +244,8 @@ def test_run_diag_weighted_descent(rng):
     for _ in range(10):
         gammas = rng.uniform(0.2, 2.0, 2)
         lams = rng.uniform(0.1, 1.9, 2)
-        rep = dp.run_diag(c.dc, gammas, lams, rng.standard_normal(2) * 3,
-                          tol=0.0, max_iter=50)
+        rep = run_diag(c.dc, gammas, lams, rng.standard_normal(2) * 3,
+                       tol=0.0, max_iter=50)
         assert rep.termination is not Termination.NUMERICAL_ERROR
         envs = [tp.env for tp in rep.trace]
         decr = [tp.decrement for tp in rep.trace]
@@ -257,16 +256,16 @@ def test_run_diag_weighted_descent(rng):
 def test_run_diag_parameter_gates():
     c = separable_2d()
     with pytest.raises(ValueError):
-        dp.run_diag(c.dc, np.array([1.0, -1.0]), np.ones(2), c.s0)
+        run_diag(c.dc, np.array([1.0, -1.0]), np.ones(2), c.s0)
     with pytest.raises(ValueError):
-        dp.run_diag(c.dc, np.ones(2), np.array([2.0, 1.0]), c.s0)
+        run_diag(c.dc, np.ones(2), np.array([2.0, 1.0]), c.s0)
     # criterion 9 checks the shifted boundary lam = 2*(1 - gamma*M)
 
 
 def test_run_diag_needs_diag_capability():
     spca, inst = dp.make_spca(5, seed=0)
     with pytest.raises(dp.CapabilityError):
-        dp.run_diag(inst, np.full(5, 0.01), np.full(5, 1.0), spca.s0, max_iter=3)
+        run_diag(inst, np.full(5, 0.01), np.full(5, 1.0), spca.s0, max_iter=3)
 
 
 def test_fuzz_random_instances_keep_invariants(rng):
@@ -287,7 +286,7 @@ def test_fuzz_random_instances_keep_invariants(rng):
         cfg = dp.TwoProxConfig(gamma=gamma, lam=lam, tol=1e-9, max_iter=3000)
         rep = dp.run(inst, cfg, rng.standard_normal(dim) * 2)
         assert rep.termination is not Termination.NUMERICAL_ERROR, rep.message
-        assert dp.residual_rate_check(rep)
+        assert residual_rate_check(rep)
         if rep.converged:
             zs = [rep.final_u + rng.standard_normal(dim) for _ in range(10)]
             gap = common_subgradient_gap(inst, gamma, rep.final_s, rep.final_u,
