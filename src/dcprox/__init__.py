@@ -38,7 +38,7 @@ from .prox import (
     prox_l1_ball,
     soft_threshold,
 )
-from .reports import RunReport, Termination, TracePoint
+from .reports import RunReport, Termination
 from .three_prox import ThreeProxConfig, ThreeTermInstance, run3
 from .two_prox import TwoProxConfig, descent_coefficient, run
 

@@ -50,10 +50,11 @@ def check_descent(inst, cfg, s0):
     probe = TwoProxConfig(gamma=cfg.gamma, lam=cfg.lam, tol=0.0, max_iter=50,
                           record_trace=True)
     report = run(inst, probe, s0)
+    env, decrement = report.trace.env, report.trace.decrement
     worst = -np.inf
-    for a, b in zip(report.trace, report.trace[1:]):
-        slack = DESCENT_SLACK * (1.0 + abs(a.env))
-        worst = max(worst, b.env - (a.env - a.decrement + slack))
+    for a, a_decrement, b in zip(env, decrement, env[1:]):
+        slack = DESCENT_SLACK * (1.0 + abs(a))
+        worst = max(worst, b - (a - a_decrement + slack))
     ok = (report.termination.value != "numerical_error") and worst <= 0.0
     return ok, worst, 0.0
 

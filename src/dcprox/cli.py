@@ -8,8 +8,8 @@ check  PROBLEM                  run the invariant battery on an instance
 
 The solve stepsize --gamma is a number X or "X/lmax", X over the instance's
 largest eigenvalue (spca problems only); without it each solver takes its
-default stepsize. three-prox takes its stepsizes from its own config and
-rejects --gamma.
+default stepsize. three-prox takes its stepsizes from ThreeProxConfig's
+defaults and rejects --gamma.
 
 Problems are JSON documents, inline or in a file:
     {"kind": "spca",  "n": 100, "seed": 0, "kappa": null}
@@ -50,8 +50,8 @@ import numpy as np
 from .baselines import dca_run, drs_run, fbs_run
 from .lbfgs import run_lbfgs
 from .problems import FLOOR_PER_N2, make_spca, make_spca3, max_spca_n, problem_from_json
-from .reports import Termination
-from .three_prox import default_config, run3
+from .reports import Termination, check_stopping
+from .three_prox import ThreeProxConfig, run3
 from .two_prox import TwoProxConfig, default_relaxation, run
 
 SOLVERS = ("dce", "dce-lbfgs", "fbs", "dca", "drs", "three-prox")
@@ -148,31 +148,27 @@ def _dc_problem(solver, kind, payload):
 
 
 def _solve_one(solver, kind, payload, tol, max_iter, gamma=None):
-    """Dispatch one run; returns (report, info dict for the summary).
+    """Dispatch one run of ``solver``, one of ``SOLVERS``; returns (report,
+    info dict for the summary).
 
     ``gamma`` overrides the default stepsize of every solver but three-prox,
     which raises ValueError rather than ignore it.
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; pick one of {', '.join(SOLVERS)}")
     if solver == "three-prox":
         if gamma is not None:
             raise ValueError("three-prox takes no --gamma; its stepsizes come "
                              "from its own config")
+        cfg = ThreeProxConfig(tol=tol, max_iter=max_iter)
         if kind == "spca3":
             spca, inst = payload
-            cfg = default_config(tol=tol, max_iter=max_iter)
             report = run3(inst, cfg, spca.s0, spca.s0)
-            info = {"n": spca.n, "seed": spca.seed, "kappa": spca.kappa,
-                    "gamma": cfg.gamma, "delta": cfg.delta}
+            info = {"n": spca.n, "seed": spca.seed, "kappa": spca.kappa}
         elif kind == "synthetic" and payload.three is not None:
-            synth = payload
-            cfg = synth.three_cfg
-            report = run3(synth.three, cfg, synth.s0, synth.t0)
-            info = {"name": synth.name, "gamma": cfg.gamma, "delta": cfg.delta}
+            report = run3(payload.three, cfg, payload.s0, payload.t0)
+            info = {"name": payload.name}
         else:
             raise ValueError("three-prox needs a spca3 or three-term synthetic problem")
-        return report, info
+        return report, {**info, "gamma": cfg.gamma, "delta": cfg.delta}
 
     inst, s0, default_gamma, info = _dc_problem(solver, kind, payload)
     if gamma is None:
@@ -222,6 +218,11 @@ def _write_summary(path, report, info, phi_final):
 
 def cmd_solve(args):
     try:
+        # the flags are checked before the problem, whose build may take seconds
+        if args.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {args.solver!r}; "
+                             f"pick one of {', '.join(SOLVERS)}")
+        check_stopping(args.tol, args.max_iter)
         kind, payload = _load_problem(args.problem, args.seed)
         gamma = _resolve_gamma(args.gamma, kind, payload)
         report, info = _solve_one(args.solver, kind, payload, args.tol,

@@ -39,7 +39,7 @@ from .prox import (
     mirror_lower,
     soft_threshold,
 )
-from .three_prox import ThreeTermInstance, default_config
+from .three_prox import ThreeTermInstance
 
 
 def _rng_for(n, seed):
@@ -313,7 +313,6 @@ class SyntheticInstance:
     coercive: bool = True
     lam: float = 1.0
     three: Optional[ThreeTermInstance] = None
-    three_cfg: Optional[object] = None
     t0: Optional[np.ndarray] = None
 
 
@@ -382,7 +381,6 @@ def synthetic_catalogue():
         solvers=("three-prox",),
         three=ThreeTermInstance(f=ScaledSquare(1.0), g=ScaledSquare(2.0),
                                 h=Zero(), dim=1),
-        three_cfg=default_config(),
         t0=arr(1.5)))
 
     return out

@@ -253,10 +253,6 @@ class ProxFunction:
     def prox_diag(self, x, entries):
         raise CapabilityError(f"{type(self).__name__} has no diagonal-metric prox")
 
-    def value_at_prox(self, w, x, gamma):
-        """Value at w given that w = prox(x, gamma); atoms may shortcut."""
-        return self.value(w)
-
     def envelope_at_prox(self, w, x, gamma):
         """Moreau envelope value at x given that w = prox(x, gamma).
 
@@ -264,7 +260,7 @@ class ProxFunction:
         Every envelope value in the package comes from here; atoms may
         override it with a cheaper evaluation of the same sums.
         """
-        return self.value_at_prox(w, x, gamma) + metric_half_sq(w - x, gamma)
+        return self.value(w) + metric_half_sq(w - x, gamma)
 
 
 class Zero(ProxFunction):
@@ -448,9 +444,9 @@ class Quadratic(ProxFunction):
         return 0.5 * float((w * (_as_vector(x) - w) / gamma).sum())
 
     def envelope_at_prox(self, w, x, gamma):
-        # the default's two sums over one difference e = x - w, squared in
-        # place once the value term has used it; (w - x)^2 and e^2 are the
-        # same floats
+        # value_at_prox plus the default's metric sum, over one difference
+        # e = x - w, squared in place once the value term has used it;
+        # (w - x)^2 and e^2 are the same floats
         e = np.subtract(x, w)
         buf = w * e
         buf /= gamma
@@ -523,15 +519,6 @@ class BlockSeparable(ProxFunction):
             if v == np.inf:
                 return np.inf
             total += v
-        return total
-
-    def value_at_prox(self, w, x, gamma):
-        w = self._blocks(w)
-        x = self._blocks(x)
-        total = 0.0
-        for atom, a, b in self.parts:
-            g = gamma if np.isscalar(gamma) else gamma[a:b]
-            total += atom.value_at_prox(w[a:b], x[a:b], g)
         return total
 
     def prox(self, x, gamma):

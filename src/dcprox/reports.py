@@ -2,9 +2,7 @@
 
 import enum
 import time
-from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -20,57 +18,28 @@ class Termination(enum.Enum):
     NUMERICAL_ERROR = "numerical_error"
 
 
-@dataclass(frozen=True)
-class TracePoint:
-    """State after computing the k-th prox tuple (before stepping).
+class Trace:
+    """A run's trace, one list per column; entry k is the k-th evaluated
+    iterate, after its prox tuple is computed and before its step.
 
-    ``decrement`` is the envelope decrease that the step taken from this
-    point claims, checked at run time against the next point's envelope:
-    a relaxed step's guaranteed decrease, or the Armijo decrease an L-BFGS
-    linesearch accepted. It is 0 for baseline steps and the final point,
-    from which no step is taken. Call counters are cumulative.
+    The columns are ``k``, ``env``, ``residual``, ``phi``, ``decrement``,
+    the cumulative call counts ``prox_h``, ``prox_g`` and ``grad_h``, and
+    ``wall_ns``. ``decrement`` is the envelope decrease that the step taken
+    from the point claims, checked at run time against the next point's
+    envelope: a relaxed step's guaranteed decrease, or the Armijo decrease
+    an L-BFGS linesearch accepted. It is 0 for baseline steps and the final
+    point, from which no step is taken. The columns are not to be changed.
     """
 
-    k: int
-    env: float
-    residual: float
-    phi: float
-    decrement: float
-    prox_h: int
-    prox_g: int
-    grad_h: int
-    wall_ns: int
+    __slots__ = ("k", "env", "residual", "phi", "decrement", "prox_h", "prox_g",
+                 "grad_h", "wall_ns")
 
-
-_FIELDS = tuple(f.name for f in fields(TracePoint))
-_columns = attrgetter(*_FIELDS)
-
-
-class Trace(Sequence):
-    """A run's trace points, kept as one list per ``TracePoint`` field.
-
-    A read-only sequence: ``len``, indices (negative ones too), slices (a
-    ``Trace``) and iteration work as on a list of ``TracePoint``s, and a
-    point is built only when it is read. Each column is the attribute named
-    after its field, e.g. ``trace.env``; it is not to be changed.
-    """
-
-    __slots__ = _FIELDS
-
-    def __init__(self, *columns):
-        for name, column in zip(_FIELDS, columns or [[] for _ in _FIELDS], strict=True):
-            setattr(self, name, column)
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, [])
 
     def __len__(self):
         return len(self.k)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Trace(*(column[index] for column in _columns(self)))
-        return TracePoint(*(column[index] for column in _columns(self)))
-
-    def __iter__(self):
-        return map(TracePoint, *_columns(self))
 
 
 @dataclass
@@ -104,10 +73,8 @@ class RunReport:
 
     def counts(self):
         """Final cumulative (prox_h, prox_g, grad_h) call counts."""
-        if not self.trace:
-            return (0, 0, 0)
         trace = self.trace
-        return (trace.prox_h[-1], trace.prox_g[-1], trace.grad_h[-1])
+        return (trace.prox_h[-1], trace.prox_g[-1], trace.grad_h[-1]) if trace else (0, 0, 0)
 
 
 class CallCounter:
@@ -159,6 +126,13 @@ class Iterate:
     gaps: Optional[tuple] = None
 
 
+def check_stopping(tol, max_iter):
+    """ValueError unless tol is nonnegative and finite and max_iter positive."""
+    if not 0.0 <= tol < np.inf or max_iter < 1:
+        raise ValueError(f"tol must be nonnegative and finite and max_iter positive, "
+                         f"got tol={tol}, max_iter={max_iter}")
+
+
 def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
           record_trace=True, gamma=0.0, params=None):
     """Run one solver to convergence, the budget or a numerical error.
@@ -167,12 +141,11 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
     ``Iterate``; ``advance(it)`` steps from ``it`` and returns the next
     evaluated ``Iterate`` with the envelope decrease the step claims, or
     None for a step that makes no claim. ``phi_at(it)`` is the point at
-    which the trace evaluates the objective ``inst.phi``. The trace is kept
-    as columns (a ``Trace``): each kept point's scalars are appended as it
-    is taken, its ``phi_at`` point is copied into a buffer, and the phi
-    column is taken with ``inst.phis`` in chunks of 64 points, so that an
-    atom's batched ``values`` can read its data once per chunk; no
-    ``TracePoint`` is built while the run goes on. The final point is
+    which the trace evaluates the objective ``inst.phi``. Each kept point's
+    scalars are appended to the ``Trace`` columns as it is taken, its
+    ``phi_at`` point is copied into a buffer, and the phi column is taken
+    with ``inst.phis`` in chunks of 64 points, so that an atom's batched
+    ``values`` can read its data once per chunk. The final point is
     evaluated alone with ``inst.phi``, so it does not depend on
     ``record_trace``. The run stops at ``residual <= tol``, after
     ``max_iter`` evaluated iterates, or with NUMERICAL_ERROR when an
@@ -180,9 +153,7 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
     ``record_trace`` the trace keeps only the last point. Counts come from
     ``counter``, which wraps the solver's oracles.
     """
-    if not 0.0 <= tol < np.inf or max_iter < 1:
-        raise ValueError(f"tol must be nonnegative and finite and max_iter positive, "
-                         f"got tol={tol}, max_iter={max_iter}")
+    check_stopping(tol, max_iter)
     dim = inst.dim
     starts = [_as_vector(np.array(x, dtype=float)) for x in starts]
     for x in starts:

@@ -61,7 +61,10 @@ class ThreeProxConfig:
     """Stepsizes and relaxations for the three-prox iteration.
 
     Admissible box (boundaries rejected): 0 < gamma < 1 < delta,
-    0 < lam < 2*(1 - gamma), 0 < mu < 2*(1 - 1/delta).
+    0 < lam < 2*(1 - gamma), 0 < mu < 2*(1 - 1/delta). The default
+    relaxations, 0.45 each, are 0.9 times half their ranges at the default
+    stepsizes: 0.9*(1 - gamma) and 0.9*(1 - 1/delta). A config with other
+    stepsizes names its relaxations itself.
     """
 
     gamma: float = 0.5
@@ -87,13 +90,6 @@ class ThreeProxConfig:
     @property
     def h_step(self):
         return self.gamma * self.delta / (self.delta - self.gamma)
-
-
-def default_config(gamma=0.5, delta=2.0, **kw):
-    """Config with relaxations at 0.9 times half the admissible range."""
-    return ThreeProxConfig(gamma=gamma, delta=delta,
-                           lam=0.9 * (1.0 - gamma),
-                           mu=0.9 * (1.0 - 1.0 / delta), **kw)
 
 
 def _h_point(cfg, s, t):

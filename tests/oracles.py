@@ -116,16 +116,16 @@ def residual_rate_check(report):
     """
     if not report.trace:
         return True
-    envs = [tp.env for tp in report.trace]
+    envs = report.trace.env
     gap = envs[0] - min(envs)
-    total_decr = sum(tp.decrement for tp in report.trace)
+    total_decr = sum(report.trace.decrement)
     budget = gap + 1e-10 * (1.0 + abs(gap) + abs(envs[0]))
     if total_decr > budget:
         return False
     running = 0.0
     min_sq = np.inf
-    for k, tp in enumerate(report.trace[:-1], start=1):
-        r2 = tp.residual ** 2
+    for k, residual in enumerate(report.trace.residual[:-1], start=1):
+        r2 = residual ** 2
         running += r2
         min_sq = min(min_sq, r2)
         if k * min_sq > running * (1.0 + 1e-12) + 1e-300:

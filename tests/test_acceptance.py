@@ -98,7 +98,7 @@ def test_criterion_1_gradient_exactness():
     worst_psi = 0.0
     three = next(c for c in dp.synthetic_catalogue() if c.name == "three-quad-1d")
     spca3, inst3 = dp.make_spca3(20, seed=0)
-    psi_cases = [(three.three, three.three_cfg, 1),
+    psi_cases = [(three.three, ThreeProxConfig(), 1),
                  (inst3, ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.45),
                   20)]
     for inst_i, cfg, dim in psi_cases:
@@ -118,9 +118,10 @@ def test_criterion_2_descent_inequality(descent_runs):
     worst = -np.inf
     for rep in descent_runs:
         assert rep.termination is not Termination.NUMERICAL_ERROR, rep.message
-        for a, b in zip(rep.trace, rep.trace[1:]):
-            slack = 1e-12 * (1.0 + abs(a.env))
-            worst = max(worst, b.env - (a.env - a.decrement + slack))
+        envs = rep.trace.env
+        for a, a_decrement, b in zip(envs, rep.trace.decrement, envs[1:]):
+            slack = 1e-12 * (1.0 + abs(a))
+            worst = max(worst, b - (a - a_decrement + slack))
             steps += 1
     assert steps >= 10_000, f"only {steps} iterations collected"
     assert worst <= 0.0, f"descent violated by {worst:.3e}"
@@ -132,12 +133,12 @@ def test_criterion_3_residual_summability(descent_runs):
     checked = 0
     for rep in descent_runs:
         assert residual_rate_check(rep), rep.solver
-        envs = [tp.env for tp in rep.trace]
+        envs = rep.trace.env
         gap = envs[0] - min(envs)
         if rep.solver == "dce" and rep.params.get("mu", 0.0) == 0.0:
             lam = rep.params["lam"]
             bound = 2.0 * rep.gamma * gap / (lam * (2.0 - lam))
-            total = sum(tp.residual ** 2 for tp in rep.trace[:-1])
+            total = sum(r ** 2 for r in rep.trace.residual[:-1])
             assert total <= bound * (1.0 + 1e-10) + 1e-12, \
                 f"{total} > {bound} on {rep.solver}"
         checked += 1
@@ -210,9 +211,7 @@ def test_criterion_6_oracle_optimality():
                     dr_gamma = 0.45 / curv
                 answers["drs"] = dp.drs_run(c.dc, dr_gamma, 1e-9, 20000, c.s0)
         if c.three is not None and "three-prox" in c.solvers:
-            cfg3 = ThreeProxConfig(gamma=c.three_cfg.gamma, delta=c.three_cfg.delta,
-                                   lam=c.three_cfg.lam, mu=c.three_cfg.mu,
-                                   tol=1e-9, max_iter=20000)
+            cfg3 = ThreeProxConfig(tol=1e-9, max_iter=20000)
             answers["three-prox"] = dp.run3(c.three, cfg3, c.s0, c.t0)
         assert answers, c.name
         for solver, rep in answers.items():

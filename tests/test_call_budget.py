@@ -14,7 +14,6 @@ import pytest
 
 import dcprox as dp
 from dcprox.cli import GAMMA_POLICY
-from dcprox.three_prox import default_config
 
 PACKAGE = os.path.dirname(dp.__file__) + os.sep
 
@@ -44,7 +43,7 @@ def solver(name):
     if name == "three-prox":
         spca, inst = dp.make_spca3(30, seed=0)
         return lambda budget: dp.run3(
-            inst, default_config(tol=0.0, max_iter=budget), spca.s0, spca.s0)
+            inst, dp.ThreeProxConfig(tol=0.0, max_iter=budget), spca.s0, spca.s0)
     # L-BFGS reaches rounding level by iteration 65 at n = 30, where every
     # linesearch runs out; at n = 300 its residual is 4e-4 to 4e-7 over 65-129
     spca, inst = dp.make_spca(300 if name == "dce-lbfgs" else 30, seed=0)

@@ -109,6 +109,41 @@ def test_solve_three_prox_rejects_gamma(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_solve_three_prox_on_synthetic_takes_the_budget_and_tol(tmp_path, capsys):
+    # the flags reach the three-term synthetic entry as they reach spca3
+    out = tmp_path / "x"
+    code = cli.main(["solve", '{"kind": "synthetic", "name": "three-quad-1d"}',
+                     "--solver", "three-prox", "--max-iter", "5", "--tol", "1e-14",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out.startswith("three-prox: max_iter after 5 iterations")
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["termination"], summary["iterations"]) == ("max_iter", 5)
+    assert len(read_csv(out / "trace.csv")) == 1 + 5
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--solver", "sorcery"], "error: unknown solver 'sorcery'"),
+    (["--solver", "dce", "--tol", "nan"], "error: tol must be nonnegative and finite"),
+    (["--solver", "dce", "--tol", "inf"], "error: tol must be nonnegative and finite"),
+    (["--solver", "dce", "--tol=-1e-6"], "error: tol must be nonnegative and finite"),
+    (["--solver", "three-prox", "--max-iter", "0"],
+     "error: tol must be nonnegative and finite and max_iter positive"),
+], ids=["unknown-solver", "tol-nan", "tol-inf", "tol-negative", "max-iter-0"])
+def test_solve_rejects_its_flags_before_building_the_problem(tmp_path, capsys, monkeypatch,
+                                                             flags, message):
+    def no_build(n, seed):
+        raise RuntimeError("the problem was built before the flags were checked")
+    monkeypatch.setattr(problems, "_generate_spca_data", no_build)
+    out = tmp_path / "x"
+    code = cli.main(["solve", '{"kind": "spca", "n": 1000, "seed": 0}', *flags,
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_solve_unknown_solver_exits_one(tmp_path, capsys):
     code = cli.main(["solve", '{"kind": "synthetic", "name": "quad-linear-1d"}',
                      "--solver", "sorcery", "--out", str(tmp_path / "x")])
@@ -302,6 +337,24 @@ SYNTHETIC_DIGESTS = {
     "separable-2d/drs": "a360b0dab5caa15bcc2ff41c0c58675dbb862d9284cdea5391897ad40c4cfbfe",
     "three-quad-1d/three-prox": "4493969359083e35b69f53095d5c6918483172e3f9e8a962b0c42cf349940626",
 }
+
+
+# sha256 of ``dcprox check`` stdout per two-term synthetic problem, at the
+# default --seed; spca n=30 is pinned in test_spca_bytes, at one BLAS thread
+CHECK_DIGESTS = {
+    "quad-linear-1d": "0aa27b5030d8fa2fa74b4949b5f8b1beda8fe699d7b74f6a893e35d729c89335",
+    "abs-quad-1d": "96f672a57fef8425e0b9074a1f1250c6a86871151f0ff18195a5ff7eba1078f4",
+    "abs-hypo-1d": "ffdec0d363d48e7f1f47d5673dd9499cbbe2b4e5b59de8d34486cf2402238ea9",
+    "separable-2d": "85be23c5432202c7cf5648c94ed72f035e09b041c2cab5f9d487d526f3c0f48f",
+}
+
+
+@pytest.mark.parametrize("name", [synth.name for synth in synthetic_catalogue()
+                                  if synth.dc is not None])
+def test_check_prints_pinned_bytes_on_synthetic(capsys, name):
+    code = cli.main(["check", json.dumps({"kind": "synthetic", "name": name})])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHECK_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name,solver", [

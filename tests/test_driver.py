@@ -9,7 +9,6 @@ import dcprox as dp
 from dcprox import baselines, cli, lbfgs, reports, three_prox, two_prox
 from dcprox.problems import find_synthetic
 from dcprox.reports import drive
-from dcprox.three_prox import default_config
 from oracles import (RecordingAtom, recording, residual_rate_check, run3_via_lifted,
                      run_diag)
 
@@ -27,7 +26,7 @@ def spca_runs(record_trace=True):
     gamma = 0.9 / spca.lam_max
     cfg = dp.TwoProxConfig(gamma=gamma, tol=1e-8, max_iter=300,
                            record_trace=record_trace)
-    cfg3 = default_config(tol=1e-6, max_iter=300, record_trace=record_trace)
+    cfg3 = dp.ThreeProxConfig(tol=1e-6, max_iter=300, record_trace=record_trace)
     drs_gamma = 0.45 / spca.lam_max
 
     def recorded(solve, instance):
@@ -63,8 +62,9 @@ def test_unrecorded_trace_keeps_the_last_point_only(name):
         (recorded.termination, recorded.iterations, recorded.counts())
     for key in ("final_s", "final_u", "final_v", "final_t", "final_z"):
         np.testing.assert_array_equal(getattr(plain, key), getattr(recorded, key))
-    assert dataclasses.replace(plain.trace[-1], wall_ns=0) == \
-        dataclasses.replace(recorded.trace[-1], wall_ns=0)
+    for name in reports.Trace.__slots__:
+        if name != "wall_ns":
+            assert getattr(plain.trace, name)[-1] == getattr(recorded.trace, name)[-1], name
     assert len(plain_iterates) == len(recorded_iterates) >= recorded.iterations
     for a, b in zip(plain_iterates, recorded_iterates):
         np.testing.assert_array_equal(a, b)
@@ -129,7 +129,7 @@ def test_every_solver_rejects_a_negative_tol_or_empty_budget(name, tol, max_iter
         "run_lbfgs": lambda: dp.run_lbfgs(inst, cfg, spca.s0),
         "run_diag": lambda: run_diag(inst, np.full(N, gamma), np.ones(N), spca.s0,
                                      tol=tol, max_iter=max_iter),
-        "run3": lambda: dp.run3(inst3, default_config(tol=tol, max_iter=max_iter),
+        "run3": lambda: dp.run3(inst3, dp.ThreeProxConfig(tol=tol, max_iter=max_iter),
                                 spca3.s0, spca3.s0),
         "fbs_run": lambda: dp.fbs_run(inst, gamma, tol, max_iter, spca.s0),
         "dca_run": lambda: dp.dca_run(inst, gamma, tol, max_iter, spca.s0),
@@ -164,10 +164,10 @@ def test_trace_phi_is_phi_at_each_point(solver, monkeypatch):
     payload = (dp.make_spca3 if kind == "spca3" else dp.make_spca)(50, seed=0)
     report, _ = cli._solve_one(solver, kind, payload, 0.0, 140)
     assert report.iterations == len(report.trace) == len(seen) == 140
-    for tp, phi in zip(report.trace, seen):
-        assert tp.phi == pytest.approx(phi, rel=1e-12, abs=0.0)
+    for traced, phi in zip(report.trace.phi, seen):
+        assert traced == pytest.approx(phi, rel=1e-12, abs=0.0)
     # the final point is evaluated alone, with inst.phi
-    assert report.trace[-1].phi == seen[-1]
+    assert report.trace.phi[-1] == seen[-1]
 
 
 @pytest.mark.parametrize("name,solver", [
@@ -176,47 +176,19 @@ def test_trace_phi_is_phi_at_each_point(solver, monkeypatch):
 def test_trace_phi_is_exact_where_atoms_do_not_batch(name, solver, monkeypatch):
     seen = spy_on_trace_points(monkeypatch)
     report, _ = cli._solve_one(solver, "synthetic", find_synthetic(name), 1e-12, 300)
-    assert [tp.phi for tp in report.trace] == seen
+    assert report.trace.phi == seen
 
 
-def test_drive_builds_no_trace_point_while_it_runs(monkeypatch):
-    # the trace is kept as columns; a TracePoint is built only when read
-    built = []
-    original = reports.TracePoint
-
-    def counted(*args, **kwargs):
-        built.append(args or kwargs)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(reports, "TracePoint", counted)
-    spca, inst = dp.make_spca(N, seed=1)
-    cfg = dp.TwoProxConfig(gamma=0.9 / spca.lam_max, tol=0.0, max_iter=500,
-                           record_trace=True)
-    report = dp.run(inst, cfg, spca.s0)
-    assert report.iterations == len(report.trace) == 500
-    assert built == []
-    last = report.trace[-1]
-    assert len(built) == 1 and isinstance(last, original)
-
-
-def test_trace_reads_as_a_list_of_points():
+def test_trace_is_one_list_per_column():
     spca, inst = dp.make_spca(N, seed=1)
     cfg = dp.TwoProxConfig(gamma=0.9 / spca.lam_max, tol=0.0, max_iter=70)
-    trace = dp.run(inst, cfg, spca.s0).trace
-    points = [dp.TracePoint(*row) for row in zip(
-        trace.k, trace.env, trace.residual, trace.phi, trace.decrement,
-        trace.prox_h, trace.prox_g, trace.grad_h, trace.wall_ns)]
-    assert isinstance(trace, reports.Trace) and len(trace) == len(points) == 70
-    assert list(trace) == points
-    assert trace[-1] == points[-1] and trace[0] == points[0] and trace[-70] == points[0]
-    with pytest.raises(IndexError):
-        trace[70]
-    # what check_descent and residual_rate_check do with a trace
-    assert list(zip(trace, trace[1:])) == list(zip(points, points[1:]))
-    assert isinstance(trace[:-1], reports.Trace) and list(trace[:-1]) == points[:-1]
-    assert list(trace[-10::3]) == points[-10::3]
-    assert residual_rate_check(dp.RunReport(
-        solver="dce", termination=dp.Termination.MAX_ITER, iterations=70,
-        final_s=spca.s0, final_u=spca.s0, final_v=spca.s0, trace=trace))
+    report = dp.run(inst, cfg, spca.s0)
+    trace = report.trace
+    assert isinstance(trace, reports.Trace) and len(trace) == 70
+    assert all(type(getattr(trace, name)) is list and len(getattr(trace, name)) == 70
+               for name in reports.Trace.__slots__)
+    assert trace.k == list(range(70))
+    assert residual_rate_check(report)
     assert len(dp.RunReport(solver="dce", termination=dp.Termination.MAX_ITER,
                             iterations=0, final_s=spca.s0, final_u=spca.s0,
                             final_v=spca.s0).trace) == 0

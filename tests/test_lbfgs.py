@@ -175,7 +175,7 @@ def test_run_fast_on_quadratic_envelope():
     rep = dp.run_lbfgs(inst, dp.TwoProxConfig(gamma=0.5, tol=1e-10, max_iter=200),
                        np.zeros(8))
     assert rep.converged and rep.iterations <= 3 * 8
-    envs = [tp.env for tp in rep.trace]
+    envs = rep.trace.env
     # Armijo decrease: nonincreasing in floats, strictly lower overall
     assert all(b <= a for a, b in zip(envs, envs[1:]))
     assert envs[-1] < envs[0]
@@ -189,9 +189,9 @@ def test_fallback_bit_matches_plain_step(monkeypatch):
     monkeypatch.setattr(lbfgs, "wolfe_linesearch", lambda *args: (None, None))
     rep = dp.run_lbfgs(inst, cfg, spca.s0)
     plain = dp.run(inst, cfg, spca.s0)
-    for a, b in zip(rep.trace, plain.trace, strict=True):
-        assert a.env == b.env and a.residual == b.residual
-        assert a.decrement == b.decrement
+    assert len(rep.trace) == len(plain.trace)
+    assert rep.trace.env == plain.trace.env and rep.trace.residual == plain.trace.residual
+    assert rep.trace.decrement == plain.trace.decrement
 
 
 def test_every_step_claims_its_decrease(monkeypatch):
@@ -208,12 +208,13 @@ def test_every_step_claims_its_decrease(monkeypatch):
     monkeypatch.setattr(lbfgs, "wolfe_linesearch", spied)
     rep = dp.run_lbfgs(inst, dp.TwoProxConfig(gamma=0.9 / spca.lam_max), spca.s0)
     assert rep.converged and len(claims) == rep.iterations - 1
-    accepted = [(k, tp.decrement, claim)
-                for k, (tp, claim) in enumerate(zip(rep.trace, claims)) if claim is not None]
+    accepted = [(k, decrement, claim)
+                for k, (decrement, claim) in enumerate(zip(rep.trace.decrement, claims))
+                if claim is not None]
     assert accepted
     assert all(decrement == claim > 0 for _, decrement, claim in accepted), accepted
-    assert all(tp.decrement > 0 for tp in rep.trace[:-1])
-    assert rep.trace[-1].decrement == 0.0
+    assert all(decrement > 0 for decrement in rep.trace.decrement[:-1])
+    assert rep.trace.decrement[-1] == 0.0
 
 
 def test_spca_beats_plain(rng):
@@ -250,6 +251,6 @@ def test_fuzz_random_instances_monotone(rng):
         cfg = dp.TwoProxConfig(gamma=gamma, tol=1e-8, max_iter=2000)
         rep = dp.run_lbfgs(inst, cfg, rng.standard_normal(dim) * 2)
         assert rep.converged, f"trial {trial} stalled"
-        envs = [tp.env for tp in rep.trace]
+        envs = rep.trace.env
         assert all(b <= a_ + 1e-12 * (1 + abs(a_)) for a_, b in zip(envs, envs[1:]))
 

@@ -13,7 +13,7 @@ from scipy.linalg.blas import dsymv
 
 import dcprox as dp
 from dcprox.checks import finite_difference_gradient
-from dcprox.prox import CapabilityError, _identity_plus, _spd_inverse
+from dcprox.prox import CapabilityError, _identity_plus, _spd_inverse, metric_half_sq
 from oracles import ConjugatePart, prox_conjugate_scaled, prox_shifted
 
 SIGMA3 = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]])
@@ -354,11 +354,16 @@ def test_prox_characterization_subgradient(name, atom, rng):
 
 @pytest.mark.parametrize("name,atom", ATOMS3)
 def test_value_at_prox_matches_value(name, atom, rng):
+    # the value term of the envelope at a prox point is the value there
     for _ in range(20):
         gamma = float(rng.uniform(0.1, 3.0))
         s = rng.standard_normal(3)
         x = atom.prox(s, gamma)
-        assert atom.value_at_prox(x, s, gamma) == pytest.approx(atom.value(x), abs=1e-10)
+        value = atom.envelope_at_prox(x, s, gamma) - metric_half_sq(x - s, gamma)
+        assert value == pytest.approx(atom.value(x), abs=1e-10)
+        if isinstance(atom, dp.Quadratic):
+            assert atom.value_at_prox(x, s, gamma) == pytest.approx(atom.value(x),
+                                                                    abs=1e-10)
 
 
 # every atom whose prox claims to be affine, with the stepsize bound of its
@@ -555,10 +560,17 @@ def test_l1_ball_prox_is_shrink_then_project_bit_for_bit(kappa):
         assert np.array_equal(bits(direct), bits(expected)), point
 
 
+def quadratic_envelope_at_prox(atom, w, x, gamma):
+    """Quadratic's value_at_prox + ||w - x||^2/(2*gamma)."""
+    return atom.value_at_prox(w, x, gamma) + metric_half_sq(w - x, gamma)
+
+
 @pytest.mark.parametrize("name,atom", ATOMS3)
 def test_envelope_at_prox_is_the_default_formula_exactly(name, atom, rng):
-    # value_at_prox + ||w - x||^2/(2*gamma), the base-class formula
-    default = dp.ProxFunction.envelope_at_prox
+    # value + ||w - x||^2/(2*gamma), the base-class formula; a Quadratic's
+    # value term is its value_at_prox, which needs no product with Sigma
+    default = (quadratic_envelope_at_prox if isinstance(atom, dp.Quadratic)
+               else dp.ProxFunction.envelope_at_prox)
     for _ in range(20):
         gamma = float(rng.uniform(0.1, 3.0))
         x = rng.standard_normal(3) * 2

@@ -18,7 +18,8 @@ each command rejects. It takes about a second.
 
 Run as a script, this file prints the reach table: every function of the
 package, its span in lines, and whether the script reached it or the
-allowlist excuses it, with the reason:
+allowlist excuses it, with the reason; then the lines of each module of the
+package and their total, the size that ROADMAP tracks:
 
     PYTHONPATH=src python3 tests/test_reach.py
 """
@@ -121,6 +122,16 @@ def defined_functions():
     return found
 
 
+def module_lines():
+    """Module file name -> its number of lines, for every module of the package."""
+    counts = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                counts[name] = sum(1 for _ in fh)
+    return counts
+
+
 def run_script(out):
     """Run ``script(out)`` under the profile: (code objects called, the
     commands whose exit status disagrees with the script)."""
@@ -191,3 +202,7 @@ if __name__ == "__main__":
         print(f"{status}: {len(picked)} functions, {sum(row[2] for row in picked)} lines")
     for argv, code in wrong:
         print(f"unexpected exit status {code}: dcprox {' '.join(argv)}")
+    lines = module_lines()
+    for name, count in lines.items():
+        print(f"{name:<18} {count:>5} lines")
+    print(f"{'total':<18} {sum(lines.values()):>5} lines")

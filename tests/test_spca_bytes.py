@@ -9,17 +9,21 @@ thread. Run as a script, this file prints the digests of that child as JSON:
 
 Each ``dcprox solve --no-timing`` is digested as its trace.csv followed by
 its summary.json, at the default tol and budget; the ``dcprox bench
---no-timing`` sweep as comparison.csv followed by every trace file, by name.
+--no-timing`` sweep as comparison.csv followed by every trace file, by name;
+``dcprox check`` on spca n=30 as its stdout.
 A change that moves these bytes changes the math or its rounding, and says
 so; it does not re-record them to make a refactor pass.
 """
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 # the libraries the digests were recorded with; other BLAS builds may round
 # differently, which the failure message then shows
@@ -46,6 +50,10 @@ DIGESTS = {
     "spca3/30/three-prox": (2, "6a20d946bc3d291ff57a33745cb76932b934e4f343a06c24403ae19ca04f08c6"),
     "bench": (0, "288feb64c4228dc71fb710c2505d3deed13fa872f58f93ed0bb542a1632eb119"),
 }
+# name -> (exit code, sha256 of stdout) of ``dcprox check``, at one BLAS thread
+CHECK_DIGESTS = {
+    "spca/30": (0, "dc3e6bafb803739e77365e328222063dee6dd670abcfb53c3a2e73d7661c8816"),
+}
 
 
 def _sha(paths):
@@ -63,6 +71,16 @@ def library_versions():
             **{f"{mod.__name__} OpenBLAS":
                mod.__config__.CONFIG["Build Dependencies"]["blas"]["version"]
                for mod in (np, scipy)}}
+
+
+def check_digests():
+    """name -> (exit code, sha256 of stdout) of the pinned ``dcprox check``."""
+    from dcprox import cli
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["check", json.dumps({"kind": "spca", "n": 30, "seed": 0})])
+    return {"spca/30": (code, hashlib.sha256(stdout.getvalue().encode()).hexdigest())}
 
 
 def digests(out):
@@ -86,25 +104,43 @@ def digests(out):
     return found
 
 
-def test_spca_outputs_match_pinned_bytes_at_one_blas_thread(tmp_path):
+@pytest.fixture(scope="module")
+def child_result(tmp_path_factory):
+    """The one-thread child's JSON: versions, solve and bench digests, check digests."""
     import dcprox
     src = os.path.dirname(os.path.dirname(os.path.abspath(dcprox.__file__)))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(
                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    child = subprocess.run([sys.executable, os.path.abspath(__file__), str(tmp_path)],
+    out = tmp_path_factory.mktemp("spca_bytes")
+    child = subprocess.run([sys.executable, os.path.abspath(__file__), str(out)],
                            env=env, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
-    result = json.loads(child.stdout.splitlines()[-1])
-    found = {name: tuple(pin) for name, pin in result["digests"].items()}
-    moved = sorted(name for name in DIGESTS.keys() | found.keys()
-                   if found.get(name) != DIGESTS.get(name))
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def moved_pins(pinned, found):
+    """Names whose (exit code, digest) differ between ``pinned`` and ``found``."""
+    found = {name: tuple(pin) for name, pin in found.items()}
+    return sorted(name for name in pinned.keys() | found.keys()
+                  if found.get(name) != pinned.get(name))
+
+
+def test_spca_outputs_match_pinned_bytes_at_one_blas_thread(child_result):
+    moved = moved_pins(DIGESTS, child_result["digests"])
     assert not moved, (f"exit codes or bytes moved on {moved}; recorded with "
-                       f"{RECORDED_WITH}, running {result['versions']}")
+                       f"{RECORDED_WITH}, running {child_result['versions']}")
+
+
+def test_spca_check_prints_pinned_bytes_at_one_blas_thread(child_result):
+    moved = moved_pins(CHECK_DIGESTS, child_result["checks"])
+    assert not moved, (f"exit codes or stdout moved on {moved}; recorded with "
+                       f"{RECORDED_WITH}, running {child_result['versions']}")
 
 
 if __name__ == "__main__":
     # the solves' progress lines go to stderr, the digests alone to stdout
     with contextlib.redirect_stdout(sys.stderr):
         pinned = digests(sys.argv[1])
-    print(json.dumps({"versions": library_versions(), "digests": pinned}))
+    print(json.dumps({"versions": library_versions(), "digests": pinned,
+                      "checks": check_digests()}))

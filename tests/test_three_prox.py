@@ -4,7 +4,7 @@ import pytest
 import dcprox as dp
 from dcprox.envelope import env_value_from_pair
 from dcprox.reports import Termination
-from dcprox.three_prox import ThreeProxConfig, default_config
+from dcprox.three_prox import ThreeProxConfig
 from oracles import (lifted_pair, psi_gradient_identity_check, psi_value,
                      recording, residual_rate_check, run3_via_lifted,
                      stationarity_certificate, three_prox_step)
@@ -113,15 +113,15 @@ def test_run3_converges_on_quadratic():
     for val in (rep.final_u, rep.final_v, rep.final_z):
         assert abs(val[0]) <= 1e-9
     # surrogate descent with the weighted decrement held throughout
-    envs = [tp.env for tp in rep.trace]
-    assert all(b <= a - d + 1e-12 * (1 + abs(a)) for (a, d), b in
-               zip([(tp.env, tp.decrement) for tp in rep.trace], envs[1:]))
+    envs = rep.trace.env
+    assert all(b <= a - d + 1e-12 * (1 + abs(a)) for a, d, b in
+               zip(envs, rep.trace.decrement, envs[1:]))
     assert residual_rate_check(rep)
 
 
 def test_run3_stationarity_certificate(rng):
     inst = mixed_instance()
-    cfg = default_config(gamma=0.5, delta=2.0, tol=1e-10, max_iter=20000)
+    cfg = ThreeProxConfig(tol=1e-10, max_iter=20000)
     rep = dp.run3(inst, cfg, [1.0, -0.5], [0.5, 0.5])
     assert rep.converged
     samples = [rep.final_u + rng.standard_normal(2) for _ in range(30)]
@@ -134,8 +134,8 @@ def test_run3_residual_summability():
     cfg = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.9, tol=1e-10,
                           max_iter=5000)
     rep = dp.run3(quad_instance(), cfg, [1.5], [-0.3])
-    envs = [tp.env for tp in rep.trace]
-    assert sum(tp.decrement for tp in rep.trace) <= \
+    envs = rep.trace.env
+    assert sum(rep.trace.decrement) <= \
         (envs[0] - min(envs)) * (1 + 1e-10) + 1e-12
 
 
@@ -163,10 +163,11 @@ def test_config_box_boundaries_rejected():
 
 
 def test_default_config_sits_inside_the_box():
-    cfg = default_config(gamma=0.3, delta=3.0)
+    # the default relaxations are 0.9 times half their ranges
+    cfg = ThreeProxConfig()
     cfg.validate()
-    assert cfg.lam == pytest.approx(0.9 * (1.0 - 0.3))
-    assert cfg.mu == pytest.approx(0.9 * (1.0 - 1.0 / 3.0))
+    assert cfg.lam == 0.9 * (1.0 - cfg.gamma)
+    assert cfg.mu == 0.9 * (1.0 - 1.0 / cfg.delta)
 
 
 # ---------------------------------------------------------------------------

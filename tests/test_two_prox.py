@@ -80,20 +80,21 @@ def test_run_converges_to_unique_stationary_point():
     assert residual_rate_check(rep)
     # quantified decrease holds along the recorded trace
     coeff = dp.descent_coefficient(cfg.gamma, cfg.lam)
-    for a, b in zip(rep.trace, rep.trace[1:]):
-        assert b.env <= a.env - coeff * a.residual ** 2 + 1e-12 * (1 + abs(a.env))
+    envs = rep.trace.env
+    for a, a_residual, b in zip(envs, rep.trace.residual, envs[1:]):
+        assert b <= a - coeff * a_residual ** 2 + 1e-12 * (1 + abs(a))
 
 
 def test_env_trace_nonincreasing_and_summable(rng):
     spca, inst = dp.make_spca(30, seed=5)
     cfg = dp.TwoProxConfig(gamma=0.9 / spca.lam_max, tol=1e-6, max_iter=400)
     rep = dp.run(inst, cfg, spca.s0)
-    envs = [tp.env for tp in rep.trace]
+    envs = rep.trace.env
     assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(envs, envs[1:]))
     assert residual_rate_check(rep)
     # explicit summability constant implied by the per-step decrease
     coeff = dp.descent_coefficient(cfg.gamma, cfg.lam)
-    total = sum(tp.residual ** 2 for tp in rep.trace[:-1])
+    total = sum(r ** 2 for r in rep.trace.residual[:-1])
     assert total <= (envs[0] - min(envs)) / coeff * (1 + 1e-10) + 1e-12
 
 
@@ -116,13 +117,13 @@ def test_coercive_run_stays_bounded(rng):
         rep = dp.run(inst, cfg, c.s0)
         norms = [np.linalg.norm(s) for s in iterates()]
         assert max(norms) < 1e6
-        assert rep.trace[-1].env <= rep.trace[0].env + 1e-12
+        assert rep.trace.env[-1] <= rep.trace.env[0] + 1e-12
 
 
 def test_phi_trace_stabilizes():
     cfg = dp.TwoProxConfig(gamma=1.0, tol=1e-12, max_iter=2000)
     rep = dp.run(instance_a(), cfg, [0.0])
-    tail = [tp.phi for tp in rep.trace[-10:]]
+    tail = rep.trace.phi[-10:]
     assert max(tail) - min(tail) <= 1e-9
 
 
@@ -217,8 +218,8 @@ def test_run_diag_uniform_reduces_to_scalar_bitwise():
     assert scalar.iterations == diag.iterations == len(diag_iterates())
     for a, b in zip(scalar_iterates(), diag_iterates(), strict=True):
         np.testing.assert_array_equal(a, b)
-    for ta, tb in zip(scalar.trace, diag.trace):
-        assert ta.env == tb.env and ta.residual == tb.residual
+    assert scalar.trace.env == diag.trace.env
+    assert scalar.trace.residual == diag.trace.residual
 
 
 def test_run_diag_separable_matches_independent_scalar_runs():
@@ -247,8 +248,8 @@ def test_run_diag_weighted_descent(rng):
         rep = run_diag(c.dc, gammas, lams, rng.standard_normal(2) * 3,
                        tol=0.0, max_iter=50)
         assert rep.termination is not Termination.NUMERICAL_ERROR
-        envs = [tp.env for tp in rep.trace]
-        decr = [tp.decrement for tp in rep.trace]
+        envs = rep.trace.env
+        decr = rep.trace.decrement
         for i in range(len(envs) - 1):
             assert envs[i + 1] <= envs[i] - decr[i] + 1e-12 * (1 + abs(envs[i]))
 
