@@ -17,11 +17,11 @@ stage functions wrapped in place:
     lambda_max        power_lambda_max     the dense eigensolve
 
 then the first forward inverse (``Quadratic(Sigma).prox`` at the dce
-stepsize) and the first backward inverse (``quadratic_smooth(Sigma)``'s
-``backward`` at the drs stepsize). A tree from before the row-block pieces
-has the same stage functions: its draws write one CSC matrix, and its Gram
-sums an n x n product B.T @ B per block. A tree without a stage function
-(one from before the builder was split into stages) prints "-" on that row.
+stepsize) and the first backward inverse (``Quadratic(Sigma).backward`` at
+the drs stepsize). A tree from before the row-block pieces has the same
+stage functions: its draws write one CSC matrix, and its Gram sums an
+n x n product B.T @ B per block. A tree without a stage function (one from
+before the builder was split into stages) prints "-" on that row.
 
 The last row, "import dcprox.cli", is the package's import: its wall time
 and the process's peak resident memory (VmHWM) right after it, both taken
@@ -112,8 +112,7 @@ def run_stages(tree, n, seed, traced):
         policy = tree.cli.GAMMA_POLICY
         probe.wrap("first inverse", tree.Quadratic(spca.sigma).prox)(
             spca.s0, policy["dce"] / spca.lam_max)
-        smooth = problems.quadratic_smooth(spca.sigma, eig_range=(0.0, spca.lam_max))
-        probe.wrap("first backward inverse", smooth.backward)(
+        probe.wrap("first backward inverse", tree.Quadratic(spca.sigma).backward)(
             spca.s0, policy["drs"] / spca.lam_max)
     finally:
         for name, fn in saved.items():

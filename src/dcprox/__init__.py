@@ -3,12 +3,7 @@
 from .envelope import (
     DcInstance,
     SmoothFunction,
-    backward_smooth_prox,
     dce_eval,
-    dce_fbe_equivalence_check,
-    fbe_value,
-    negate_smooth,
-    quadratic_smooth,
     sandwich_bounds,
     smooth_view,
 )
@@ -34,7 +29,6 @@ from .prox import (
     Quadratic,
     ScaledSquare,
     Zero,
-    moreau_value,
     prox_l1_ball,
     soft_threshold,
 )

@@ -19,7 +19,6 @@ per-iteration cost columns are directly comparable across solvers.
 
 from math import sqrt
 
-from .envelope import backward_smooth_prox
 from .prox import CapabilityError, _check_finite, _check_gamma, _check_gamma_mu
 from .reports import CallCounter, Iterate, drive
 
@@ -126,7 +125,7 @@ def drs_run(inst, gamma, tol, max_iter, s0):
             f"drs needs gamma < 1/curvature = {1.0 / curv}, got {gamma}")
     _check_gamma_mu(gamma, inst.mu)
     counter = CallCounter()
-    backward = counter.wrap(lambda s: backward_smooth_prox(smooth, gamma, s), "prox_h")
+    backward = counter.wrap(lambda s: smooth.backward(s, gamma), "prox_h")
     prox_g = counter.wrap(inst.g.prox, "prox_g")
 
     def forward(s):

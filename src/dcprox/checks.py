@@ -6,7 +6,7 @@ Each check returns (ok, measured, budget) so callers can print or assert;
 
 import numpy as np
 
-from .envelope import _sandwich_at, dce_eval, dce_fbe_equivalence_check, negate_smooth
+from .envelope import _sandwich_at, dce_eval
 from .prox import _as_vector
 from .reports import DESCENT_SLACK
 from .two_prox import TwoProxConfig, default_relaxation, run
@@ -73,14 +73,32 @@ def check_sandwich(inst, gamma, evals):
 
 
 def check_fbe(inst, gamma, evals):
-    """Envelope vs forward-backward surrogate for smooth-h instances, at the
-    evaluated points; their envelope values set the budget's scale."""
-    if inst.smooth_h is None:
-        return True, 0.0, 1e-8
-    f = negate_smooth(inst.smooth_h)
-    dev = dce_fbe_equivalence_check(f, inst.g, gamma, [ev.s for ev in evals])
+    """The envelope as the forward-backward envelope (FBE) of -h + g.
+
+    At each evaluated point s, u solves u + gamma*grad h(u) = s, and the raw
+    pair's envelope g_env(s) - [h(u) + ||u - s||^2/(2*gamma)] must equal
+    -h(u) - (gamma/2)*||grad h(u)||^2 + g_env(u + gamma*grad h(u)), g_env
+    the Moreau envelope of g. The points' envelope values set the budget's
+    scale. Needs ``inst.smooth_h`` and gamma < 1/L_h, as
+    ``run_instance_checks`` chooses them.
+    """
+    h, g = inst.smooth_h, inst.g
+
+    def g_env(x):
+        return g.envelope_at_prox(g.prox(x, gamma), x, gamma)
+
+    worst = 0.0
+    for ev in evals:
+        s = ev.s
+        u = h.backward(s, -gamma)
+        d = u - s
+        h_u = h.value(u)
+        env = g_env(s) - (h_u + 0.5 * float(d.dot(d)) / gamma)
+        grad = h.grad(u)
+        fbe = -h_u - 0.5 * gamma * float(grad.dot(grad)) + g_env(u + gamma * grad)
+        worst = max(worst, abs(env - fbe))
     scale = 1.0 + max(abs(ev.env) for ev in evals)
-    return dev <= 1e-8 * scale, dev, 1e-8 * scale
+    return worst <= 1e-8 * scale, worst, 1e-8 * scale
 
 
 def run_instance_checks(inst, gamma, s0, rng):
@@ -88,6 +106,12 @@ def run_instance_checks(inst, gamma, s0, rng):
 
     Each of the 20 sample points is evaluated once at gamma, and once more
     at the FBE check's stepsize only where that differs from gamma.
+
+    On a hypoconvex instance (mu > 0) the battery checks two envelopes:
+    the gradient and sandwich lines check ``dce_eval``'s, the shifted
+    pair's at (s, gamma), while the descent line runs ``run`` and the FBE
+    line checks the raw pair's at (s, gamma), which the solvers descend.
+    On abs-hypo-1d the two differ by up to 3.39 at the 20 points.
     """
     s0 = _as_vector(s0)
     points = [s0 + rng.standard_normal(inst.dim) for _ in range(20)]

@@ -97,20 +97,13 @@ class BenchConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
-def _load_problem(arg, seed_override=None):
-    """Accept an inline JSON document or a path to one."""
+def _load_problem(arg, seed=None):
+    """Accept an inline JSON document or a path to one; ``seed`` replaces its seed."""
     text = arg
     if os.path.exists(arg):
         with open(arg) as fh:
             text = fh.read()
-    if seed_override is not None:
-        doc = json.loads(text)
-        if isinstance(doc, dict):  # problem_from_json rejects any other document
-            if doc.get("kind") == "synthetic":
-                raise ValueError("--seed needs a spca problem; a synthetic one draws nothing")
-            doc["seed"] = seed_override
-            text = json.dumps(doc)
-    return problem_from_json(text)
+    return problem_from_json(text, seed)
 
 
 def _resolve_gamma(text, kind, payload):

@@ -158,5 +158,4 @@ def run_lbfgs(inst, cfg, s0):
         return nxt, -(C1 * alpha * float(it.grad.dot(d)))
 
     return drive("dce-lbfgs", inst, [s0], lambda s: with_grad(evaluate(s)), advance,
-                 lambda it: it.v, counter, cfg.tol, cfg.max_iter, cfg.record_trace,
-                 gamma, {"memory": MEMORY, "lam": cfg.lam})
+                 lambda it: it.v, counter, cfg.tol, cfg.max_iter, cfg.record_trace, gamma)

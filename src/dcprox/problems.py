@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .envelope import DcInstance, quadratic_smooth, smooth_view
+from .envelope import DcInstance, smooth_view
 from .kernels import dsyrk
 from .prox import (
     BlockSeparable,
@@ -270,7 +270,7 @@ def make_spca(n, kappa=None, seed=0, *, spca=None):
 
     h = Quadratic(sigma)
     inst = DcInstance(g=L1Ball(kappa), h=h, dim=n, mu=0.0,
-                      smooth_h=quadratic_smooth(h, eig_range=(0.0, spca.lam_max)),
+                      smooth_h=smooth_view(h, (0.0, spca.lam_max)),
                       dca_step=dca_step, name=f"spca-n{n}-seed{seed}")
     return spca, inst
 
@@ -342,8 +342,7 @@ def synthetic_catalogue():
     out.append(SyntheticInstance(
         name="abs-quad-1d",
         dc=DcInstance(g=L1Norm(1.0), h=ScaledSquare(1.0), dim=1,
-                      smooth_h=quadratic_smooth(np.array([[1.0]]),
-                                                eig_range=(1.0, 1.0)),
+                      smooth_h=smooth_view(Quadratic([[1.0]]), (1.0, 1.0)),
                       name="abs-quad-1d"),
         gamma=0.5, s0=arr(0.25), stationary=(arr(-1.0), arr(0.0), arr(1.0)),
         expected_limit=arr(0.0), phi_star=None, window=(-2.5, 2.5),
@@ -353,8 +352,7 @@ def synthetic_catalogue():
     out.append(SyntheticInstance(
         name="abs-hypo-1d",
         dc=DcInstance(g=L1Norm(1.0), h=ScaledSquare(-0.5), dim=1, mu=0.5,
-                      smooth_h=quadratic_smooth(np.array([[-0.5]]),
-                                                eig_range=(-0.5, -0.5)),
+                      smooth_h=smooth_view(Quadratic([[-0.5]]), (-0.5, -0.5)),
                       name="abs-hypo-1d"),
         gamma=1.0, s0=arr(1.5), stationary=(arr(0.0),),
         expected_limit=arr(0.0), phi_star=0.0, window=(-3.0, 3.0),
@@ -415,16 +413,22 @@ _KEYS = {"spca": ("kind", "n", "seed", "kappa"), "spca3": ("kind", "n", "seed", 
          "synthetic": ("kind", "name")}
 
 
-def problem_from_json(text):
+def problem_from_json(text, seed=None):
     """Rebuild a problem from its JSON descriptor.
 
     Returns (kind, payload): for "spca"/"spca3" the payload is
     (SpcaInstance, problem instance); for "synthetic" it is the
     SyntheticInstance. A rejected value or unknown key is a ValueError naming it.
+    ``seed``, if given, replaces the document's seed (``solve --seed``); a
+    synthetic problem, which draws nothing, rejects it.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"a problem document is a JSON object, got {type(doc).__name__}")
+    if seed is not None:
+        if doc.get("kind") == "synthetic":
+            raise ValueError("--seed needs a spca problem; a synthetic one draws nothing")
+        doc["seed"] = seed
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KEYS:
         raise ValueError(f"unknown problem kind {kind!r}")

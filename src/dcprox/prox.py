@@ -547,14 +547,3 @@ class BlockSeparable(ProxFunction):
                 raise CapabilityError(
                     f"{type(atom).__name__} block needs a uniform diagonal stepsize")
         return out
-
-
-# ---------------------------------------------------------------------------
-# Moreau-envelope operations
-
-
-def moreau_value(f, gamma, x):
-    """Envelope value f(p) + ||p - x||^2/(2*gamma) at p = prox(x, gamma)."""
-    _check_gamma(gamma)
-    x = _as_vector(x)
-    return f.envelope_at_prox(f.prox(x, gamma), x, gamma)

@@ -60,7 +60,6 @@ class RunReport:
     final_z: Optional[np.ndarray] = None
     trace: Trace = field(default_factory=Trace)
     gamma: float = 0.0
-    params: dict = field(default_factory=dict)
     message: str = ""
 
     @property
@@ -134,7 +133,7 @@ def check_stopping(tol, max_iter):
 
 
 def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
-          record_trace=True, gamma=0.0, params=None):
+          record_trace=True, gamma=0.0):
     """Run one solver to convergence, the budget or a numerical error.
 
     ``first(*starts)`` evaluates the start point(s) and returns an
@@ -161,7 +160,6 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
             raise ValueError(f"start point has shape {x.shape}, instance dim {dim}")
         if not np.all(np.isfinite(x)):
             raise ValueError("start point must be finite")
-    params = {} if params is None else params
     trace = Trace()
     points = np.empty((64, dim)) if record_trace else None
     status = Termination.MAX_ITER
@@ -225,7 +223,7 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
         t = starts[1] if len(starts) > 1 else None
         return RunReport(solver=solver, termination=status, iterations=0,
                          final_s=s, final_u=s, final_v=s, final_t=t, final_z=t,
-                         gamma=gamma, params=params, message=message)
+                         gamma=gamma, message=message)
     pending = len(trace.k) - len(trace.phi)
     if pending:
         flush(inst.phis(points[:pending]).tolist())
@@ -233,5 +231,4 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
     flush([inst.phi(phi_at(it))])
     return RunReport(solver=solver, termination=status, iterations=k,
                      final_s=it.s, final_u=it.u, final_v=it.v, final_t=it.t,
-                     final_z=it.z, trace=trace, gamma=gamma, params=params,
-                     message=message)
+                     final_z=it.z, trace=trace, gamma=gamma, message=message)

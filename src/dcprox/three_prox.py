@@ -73,7 +73,6 @@ class ThreeProxConfig:
     mu: float = 0.45
     tol: float = 1e-6
     max_iter: int = 1000
-    record_trace: bool = True
 
     def validate(self):
         if not 0.0 < self.gamma < 1.0:
@@ -144,6 +143,4 @@ def run3(inst, cfg, s0, t0):
                 0.5 * (w_s * nuv + w_t * nuz))
 
     return drive("three-prox", inst, [s0, t0], first, advance, lambda it: it.u,
-                 counter, cfg.tol, cfg.max_iter,
-                 cfg.record_trace, cfg.gamma,
-                 {"delta": cfg.delta, "lam": cfg.lam, "mu": cfg.mu})
+                 counter, cfg.tol, cfg.max_iter, gamma=cfg.gamma)

@@ -101,5 +101,4 @@ def run(inst, cfg, s0):
         inst, inst.h.prox, inst.g.prox, cfg.gamma, cfg.lam,
         lambda d, dd: coeff * dd)
     return drive("dce", inst, [s0], evaluate, plain_step, lambda it: it.v,
-                 counter, cfg.tol, cfg.max_iter, cfg.record_trace, cfg.gamma,
-                 {"lam": cfg.lam, "mu": inst.mu})
+                 counter, cfg.tol, cfg.max_iter, cfg.record_trace, cfg.gamma)

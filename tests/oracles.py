@@ -20,8 +20,14 @@ The certificates check the paper's guarantees on a finished run:
 summability, and ``common_subgradient_gap`` (two-prox) and
 ``stationarity_certificate`` (three-prox) the subgradient inequalities at
 the limit, both screened at sample points by ``subgradient_screen``.
-``envelope_of_smooth_pair`` is the envelope of (g, -f) for a smooth f,
-from its backward prox point.
+The forward-backward forms are generic in a smooth f and an atom g: the
+Moreau value of an atom, the smooth view of a matrix, -f, the
+forward-backward envelope (FBE) of f + g, ``envelope_of_smooth_pair``, the
+envelope of (g, -f) from f's backward solve, and
+``dce_fbe_equivalence_check``, the largest gap between the two after the
+change of variable. ``dcprox.checks.check_fbe`` is the last one written
+out for an instance's own pair, with f = -h; it must return the same
+floats.
 
 ``run_diag`` is the two-prox iteration under diagonal stepsize and
 relaxation vectors, the package's relaxed step driven with a diagonal
@@ -52,13 +58,13 @@ from dcprox import (
     ProxFunction,
     Quadratic,
     ScaledSquare,
-    backward_smooth_prox,
+    SmoothFunction,
     problems,
+    smooth_view,
 )
 from dcprox.checks import finite_difference_gradient
-from dcprox.envelope import _smooth_pair_envelope_at
 from dcprox.problems import _rng_for
-from dcprox.prox import _as_vector, validate_diagonal
+from dcprox.prox import _as_vector, _check_gamma, validate_diagonal
 from dcprox.reports import drive
 from dcprox.three_prox import ThreeTermInstance, _h_point, _psi_from_points
 from dcprox.two_prox import _relaxed_steps
@@ -184,14 +190,84 @@ def stationarity_certificate(inst, cfg, report, sample_points, slack):
     return max(0.0, subgradient_screen(candidates, sample_points, slack))
 
 
+# ---------------------------------------------------------------------------
+# forward-backward forms
+
+
+def moreau_value(f, gamma, x):
+    """Envelope value f(p) + ||p - x||^2/(2*gamma) at p = prox(x, gamma)."""
+    _check_gamma(gamma)
+    x = _as_vector(x)
+    return f.envelope_at_prox(f.prox(x, gamma), x, gamma)
+
+
+def quadratic_smooth(q):
+    """``smooth_view`` of 0.5 x'Qx, Q a symmetric matrix, with its
+    eigenvalue range computed."""
+    atom = Quadratic(q)
+    eigs = np.linalg.eigvalsh(atom.sigma)
+    return smooth_view(atom, (float(eigs.min()), float(eigs.max())))
+
+
+def negate_smooth(f):
+    """The smooth function -f, with the closed-form backward solve of f."""
+    # u + gamma*grad f(u) = s is the backward solve of f at -gamma; for a
+    # quadratic atom that reads the inverse its prox at gamma caches
+    return SmoothFunction(value=lambda x: -f.value(x),
+                          grad=lambda x: -f.grad(x),
+                          lipschitz=f.lipschitz,
+                          backward=lambda s, gamma: f.backward(s, -gamma))
+
+
+def fbe_value(f, g, gamma, u):
+    """Forward-backward envelope of f + g at u for gamma < 1/L_f.
+
+    f(u) - (gamma/2)||grad f(u)||^2 + Moreau envelope of g at the forward
+    point u - gamma*grad f(u).
+    """
+    _check_gamma(gamma)
+    if f.lipschitz > 0 and gamma >= 1.0 / f.lipschitz:
+        raise ValueError(f"fbe needs gamma < 1/L, got gamma={gamma}, L={f.lipschitz}")
+    u = _as_vector(u)
+    gf = f.grad(u)
+    forward = u - gamma * gf
+    return f.value(u) - 0.5 * gamma * float(gf.dot(gf)) + moreau_value(g, gamma, forward)
+
+
+def _pair_envelope_at(f, g, gamma, s, u):
+    """Envelope of (g, -f) at s from the backward point u of s: the Moreau
+    value of -f is taken at u."""
+    d = u - s
+    h_env = -f.value(u) + 0.5 * float(d.dot(d)) / gamma
+    return moreau_value(g, gamma, s) - h_env
+
+
 def envelope_of_smooth_pair(f, g, gamma, s):
     """Envelope value of (g, -f) at s when -f plays the concave part.
 
     Valid for any smooth f with gamma below the backward-prox range; the
     Moreau value of -f is computed through the backward prox point.
     """
+    _check_gamma(gamma)
     s = _as_vector(s)
-    return _smooth_pair_envelope_at(f, g, gamma, s, backward_smooth_prox(f, gamma, s))
+    return _pair_envelope_at(f, g, gamma, s, f.backward(s, gamma))
+
+
+def dce_fbe_equivalence_check(f, g, gamma, points):
+    """Max deviation |env(s) - fbe(backward(s))| over the sample points.
+
+    The envelope of (g, -f) and the forward-backward envelope of f + g
+    coincide after the nonlinear change of variable u = backward prox of s;
+    this returns the largest absolute mismatch observed.
+    """
+    _check_gamma(gamma)
+    worst = 0.0
+    for s in points:
+        s = _as_vector(s)
+        u = f.backward(s, gamma)
+        env = _pair_envelope_at(f, g, gamma, s, u)
+        worst = max(worst, abs(env - fbe_value(f, g, gamma, u)))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +300,7 @@ def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
         inst, inst.h.prox_diag, inst.g.prox_diag, gamma_diag, lam_diag,
         lambda d, dd: 0.5 * float(np.sum(weight * d * d)))
     return drive("dce-diag", inst, [s0], evaluate, plain_step, lambda it: it.v,
-                 counter, tol, max_iter, record_trace, float(gamma_diag[0]),
-                 {"gamma_diag": gamma_diag, "lam_diag": lam_diag, "m_diag": m_diag})
+                 counter, tol, max_iter, record_trace, float(gamma_diag[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +506,11 @@ def lifted_pair(inst):
                       name="lifted")
 
 
-def run3_via_lifted(inst, cfg, s0, t0):
+def run3_via_lifted(inst, cfg, s0, t0, record_trace=True):
     """Run the diagonal two-prox solver on the lifted pair.
 
     Starts at (s0, t0/delta) with stepsize diag(gamma, 1/delta), relaxation
-    diag(lam, mu), unit shift and the tolerance, budget and trace flag of
-    ``cfg``. Returns the report and the lifted iterates, recorded on the
+    diag(lam, mu), unit shift and the tolerance and budget of ``cfg``. Returns the report and the lifted iterates, recorded on the
     lifted g; their s-block reproduces the direct three-prox recursion.
     """
     cfg.validate()
@@ -447,5 +521,5 @@ def run3_via_lifted(inst, cfg, s0, t0):
     start = np.concatenate([_as_vector(s0), _as_vector(t0) / cfg.delta])
     report = run_diag(lifted, gamma_diag, lam_diag, start, m_diag=np.ones(2 * n),
                       tol=cfg.tol, max_iter=cfg.max_iter,
-                      record_trace=cfg.record_trace)
+                      record_trace=record_trace)
     return report, iterates()

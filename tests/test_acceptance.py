@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import dcprox as dp
-from dcprox.checks import check_gradient, evaluate_points
+from dcprox.checks import check_fbe, check_gradient, evaluate_points
 from dcprox.reports import Termination
 from dcprox.three_prox import ThreeProxConfig
-from oracles import (envelope_of_smooth_pair, psi_gradient_identity_check, recording,
+from oracles import (envelope_of_smooth_pair, fbe_value, negate_smooth,
+                     psi_gradient_identity_check, quadratic_smooth, recording,
                      residual_rate_check, run3_via_lifted, run_diag)
 
 RNG_SEED = 987
@@ -35,6 +36,7 @@ def gauntlet():
         out[seed] = {
             "spca": spca,
             "inst": inst,
+            "cfg": cfg,
             "dce": dp.run(inst, cfg, spca.s0),
             "dce-lbfgs": dp.run_lbfgs(inst, cfg, spca.s0),
             "fbs": dp.fbs_run(inst, gamma, 1e-6, 20000, spca.s0),
@@ -46,39 +48,43 @@ def gauntlet():
 
 @pytest.fixture(scope="module")
 def descent_runs(gauntlet):
-    """Reports whose traces carry the guaranteed-decrease certificates."""
+    """(report, relaxation) of each run whose trace carries the
+    guaranteed-decrease certificates; relaxation is the (lam, mu) that a
+    plain two-prox run ran with, and None for every other run."""
     # the gauntlet's relaxed and accelerated runs; an accepted L-BFGS step
     # claims the Armijo decrease its linesearch tested
-    reports = [cell[solver] for cell in gauntlet.values()
-               for solver in ("dce", "dce-lbfgs")]
+    runs = []
+    for cell in gauntlet.values():
+        runs.append((cell["dce"], (cell["cfg"].lam, cell["inst"].mu)))
+        runs.append((cell["dce-lbfgs"], None))
     # a long plain run for step volume
     spca, inst = dp.make_spca(N_DESK, seed=0)
     long_cfg = dp.TwoProxConfig(gamma=0.9 / spca.lam_max, tol=1e-9, max_iter=6000)
-    reports.append(dp.run(inst, long_cfg, spca.s0))
+    runs.append((dp.run(inst, long_cfg, spca.s0), (long_cfg.lam, inst.mu)))
     # catalogue runs, scalar and hypoconvex
     for c in dp.synthetic_catalogue():
         if c.dc is not None:
             cfg = dp.TwoProxConfig(gamma=c.gamma, lam=c.lam, tol=1e-12,
                                    max_iter=1500)
-            reports.append(dp.run(c.dc, cfg, c.s0))
+            runs.append((dp.run(c.dc, cfg, c.s0), (cfg.lam, c.dc.mu)))
     # diagonal-metric runs on the separable instance
     sep = next(c for c in dp.synthetic_catalogue() if c.name == "separable-2d")
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(4):
-        reports.append(run_diag(sep.dc, rng.uniform(0.3, 2.0, 2),
-                                rng.uniform(0.2, 1.8, 2),
-                                rng.standard_normal(2) * 2,
-                                tol=1e-12, max_iter=400))
+        runs.append((run_diag(sep.dc, rng.uniform(0.3, 2.0, 2),
+                              rng.uniform(0.2, 1.8, 2),
+                              rng.standard_normal(2) * 2,
+                              tol=1e-12, max_iter=400), None))
     # three-term runs
     three = next(c for c in dp.synthetic_catalogue() if c.name == "three-quad-1d")
     cfg3 = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.9, tol=1e-11,
                            max_iter=3000)
-    reports.append(dp.run3(three.three, cfg3, three.s0, three.t0))
+    runs.append((dp.run3(three.three, cfg3, three.s0, three.t0), None))
     spca3, inst3 = dp.make_spca3(30, seed=0)
     cfg_spca3 = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.45,
                                 tol=1e-6, max_iter=6000)
-    reports.append(dp.run3(inst3, cfg_spca3, spca3.s0, spca3.s0))
-    return reports
+    runs.append((dp.run3(inst3, cfg_spca3, spca3.s0, spca3.s0), None))
+    return runs
 
 
 def test_criterion_1_gradient_exactness():
@@ -116,7 +122,7 @@ def test_criterion_1_gradient_exactness():
 def test_criterion_2_descent_inequality(descent_runs):
     steps = 0
     worst = -np.inf
-    for rep in descent_runs:
+    for rep, _ in descent_runs:
         assert rep.termination is not Termination.NUMERICAL_ERROR, rep.message
         envs = rep.trace.env
         for a, a_decrement, b in zip(envs, rep.trace.decrement, envs[1:]):
@@ -131,12 +137,12 @@ def test_criterion_2_descent_inequality(descent_runs):
 
 def test_criterion_3_residual_summability(descent_runs):
     checked = 0
-    for rep in descent_runs:
+    for rep, relaxation in descent_runs:
         assert residual_rate_check(rep), rep.solver
         envs = rep.trace.env
         gap = envs[0] - min(envs)
-        if rep.solver == "dce" and rep.params.get("mu", 0.0) == 0.0:
-            lam = rep.params["lam"]
+        if relaxation is not None and relaxation[1] == 0.0:
+            lam = relaxation[0]
             bound = 2.0 * rep.gamma * gap / (lam * (2.0 - lam))
             total = sum(r ** 2 for r in rep.trace.residual[:-1])
             assert total <= bound * (1.0 + 1e-10) + 1e-12, \
@@ -146,23 +152,26 @@ def test_criterion_3_residual_summability(descent_runs):
 
 
 def test_criterion_4_dce_fbe_equivalence():
+    # each point's deviation from the generic forms, which the instance's
+    # own check (dcprox check's FBE line) must measure as the same float
     rng = np.random.default_rng(RNG_SEED + 1)
     cases = []
     for name in ("quad-linear-1d", "abs-quad-1d"):
         c = next(k for k in dp.synthetic_catalogue() if k.name == name)
         lip = c.dc.smooth_h.lipschitz
         gamma = c.gamma if lip == 0 or c.gamma < 1.0 / lip else 0.9 / lip
-        cases.append((name, c.dc.smooth_h, c.dc.g, gamma, c.dc.dim))
+        cases.append((name, c.dc, gamma))
     spca, inst = dp.make_spca(50, seed=0)
-    cases.append(("spca-50", inst.smooth_h, inst.g, 0.9 / spca.lam_max, 50))
+    cases.append(("spca-50", inst, 0.9 / spca.lam_max))
     worst_ratio = 0.0
-    for name, smooth_h, g, gamma, dim in cases:
-        f = dp.negate_smooth(smooth_h)
+    for name, inst_i, gamma in cases:
+        f, g = negate_smooth(inst_i.smooth_h), inst_i.g
         for _ in range(100):
-            s = rng.standard_normal(dim)
+            s = rng.standard_normal(inst_i.dim)
             env = envelope_of_smooth_pair(f, g, gamma, s)
-            u = dp.backward_smooth_prox(f, gamma, s)
-            dev = abs(env - dp.fbe_value(f, g, gamma, u))
+            u = f.backward(s, gamma)
+            dev = abs(env - fbe_value(f, g, gamma, u))
+            assert check_fbe(inst_i, gamma, evaluate_points(inst_i, gamma, [s]))[1] == dev
             ratio = dev / (1e-8 * (1.0 + abs(env)))
             worst_ratio = max(worst_ratio, ratio)
             assert ratio <= 1.0, f"{name}: deviation {dev:.2e} at env {env:.2e}"
@@ -277,7 +286,7 @@ def test_criterion_8_convexity_preservation():
     rng = np.random.default_rng(RNG_SEED + 2)
     q = rng.standard_normal((20, 20))
     q = q @ q.T / 20  # convex smooth part
-    f = dp.quadratic_smooth(q)
+    f = quadratic_smooth(q)
     g = dp.L1Ball(0.3)
     gamma = 0.9 / f.lipschitz
     env = lambda s: envelope_of_smooth_pair(f, g, gamma, s)

@@ -5,6 +5,7 @@ import pytest
 
 import dcprox as dp
 from dcprox.checks import (
+    check_fbe,
     check_gradient,
     check_sandwich,
     evaluate_points,
@@ -14,7 +15,15 @@ from dcprox.checks import (
 from dcprox.envelope import dc_value, env_value_from_pair
 from dcprox.problems import find_synthetic
 from dcprox.reports import Iterate
-from oracles import envelope_of_smooth_pair, prox_shifted
+from oracles import (
+    dce_fbe_equivalence_check,
+    envelope_of_smooth_pair,
+    fbe_value,
+    moreau_value,
+    negate_smooth,
+    prox_shifted,
+    quadratic_smooth,
+)
 
 
 def instance_a():
@@ -60,7 +69,7 @@ def test_envelope_matches_moreau_difference(rng):
     for _ in range(5):
         s = rng.standard_normal(3)
         ev = dp.dce_eval(inst, 0.9, s)
-        direct = dp.moreau_value(inst.g, 0.9, s) - dp.moreau_value(inst.h, 0.9, s)
+        direct = moreau_value(inst.g, 0.9, s) - moreau_value(inst.h, 0.9, s)
         assert ev.env == pytest.approx(direct, abs=1e-12)
 
 
@@ -157,37 +166,36 @@ def test_dce_eval_rejects_bad_shift():
 def test_backward_smooth_prox_linear():
     # the catalogue's closed form for h(x) = x1 + 2*x2
     f = find_synthetic("separable-2d").dc.smooth_h
-    u = dp.backward_smooth_prox(f, 0.7, [1.0, 1.0])
+    u = f.backward(np.array([1.0, 1.0]), 0.7)
     np.testing.assert_allclose(u, [1.7, 2.4])
     np.testing.assert_allclose(u - 0.7 * f.grad(u), [1.0, 1.0])
 
 
 def test_backward_smooth_prox_quadratic():
-    f = dp.quadratic_smooth(np.eye(2))
-    np.testing.assert_allclose(dp.backward_smooth_prox(f, 0.5, [3.0, -1.0]),
-                               [6.0, -2.0])
+    f = dp.Quadratic(np.eye(2))
+    np.testing.assert_allclose(f.backward(np.array([3.0, -1.0]), 0.5), [6.0, -2.0])
 
 
 def test_quadratic_smooth_rejects_nonsymmetric():
     # 0.5 x'Qx has gradient (Q + Q')x/2, not Qx
     with pytest.raises(ValueError, match="symmetric"):
-        dp.quadratic_smooth(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        dp.Quadratic(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_backward_smooth_prox_random_spd(rng):
     q = rng.standard_normal((6, 6))
     q = q @ q.T / 6
-    f = dp.quadratic_smooth(q)
+    f = quadratic_smooth(q)
     gamma = 0.9 / f.lipschitz
     s = rng.standard_normal(6)
-    u = dp.backward_smooth_prox(f, gamma, s)
+    u = f.backward(s, gamma)
     np.testing.assert_allclose(u, np.linalg.solve(np.eye(6) - gamma * q, s),
                                atol=1e-10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_backward_quadratic_rejects_non_finite_input(bad):
-    f = dp.quadratic_smooth(np.array([[1.5, 0.2], [0.2, 0.8]]))
+    f = dp.Quadratic(np.array([[1.5, 0.2], [0.2, 0.8]]))
     f.backward(np.array([1.0, 0.0]), 0.5)  # populate the cached inverse
     with pytest.raises(ValueError, match="infs or NaNs"):
         f.backward(np.array([1.0, bad]), 0.5)
@@ -200,7 +208,7 @@ def test_backward_quadratic_keeps_one_inverse(rng):
     n = 400
     q = rng.standard_normal((n, n))
     q = q @ q.T / n
-    f = dp.quadratic_smooth(q)
+    f = quadratic_smooth(q)
     s = rng.standard_normal(n)
     tracemalloc.start()
     try:
@@ -215,18 +223,18 @@ def test_backward_quadratic_keeps_one_inverse(rng):
 
 
 def test_negated_backward_reuses_the_prox_inverse(rng):
-    # -h's backward solve at gamma is h's prox at gamma, so it reads the
-    # inverse of I + gamma*Sigma that the prox cached: one per signed stepsize
+    # -h's backward solve at gamma, which check_fbe takes as h's backward
+    # solve at -gamma, is h's prox at gamma, so it reads the inverse of
+    # I + gamma*Sigma that the prox cached: one per signed stepsize
     n = 60
     spca, inst = dp.make_spca(n, seed=0)
     gamma = 0.9 / spca.lam_max
     s = rng.standard_normal(n)
     w = inst.h.prox(s, gamma)
-    neg = dp.negate_smooth(inst.smooth_h)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        u = neg.backward(s, gamma)
+        u = inst.smooth_h.backward(s, -gamma)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -237,44 +245,70 @@ def test_negated_backward_reuses_the_prox_inverse(rng):
 def test_smooth_prox_function_matches_quadratic_atom(rng):
     # the prox of a convex smooth f is the backward solve of -f
     q = np.array([[1.5, 0.2], [0.2, 0.8]])
-    neg = dp.negate_smooth(dp.quadratic_smooth(q))
+    neg = negate_smooth(quadratic_smooth(q))
     atom = dp.Quadratic(q)
     for _ in range(5):
         s = rng.standard_normal(2)
-        np.testing.assert_allclose(dp.backward_smooth_prox(neg, 0.9, s),
-                                   atom.prox(s, 0.9), atol=1e-10)
+        np.testing.assert_allclose(neg.backward(s, 0.9), atom.prox(s, 0.9), atol=1e-10)
 
 
 def test_fbe_value_examples():
-    f = dp.quadratic_smooth(np.array([[1.0]]))
+    f = quadratic_smooth(np.array([[1.0]]))
     # stationary point of f with g = 0: both corrections vanish
-    assert dp.fbe_value(f, dp.Zero(), 0.5, [0.0]) == pytest.approx(0.0)
-    assert dp.fbe_value(f, dp.Zero(), 0.5, [2.0]) == pytest.approx(1.0)
+    assert fbe_value(f, dp.Zero(), 0.5, [0.0]) == pytest.approx(0.0)
+    assert fbe_value(f, dp.Zero(), 0.5, [2.0]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        dp.fbe_value(f, dp.Zero(), 1.0, [0.0])  # gamma >= 1/L
+        fbe_value(f, dp.Zero(), 1.0, [0.0])  # gamma >= 1/L
 
 
 def test_dce_fbe_equivalence_zero_case(rng):
-    f = dp.quadratic_smooth(np.zeros((2, 2)))
-    dev = dp.dce_fbe_equivalence_check(f, dp.Zero(), 0.5,
-                                       [rng.standard_normal(2) for _ in range(10)])
+    f = quadratic_smooth(np.zeros((2, 2)))
+    dev = dce_fbe_equivalence_check(f, dp.Zero(), 0.5,
+                                    [rng.standard_normal(2) for _ in range(10)])
     assert dev <= 1e-14
 
 
 def test_dce_fbe_equivalence_l1(rng):
-    f = dp.quadratic_smooth(np.array([[1.0]]))
+    f = quadratic_smooth(np.array([[1.0]]))
     pts = [rng.standard_normal(1) * 3 for _ in range(100)]
-    assert dp.dce_fbe_equivalence_check(f, dp.L1Norm(1.0), 0.5, pts) <= 1e-8
+    assert dce_fbe_equivalence_check(f, dp.L1Norm(1.0), 0.5, pts) <= 1e-8
 
 
 def test_dce_fbe_equivalence_spca(rng):
     spca, inst = dp.make_spca(20, seed=2)
-    f = dp.negate_smooth(inst.smooth_h)
+    f = negate_smooth(inst.smooth_h)
     gamma = 0.9 / spca.lam_max
     pts = [rng.standard_normal(20) for _ in range(30)]
-    dev = dp.dce_fbe_equivalence_check(f, inst.g, gamma, pts)
+    dev = dce_fbe_equivalence_check(f, inst.g, gamma, pts)
     scale = 1.0 + max(abs(envelope_of_smooth_pair(f, inst.g, gamma, s)) for s in pts)
     assert dev <= 1e-8 * scale
+
+
+def fbe_cases():
+    """(name, instance, start, stepsize) of every two-term synthetic entry and
+    of spca n=30 and n=50, at the stepsize ``run_instance_checks`` gives the
+    FBE check: the entry's, or 0.9/L_h where that is not below 1/L_h."""
+    cases = [(c.name, c.dc, c.s0, c.gamma)
+             for c in dp.synthetic_catalogue() if c.dc is not None]
+    for n in (30, 50):
+        spca, inst = dp.make_spca(n, seed=0)
+        cases.append((f"spca-{n}", inst, spca.s0, 0.9 / spca.lam_max))
+    out = []
+    for name, inst, s0, gamma in cases:
+        lip = inst.smooth_h.lipschitz
+        out.append((name, inst, s0, gamma if lip == 0 or gamma < 1.0 / lip else 0.9 / lip))
+    return out
+
+
+@pytest.mark.parametrize("name,inst,s0,gamma", fbe_cases())
+def test_check_fbe_equals_the_generic_reference(name, inst, s0, gamma, rng):
+    # check_fbe writes the generic FBE identity out for the pair (g, h),
+    # with -h in place of f; negation is exact, so the floats agree
+    points = [s0 + rng.standard_normal(inst.dim) for _ in range(100)]
+    ok, measured, budget = check_fbe(inst, gamma, evaluate_points(inst, gamma, points))
+    assert ok
+    assert measured == dce_fbe_equivalence_check(negate_smooth(inst.smooth_h), inst.g,
+                                                 gamma, points)
 
 
 def count_quadratic_calls(monkeypatch):
@@ -297,9 +331,9 @@ def test_checks_evaluate_each_point_once(rng, monkeypatch):
     spca, inst = dp.make_spca(30, seed=1)
     gamma = 0.9 / spca.lam_max
     points = [spca.s0 + rng.standard_normal(30) for _ in range(20)]
-    assert check_sandwich(inst, gamma, evaluate_points(inst, gamma, points))[0]
-    f = dp.negate_smooth(inst.smooth_h)
-    assert dp.dce_fbe_equivalence_check(f, inst.g, gamma, points) <= 1e-8
+    evals = evaluate_points(inst, gamma, points)
+    assert check_sandwich(inst, gamma, evals)[0]
+    assert check_fbe(inst, gamma, evals)[0]
     assert calls == {"prox": 20, "backward": 20}
 
 
@@ -319,7 +353,7 @@ def test_envelope_convexity_preserved_for_convex_smooth_part(rng):
     # convex f (concave smooth h): midpoint convexity of the envelope
     q = rng.standard_normal((6, 6))
     q = q @ q.T / 6
-    f = dp.quadratic_smooth(q)
+    f = quadratic_smooth(q)
     g = dp.L1Ball(0.3)
     gamma = 0.9 / f.lipschitz
     env = lambda s: envelope_of_smooth_pair(f, g, gamma, s)

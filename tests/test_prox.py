@@ -14,7 +14,7 @@ from scipy.linalg.blas import dsymv
 import dcprox as dp
 from dcprox.checks import finite_difference_gradient
 from dcprox.prox import CapabilityError, _identity_plus, _spd_inverse, metric_half_sq
-from oracles import ConjugatePart, prox_conjugate_scaled, prox_shifted
+from oracles import ConjugatePart, moreau_value, prox_conjugate_scaled, prox_shifted
 
 SIGMA3 = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]])
 
@@ -101,8 +101,6 @@ def test_quadratic_rejects_nonsymmetric():
 def test_quadratic_rejects_an_empty_sigma():
     with pytest.raises(ValueError, match="Sigma must not be empty"):
         dp.Quadratic(np.zeros((0, 0)))
-    with pytest.raises(ValueError, match="Sigma must not be empty"):
-        dp.quadratic_smooth(np.zeros((0, 0)))
 
 
 def test_quadratic_cache_survives_stepsize_change():
@@ -162,11 +160,9 @@ def test_symmetric_products_match_dense(n, rng):
     close(atom.prox_diag(x, entries),
           np.linalg.solve(eye + np.diag(entries) @ sigma, x))
     close(atom.value(x), 0.5 * x @ (sigma @ x))
-    f = dp.quadratic_smooth(sigma)
-    close(f.grad(x), sigma @ x)
-    close(f.value(x), 0.5 * x @ (sigma @ x))
-    for step in (0.5 * gamma, -0.5 * gamma):  # negate_smooth passes -gamma
-        close(f.backward(x, step), np.linalg.solve(eye - step * sigma, x))
+    close(atom.grad(x), sigma @ x)
+    for step in (0.5 * gamma, -0.5 * gamma):  # check_fbe passes -gamma
+        close(atom.backward(x, step), np.linalg.solve(eye - step * sigma, x))
 
 
 def test_symmetric_product_rejects_wrong_length():
@@ -174,7 +170,7 @@ def test_symmetric_product_rejects_wrong_length():
     with pytest.raises(ValueError, match="shape mismatch"):
         dp.Quadratic(SIGMA3).prox(np.ones(4), 0.5)
     with pytest.raises(ValueError, match="shape mismatch"):
-        dp.quadratic_smooth(SIGMA3).grad(np.ones(2))
+        dp.Quadratic(SIGMA3).grad(np.ones(2))
 
 
 @pytest.mark.parametrize("path", ["prox", "value", "grad", "backward"])
@@ -184,11 +180,11 @@ def test_symmetric_product_copies_no_matrix(path, rng):
     n = 400
     b = rng.standard_normal((n, n))
     sigma = b @ b.T / n
-    atom, f = dp.Quadratic(sigma), dp.quadratic_smooth(sigma)
+    atom = dp.Quadratic(sigma)
     call = {"prox": lambda x: atom.prox(x, 0.5),
             "value": atom.value,
-            "grad": f.grad,
-            "backward": lambda x: f.backward(x, -0.5)}[path]
+            "grad": atom.grad,
+            "backward": lambda x: atom.backward(x, -0.5)}[path]
     x = rng.standard_normal(n)
     call(x)  # warm-up: builds the cached inverse
     tracemalloc.start()
@@ -218,9 +214,9 @@ def test_first_inverse_takes_one_matrix_buffer(path, rng):
     n = 400
     b = rng.standard_normal((n, n))
     sigma = b @ b.T / n
-    atom, f = dp.Quadratic(sigma), dp.quadratic_smooth(sigma)
+    atom = dp.Quadratic(sigma)
     call = {"prox": lambda x: atom.prox(x, 0.5),
-            "backward": lambda x: f.backward(x, -0.5)}[path]
+            "backward": lambda x: atom.backward(x, -0.5)}[path]
     x = rng.standard_normal(n)
     tracemalloc.start()
     try:
@@ -417,17 +413,17 @@ def test_infinite_stepsize_rejected():
 # Moreau envelope operations
 
 def test_moreau_value_examples():
-    assert dp.moreau_value(dp.Zero(), 1.0, [3.0, 4.0]) == 0.0
-    assert dp.moreau_value(dp.ScaledSquare(1.0), 1.0, [2.0]) == pytest.approx(1.0)
-    assert dp.moreau_value(dp.L1Ball(0.0), 1.0, [3.0, 0.0]) == pytest.approx(2.0)
+    assert moreau_value(dp.Zero(), 1.0, [3.0, 4.0]) == 0.0
+    assert moreau_value(dp.ScaledSquare(1.0), 1.0, [2.0]) == pytest.approx(1.0)
+    assert moreau_value(dp.L1Ball(0.0), 1.0, [3.0, 0.0]) == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        dp.moreau_value(dp.Zero(), -0.5, [1.0])
+        moreau_value(dp.Zero(), -0.5, [1.0])
 
 
 def test_moreau_value_below_function_value(rng):
     for name, atom in ATOMS3:
         x = atom.prox(rng.standard_normal(3), 1.0)  # a point in the domain
-        assert dp.moreau_value(atom, 0.7, x) <= atom.value(x) + 1e-12
+        assert moreau_value(atom, 0.7, x) <= atom.value(x) + 1e-12
 
 
 def test_moreau_value_matches_grid_1d():
@@ -437,7 +433,7 @@ def test_moreau_value_matches_grid_1d():
     for atom, value_fn in cases:
         for x, gamma in [(2.0, 1.0), (-0.7, 0.4), (3.5, 2.0)]:
             _, grid_val = grid_prox_1d_fast(value_fn, x, gamma)
-            assert dp.moreau_value(atom, gamma, [x]) == pytest.approx(grid_val, abs=1e-8)
+            assert moreau_value(atom, gamma, [x]) == pytest.approx(grid_val, abs=1e-8)
 
 
 def test_moreau_gradient_examples(rng):
@@ -447,7 +443,7 @@ def test_moreau_gradient_examples(rng):
     atom = dp.L1Norm(1.0)
     x = rng.standard_normal(5) * 2
     g = envelope_grad(atom, 0.8, x)
-    fd = finite_difference_gradient(lambda y: dp.moreau_value(atom, 0.8, y), x, 1e-6)
+    fd = finite_difference_gradient(lambda y: moreau_value(atom, 0.8, y), x, 1e-6)
     assert np.linalg.norm(fd - g) <= 1e-6 * (1.0 + np.linalg.norm(g))
 
 
@@ -587,7 +583,7 @@ def test_envelope_at_prox_is_the_default_formula_exactly(name, atom, rng):
 def test_envelope_at_prox_is_the_moreau_value(rng):
     for name, atom in ATOMS3:
         x = rng.standard_normal(3)
-        assert dp.moreau_value(atom, 0.6, x) == atom.envelope_at_prox(
+        assert moreau_value(atom, 0.6, x) == atom.envelope_at_prox(
             atom.prox(x, 0.6), x, 0.6)
 
 
@@ -596,11 +592,11 @@ def test_finite_check_accepts_entries_whose_squares_overflow():
     x = np.array([1e200, -1e200, 3e199])
     with np.errstate(over="ignore"):
         assert not np.isfinite(x @ x)
-    atom, f = dp.Quadratic(SIGMA3), dp.quadratic_smooth(SIGMA3)
+    atom = dp.Quadratic(SIGMA3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w = atom.prox(x, 0.7)
-        u = f.backward(x, 0.1)
+        u = atom.backward(x, 0.1)
     inverse = _spd_inverse(np.eye(3) + 0.7 * SIGMA3)
     assert np.array_equal(w, dsymv(1.0, inverse.T, x))
     inverse = _spd_inverse(np.eye(3) - 0.1 * SIGMA3)
@@ -611,9 +607,8 @@ def test_finite_check_accepts_entries_whose_squares_overflow():
 @pytest.mark.parametrize("big", [1.0, 1e200])
 def test_finite_check_rejects_every_non_finite_input(bad, big):
     x = np.array([big, bad, 0.5])
-    f = dp.quadratic_smooth(SIGMA3)
-    for call in (lambda: dp.Quadratic(SIGMA3).prox(x, 0.7),
-                 lambda: f.backward(x, 0.1)):
+    atom = dp.Quadratic(SIGMA3)
+    for call in (lambda: atom.prox(x, 0.7), lambda: atom.backward(x, 0.1)):
         with pytest.raises(ValueError, match="infs or NaNs"):
             call()
 
