@@ -105,13 +105,9 @@ def run_instance_checks(inst, gamma, s0, rng):
     """The standard battery; returns a list of (name, ok, measured, budget).
 
     Each of the 20 sample points is evaluated once at gamma, and once more
-    at the FBE check's stepsize only where that differs from gamma.
-
-    On a hypoconvex instance (mu > 0) the battery checks two envelopes:
-    the gradient and sandwich lines check ``dce_eval``'s, the shifted
-    pair's at (s, gamma), while the descent line runs ``run`` and the FBE
-    line checks the raw pair's at (s, gamma), which the solvers descend.
-    On abs-hypo-1d the two differ by up to 3.39 at the 20 points.
+    at the FBE check's stepsize only where that differs from gamma. Every
+    line checks the envelope the solvers descend, the raw pair's at
+    (s, gamma), hypoconvex pairs included.
     """
     s0 = _as_vector(s0)
     points = [s0 + rng.standard_normal(inst.dim) for _ in range(20)]

@@ -6,10 +6,10 @@ solve  PROBLEM --solver NAME    run one solver, write trace.csv + summary.json
 bench  [--solvers A,B,...]      (solver, n, seed) sweep, write a comparison table
 check  PROBLEM                  run the invariant battery on an instance
 
-The solve stepsize --gamma is a number X or "X/lmax", X over the instance's
-largest eigenvalue (spca problems only); without it each solver takes its
-default stepsize. three-prox takes its stepsizes from ThreeProxConfig's
-defaults and rejects --gamma.
+The solve stepsize --gamma is a positive finite X or "X/lmax", X over the
+instance's largest eigenvalue (spca problems only); without it each solver
+takes its default stepsize. three-prox takes its stepsizes from
+ThreeProxConfig's defaults and rejects --gamma. check's --seed is nonnegative.
 
 Problems are JSON documents, inline or in a file:
     {"kind": "spca",  "n": 100, "seed": 0, "kappa": null}
@@ -106,20 +106,20 @@ def _load_problem(arg, seed=None):
     return problem_from_json(text, seed)
 
 
-def _resolve_gamma(text, kind, payload):
-    """Turn a --gamma value into a stepsize, or None for the default.
-
-    Accepts a plain float, or "X/lmax": X over the instance's largest
-    eigenvalue (sparse-PCA problems only).
-    """
+def _parse_gamma(text):
+    """A --gamma value as (X, whether it reads X/lmax); (None, False), the
+    default stepsize, without one. ValueError unless X is positive and finite."""
     if text is None:
-        return None
-    text = text.strip()
-    if text.endswith("/lmax"):
-        if kind not in ("spca", "spca3"):
-            raise ValueError("an .../lmax stepsize policy needs a spca problem")
-        return float(text[:-len("/lmax")]) / payload[0].lam_max
-    return float(text)
+        return None, False
+    body = text.strip()
+    per_lmax = body.endswith("/lmax")
+    try:
+        x = float(body[:-len("/lmax")] if per_lmax else body)
+    except ValueError:
+        x = math.nan
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"--gamma must be positive and finite (X or X/lmax), got {text!r}")
+    return x, per_lmax
 
 
 def _dc_problem(solver, kind, payload):
@@ -144,13 +144,9 @@ def _solve_one(solver, kind, payload, tol, max_iter, gamma=None):
     """Dispatch one run of ``solver``, one of ``SOLVERS``; returns (report,
     info dict for the summary).
 
-    ``gamma`` overrides the default stepsize of every solver but three-prox,
-    which raises ValueError rather than ignore it.
+    ``gamma`` overrides the default stepsize of every solver but three-prox.
     """
     if solver == "three-prox":
-        if gamma is not None:
-            raise ValueError("three-prox takes no --gamma; its stepsizes come "
-                             "from its own config")
         cfg = ThreeProxConfig(tol=tol, max_iter=max_iter)
         if kind == "spca3":
             spca, inst = payload
@@ -216,8 +212,14 @@ def cmd_solve(args):
             raise ValueError(f"unknown solver {args.solver!r}; "
                              f"pick one of {', '.join(SOLVERS)}")
         check_stopping(args.tol, args.max_iter)
+        if args.solver == "three-prox" and args.gamma is not None:
+            raise ValueError("three-prox takes no --gamma; its stepsizes come from its config")
+        gamma, per_lmax = _parse_gamma(args.gamma)
         kind, payload = _load_problem(args.problem, args.seed)
-        gamma = _resolve_gamma(args.gamma, kind, payload)
+        if per_lmax:
+            if kind not in ("spca", "spca3"):
+                raise ValueError("an .../lmax stepsize policy needs a spca problem")
+            gamma /= payload[0].lam_max
         report, info = _solve_one(args.solver, kind, payload, args.tol,
                                   args.max_iter, gamma)
     except Exception as exc:
@@ -339,17 +341,18 @@ def cmd_bench(args):
 
 def cmd_check(args):
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         kind, payload = _load_problem(args.problem)
+        try:
+            inst, s0, gamma, _ = _dc_problem("dce", kind, payload)
+        except ValueError:
+            raise ValueError("check needs a two-function problem") from None
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     from .checks import run_instance_checks
     rng = np.random.default_rng(args.seed)
-    try:
-        inst, s0, gamma, _ = _dc_problem("dce", kind, payload)
-    except ValueError:
-        print("error: check needs a two-function problem", file=sys.stderr)
-        return 1
     results = run_instance_checks(inst, gamma, s0, rng)
     all_ok = True
     for name, ok, measured, budget in results:
@@ -420,7 +423,7 @@ def build_parser():
 
     p_check = sub.add_parser("check", help="run the invariant battery")
     p_check.add_argument("problem")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=int, default=0, help="seed of the sample points")
     p_check.set_defaults(func=cmd_check)
     return parser
 

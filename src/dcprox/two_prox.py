@@ -91,9 +91,8 @@ def run(inst, cfg, s0):
     """Iterate the relaxed two-prox step until ||u - v|| <= tol.
 
     For hypoconvex instances (mu > 0) the iteration uses the raw proximal
-    maps of g and h with the tightened relaxation bound; the traced
-    envelope is the one of the shifted convex pair, which at the iterate
-    equals the plain pair formula evaluated with the solver's own gamma.
+    maps of g and h with the tightened relaxation bound, and the traced
+    envelope is the raw pair's at (s, gamma), the one ``dce_eval`` gives.
     """
     cfg.validate(inst.mu)
     coeff = descent_coefficient(cfg.gamma, cfg.lam, inst.mu)

@@ -29,13 +29,12 @@ change of variable. ``dcprox.checks.check_fbe`` is the last one written
 out for an instance's own pair, with f = -h; it must return the same
 floats.
 
+``prox_diag`` is the prox of an atom under a diagonal metric (a vector of
+stepsizes), in closed form for the package's linear, square, quadratic and
+block-separable atoms; the package's atoms take a scalar stepsize only.
 ``run_diag`` is the two-prox iteration under diagonal stepsize and
-relaxation vectors, the package's relaxed step driven with a diagonal
-metric; the lifted oracle runs on it.
-
-The shifted prox is the textbook rescaling identity for the prox of
-f + (mu/2)||.||^2, written out on its own; ``dcprox.dce_eval`` applies the
-same identity inline to hypoconvex pairs.
+relaxation vectors, the package's relaxed step driven with ``prox_diag``;
+the lifted oracle runs on it.
 
 The reference sparse-PCA builder is the straightforward construction the
 lean one in ``dcprox.problems`` must reproduce byte for byte: int64
@@ -55,6 +54,7 @@ from dcprox import (
     BlockSeparable,
     CapabilityError,
     DcInstance,
+    Linear,
     ProxFunction,
     Quadratic,
     ScaledSquare,
@@ -64,7 +64,7 @@ from dcprox import (
 )
 from dcprox.checks import finite_difference_gradient
 from dcprox.problems import _rng_for
-from dcprox.prox import _as_vector, _check_gamma, validate_diagonal
+from dcprox.prox import _apply_inverse, _as_vector, _check_gamma, _spd_inverse
 from dcprox.reports import drive
 from dcprox.three_prox import ThreeTermInstance, _h_point, _psi_from_points
 from dcprox.two_prox import _relaxed_steps
@@ -86,7 +86,7 @@ class RecordingAtom:
 
     def prox_diag(self, x, entries):
         self.log.append(np.array(x, dtype=float))
-        return self._atom.prox_diag(x, entries)
+        return prox_diag(self._atom, x, entries)
 
     def __getattr__(self, name):
         return getattr(self._atom, name)
@@ -271,7 +271,63 @@ def dce_fbe_equivalence_check(f, g, gamma, points):
 
 
 # ---------------------------------------------------------------------------
-# diagonal-metric two-prox
+# diagonal metric
+
+
+def validate_diagonal(entries, dim=None):
+    """Validate a diagonal-stepsize vector: strictly positive, right length."""
+    entries = _as_vector(entries)
+    if dim is not None and entries.shape != (dim,):
+        raise ValueError(f"diagonal stepsize has shape {entries.shape}, expected ({dim},)")
+    if not np.all(entries > 0):
+        raise ValueError("diagonal stepsize entries must all be positive")
+    return entries
+
+
+DIAG_ATOMS = (Linear, ScaledSquare, Quadratic, BlockSeparable)
+
+
+def prox_diag(atom, x, entries):
+    """Prox of ``atom`` under the diagonal metric G = diag(entries):
+    argmin_w atom(w) + sum_i (w_i - x_i)^2 / (2*entries_i).
+
+    An atom with a ``prox_diag`` method of its own (the recording wrapper,
+    the lifted coupling) takes it. ``DIAG_ATOMS`` have closed forms; a
+    block-separable atom proxes each block with its own closed form, or,
+    for any other atom, with the scalar prox where the block's entries are
+    all equal. Anything else is a CapabilityError.
+    """
+    if hasattr(atom, "prox_diag"):
+        return atom.prox_diag(x, entries)
+    if not isinstance(atom, DIAG_ATOMS):
+        raise CapabilityError(f"{type(atom).__name__} has no diagonal-metric prox")
+    if isinstance(atom, ScaledSquare):
+        entries = validate_diagonal(entries)
+        scale = 1.0 + entries * atom.curvature
+        if np.any(scale <= 0):
+            raise ValueError("prox undefined for some diagonal entries")
+        return _as_vector(x) / scale
+    entries = validate_diagonal(entries, atom.dim)
+    if isinstance(atom, Linear):
+        return _as_vector(x) - entries * atom.c
+    if isinstance(atom, Quadratic):
+        # (I + G*Sigma) w = x  <=>  (inv(G) + Sigma) w = inv(G) x, SPD system
+        if np.all(entries == entries[0]):
+            return atom.prox(x, float(entries[0]))
+        return _apply_inverse(_spd_inverse(np.diag(1.0 / entries) + atom.sigma),
+                              _as_vector(x) / entries)
+    x = atom._blocks(x)
+    out = np.empty_like(x)
+    for part, a, b in atom.parts:
+        blk = entries[a:b]
+        if isinstance(part, DIAG_ATOMS):
+            out[a:b] = prox_diag(part, x[a:b], blk)
+        elif np.all(blk == blk[0]):
+            out[a:b] = part.prox(x[a:b], float(blk[0]))
+        else:
+            raise CapabilityError(
+                f"{type(part).__name__} block needs a uniform diagonal stepsize")
+    return out
 
 
 def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
@@ -280,9 +336,9 @@ def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
 
     ``m_diag`` is the diagonal quadratic shift making both functions convex
     (entries may have any sign; defaults to zero). Admissibility:
-    0 < lam_diag < 2*(1 - gamma_diag*m_diag) elementwise. The instance's
-    atoms must support the diagonal metric (blockwise-uniform fallbacks
-    included); descent is enforced in the correspondingly weighted norm.
+    0 < lam_diag < 2*(1 - gamma_diag*m_diag) elementwise. ``prox_diag``
+    must cover the instance's atoms (blockwise-uniform fallbacks included);
+    descent is enforced in the correspondingly weighted norm.
     """
     gamma_diag = validate_diagonal(gamma_diag, inst.dim)
     lam_diag = validate_diagonal(lam_diag, inst.dim)
@@ -297,26 +353,11 @@ def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
     # decrease weight (2*(I - Gamma M) - Lambda) Gamma^-1 Lambda (I - Gamma M)^-1
     weight = (2.0 * shrink - lam_diag) * lam_diag / (gamma_diag * shrink)
     counter, _, evaluate, plain_step = _relaxed_steps(
-        inst, inst.h.prox_diag, inst.g.prox_diag, gamma_diag, lam_diag,
+        inst, lambda x, e: prox_diag(inst.h, x, e), lambda x, e: prox_diag(inst.g, x, e),
+        gamma_diag, lam_diag,
         lambda d, dd: 0.5 * float(np.sum(weight * d * d)))
     return drive("dce-diag", inst, [s0], evaluate, plain_step, lambda it: it.v,
                  counter, tol, max_iter, record_trace, float(gamma_diag[0]))
-
-
-# ---------------------------------------------------------------------------
-# shifted prox
-
-
-def prox_shifted(f, mu, gamma, x):
-    """Prox of f + (mu/2)||.||^2 with stepsize gamma, via rescaling.
-
-    Valid while 1 + gamma*mu > 0; the shifted prox equals the plain prox of
-    f with effective stepsize gamma/(1 + gamma*mu) at x/(1 + gamma*mu).
-    """
-    scale = 1.0 + gamma * mu
-    if scale <= 0:
-        raise ValueError(f"shifted prox undefined: 1 + gamma*mu = {scale} <= 0")
-    return f.prox(_as_vector(x) / scale, gamma / scale)
 
 
 # ---------------------------------------------------------------------------

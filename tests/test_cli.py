@@ -129,7 +129,13 @@ def test_solve_three_prox_on_synthetic_takes_the_budget_and_tol(tmp_path, capsys
     (["--solver", "dce", "--tol=-1e-6"], "error: tol must be nonnegative and finite"),
     (["--solver", "three-prox", "--max-iter", "0"],
      "error: tol must be nonnegative and finite and max_iter positive"),
-], ids=["unknown-solver", "tol-nan", "tol-inf", "tol-negative", "max-iter-0"])
+    (["--solver", "dce", "--gamma", "abc"], "error: --gamma must be positive and finite"),
+    (["--solver", "fbs", "--gamma=-1"], "error: --gamma must be positive and finite"),
+    (["--solver", "drs", "--gamma", "nan/lmax"], "error: --gamma must be positive and finite"),
+    (["--solver", "dce-lbfgs", "--gamma", "inf"], "error: --gamma must be positive and finite"),
+    (["--solver", "three-prox", "--gamma", "0.5"], "error: three-prox takes no --gamma"),
+], ids=["unknown-solver", "tol-nan", "tol-inf", "tol-negative", "max-iter-0", "gamma-junk",
+        "gamma-negative", "gamma-nan-lmax", "gamma-inf", "three-prox-gamma"])
 def test_solve_rejects_its_flags_before_building_the_problem(tmp_path, capsys, monkeypatch,
                                                              flags, message):
     def no_build(n, seed):
@@ -270,7 +276,8 @@ def test_solve_malformed_gamma_exits_one(tmp_path, capsys):
                      "--solver", "dce", "--gamma", "0.45/lam",
                      "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "could not convert" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --gamma must be positive and finite (X or X/lmax), got '0.45/lam'\n")
 
 
 def test_bench_single_cell(tmp_path):
@@ -344,7 +351,7 @@ SYNTHETIC_DIGESTS = {
 CHECK_DIGESTS = {
     "quad-linear-1d": "0aa27b5030d8fa2fa74b4949b5f8b1beda8fe699d7b74f6a893e35d729c89335",
     "abs-quad-1d": "96f672a57fef8425e0b9074a1f1250c6a86871151f0ff18195a5ff7eba1078f4",
-    "abs-hypo-1d": "ffdec0d363d48e7f1f47d5673dd9499cbbe2b4e5b59de8d34486cf2402238ea9",
+    "abs-hypo-1d": "e791658c410fea9d0693903dfe81571d22e9318a8651ca2e2f5a5abb725dc3ac",
     "separable-2d": "85be23c5432202c7cf5648c94ed72f035e09b041c2cab5f9d487d526f3c0f48f",
 }
 

@@ -7,6 +7,10 @@ no warning. Status 1 comes with exactly one line on stderr, "error: ...";
 turn any exception into an error line, so a warning raised as an error
 would pass for an ordinary rejected input.
 
+``solve`` also gets a drawn ``--gamma`` and ``--seed`` and ``check`` a
+drawn ``--seed``: valid, negative, not finite, or not a number. A valid
+``--gamma`` X lies in [1e-12, 1e12], or X/lmax with X in [1e-6, 1e6].
+
 Sizes stay small: a valid spca document has n <= 30 and a bench run n <= 12,
 a budget of at most 30 iterations and one or two seeds. An invalid n is
 either below 2 or above ``max_spca_n()``, so the memory bound is tested by
@@ -89,25 +93,41 @@ def assert_contract(code, err, caught):
         assert err == "", err
 
 
+# text without digits (of any script), so that it never parses as a number
+words = st.text(alphabet=st.characters(blacklist_categories=("Nd",)), max_size=4)
+non_finite = st.sampled_from(["nan", "inf", "-inf", "NaN/lmax", "inf/lmax"])
+# a --seed value, or None for no flag
+seeds = st.one_of(st.none(), st.integers(0, 2**70).map(str), st.integers(-3, -1).map(str),
+                  non_finite, words)
+# a --gamma value, or None for the solver's default
+gammas = st.one_of(
+    st.none(),
+    st.floats(1e-12, 1e12).map(repr),
+    st.floats(1e-6, 1e6).map(lambda x: f"{x!r}/lmax"),
+    st.floats(max_value=0.0).map(repr), st.floats(max_value=0.0).map(lambda x: f"{x!r}/lmax"),
+    non_finite, words)
+
+
+def flag(name, value):
+    return [] if value is None else [f"{name}={value}"]
+
+
 @settings(max_examples=80)
-@given(any_documents, st.sampled_from(cli.SOLVERS))
-def test_solve_on_generated_documents(doc, solver):
+@given(any_documents, st.sampled_from(cli.SOLVERS), gammas, seeds)
+def test_solve_on_generated_documents(doc, solver, gamma, seed):
     with tempfile.TemporaryDirectory() as tmp:
-        code, _, err, caught = run(["solve", doc, "--solver", solver,
-                                    "--max-iter", "30", "--out", os.path.join(tmp, "x")])
+        code, _, err, caught = run(["solve", doc, "--solver", solver, "--max-iter", "30",
+                                    *flag("--gamma", gamma), *flag("--seed", seed),
+                                    "--out", os.path.join(tmp, "x")])
     assert_contract(code, err, caught)
 
 
 @settings(max_examples=40)
-@given(any_documents)
-def test_check_on_generated_documents(doc):
-    code, out, err, caught = run(["check", doc])
+@given(any_documents, seeds)
+def test_check_on_generated_documents(doc, seed):
+    code, out, err, caught = run(["check", doc, *flag("--seed", seed)])
     assert_contract(code, err, caught)  # a FAIL exits 1 with no error line
     assert "FAIL" not in out, out
-
-
-# text without digits (of any script), so that it never parses as a count or size
-words = st.text(alphabet=st.characters(blacklist_categories=("Nd",)), max_size=4)
 
 
 def _joined(values):

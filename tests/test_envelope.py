@@ -1,9 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import dcprox as dp
+import dcprox.cli as cli
 from dcprox.checks import (
     check_fbe,
     check_gradient,
@@ -13,15 +15,16 @@ from dcprox.checks import (
     run_instance_checks,
 )
 from dcprox.envelope import dc_value, env_value_from_pair
-from dcprox.problems import find_synthetic
+from dcprox.problems import find_synthetic, problem_from_json
+from dcprox.prox import metric_half_sq
 from dcprox.reports import Iterate
+from dcprox.two_prox import _relaxed_steps
 from oracles import (
     dce_fbe_equivalence_check,
     envelope_of_smooth_pair,
     fbe_value,
     moreau_value,
     negate_smooth,
-    prox_shifted,
     quadratic_smooth,
 )
 
@@ -132,19 +135,39 @@ def test_minimum_transfer_through_prox():
 # ---------------------------------------------------------------------------
 # hypoconvex pairs
 
-def test_hypoconvex_eval_consistent_with_raw_proxes():
-    inst = dp.DcInstance(g=dp.L1Norm(), h=dp.ScaledSquare(-0.5), dim=1, mu=0.5)
-    gamma_eff, s = 1.2, np.array([0.73])
-    scale = 1.0 - gamma_eff * inst.mu
-    ev = dp.dce_eval(inst, gamma_eff / scale, s / scale)
-    np.testing.assert_allclose(ev.u, inst.h.prox(s, gamma_eff), atol=1e-14)
-    np.testing.assert_allclose(ev.v, inst.g.prox(s, gamma_eff), atol=1e-14)
-    assert ev.env == pytest.approx(
-        env_value_from_pair(inst, gamma_eff, s, ev.u, ev.v), abs=1e-13)
-    # the proxes are the shifted pair's, from the rescaling identity
-    for atom, point in ((inst.h, ev.u), (inst.g, ev.v)):
-        assert np.array_equal(point, prox_shifted(atom, inst.mu, gamma_eff / scale,
-                                                  s / scale))
+CHECKED = [{"kind": "synthetic", "name": c.name}
+           for c in dp.synthetic_catalogue() if c.dc is not None] + [{"kind": "spca", "n": 30}]
+
+
+@pytest.mark.parametrize("doc", CHECKED, ids=lambda doc: doc.get("name", "spca-30"))
+def test_dce_eval_is_what_the_solvers_evaluate(doc):
+    # dcprox check's instance, start and stepsize; the solvers' evaluate
+    inst, s0, gamma, _ = cli._dc_problem("dce", *problem_from_json(json.dumps(doc)))
+    _, _, evaluate, _ = _relaxed_steps(inst, inst.h.prox, inst.g.prox, gamma, 1.0, None)
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        s = s0 + 2.0 * rng.standard_normal(inst.dim)
+        ev, it = dp.dce_eval(inst, gamma, s), evaluate(s)
+        assert np.array_equal(ev.u, it.u) and np.array_equal(ev.v, it.v)
+        assert float(ev.env).hex() == float(it.env).hex()
+        assert float(ev.residual).hex() == float(it.residual).hex()
+        assert np.array_equal(ev.grad, it.gaps[0] / gamma)
+
+
+def test_hypoconvex_sandwich_holds_with_the_scaled_gap():
+    # abs-hypo-1d (mu = 0.5, gamma = 1): each prox objective is only
+    # (1 - gamma*mu)/gamma-strongly convex, so the bracket's gap is scaled
+    c = find_synthetic("abs-hypo-1d")
+    inst, gamma = c.dc, c.gamma
+    rng = np.random.default_rng(3)
+    points = [c.s0 + 4.0 * rng.standard_normal(1) for _ in range(2000)]
+    evals = evaluate_points(inst, gamma, points)
+    ok, worst, _ = check_sandwich(inst, gamma, evals)
+    assert ok, f"violation {worst}"
+    # the unscaled gap, right for convex pairs only, does not bracket it
+    unscaled = max(inst.phi(ev.v) + metric_half_sq(ev.v - ev.u, gamma) - ev.env
+                   for ev in evals)
+    assert unscaled > 1.0, unscaled
 
 
 def test_hypoconvex_gradient_finite_differences(rng):
@@ -154,10 +177,12 @@ def test_hypoconvex_gradient_finite_differences(rng):
     assert ok, worst
 
 
-def test_dce_eval_rejects_bad_shift():
-    inst = dp.DcInstance(g=dp.L1Norm(), h=dp.ScaledSquare(-0.5), dim=1, mu=-1.0)
-    with pytest.raises(ValueError):
-        dp.dce_eval(inst, 2.0, [1.0])
+def test_dce_eval_rejects_gamma_mu_of_one():
+    inst = dp.DcInstance(g=dp.L1Norm(), h=dp.ScaledSquare(-0.5), dim=1, mu=0.5)
+    for gamma in (2.0, 3.0):
+        with pytest.raises(ValueError, match="gamma\\*mu must stay below 1"):
+            dp.dce_eval(inst, gamma, [1.0])
+    assert dp.dce_eval(inst, 1.9, [1.0]).residual > 0
 
 
 # ---------------------------------------------------------------------------

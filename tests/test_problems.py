@@ -297,7 +297,7 @@ def test_catalogue_stationary_points_verified_by_grid_oracle():
     for c in dp.synthetic_catalogue():
         if c.dc is None or c.dc.dim != 1:
             continue
-        gamma = c.gamma if c.dc.mu == 0 else c.gamma / (1 - c.gamma * c.dc.mu)
+        gamma = c.gamma
         grid = np.linspace(c.window[0], c.window[1], 40001)
         res = np.array([dp.dce_eval(c.dc, gamma, np.array([s])).residual
                         for s in grid])

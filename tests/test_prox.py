@@ -14,7 +14,7 @@ from scipy.linalg.blas import dsymv
 import dcprox as dp
 from dcprox.checks import finite_difference_gradient
 from dcprox.prox import CapabilityError, _identity_plus, _spd_inverse, metric_half_sq
-from oracles import ConjugatePart, moreau_value, prox_conjugate_scaled, prox_shifted
+from oracles import DIAG_ATOMS, ConjugatePart, moreau_value, prox_conjugate_scaled, prox_diag
 
 SIGMA3 = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]])
 
@@ -35,7 +35,6 @@ ATOMS3 = [
 ]
 
 vec3 = hnp.arrays(np.float64, 3, elements=st.floats(-50, 50))
-steps = st.floats(0.05, 20.0)
 
 
 def grid_prox_1d_fast(value_fn, x, gamma, lo=-20.0, hi=20.0, n=400_001):
@@ -126,7 +125,7 @@ def test_quadratic_prox_matches_dense_solve(rng, scale):
             atom.prox(x, gamma), np.linalg.solve(np.eye(40) + gamma * sigma, x),
             rtol=0, atol=tol)
         np.testing.assert_allclose(
-            atom.prox_diag(x, entries),
+            prox_diag(atom, x, entries),
             np.linalg.solve(np.eye(40) + np.diag(entries) @ sigma, x),
             rtol=0, atol=tol)
 
@@ -138,7 +137,7 @@ def test_quadratic_prox_rejects_non_finite_input(bad):
     with pytest.raises(ValueError, match="infs or NaNs"):
         atom.prox(x, 0.7)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        atom.prox_diag(x, np.array([0.5, 1.5, 2.0]))
+        prox_diag(atom, x, np.array([0.5, 1.5, 2.0]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 130])
@@ -157,7 +156,7 @@ def test_symmetric_products_match_dense(n, rng):
 
     atom = dp.Quadratic(sigma)
     close(atom.prox(x, gamma), np.linalg.solve(eye + gamma * sigma, x))
-    close(atom.prox_diag(x, entries),
+    close(prox_diag(atom, x, entries),
           np.linalg.solve(eye + np.diag(entries) @ sigma, x))
     close(atom.value(x), 0.5 * x @ (sigma @ x))
     close(atom.grad(x), sigma @ x)
@@ -457,30 +456,7 @@ def test_moreau_gradient_lipschitz(name, atom, rng):
 
 
 # ---------------------------------------------------------------------------
-# shifted prox and conjugate prox
-
-def test_prox_shifted_examples():
-    s = np.array([1.3, -0.2])
-    np.testing.assert_allclose(prox_shifted(dp.L1Norm(), 0.0, 0.8, s),
-                               dp.L1Norm().prox(s, 0.8))
-    assert prox_shifted(dp.Zero(), 1.0, 1.0, [2.0])[0] == pytest.approx(1.0)
-    assert prox_shifted(dp.L1Norm(), 1.0, 1.0, [3.0])[0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        prox_shifted(dp.Zero(), -2.0, 1.0, [1.0])  # 1 + gamma*mu < 0
-    with pytest.raises(ValueError):
-        prox_shifted(dp.Zero(), -1.0, 1.0, [1.0])  # boundary
-
-
-@given(st.floats(-0.9, 3.0), steps, st.floats(-5, 5))
-def test_prox_shifted_matches_grid(mu, gamma, x):
-    if 1.0 + gamma * mu < 0.2:
-        return  # keep the rescaled point inside the grid window
-    p = prox_shifted(dp.L1Norm(), mu, gamma, [x])[0]
-    w = np.linspace(-30, 30, 600_001)
-    vals = np.abs(w) + 0.5 * mu * w ** 2 + (w - x) ** 2 / (2 * gamma)
-    assert abs(p) <= 25.0
-    assert p == pytest.approx(w[np.argmin(vals)], abs=1.5e-4)
-
+# conjugate prox
 
 def test_prox_conjugate_examples():
     # conj(0) is the indicator of {0}; conj of the l1 norm is the indicator
@@ -573,9 +549,9 @@ def test_envelope_at_prox_is_the_default_formula_exactly(name, atom, rng):
         w = atom.prox(x, gamma)
         assert float(atom.envelope_at_prox(w, x, gamma)).hex() == \
             float(default(atom, w, x, gamma)).hex()
-        if atom.supports_diag:
+        if isinstance(atom, DIAG_ATOMS):
             entries = np.array([0.4, 0.4, 1.3]) * gamma  # uniform on each block
-            w = atom.prox_diag(x, entries)
+            w = prox_diag(atom, x, entries)
             assert float(atom.envelope_at_prox(w, x, entries)).hex() == \
                 float(default(atom, w, x, entries)).hex()
 
@@ -619,23 +595,23 @@ def test_finite_check_rejects_every_non_finite_input(bad, big):
 def test_prox_diag_uniform_reduces_to_scalar():
     entries = np.full(3, 0.8)
     for name, atom in ATOMS3:
-        if not atom.supports_diag:
+        if not isinstance(atom, DIAG_ATOMS):
             continue
         s = np.array([1.2, -3.0, 0.4])
-        np.testing.assert_array_equal(atom.prox_diag(s, entries), atom.prox(s, 0.8))
+        np.testing.assert_array_equal(prox_diag(atom, s, entries), atom.prox(s, 0.8))
 
 
 def test_prox_diag_l1_example():
     # each 1-d block has a uniform stepsize, so it takes the scalar prox
     blocks = dp.BlockSeparable([(dp.L1Norm(1.0), 1), (dp.L1Norm(1.0), 1)])
-    np.testing.assert_allclose(blocks.prox_diag([3.0, 3.0], [1.0, 2.0]), [2.0, 1.0])
+    np.testing.assert_allclose(prox_diag(blocks, [3.0, 3.0], [1.0, 2.0]), [2.0, 1.0])
 
 
 def test_prox_diag_quadratic_matches_dense_solve(rng):
     atom = dp.Quadratic(SIGMA3)
     entries = np.array([0.5, 1.5, 2.0])
     x = rng.standard_normal(3)
-    w = atom.prox_diag(x, entries)
+    w = prox_diag(atom, x, entries)
     expected = np.linalg.solve(np.eye(3) + np.diag(entries) @ SIGMA3, x)
     np.testing.assert_allclose(w, expected, atol=1e-10)
     # optimality: x in w + Gamma * grad
@@ -644,15 +620,15 @@ def test_prox_diag_quadratic_matches_dense_solve(rng):
 
 def test_prox_diag_capability_errors():
     with pytest.raises(CapabilityError):
-        dp.L1Ball(0.0).prox_diag([3.0, 3.0], [1.0, 2.0])
+        prox_diag(dp.L1Ball(0.0), [3.0, 3.0], [1.0, 2.0])
     with pytest.raises(ValueError):
-        dp.Linear([1.0, 1.0]).prox_diag([3.0, 3.0], [1.0, -2.0])
+        prox_diag(dp.Linear([1.0, 1.0]), [3.0, 3.0], [1.0, -2.0])
     blocks = dp.BlockSeparable([(dp.L1Ball(0.0), 2), (dp.L1Norm(), 1)])
     # uniform on the ball block is fine, nonuniform is not
-    out = blocks.prox_diag(np.array([3.0, 0.0, 2.0]), np.array([1.0, 1.0, 0.5]))
+    out = prox_diag(blocks, np.array([3.0, 0.0, 2.0]), np.array([1.0, 1.0, 0.5]))
     np.testing.assert_allclose(out, [1.0, 0.0, 1.5])
     with pytest.raises(CapabilityError):
-        blocks.prox_diag(np.array([3.0, 0.0, 2.0]), np.array([1.0, 2.0, 0.5]))
+        prox_diag(blocks, np.array([3.0, 0.0, 2.0]), np.array([1.0, 2.0, 0.5]))
 
 
 def test_block_separable_value_and_dim():

@@ -18,8 +18,12 @@ each command rejects. It takes about a second.
 
 Run as a script, this file prints the reach table: every function of the
 package, its span in lines, and whether the script reached it or the
-allowlist excuses it, with the reason; then the lines of each module of the
-package and their total, the size that ROADMAP tracks:
+allowlist excuses it, with the reason; then, per module, the lines of
+reached functions that the script never executed (dead branches, which the
+gate's function-level count cannot see; the script traces line events for
+this, under ``sys.settrace``, which the test does not pay for); then the
+lines of each module of the package and their total, the size that ROADMAP
+tracks:
 
     PYTHONPATH=src python3 tests/test_reach.py
 """
@@ -39,8 +43,6 @@ from dcprox.problems import synthetic_catalogue
 
 PACKAGE = os.path.dirname(os.path.realpath(dcprox.__file__))
 
-DIAG = ("diagonal metric: perfbench's proxy test asserts supports_diag, so it "
-        "moves test-side in the benchmark's change (ROADMAP items 6 and 13)")
 STUB = "abstract ProxFunction stub; every atom overrides it"
 
 # "file:qualname" -> why no command needs to reach it
@@ -54,10 +56,9 @@ ALLOWLIST = {
     "prox.py:Quadratic.value_at_prox": (
         "perfbench's proxy test and test_envelope_at_prox_is_the_default_formula_exactly "
         "compare against it"),
-    "prox.py:validate_diagonal": DIAG,
-    **{f"prox.py:{atom}.{member}": DIAG
-       for atom in ("ProxFunction", "Linear", "ScaledSquare", "Quadratic", "BlockSeparable")
-       for member in ("supports_diag", "prox_diag")},
+    "prox.py:Quadratic.supports_diag": (
+        "perfbench's proxy test asserts it; it goes with that assertion in the "
+        "benchmark's change (ROADMAP items 6 and 13)"),
 }
 
 
@@ -89,11 +90,14 @@ def script(out):
     runs.append((["bench", "--no-timing", "--n-values", "12", "--seeds", "1",
                   "--solvers", ",".join(cli.SOLVERS), "--out",
                   os.path.join(out, "bench")], True))
-    # rejected: a document, a name, a solver for the kind, a tolerance, a flag
+    # rejected: a document, a name, a solver for the kind, a tolerance, a
+    # stepsize, a sample seed, a flag
     solve({"kind": "spca", "n": 1}, "dce", ok=False)
     solve({"kind": "synthetic", "name": "none"}, "dce", ok=False)
     solve(spca, "three-prox", ok=False)
     solve(spca, "dce", "--tol", "nan", ok=False)
+    solve(spca, "dce", "--gamma", "abc", ok=False)
+    runs.append((["check", json.dumps(spca), "--seed", "-1"], False))
     runs.append((["bench", "--n-values", "12,x"], False))
     return runs
 
@@ -132,38 +136,58 @@ def module_lines():
     return counts
 
 
-def run_script(out):
+def in_package(code):
+    return os.path.dirname(os.path.realpath(code.co_filename)) == PACKAGE
+
+
+def run_script(out, lines=None):
     """Run ``script(out)`` under the profile: (code objects called, the
-    commands whose exit status disagrees with the script)."""
+    commands whose exit status disagrees with the script).
+
+    Given a set ``lines``, the script runs under ``sys.settrace`` instead,
+    and the (code object, line) of every line executed in the package is
+    added to it.
+    """
     called = set()
 
     def profile(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
 
-    wrong, previous = [], sys.getprofile()
+    def line_trace(frame, event, arg):
+        if event == "line":
+            lines.add((frame.f_code, frame.f_lineno))
+        return line_trace
+
+    def trace(frame, event, arg):
+        called.add(frame.f_code)  # settrace's global hook sees "call" events only
+        return line_trace if in_package(frame.f_code) else None
+
+    hook, previous = ((sys.setprofile, sys.getprofile()) if lines is None
+                      else (sys.settrace, sys.gettrace()))
+    wrong = []
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv, ok in script(out):
-            sys.setprofile(profile)
+            hook(profile if lines is None else trace)
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
             finally:
-                sys.setprofile(previous)
+                hook(previous)
             if (code in (0, 2)) != ok or code not in (0, 1, 2):
                 wrong.append((argv, code))
     return called, wrong
 
 
-def reach_table(out):
+def reach_table(out, lines=None):
     """(rows, wrong): one row per package function, (file, line, span,
     qualname, status), status "reached", "allowed" or "UNREACHED"; and the
-    script's commands whose exit status was not the expected one."""
-    called, wrong = run_script(out)
+    script's commands whose exit status was not the expected one. ``lines``
+    is passed on to ``run_script``."""
+    called, wrong = run_script(out, lines)
     hit = {(os.path.basename(co.co_filename), co.co_qualname, co.co_firstlineno)
-           for co in called
-           if os.path.dirname(os.path.realpath(co.co_filename)) == PACKAGE}
+           for co in called if in_package(co)}
     rows = []
     for (name, qualname, line), span in sorted(defined_functions().items(),
                                                key=lambda item: (item[0][0], item[0][2])):
@@ -191,9 +215,44 @@ def test_every_src_function_is_reached_by_a_command(tmp_path):
     assert not stale, f"allowlisted but reached or no longer defined: {stale}"
 
 
+def unexecuted_lines(executed):
+    """Module file name -> sorted lines that no traced command executed, of
+    the package's reached functions; ``executed`` holds (code object, line)
+    pairs from ``run_script``. A function's lines are those its code, and
+    that of the comprehensions inside it, runs; its def line is left out."""
+    reached = {code for code, _ in executed}
+    done = {(code.co_filename, line) for code, line in executed}
+    missed = {}
+    for code in reached:
+        if code.co_name.startswith("<") and code.co_name != "<lambda>":
+            continue  # a comprehension; its function lists its lines
+        stack, own = [code], set()
+        while stack:
+            co = stack.pop()
+            own.update(line for _, _, line in co.co_lines() if line is not None)
+            stack.extend(const for const in co.co_consts if isinstance(const, types.CodeType)
+                         and const.co_name.startswith("<") and const.co_name != "<lambda>")
+        own.discard(code.co_firstlineno)
+        missed.setdefault(os.path.basename(code.co_filename), set()).update(
+            line for line in own if (code.co_filename, line) not in done)
+    return {name: sorted(lines) for name, lines in sorted(missed.items()) if lines}
+
+
+def line_ranges(lines):
+    """Sorted line numbers as "a-b" runs: [3, 4, 5, 9] -> "3-5, 9"."""
+    runs = []
+    for line in lines:
+        if runs and runs[-1][1] == line - 1:
+            runs[-1][1] = line
+        else:
+            runs.append([line, line])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+
+
 if __name__ == "__main__":
+    executed = set()
     with tempfile.TemporaryDirectory() as out:
-        rows, wrong = reach_table(out)
+        rows, wrong = reach_table(out, executed)
     for name, line, span, qualname, status in rows:
         reason = f"  ({ALLOWLIST[f'{name}:{qualname}']})" if status == "allowed" else ""
         print(f"{f'{name}:{line}':<18} {span:>4}  {status:<9}  {qualname}{reason}")
@@ -202,6 +261,11 @@ if __name__ == "__main__":
         print(f"{status}: {len(picked)} functions, {sum(row[2] for row in picked)} lines")
     for argv, code in wrong:
         print(f"unexpected exit status {code}: dcprox {' '.join(argv)}")
+    missed = unexecuted_lines(executed)
+    print("lines of reached functions that no command executed:")
+    for name, lines in missed.items():
+        print(f"{name:<18} {len(lines):>5}  {line_ranges(lines)}")
+    print(f"{'total':<18} {sum(map(len, missed.values())):>5}")
     lines = module_lines()
     for name, count in lines.items():
         print(f"{name:<18} {count:>5} lines")

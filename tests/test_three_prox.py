@@ -5,7 +5,7 @@ import dcprox as dp
 from dcprox.envelope import env_value_from_pair
 from dcprox.reports import Termination
 from dcprox.three_prox import ThreeProxConfig
-from oracles import (lifted_pair, psi_gradient_identity_check, psi_value,
+from oracles import (lifted_pair, prox_diag, psi_gradient_identity_check, psi_value,
                      recording, residual_rate_check, run3_via_lifted,
                      stationarity_certificate, three_prox_step)
 
@@ -77,8 +77,8 @@ def test_psi_matches_lifted_envelope(rng):
         for _ in range(10):
             s, t = rng.standard_normal(n), rng.standard_normal(n)
             x = np.concatenate([s, t / cfg.delta])
-            u_l = lifted.h.prox_diag(x, gamma_diag)
-            v_l = lifted.g.prox_diag(x, gamma_diag)
+            u_l = prox_diag(lifted.h, x, gamma_diag)
+            v_l = prox_diag(lifted.g, x, gamma_diag)
             env = env_value_from_pair(lifted, gamma_diag, x, u_l, v_l)
             assert psi_value(inst, cfg, s, t) == pytest.approx(env, abs=1e-10)
 
