@@ -33,7 +33,7 @@ from .prox import (
     soft_threshold,
 )
 from .reports import RunReport, Termination
-from .three_prox import ThreeProxConfig, ThreeTermInstance, run3
+from .three_prox import ThreeTermInstance, run3
 from .two_prox import TwoProxConfig, descent_coefficient, run
 
 _submodules = {"baselines", "checks", "envelope", "kernels", "lbfgs", "problems",

@@ -51,7 +51,7 @@ def _baseline_run(solver, inst, gamma, tol, max_iter, x0, counter, prox_g,
     def advance(it):
         return first(it.s_next), None
 
-    return drive(solver, inst, [x0], first, advance, phi_at, counter, tol,
+    return drive(solver, inst, x0, first, advance, phi_at, counter, tol,
                  max_iter, gamma=gamma)
 
 

@@ -7,9 +7,10 @@ bench  [--solvers A,B,...]      (solver, n, seed) sweep, write a comparison tabl
 check  PROBLEM                  run the invariant battery on an instance
 
 The solve stepsize --gamma is a positive finite X or "X/lmax", X over the
-instance's largest eigenvalue (spca problems only); without it each solver
-takes its default stepsize. three-prox takes its stepsizes from
-ThreeProxConfig's defaults and rejects --gamma. check's --seed is nonnegative.
+instance's largest eigenvalue (spca and spca3 problems only); without it each
+solver takes its default stepsize. three-prox runs dce's relaxed two-prox
+iteration on the three-term problem's lift to the doubled space, whose
+coupling is 1/(2*gamma). check's --seed is nonnegative.
 
 Problems are JSON documents, inline or in a file:
     {"kind": "spca",  "n": 100, "seed": 0, "kappa": null}
@@ -29,7 +30,9 @@ on a reused instance is bit-identical to one on a fresh build. The two
 splits of an (n, seed), spca and spca3, share one draw of Sigma per process.
 
 Trace CSV columns: iter, env, residual, cum_prox_h, cum_prox_g, cum_grad_h,
-wall_ns. summary.json writes a phi_final or final_residual that is inf or
+wall_ns; for three-prox, env and residual are the lift's, and one prox_g is
+one prox of the lift's convex part, which proxes g and f together.
+summary.json writes a phi_final or final_residual that is inf or
 NaN as null, so strict JSON parsers read it. Bench table columns: solver,
 n, mean_iters, mean_prox_h, mean_prox_g, mean_grad_h, mean_wall_ns.
 Exit codes: 0 converged / all checks pass, 2 iteration budget exhausted,
@@ -51,11 +54,12 @@ from .baselines import dca_run, drs_run, fbs_run
 from .lbfgs import run_lbfgs
 from .problems import FLOOR_PER_N2, make_spca, make_spca3, max_spca_n, problem_from_json
 from .reports import Termination, check_stopping
-from .three_prox import ThreeProxConfig, run3
+from .three_prox import GAMMA_KAPPA, run3
 from .two_prox import TwoProxConfig, default_relaxation, run
 
 SOLVERS = ("dce", "dce-lbfgs", "fbs", "dca", "drs", "three-prox")
-GAMMA_POLICY = {"dce": 0.9, "dce-lbfgs": 0.9, "fbs": 0.9, "dca": 0.9, "drs": 0.45}
+GAMMA_POLICY = {"dce": 0.9, "dce-lbfgs": 0.9, "fbs": 0.9, "dca": 0.9, "drs": 0.45,
+                "three-prox": 0.5}
 
 
 @dataclass
@@ -122,50 +126,41 @@ def _parse_gamma(text):
     return x, per_lmax
 
 
-def _dc_problem(solver, kind, payload):
-    """Two-function instance, start point, default stepsize and summary info.
+def _problem(solver, kind, payload):
+    """The solver's instance, start point, default stepsize and summary info.
 
-    The default is GAMMA_POLICY[solver] / lambda_max on sparse PCA and the
-    catalogue's stepsize on a synthetic problem, which passes the stepsize
-    gate of each solver the entry lists.
+    three-prox takes a spca3 or a three-term synthetic problem, every other
+    solver a spca or a two-function synthetic one. The default stepsize is
+    GAMMA_POLICY[solver] / lambda_max on sparse PCA and the catalogue's
+    stepsize on a synthetic problem, which passes the stepsize gate of each
+    solver the entry lists.
     """
-    if kind == "spca":
+    three = solver == "three-prox"
+    if kind == ("spca3" if three else "spca"):
         spca, inst = payload
         return (inst, spca.s0, GAMMA_POLICY[solver] / spca.lam_max,
                 {"n": spca.n, "seed": spca.seed, "kappa": spca.kappa})
-    if kind != "synthetic":
-        raise ValueError(f"solver {solver} does not apply to problem kind {kind}")
-    if payload.dc is None:
-        raise ValueError(f"{payload.name} has no two-function form")
-    return payload.dc, payload.s0, payload.gamma, {"name": payload.name}
+    inst = (payload.three if three else payload.dc) if kind == "synthetic" else None
+    if inst is None:
+        form = "three-term" if three else "two-function"
+        raise ValueError(f"solver {solver} needs a problem with a {form} form")
+    return inst, payload.s0, payload.gamma, {"name": payload.name}
 
 
 def _solve_one(solver, kind, payload, tol, max_iter, gamma=None):
     """Dispatch one run of ``solver``, one of ``SOLVERS``; returns (report,
-    info dict for the summary).
-
-    ``gamma`` overrides the default stepsize of every solver but three-prox.
+    info dict for the summary). ``gamma`` overrides the default stepsize.
     """
-    if solver == "three-prox":
-        cfg = ThreeProxConfig(tol=tol, max_iter=max_iter)
-        if kind == "spca3":
-            spca, inst = payload
-            report = run3(inst, cfg, spca.s0, spca.s0)
-            info = {"n": spca.n, "seed": spca.seed, "kappa": spca.kappa}
-        elif kind == "synthetic" and payload.three is not None:
-            report = run3(payload.three, cfg, payload.s0, payload.t0)
-            info = {"name": payload.name}
-        else:
-            raise ValueError("three-prox needs a spca3 or three-term synthetic problem")
-        return report, {**info, "gamma": cfg.gamma, "delta": cfg.delta}
-
-    inst, s0, default_gamma, info = _dc_problem(solver, kind, payload)
+    inst, s0, default_gamma, info = _problem(solver, kind, payload)
     if gamma is None:
         gamma = default_gamma
-    if solver in ("dce", "dce-lbfgs"):
-        cfg = TwoProxConfig(gamma=gamma, lam=default_relaxation(gamma, inst.mu),
+    if solver in ("dce", "dce-lbfgs", "three-prox"):
+        # three-prox's lift is hypoconvex with modulus kappa = GAMMA_KAPPA/gamma
+        mu = GAMMA_KAPPA / gamma if solver == "three-prox" else inst.mu
+        cfg = TwoProxConfig(gamma=gamma, lam=default_relaxation(gamma, mu),
                             tol=tol, max_iter=max_iter)
-        report = (run if solver == "dce" else run_lbfgs)(inst, cfg, s0)
+        solve = {"dce": run, "dce-lbfgs": run_lbfgs, "three-prox": run3}[solver]
+        report = solve(inst, cfg, s0)
     else:
         baseline = {"fbs": fbs_run, "dca": dca_run, "drs": drs_run}[solver]
         report = baseline(inst, gamma, tol, max_iter, s0)
@@ -212,8 +207,6 @@ def cmd_solve(args):
             raise ValueError(f"unknown solver {args.solver!r}; "
                              f"pick one of {', '.join(SOLVERS)}")
         check_stopping(args.tol, args.max_iter)
-        if args.solver == "three-prox" and args.gamma is not None:
-            raise ValueError("three-prox takes no --gamma; its stepsizes come from its config")
         gamma, per_lmax = _parse_gamma(args.gamma)
         kind, payload = _load_problem(args.problem, args.seed)
         if per_lmax:
@@ -345,7 +338,7 @@ def cmd_check(args):
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         kind, payload = _load_problem(args.problem)
         try:
-            inst, s0, gamma, _ = _dc_problem("dce", kind, payload)
+            inst, s0, gamma, _ = _problem("dce", kind, payload)
         except ValueError:
             raise ValueError("check needs a two-function problem") from None
     except Exception as exc:

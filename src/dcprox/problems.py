@@ -256,20 +256,20 @@ def make_spca(n, kappa=None, seed=0, *, spca=None):
 
     g = kappa*||.||_1 + indicator of the unit ball, h = s'Sigma s/2. The
     returned DC instance carries the smooth oracle for h and the
-    closed-form DC-iteration subproblem (shrink the gradient, normalize to
-    the sphere). ``spca``, the SpcaInstance of the same (n, seed, kappa),
-    skips the draw and the product: the split is built on its Sigma.
+    closed-form DC-iteration subproblem (shrink the gradient by g's kappa,
+    normalize to the sphere). ``spca``, the SpcaInstance of the same
+    (n, seed, kappa), skips the draw and the product: the split is built on
+    its Sigma.
     """
     spca = _spca_for(n, kappa, seed, spca)
-    kappa, sigma = spca.kappa, spca.sigma
+    g, h = L1Ball(spca.kappa), Quadratic(spca.sigma)
 
-    def dca_step(v, _k=kappa):
-        w = soft_threshold(v, _k)
+    def dca_step(v):
+        w = soft_threshold(v, g.kappa)
         norm = sqrt(w.dot(w))
         return w / norm if norm > 0 else w
 
-    h = Quadratic(sigma)
-    inst = DcInstance(g=L1Ball(kappa), h=h, dim=n, mu=0.0,
+    inst = DcInstance(g=g, h=h, dim=n, mu=0.0,
                       smooth_h=smooth_view(h, (0.0, spca.lam_max)),
                       dca_step=dca_step, name=f"spca-n{n}-seed{seed}")
     return spca, inst
@@ -313,7 +313,6 @@ class SyntheticInstance:
     coercive: bool = True
     lam: float = 1.0
     three: Optional[ThreeTermInstance] = None
-    t0: Optional[np.ndarray] = None
 
 
 def synthetic_catalogue():
@@ -378,8 +377,7 @@ def synthetic_catalogue():
         expected_limit=arr(0.0), phi_star=0.0, window=(-3.0, 3.0),
         solvers=("three-prox",),
         three=ThreeTermInstance(f=ScaledSquare(1.0), g=ScaledSquare(2.0),
-                                h=Zero(), dim=1),
-        t0=arr(1.5)))
+                                h=Zero(), dim=1)))
 
     return out
 

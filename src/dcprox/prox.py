@@ -260,10 +260,6 @@ class Zero(ProxFunction):
         _check_gamma(gamma)
         return _as_vector(x).copy()
 
-    def envelope_at_prox(self, w, x, gamma):
-        # w is a copy of x, so for finite x both terms are exactly 0
-        return 0.0
-
 
 class Linear(ProxFunction):
     """f(x) = <c, x>; prox is a constant shift."""

@@ -56,8 +56,6 @@ class RunReport:
     final_s: np.ndarray
     final_u: np.ndarray
     final_v: np.ndarray
-    final_t: Optional[np.ndarray] = None
-    final_z: Optional[np.ndarray] = None
     trace: Trace = field(default_factory=Trace)
     gamma: float = 0.0
     message: str = ""
@@ -103,9 +101,8 @@ class Iterate:
     """One evaluated iterate, as a solver hands it to ``drive`` and as
     ``envelope.dce_eval`` returns it.
 
-    ``s`` is the iterate (``t`` its second block, for three-prox), ``u`` and
-    ``v`` the prox outputs whose gap is ``residual``, and ``z`` three-prox's
-    prox_f output. ``env`` is the value the descent check and the trace
+    ``s`` is the iterate, ``u`` and ``v`` the prox outputs whose gap is
+    ``residual``. ``env`` is the value the descent check and the trace
     use; None means the method has no envelope and traces the objective.
     ``grad`` is the envelope gradient (u - v)/gamma, set by L-BFGS and
     ``dce_eval``. ``gaps`` (the prox differences and their squared norms
@@ -118,8 +115,6 @@ class Iterate:
     v: np.ndarray
     env: Optional[float]
     residual: float
-    t: Optional[np.ndarray] = None
-    z: Optional[np.ndarray] = None
     grad: Optional[np.ndarray] = None
     s_next: Optional[np.ndarray] = None
     gaps: Optional[tuple] = None
@@ -132,11 +127,11 @@ def check_stopping(tol, max_iter):
                          f"got tol={tol}, max_iter={max_iter}")
 
 
-def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
+def drive(solver, inst, s0, first, advance, phi_at, counter, tol, max_iter,
           record_trace=True, gamma=0.0):
     """Run one solver to convergence, the budget or a numerical error.
 
-    ``first(*starts)`` evaluates the start point(s) and returns an
+    ``first(s0)`` evaluates the start point and returns an
     ``Iterate``; ``advance(it)`` steps from ``it`` and returns the next
     evaluated ``Iterate`` with the envelope decrease the step claims, or
     None for a step that makes no claim. ``phi_at(it)`` is the point at
@@ -154,12 +149,11 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
     """
     check_stopping(tol, max_iter)
     dim = inst.dim
-    starts = [_as_vector(np.array(x, dtype=float)) for x in starts]
-    for x in starts:
-        if x.shape != (dim,):
-            raise ValueError(f"start point has shape {x.shape}, instance dim {dim}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("start point must be finite")
+    s0 = _as_vector(np.array(s0, dtype=float))
+    if s0.shape != (dim,):
+        raise ValueError(f"start point has shape {s0.shape}, instance dim {dim}")
+    if not np.all(np.isfinite(s0)):
+        raise ValueError("start point must be finite")
     trace = Trace()
     points = np.empty((64, dim)) if record_trace else None
     status = Termination.MAX_ITER
@@ -188,7 +182,7 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
         envs[start:] = [p if e is None else e for e, p in zip(envs[start:], phis[start:])]
 
     try:
-        it = first(*starts)
+        it = first(s0)
         claim = None
         while True:
             mark = (k, counter.prox_h, counter.prox_g, counter.grad_h,
@@ -219,16 +213,14 @@ def drive(solver, inst, starts, first, advance, phi_at, counter, tol, max_iter,
         message = f"oracle evaluation failed: {exc}"
 
     if it is None:  # the start point could not be evaluated
-        s = starts[0]
-        t = starts[1] if len(starts) > 1 else None
         return RunReport(solver=solver, termination=status, iterations=0,
-                         final_s=s, final_u=s, final_v=s, final_t=t, final_z=t,
-                         gamma=gamma, message=message)
+                         final_s=s0, final_u=s0, final_v=s0, gamma=gamma,
+                         message=message)
     pending = len(trace.k) - len(trace.phi)
     if pending:
         flush(inst.phis(points[:pending]).tolist())
     keep(it.env, it.residual, 0.0, mark)
     flush([inst.phi(phi_at(it))])
     return RunReport(solver=solver, termination=status, iterations=k,
-                     final_s=it.s, final_u=it.u, final_v=it.v, final_t=it.t,
-                     final_z=it.z, trace=trace, gamma=gamma, message=message)
+                     final_s=it.s, final_u=it.u, final_v=it.v, trace=trace,
+                     gamma=gamma, message=message)

@@ -1,29 +1,37 @@
-"""Three-prox splitting for objectives g - h - f with three convex parts.
+"""Three-term problems phi = g - h - f, solved as a lifted two-term pair.
 
-The iteration runs three independent proximal evaluations per step,
+Since -f(x) = min_y f*(kappa*y) - kappa*<x, y> for any kappa > 0, phi is the
+infimum over y of the difference of
 
-    u = prox_h((delta*s - gamma*t)/(delta - gamma), gamma*delta/(delta-gamma))
-    v = prox_g(s, gamma)
-    z = prox_f(t, delta)
+    G(x, y) = g(x) + f*(kappa*y),    H(x, y) = h(x) + kappa*<x, y>,
 
-followed by the pair of relaxed updates s+ = s + lam*(v - u) and
-t+ = t + mu*(u - z), both computed from the pre-update state. The update is
-a diagonally scaled gradient step on the smooth surrogate
+a convex G and an H that is hypoconvex with modulus kappa
+(H + kappa/2 ||.||^2 = h(x) + kappa/2 ||x + y||^2 is convex). ``run3`` runs
+the relaxed two-prox iteration ``two_prox.run`` on this pair. The coupling
+is tied to the stepsize, kappa = GAMMA_KAPPA/gamma, so gamma*kappa is the
+same at every stepsize and the lift is scale-covariant: multiplying f, g
+and h by c and gamma by 1/c (c a power of two) leaves every iterate's bits
+unchanged. With a = GAMMA_KAPPA both proxes are closed form,
 
-    Psi(s, t) = g_env(s) - f_env(t) - h_env((delta*s - gamma*t)/(delta-gamma))
-                + ||s - t||^2 / (2*(delta - gamma)),
+    prox of gamma*H at (s, t):  x = prox_h((s - a*t)/(1 - a^2), gamma/(1 - a^2)),
+                                y = t - a*x,
+    prox of gamma*f*(kappa*.) at t:  p = t - a*q,  q = prox_f(t/a, gamma/a^2),
 
-namely (s+, t+) = (s, t) - diag(gamma*lam, delta*mu) grad Psi(s, t).
+the latter by the Moreau identity, which also gives its envelope,
+||t||^2/(2*gamma) minus f's envelope at t/a with stepsize gamma/a^2, from
+the prox point q = (t - p)/a: no value of f* is needed.
 """
 
-from dataclasses import dataclass
-from math import sqrt
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .envelope import dc_value, dc_values
-from .prox import ProxFunction
-from .reports import CallCounter, Iterate, drive
+from .envelope import DcInstance, dc_value, dc_values
+from .prox import ProxFunction, _as_vector
+from .two_prox import run
+
+GAMMA_KAPPA = 0.5  # gamma*kappa of the lift: its coupling is kappa = GAMMA_KAPPA/gamma
+_SHRINK = 1.0 - GAMMA_KAPPA * GAMMA_KAPPA
 
 
 @dataclass(frozen=True)
@@ -56,91 +64,79 @@ class ThreeTermInstance:
                          self.h.values(rows) + self.f.values(rows))
 
 
+class _LiftedG(ProxFunction):
+    """G(x, y) = g(x) + f*(kappa*y), kappa = GAMMA_KAPPA/gamma at stepsize gamma."""
+
+    def __init__(self, g, f, n):
+        self.g, self.f, self.n = g, f, n
+
+    def prox(self, x, gamma):
+        n = self.n
+        t = x[n:]
+        q = self.f.prox(t / GAMMA_KAPPA, gamma / GAMMA_KAPPA ** 2)
+        return np.concatenate((self.g.prox(x[:n], gamma), t - GAMMA_KAPPA * q))
+
+    def envelope_at_prox(self, w, x, gamma):
+        n = self.n
+        t = x[n:]
+        q = np.subtract(t, w[n:])
+        q /= GAMMA_KAPPA  # f's prox point behind w's y-block
+        return (self.g.envelope_at_prox(w[:n], x[:n], gamma)
+                + 0.5 * float(t.dot(t)) / gamma
+                - self.f.envelope_at_prox(q, t / GAMMA_KAPPA, gamma / GAMMA_KAPPA ** 2))
+
+
+class _LiftedH(ProxFunction):
+    """H(x, y) = h(x) + kappa*<x, y>, kappa = GAMMA_KAPPA/gamma at stepsize gamma."""
+
+    def __init__(self, h, n):
+        self.h, self.n = h, n
+
+    def prox(self, x, gamma):
+        n = self.n
+        t = x[n:]
+        xs = self.h.prox((x[:n] - GAMMA_KAPPA * t) / _SHRINK, gamma / _SHRINK)
+        return np.concatenate((xs, t - GAMMA_KAPPA * xs))
+
+    def envelope_at_prox(self, w, x, gamma):
+        n = self.n
+        d = w - x
+        return (self.h.value(w[:n]) + GAMMA_KAPPA * float(w[:n].dot(w[n:])) / gamma
+                + 0.5 * float(d.dot(d)) / gamma)
+
+
 @dataclass(frozen=True)
-class ThreeProxConfig:
-    """Stepsizes and relaxations for the three-prox iteration.
+class _Lift(DcInstance):
+    """The lifted pair of ``three``, whose objective is ``three``'s at the x-block."""
 
-    Admissible box (boundaries rejected): 0 < gamma < 1 < delta,
-    0 < lam < 2*(1 - gamma), 0 < mu < 2*(1 - 1/delta). The default
-    relaxations, 0.45 each, are 0.9 times half their ranges at the default
-    stepsizes: 0.9*(1 - gamma) and 0.9*(1 - 1/delta). A config with other
-    stepsizes names its relaxations itself.
+    three: ThreeTermInstance = None
+
+    def phi(self, x):
+        return self.three.phi(x[:self.three.dim])
+
+    def phis(self, rows):
+        return self.three.phis(rows[:, :self.three.dim])
+
+
+def lift(inst, gamma):
+    """The lifted pair of ``inst`` at stepsize gamma: coupling and modulus
+    kappa = GAMMA_KAPPA/gamma."""
+    n = inst.dim
+    return _Lift(g=_LiftedG(inst.g, inst.f, n), h=_LiftedH(inst.h, n), dim=2 * n,
+                 mu=GAMMA_KAPPA / gamma, three=inst)
+
+
+def run3(inst, cfg, s0):
+    """Solve ``inst`` with ``two_prox.run`` on its lift at cfg.gamma, from (s0, 0).
+
+    The lift's modulus is its coupling kappa = GAMMA_KAPPA/cfg.gamma, so the
+    relaxation cfg.lam must stay below 2*(1 - GAMMA_KAPPA) = 1. The report
+    is the lifted run's, named three-prox: env and residual are the lift's,
+    phi is ``inst``'s at v's x-block, and final_s, final_u and final_v are
+    x-blocks, points of ``inst``'s space.
     """
-
-    gamma: float = 0.5
-    delta: float = 2.0
-    lam: float = 0.45
-    mu: float = 0.45
-    tol: float = 1e-6
-    max_iter: int = 1000
-
-    def validate(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not self.delta > 1.0:
-            raise ValueError(f"delta must exceed 1, got {self.delta}")
-        if not 0.0 < self.lam < 2.0 * (1.0 - self.gamma):
-            raise ValueError(
-                f"lam must lie in (0, {2.0 * (1.0 - self.gamma)}), got {self.lam}")
-        hi = 2.0 * (1.0 - 1.0 / self.delta)
-        if not 0.0 < self.mu < hi:
-            raise ValueError(f"mu must lie in (0, {hi}), got {self.mu}")
-
-    @property
-    def h_step(self):
-        return self.gamma * self.delta / (self.delta - self.gamma)
-
-
-def _h_point(cfg, s, t):
-    return (cfg.delta * s - cfg.gamma * t) / (cfg.delta - cfg.gamma)
-
-
-def _psi_from_points(inst, cfg, s, t, w, u, v, z):
-    """Psi from the prox points u, v, z of (w, s, t), w the h-point of (s, t)."""
-    dst = s - t
-    return (inst.g.envelope_at_prox(v, s, cfg.gamma)
-            - inst.f.envelope_at_prox(z, t, cfg.delta)
-            - inst.h.envelope_at_prox(u, w, cfg.h_step)
-            + 0.5 * float(dst.dot(dst)) / (cfg.delta - cfg.gamma))
-
-
-def run3(inst, cfg, s0, t0):
-    """Iterate until ||(u - v, u - z)|| <= tol or the iteration budget ends.
-
-    The surrogate trace must be nonincreasing with the weighted guaranteed
-    decrease; a violation beyond rounding slack ends the run with a
-    numerical-error status.
-    """
-    cfg.validate()
-    counter = CallCounter()
-    prox_h = counter.wrap(inst.h.prox, "prox_h")
-    prox_g = counter.wrap(inst.g.prox, "prox_g")
-    prox_f = counter.wrap(inst.f.prox, "prox_g")  # f tallied with g
-    # weighted decrease: s-block lam*(2*(1-gamma)-lam)/(gamma*(1-gamma)) on
-    # ||u-v||^2, t-block mu*(2*(1-1/delta)-mu)/(delta-1) on ||u-z||^2, halved
-    w_s = cfg.lam * (2.0 * (1.0 - cfg.gamma) - cfg.lam) / (cfg.gamma * (1.0 - cfg.gamma))
-    w_t = cfg.mu * (2.0 * (1.0 - 1.0 / cfg.delta) - cfg.mu) / (cfg.delta - 1.0)
-    h_step = cfg.h_step
-
-    # u - v, u - z and their squared norms are computed once per iterate:
-    # they serve the residual, the claim and the step, whose s-block
-    # s - lam*(u - v) is the same floats as s + lam*(v - u)
-    def first(s, t):
-        w = _h_point(cfg, s, t)
-        u = prox_h(w, h_step)
-        v = prox_g(s, cfg.gamma)
-        z = prox_f(t, cfg.delta)
-        duv = u - v
-        duz = u - z
-        nuv = float(duv.dot(duv))
-        nuz = float(duz.dot(duz))
-        return Iterate(s, u, v, _psi_from_points(inst, cfg, s, t, w, u, v, z),
-                       sqrt(nuv + nuz), t=t, z=z, gaps=(duv, nuv, duz, nuz))
-
-    def advance(it):
-        duv, nuv, duz, nuz = it.gaps
-        return (first(it.s - cfg.lam * duv, it.t + cfg.mu * duz),
-                0.5 * (w_s * nuv + w_t * nuz))
-
-    return drive("three-prox", inst, [s0, t0], first, advance, lambda it: it.u,
-                 counter, cfg.tol, cfg.max_iter, gamma=cfg.gamma)
+    cfg.validate()  # gamma is checked before the coupling divides by it
+    n = inst.dim
+    report = run(lift(inst, cfg.gamma), cfg, np.concatenate([_as_vector(s0), np.zeros(n)]))
+    return replace(report, solver="three-prox", final_s=report.final_s[:n],
+                   final_u=report.final_u[:n], final_v=report.final_v[:n])

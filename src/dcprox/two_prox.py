@@ -99,5 +99,5 @@ def run(inst, cfg, s0):
     counter, _, evaluate, plain_step = _relaxed_steps(
         inst, inst.h.prox, inst.g.prox, cfg.gamma, cfg.lam,
         lambda d, dd: coeff * dd)
-    return drive("dce", inst, [s0], evaluate, plain_step, lambda it: it.v,
+    return drive("dce", inst, s0, evaluate, plain_step, lambda it: it.v,
                  counter, cfg.tol, cfg.max_iter, cfg.record_trace, cfg.gamma)

@@ -1,13 +1,17 @@
 """Reference implementations that tests compare the product against.
 
 The recording atom logs the argument of every prox call an atom gets; the
-relaxed solvers prox g once at each evaluated iterate (and three-prox's f
-once at its second block), so the log is the iterate sequence that tests
-compare bit for bit.
+relaxed solvers prox g once at each evaluated iterate (and the three-prox
+recursion f once at its second block), so the log is the iterate sequence
+that tests compare bit for bit.
 
-The three-prox helpers take one step of the recursion, evaluate the
-surrogate Psi at a point, and measure how far the update lies from a
-finite-difference gradient step on Psi (criterion 1).
+The three-prox recursion is the paper's three-term iteration, a scaled
+gradient step on the surrogate Psi with its own stepsize box
+(``ThreeProxConfig``); ``dcprox.run3`` solves three-term problems on a
+lifted pair instead, and the recursion is the reference that criteria 1, 5
+and 9 test. ``run3_psi`` runs it with the package's ``drive``; the helpers take
+one step, evaluate Psi at a point, and measure how far the update lies from
+a finite-difference gradient step on Psi (criterion 1).
 
 The lifted oracle is the two-function reformulation of a three-term
 instance on the doubled space (criterion 5): G(x, y) = g(x) + conj(f)(y)
@@ -46,6 +50,7 @@ runs the lean build with A assembled as the draws leave it.
 """
 
 import dataclasses
+from math import sqrt
 
 import numpy as np
 from scipy import sparse
@@ -57,6 +62,7 @@ from dcprox import (
     Linear,
     ProxFunction,
     Quadratic,
+    RunReport,
     ScaledSquare,
     SmoothFunction,
     problems,
@@ -65,8 +71,8 @@ from dcprox import (
 from dcprox.checks import finite_difference_gradient
 from dcprox.problems import _rng_for
 from dcprox.prox import _apply_inverse, _as_vector, _check_gamma, _spd_inverse
-from dcprox.reports import drive
-from dcprox.three_prox import ThreeTermInstance, _h_point, _psi_from_points
+from dcprox.reports import CallCounter, Iterate, drive
+from dcprox.three_prox import ThreeTermInstance
 from dcprox.two_prox import _relaxed_steps
 
 # ---------------------------------------------------------------------------
@@ -98,7 +104,9 @@ def recording(inst):
 
     The iterates are the s at which g was proxed, or the (s, t) pairs of g
     and f. The relaxed solvers prox g once per evaluated iterate; L-BFGS
-    also proxes g at each linesearch trial, and three-prox's f takes t.
+    also proxes g at each linesearch trial. The three-prox recursion proxes
+    f at t; ``dcprox.run3`` proxes g at the x-block and f at the y-block
+    over GAMMA_KAPPA.
     """
     g = RecordingAtom(inst.g)
     if isinstance(inst, ThreeTermInstance):
@@ -356,7 +364,7 @@ def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
         inst, lambda x, e: prox_diag(inst.h, x, e), lambda x, e: prox_diag(inst.g, x, e),
         gamma_diag, lam_diag,
         lambda d, dd: 0.5 * float(np.sum(weight * d * d)))
-    return drive("dce-diag", inst, [s0], evaluate, plain_step, lambda it: it.v,
+    return drive("dce-diag", inst, s0, evaluate, plain_step, lambda it: it.v,
                  counter, tol, max_iter, record_trace, float(gamma_diag[0]))
 
 
@@ -417,7 +425,141 @@ def spca_build_with_a(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# three-prox reference helpers
+# the three-prox recursion
+
+
+@dataclasses.dataclass(frozen=True)
+class ThreeProxConfig:
+    """Stepsizes and relaxations for the three-prox recursion.
+
+    Admissible box (boundaries rejected): 0 < gamma < 1 < delta,
+    0 < lam < 2*(1 - gamma), 0 < mu < 2*(1 - 1/delta). The default
+    relaxations, 0.45 each, are 0.9 times half their ranges at the default
+    stepsizes: 0.9*(1 - gamma) and 0.9*(1 - 1/delta). A config with other
+    stepsizes names its relaxations itself.
+    """
+
+    gamma: float = 0.5
+    delta: float = 2.0
+    lam: float = 0.45
+    mu: float = 0.45
+    tol: float = 1e-6
+    max_iter: int = 1000
+
+    def validate(self):
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if not self.delta > 1.0:
+            raise ValueError(f"delta must exceed 1, got {self.delta}")
+        if not 0.0 < self.lam < 2.0 * (1.0 - self.gamma):
+            raise ValueError(
+                f"lam must lie in (0, {2.0 * (1.0 - self.gamma)}), got {self.lam}")
+        hi = 2.0 * (1.0 - 1.0 / self.delta)
+        if not 0.0 < self.mu < hi:
+            raise ValueError(f"mu must lie in (0, {hi}), got {self.mu}")
+
+    @property
+    def h_step(self):
+        return self.gamma * self.delta / (self.delta - self.gamma)
+
+
+def _h_point(cfg, s, t):
+    return (cfg.delta * s - cfg.gamma * t) / (cfg.delta - cfg.gamma)
+
+
+def _psi_from_points(inst, cfg, s, t, w, u, v, z):
+    """Psi from the prox points u, v, z of (w, s, t), w the h-point of (s, t)."""
+    dst = s - t
+    return (inst.g.envelope_at_prox(v, s, cfg.gamma)
+            - inst.f.envelope_at_prox(z, t, cfg.delta)
+            - inst.h.envelope_at_prox(u, w, cfg.h_step)
+            + 0.5 * float(dst.dot(dst)) / (cfg.delta - cfg.gamma))
+
+
+@dataclasses.dataclass
+class PsiReport(RunReport):
+    """A ``run3_psi`` report: the first block s and u, v as for the other
+    solvers, plus the second block t and f's prox point z."""
+
+    final_t: np.ndarray = None
+    final_z: np.ndarray = None
+
+
+@dataclasses.dataclass(frozen=True)
+class _Stacked:
+    """What ``drive`` reads of a three-term instance run on stacked points
+    (s, t): their dimension, and the objective at the first block."""
+
+    three: ThreeTermInstance
+
+    @property
+    def dim(self):
+        return 2 * self.three.dim
+
+    def phi(self, x):
+        return self.three.phi(x[:self.three.dim])
+
+    def phis(self, rows):
+        return self.three.phis(rows[:, :self.three.dim])
+
+
+def run3_psi(inst, cfg, s0, t0):
+    """Iterate the three-prox recursion until ||(u - v, u - z)|| <= tol or the
+    iteration budget ends.
+
+    Each step runs three proximal evaluations,
+
+        u = prox_h((delta*s - gamma*t)/(delta - gamma), gamma*delta/(delta-gamma))
+        v = prox_g(s, gamma),  z = prox_f(t, delta),
+
+    and the relaxed updates s+ = s + lam*(v - u), t+ = t + mu*(u - z), both
+    from the pre-update state: (s+, t+) = (s, t) - diag(gamma*lam, delta*mu)
+    grad Psi(s, t) on the smooth surrogate
+
+        Psi(s, t) = g_env(s) - f_env(t) - h_env((delta*s - gamma*t)/(delta-gamma))
+                    + ||s - t||^2 / (2*(delta - gamma)).
+
+    ``drive`` runs it on the stacked point (s, t), whose prox pair is
+    ((u, u), (v, z)). The Psi trace must be nonincreasing with the weighted
+    guaranteed decrease; a violation beyond rounding slack ends the run with
+    a numerical-error status. prox_f is tallied with prox_g.
+    """
+    cfg.validate()
+    n = inst.dim
+    counter = CallCounter()
+    prox_h = counter.wrap(inst.h.prox, "prox_h")
+    prox_g = counter.wrap(inst.g.prox, "prox_g")
+    prox_f = counter.wrap(inst.f.prox, "prox_g")
+    # weighted decrease: s-block lam*(2*(1-gamma)-lam)/(gamma*(1-gamma)) on
+    # ||u-v||^2, t-block mu*(2*(1-1/delta)-mu)/(delta-1) on ||u-z||^2, halved
+    w_s = cfg.lam * (2.0 * (1.0 - cfg.gamma) - cfg.lam) / (cfg.gamma * (1.0 - cfg.gamma))
+    w_t = cfg.mu * (2.0 * (1.0 - 1.0 / cfg.delta) - cfg.mu) / (cfg.delta - 1.0)
+
+    def first(x):
+        s, t = x[:n], x[n:]
+        w = _h_point(cfg, s, t)
+        u = prox_h(w, cfg.h_step)
+        v = prox_g(s, cfg.gamma)
+        z = prox_f(t, cfg.delta)
+        duv = u - v
+        duz = u - z
+        nuv = float(duv.dot(duv))
+        nuz = float(duz.dot(duz))
+        return Iterate(x, np.concatenate([u, u]), np.concatenate([v, z]),
+                       _psi_from_points(inst, cfg, s, t, w, u, v, z),
+                       sqrt(nuv + nuz), gaps=(duv, nuv, duz, nuz))
+
+    def advance(it):
+        duv, nuv, duz, nuz = it.gaps
+        step = np.concatenate([it.s[:n] - cfg.lam * duv, it.s[n:] + cfg.mu * duz])
+        return first(step), 0.5 * (w_s * nuv + w_t * nuz)
+
+    start = np.concatenate([_as_vector(s0), _as_vector(t0)])
+    report = drive("three-prox", _Stacked(inst), start, first, advance,
+                   lambda it: it.u, counter, cfg.tol, cfg.max_iter, gamma=cfg.gamma)
+    return PsiReport(**{**vars(report), "final_s": report.final_s[:n],
+                        "final_u": report.final_u[:n], "final_v": report.final_v[:n]},
+                     final_t=report.final_s[n:], final_z=report.final_v[n:])
 
 
 def _prox_points(inst, cfg, s, t):

@@ -11,10 +11,11 @@ import pytest
 import dcprox as dp
 from dcprox.checks import check_fbe, check_gradient, evaluate_points
 from dcprox.reports import Termination
-from dcprox.three_prox import ThreeProxConfig
-from oracles import (envelope_of_smooth_pair, fbe_value, negate_smooth,
+from dcprox.three_prox import GAMMA_KAPPA
+from dcprox.two_prox import default_relaxation
+from oracles import (ThreeProxConfig, envelope_of_smooth_pair, fbe_value, negate_smooth,
                      psi_gradient_identity_check, quadratic_smooth, recording,
-                     residual_rate_check, run3_via_lifted, run_diag)
+                     residual_rate_check, run3_psi, run3_via_lifted, run_diag)
 
 RNG_SEED = 987
 N_DESK = 100
@@ -75,15 +76,19 @@ def descent_runs(gauntlet):
                               rng.uniform(0.2, 1.8, 2),
                               rng.standard_normal(2) * 2,
                               tol=1e-12, max_iter=400), None))
-    # three-term runs
+    # three-term runs: plain two-prox runs on the lift, whose modulus is its
+    # coupling GAMMA_KAPPA/gamma
     three = next(c for c in dp.synthetic_catalogue() if c.name == "three-quad-1d")
-    cfg3 = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.9, tol=1e-11,
-                           max_iter=3000)
-    runs.append((dp.run3(three.three, cfg3, three.s0, three.t0), None))
+    cfg3 = dp.TwoProxConfig(gamma=three.gamma, lam=0.9, tol=1e-11, max_iter=3000)
+    runs.append((dp.run3(three.three, cfg3, three.s0),
+                 (cfg3.lam, GAMMA_KAPPA / cfg3.gamma)))
     spca3, inst3 = dp.make_spca3(30, seed=0)
-    cfg_spca3 = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.45,
-                                tol=1e-6, max_iter=6000)
-    runs.append((dp.run3(inst3, cfg_spca3, spca3.s0, spca3.s0), None))
+    gamma3 = 0.5 / spca3.lam_max  # the command line's, with its relaxation
+    cfg_spca3 = dp.TwoProxConfig(
+        gamma=gamma3, lam=default_relaxation(gamma3, GAMMA_KAPPA / gamma3), tol=1e-9,
+        max_iter=6000)
+    runs.append((dp.run3(inst3, cfg_spca3, spca3.s0),
+                 (cfg_spca3.lam, GAMMA_KAPPA / cfg_spca3.gamma)))
     return runs
 
 
@@ -184,8 +189,8 @@ def test_criterion_5_lifted_equivalence():
     cfg = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.45, tol=0.0,
                           max_iter=100)
     inst, direct = recording(three.three)
-    dp.run3(inst, cfg, three.s0, three.t0)
-    _, lifted = run3_via_lifted(three.three, cfg, three.s0, three.t0)
+    run3_psi(inst, cfg, three.s0, three.s0)
+    _, lifted = run3_via_lifted(three.three, cfg, three.s0, three.s0)
     assert len(direct()) == len(lifted) == 100
     worst = 0.0
     for (s_d, _), x_l in zip(direct(), lifted):
@@ -220,8 +225,10 @@ def test_criterion_6_oracle_optimality():
                     dr_gamma = 0.45 / curv
                 answers["drs"] = dp.drs_run(c.dc, dr_gamma, 1e-9, 20000, c.s0)
         if c.three is not None and "three-prox" in c.solvers:
-            cfg3 = ThreeProxConfig(tol=1e-9, max_iter=20000)
-            answers["three-prox"] = dp.run3(c.three, cfg3, c.s0, c.t0)
+            cfg3 = dp.TwoProxConfig(
+                gamma=c.gamma, lam=default_relaxation(c.gamma, GAMMA_KAPPA / c.gamma),
+                tol=1e-9, max_iter=20000)
+            answers["three-prox"] = dp.run3(c.three, cfg3, c.s0)
         assert answers, c.name
         for solver, rep in answers.items():
             assert rep.converged, f"{c.name}/{solver} did not converge"

@@ -207,16 +207,16 @@ def test_criterion_u_is_prox_h_of_the_criterion_point(monkeypatch, inst, gamma, 
     # iterate, and drs's reflected point 2u - s, whose u is the backward point
     seen = []
 
-    def recording_drive(solver, inst, starts, first, advance, *args, **kwargs):
-        def first_seen(*x):
-            seen.append(first(*x))
+    def recording_drive(solver, inst, s0, first, advance, *args, **kwargs):
+        def first_seen(x):
+            seen.append(first(x))
             return seen[-1]
 
         def advance_seen(it):
             nxt, claim = advance(it)
             seen.append(nxt)
             return nxt, claim
-        return reports.drive(solver, inst, starts, first_seen, advance_seen,
+        return reports.drive(solver, inst, s0, first_seen, advance_seen,
                              *args, **kwargs)
     monkeypatch.setattr(baselines, "drive", recording_drive)
     BASELINES[solver](inst, gamma, 0.0, 50, s0)

@@ -19,7 +19,7 @@ PACKAGE = os.path.dirname(dp.__file__) + os.sep
 
 # calls per 64 iterations; lower them when a change saves calls
 BUDGET = {"dce": 1477, "dce-lbfgs": 1771, "fbs": 1030, "dca": 1286, "drs": 1412,
-          "three-prox": 1798}
+          "three-prox": 1991}
 
 
 def counted_calls(solve):
@@ -42,8 +42,10 @@ def counted_calls(solve):
 def solver(name):
     if name == "three-prox":
         spca, inst = dp.make_spca3(30, seed=0)
+        gamma = GAMMA_POLICY[name] / spca.lam_max
         return lambda budget: dp.run3(
-            inst, dp.ThreeProxConfig(tol=0.0, max_iter=budget), spca.s0, spca.s0)
+            inst, dp.TwoProxConfig(gamma=gamma, lam=0.45, tol=0.0, max_iter=budget),
+            spca.s0)
     # L-BFGS reaches rounding level by iteration 65 at n = 30, where every
     # linesearch runs out; at n = 300 its residual is 4e-4 to 4e-7 over 65-129
     spca, inst = dp.make_spca(300 if name == "dce-lbfgs" else 30, seed=0)

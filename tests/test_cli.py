@@ -100,13 +100,19 @@ def test_solve_refuses_a_stepsize_where_prox_h_is_undefined(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solve_three_prox_rejects_gamma(tmp_path, capsys):
-    code = cli.main(["solve", '{"kind": "spca3", "n": 10, "seed": 0}',
-                     "--solver", "three-prox", "--gamma", "5",
-                     "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert "three-prox takes no --gamma" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+def test_solve_three_prox_accepts_gamma_per_lmax(tmp_path):
+    # three-prox reads --gamma as dce does: 0.5/lmax is its default stepsize
+    base = ["solve", '{"kind": "spca3", "n": 10, "seed": 0}', "--solver", "three-prox",
+            "--max-iter", "50", "--no-timing"]
+    assert cli.main(base + ["--gamma", "0.5/lmax", "--out", str(tmp_path / "a")]) == 2
+    assert cli.main(base + ["--out", str(tmp_path / "b")]) == 2
+    for name in ("trace.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # a quarter of that stepsize runs a different iteration
+    assert cli.main(base + ["--gamma", "0.125/lmax", "--out", str(tmp_path / "c")]) == 2
+    summary = json.loads((tmp_path / "c" / "summary.json").read_text())
+    default = json.loads((tmp_path / "b" / "summary.json").read_text())
+    assert summary["gamma"] == 0.25 * default["gamma"]
 
 
 def test_solve_three_prox_on_synthetic_takes_the_budget_and_tol(tmp_path, capsys):
@@ -133,7 +139,7 @@ def test_solve_three_prox_on_synthetic_takes_the_budget_and_tol(tmp_path, capsys
     (["--solver", "fbs", "--gamma=-1"], "error: --gamma must be positive and finite"),
     (["--solver", "drs", "--gamma", "nan/lmax"], "error: --gamma must be positive and finite"),
     (["--solver", "dce-lbfgs", "--gamma", "inf"], "error: --gamma must be positive and finite"),
-    (["--solver", "three-prox", "--gamma", "0.5"], "error: three-prox takes no --gamma"),
+    (["--solver", "three-prox", "--gamma", "0/lmax"], "error: --gamma must be positive and finite"),
 ], ids=["unknown-solver", "tol-nan", "tol-inf", "tol-negative", "max-iter-0", "gamma-junk",
         "gamma-negative", "gamma-nan-lmax", "gamma-inf", "three-prox-gamma"])
 def test_solve_rejects_its_flags_before_building_the_problem(tmp_path, capsys, monkeypatch,
@@ -302,7 +308,7 @@ PINNED_TABLE = "".join(row + "\r\n" for row in [
     "fbs,12,177.5,0.0,177.5,177.5,0.0,2",
     "dca,12,80.5,0.0,161.0,80.5,0.0,2",
     "drs,12,160.0,160.0,160.0,0.0,0.0,2",
-    "three-prox,12,2682.0,2682.0,5364.0,0.0,0.0,2",
+    "three-prox,12,1489.0,1489.0,1489.0,0.0,0.0,2",
 ])
 
 
@@ -342,7 +348,7 @@ SYNTHETIC_DIGESTS = {
     "separable-2d/fbs": "33fa0c051d06edff58dd4492d1bdd4875f8e5b59178ff0d45b834e9a759ae79d",
     "separable-2d/dca": "581c263c8e738fb3b0a10c7a707ae6131e9e38b3efbdc5d014468f5e5293bc64",
     "separable-2d/drs": "a360b0dab5caa15bcc2ff41c0c58675dbb862d9284cdea5391897ad40c4cfbfe",
-    "three-quad-1d/three-prox": "4493969359083e35b69f53095d5c6918483172e3f9e8a962b0c42cf349940626",
+    "three-quad-1d/three-prox": "d2a0279e948579159fd3c9c0d750c42081a27647952f54370450ddd1421b1d31",
 }
 
 
@@ -474,7 +480,7 @@ def test_bench_reused_instances_match_fresh_solves(tmp_path, jobs):
             code = cli.main(["solve", json.dumps({"kind": kind, "n": 12, "seed": seed}),
                              "--solver", solver, "--max-iter", "3000",
                              "--no-timing", "--out", str(out)])
-            assert code in (0, 2)  # three-prox on seed 0 spends its budget
+            assert code == 0
             bench_trace = tmp_path / "bench" / "traces" / f"{solver}_n12_seed{seed}.csv"
             assert bench_trace.read_bytes() == (out / "trace.csv").read_bytes()
     # the same rows as the pinned table, in this sweep's solver order

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import dcprox as dp
-from dcprox import baselines, cli, lbfgs, reports, three_prox, two_prox
+from dcprox import baselines, cli, lbfgs, reports, two_prox
 from dcprox.problems import find_synthetic
 from dcprox.reports import drive
-from oracles import (RecordingAtom, recording, residual_rate_check, run3_via_lifted,
-                     run_diag)
+from oracles import (RecordingAtom, ThreeProxConfig, recording, residual_rate_check,
+                     run3_via_lifted, run_diag)
 
 N = 12
 
@@ -26,7 +26,9 @@ def spca_runs(record_trace=True):
     gamma = 0.9 / spca.lam_max
     cfg = dp.TwoProxConfig(gamma=gamma, tol=1e-8, max_iter=300,
                            record_trace=record_trace)
-    cfg3 = dp.ThreeProxConfig(tol=1e-6, max_iter=300)
+    cfg_psi = ThreeProxConfig(tol=1e-6, max_iter=300)
+    cfg3 = dp.TwoProxConfig(gamma=0.5 / spca3.lam_max, lam=0.45, tol=1e-6, max_iter=300,
+                            record_trace=record_trace)
     drs_gamma = 0.45 / spca.lam_max
 
     def recorded(solve, instance):
@@ -39,9 +41,9 @@ def spca_runs(record_trace=True):
         "run": (recorded(lambda i, s: dp.run(i, cfg, s), inst), spca.s0),
         "run_lbfgs": (recorded(lambda i, s: dp.run_lbfgs(i, cfg, s), inst), spca.s0),
         # run_diag on the lifted form of the three-term instance
-        "run_diag": (lambda s: run3_via_lifted(inst3, cfg3, s, spca3.s0, record_trace),
+        "run_diag": (lambda s: run3_via_lifted(inst3, cfg_psi, s, spca3.s0, record_trace),
                      spca3.s0),
-        "run3": (recorded(lambda i, s: dp.run3(i, cfg3, s, spca3.s0), inst3), spca3.s0),
+        "run3": (recorded(lambda i, s: dp.run3(i, cfg3, s), inst3), spca3.s0),
         "fbs": (recorded(lambda i, s: dp.fbs_run(i, gamma, 1e-8, 300, s), inst), spca.s0),
         "dca": (recorded(lambda i, s: dp.dca_run(i, gamma, 1e-8, 300, s), inst), spca.s0),
         "drs": (recorded(lambda i, s: dp.drs_run(i, drs_gamma, 1e-8, 300, s), inst),
@@ -49,9 +51,9 @@ def spca_runs(record_trace=True):
     }
 
 
-@pytest.mark.parametrize("name", ["run", "run_lbfgs", "run_diag"])
+@pytest.mark.parametrize("name", ["run", "run_lbfgs", "run_diag", "run3"])
 def test_unrecorded_trace_keeps_the_last_point_only(name):
-    # run and run_diag take 300 iterations, past several chunks of
+    # run, run_diag and run3 take 300 iterations, past several chunks of
     # batched trace values; the iterates must not notice the trace
     fn, s0 = spca_runs(record_trace=True)[name]
     recorded, recorded_iterates = fn(s0)
@@ -61,7 +63,7 @@ def test_unrecorded_trace_keeps_the_last_point_only(name):
     assert len(plain.trace) == 1
     assert (plain.termination, plain.iterations, plain.counts()) == \
         (recorded.termination, recorded.iterations, recorded.counts())
-    for key in ("final_s", "final_u", "final_v", "final_t", "final_z"):
+    for key in ("final_s", "final_u", "final_v"):
         np.testing.assert_array_equal(getattr(plain, key), getattr(recorded, key))
     for name in reports.Trace.__slots__:
         if name != "wall_ns":
@@ -81,8 +83,9 @@ def counted(fn, tally, key):
 @pytest.mark.parametrize("solver", ["dce", "dce-lbfgs", "fbs", "dca", "drs",
                                     "three-prox"])
 def test_counts_equal_the_oracle_calls_made(solver):
-    # three-prox tallies prox_f with prox_g, dca its subproblem solve with
-    # prox_g, drs its backward solve with prox_h
+    # three-prox's prox_g is one prox of its lift's G, which proxes g and f
+    # once each; dca tallies its subproblem solve with prox_g, drs its
+    # backward solve with prox_h
     tally = {"grad": 0, "backward": 0, "dca": 0}
     if solver == "three-prox":
         spca, inst = dp.make_spca3(N, seed=2)
@@ -98,10 +101,10 @@ def test_counts_equal_the_oracle_calls_made(solver):
                                    dca_step=counted(inst.dca_step, tally, "dca"))
     report, _ = cli._solve_one(solver, "spca3" if solver == "three-prox" else "spca",
                                (spca, inst), 1e-8, 400)
-    f_calls = len(inst.f.log) if solver == "three-prox" else 0
+    if solver == "three-prox":
+        assert len(inst.f.log) == len(inst.g.log)
     assert report.counts() == (len(inst.h.log) + tally["backward"],
-                               len(inst.g.log) + f_calls + tally["dca"],
-                               tally["grad"])
+                               len(inst.g.log) + tally["dca"], tally["grad"])
     # fbs and dca take the criterion's prox_h image from their iterate
     assert (report.counts()[0] > 0) == (solver not in ("fbs", "dca"))
 
@@ -130,8 +133,8 @@ def test_every_solver_rejects_a_negative_tol_or_empty_budget(name, tol, max_iter
         "run_lbfgs": lambda: dp.run_lbfgs(inst, cfg, spca.s0),
         "run_diag": lambda: run_diag(inst, np.full(N, gamma), np.ones(N), spca.s0,
                                      tol=tol, max_iter=max_iter),
-        "run3": lambda: dp.run3(inst3, dp.ThreeProxConfig(tol=tol, max_iter=max_iter),
-                                spca3.s0, spca3.s0),
+        "run3": lambda: dp.run3(inst3, dp.TwoProxConfig(
+            gamma=0.5 / spca3.lam_max, lam=0.45, tol=tol, max_iter=max_iter), spca3.s0),
         "fbs_run": lambda: dp.fbs_run(inst, gamma, tol, max_iter, spca.s0),
         "dca_run": lambda: dp.dca_run(inst, gamma, tol, max_iter, spca.s0),
         "drs_run": lambda: dp.drs_run(inst, 0.5 * gamma, tol, max_iter, spca.s0),
@@ -145,14 +148,14 @@ def spy_on_trace_points(monkeypatch):
     driver takes for its trace, evaluated the moment the driver takes it."""
     seen = []
 
-    def spied_drive(solver, inst, starts, first, advance, phi_at, *args, **kwargs):
+    def spied_drive(solver, inst, s0, first, advance, phi_at, *args, **kwargs):
         def spied(it):
             point = phi_at(it)
             seen.append(inst.phi(point))
             return point
-        return drive(solver, inst, starts, first, advance, spied, *args, **kwargs)
+        return drive(solver, inst, s0, first, advance, spied, *args, **kwargs)
 
-    for module in (two_prox, lbfgs, baselines, three_prox):
+    for module in (two_prox, lbfgs, baselines):
         monkeypatch.setattr(module, "drive", spied_drive)
     return seen
 

@@ -142,7 +142,7 @@ CHECKED = [{"kind": "synthetic", "name": c.name}
 @pytest.mark.parametrize("doc", CHECKED, ids=lambda doc: doc.get("name", "spca-30"))
 def test_dce_eval_is_what_the_solvers_evaluate(doc):
     # dcprox check's instance, start and stepsize; the solvers' evaluate
-    inst, s0, gamma, _ = cli._dc_problem("dce", *problem_from_json(json.dumps(doc)))
+    inst, s0, gamma, _ = cli._problem("dce", *problem_from_json(json.dumps(doc)))
     _, _, evaluate, _ = _relaxed_steps(inst, inst.h.prox, inst.g.prox, gamma, 1.0, None)
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -311,18 +311,13 @@ def test_dce_fbe_equivalence_spca(rng):
 
 def fbe_cases():
     """(name, instance, start, stepsize) of every two-term synthetic entry and
-    of spca n=30 and n=50, at the stepsize ``run_instance_checks`` gives the
-    FBE check: the entry's, or 0.9/L_h where that is not below 1/L_h."""
+    of spca n=30 and n=50, at the stepsize ``dcprox check`` runs them with."""
     cases = [(c.name, c.dc, c.s0, c.gamma)
              for c in dp.synthetic_catalogue() if c.dc is not None]
     for n in (30, 50):
         spca, inst = dp.make_spca(n, seed=0)
         cases.append((f"spca-{n}", inst, spca.s0, 0.9 / spca.lam_max))
-    out = []
-    for name, inst, s0, gamma in cases:
-        lip = inst.smooth_h.lipschitz
-        out.append((name, inst, s0, gamma if lip == 0 or gamma < 1.0 / lip else 0.9 / lip))
-    return out
+    return cases
 
 
 @pytest.mark.parametrize("name,inst,s0,gamma", fbe_cases())

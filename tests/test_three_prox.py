@@ -1,12 +1,19 @@
+"""Three-term problems: the three-prox recursion on Psi (the test-side
+reference ``oracles.run3_psi``), the unit-coupling lifted oracle that
+reproduces it, and ``dcprox.run3``, the two-prox iteration on the kappa-lift."""
+
 import numpy as np
 import pytest
 
 import dcprox as dp
+from dcprox import cli
+from dcprox.checks import check_gradient, evaluate_points
 from dcprox.envelope import env_value_from_pair
 from dcprox.reports import Termination
-from dcprox.three_prox import ThreeProxConfig
-from oracles import (lifted_pair, prox_diag, psi_gradient_identity_check, psi_value,
-                     recording, residual_rate_check, run3_via_lifted,
+from dcprox.three_prox import GAMMA_KAPPA, lift
+from oracles import (ConjugatePart, ThreeProxConfig, lifted_pair, prox_conjugate_scaled,
+                     prox_diag, psi_gradient_identity_check, psi_value, recording,
+                     residual_rate_check, run3_psi, run3_via_lifted,
                      stationarity_certificate, three_prox_step)
 
 
@@ -101,14 +108,14 @@ def test_psi_gradient_identity(rng):
 
 def test_run3_from_fixed_point():
     cfg = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.5, mu=0.5, tol=1e-12)
-    rep = dp.run3(zeros_instance(), cfg, [0.7], [0.7])
+    rep = run3_psi(zeros_instance(), cfg, [0.7], [0.7])
     assert rep.converged and rep.iterations == 1
 
 
 def test_run3_converges_on_quadratic():
     cfg = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.9, tol=1e-10,
                           max_iter=5000)
-    rep = dp.run3(quad_instance(), cfg, [1.5], [1.5])
+    rep = run3_psi(quad_instance(), cfg, [1.5], [1.5])
     assert rep.converged
     for val in (rep.final_u, rep.final_v, rep.final_z):
         assert abs(val[0]) <= 1e-9
@@ -122,7 +129,7 @@ def test_run3_converges_on_quadratic():
 def test_run3_stationarity_certificate(rng):
     inst = mixed_instance()
     cfg = ThreeProxConfig(tol=1e-10, max_iter=20000)
-    rep = dp.run3(inst, cfg, [1.0, -0.5], [0.5, 0.5])
+    rep = run3_psi(inst, cfg, [1.0, -0.5], [0.5, 0.5])
     assert rep.converged
     samples = [rep.final_u + rng.standard_normal(2) for _ in range(30)]
     gap = stationarity_certificate(inst, cfg, rep, samples,
@@ -133,7 +140,7 @@ def test_run3_stationarity_certificate(rng):
 def test_run3_residual_summability():
     cfg = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.9, tol=1e-10,
                           max_iter=5000)
-    rep = dp.run3(quad_instance(), cfg, [1.5], [-0.3])
+    rep = run3_psi(quad_instance(), cfg, [1.5], [-0.3])
     envs = rep.trace.env
     assert sum(rep.trace.decrement) <= \
         (envs[0] - min(envs)) * (1 + 1e-10) + 1e-12
@@ -179,7 +186,7 @@ def test_lifted_iteration_reproduces_direct_recursion(rng):
         cfg = ThreeProxConfig(gamma=0.5, delta=2.0, lam=0.9, mu=0.45, tol=0.0,
                               max_iter=100)
         recorded, direct = recording(inst)
-        dp.run3(recorded, cfg, s0, t0)
+        run3_psi(recorded, cfg, s0, t0)
         report, lifted = run3_via_lifted(inst, cfg, s0, t0)
         assert report.termination is not Termination.NUMERICAL_ERROR
         assert len(direct()) == len(lifted) == 100
@@ -218,7 +225,7 @@ def test_fuzz_random_triples_keep_surrogate_descent(rng):
             lam=float(rng.uniform(0.1, 0.95)) * 2.0 * (1.0 - gamma),
             mu=float(rng.uniform(0.1, 0.95)) * 2.0 * (1.0 - 1.0 / delta),
             tol=1e-8, max_iter=20000)
-        rep = dp.run3(inst, cfg, rng.standard_normal(dim), rng.standard_normal(dim))
+        rep = run3_psi(inst, cfg, rng.standard_normal(dim), rng.standard_normal(dim))
         assert rep.termination is not Termination.NUMERICAL_ERROR, rep.message
         assert residual_rate_check(rep)
         if rep.converged:
@@ -234,3 +241,97 @@ def test_lifted_coupling_needs_blockwise_uniform_metric():
         coupling.prox_diag(np.ones(4), np.array([0.5, 0.4, 0.5, 0.5]))
     with pytest.raises(ValueError):
         coupling.prox_diag(np.ones(4), np.array([2.0, 2.0, 0.6, 0.6]))
+
+
+# ---------------------------------------------------------------------------
+# dcprox.run3: the two-prox iteration on the kappa-lift
+
+def quadratic_instance(rng):
+    # f a full quadratic with a closed-form conjugate, h a scaled square
+    a = rng.standard_normal((3, 3))
+    return dp.ThreeTermInstance(f=dp.Quadratic(a @ a.T / 3 + 0.1 * np.eye(3)),
+                                g=dp.L1Ball(0.5), h=dp.ScaledSquare(0.25), dim=3)
+
+
+def test_lifted_h_prox_solves_its_stationarity_system(rng):
+    # H(x, y) = h(x) + kappa*<x, y>, h = c/2 ||x||^2: the prox (x, y) of
+    # gamma*H at (s, t) solves c*x + kappa*y + (x - s)/gamma = 0 and
+    # kappa*x + (y - t)/gamma = 0
+    for inst in (mixed_instance(), quadratic_instance(rng)):
+        n = inst.dim
+        for _ in range(10):
+            gamma = float(rng.uniform(0.1, 3.0))
+            kappa = GAMMA_KAPPA / gamma
+            st = rng.standard_normal(2 * n)
+            u = lift(inst, gamma).h.prox(st, gamma)
+            x, y = u[:n], u[n:]
+            grad_h = inst.h.curvature * x
+            np.testing.assert_allclose(grad_h + kappa * y + (x - st[:n]) / gamma, 0.0,
+                                       atol=1e-12 * (1.0 + np.abs(st).max() / gamma))
+            np.testing.assert_allclose(kappa * x + (y - st[n:]) / gamma, 0.0,
+                                       atol=1e-12 * (1.0 + np.abs(st).max() / gamma))
+
+
+def test_lifted_g_is_g_and_the_scaled_conjugate_of_f(rng):
+    # G(x, y) = g(x) + f*(kappa*y): its y-block prox is (1/kappa) times the
+    # prox of gamma*kappa^2*f* at kappa*t, and its envelope is the value of
+    # f* at kappa*p plus the metric term, f* in closed form
+    for inst in (mixed_instance(), quadratic_instance(rng)):
+        n = inst.dim
+        conj = ConjugatePart(inst.f)
+        for _ in range(10):
+            gamma = float(rng.uniform(0.1, 3.0))
+            kappa = GAMMA_KAPPA / gamma
+            st = rng.standard_normal(2 * n)
+            g_lift = lift(inst, gamma).g
+            v = g_lift.prox(st, gamma)
+            np.testing.assert_array_equal(v[:n], inst.g.prox(st[:n], gamma))
+            p = prox_conjugate_scaled(inst.f, gamma * kappa ** 2, kappa * st[n:]) / kappa
+            np.testing.assert_allclose(v[n:], p, rtol=1e-12, atol=1e-12)
+            d = v[n:] - st[n:]
+            env = (inst.g.envelope_at_prox(v[:n], st[:n], gamma) + conj.value(kappa * v[n:])
+                   + 0.5 * float(d @ d) / gamma)
+            assert g_lift.envelope_at_prox(v, st, gamma) == pytest.approx(env, rel=1e-10)
+
+
+@pytest.mark.parametrize("which", ["mixed", "quadratic", "spca3"])
+def test_lifted_envelope_gradient_is_the_prox_gap(which, rng):
+    # the lift is a DC pair like any other: its envelope's gradient is
+    # (u - v)/gamma, checked by central differences as dcprox check does
+    if which == "spca3":
+        spca, inst = dp.make_spca3(20, seed=0)
+        gamma = cli.GAMMA_POLICY["three-prox"] / spca.lam_max
+    else:
+        inst = mixed_instance() if which == "mixed" else quadratic_instance(rng)
+        gamma = 0.7
+    pair = lift(inst, gamma)
+    points = [rng.standard_normal(2 * inst.dim) for _ in range(20)]
+    ok, worst, budget = check_gradient(pair, gamma, evaluate_points(pair, gamma, points))
+    assert ok, f"gradient mismatch {worst:.2e} > {budget:.0e}"
+
+
+def test_run3_reports_the_lifted_run_at_the_x_block(rng):
+    inst = quadratic_instance(rng)
+    cfg = dp.TwoProxConfig(gamma=0.7, lam=0.45, tol=1e-10, max_iter=5000)
+    rep = dp.run3(inst, cfg, [0.9, -0.4, 0.3])
+    assert rep.converged and rep.solver == "three-prox"
+    assert rep.final_s.shape == rep.final_u.shape == rep.final_v.shape == (3,)
+    assert rep.trace.phi[-1] == inst.phi(rep.final_v)
+    envs = rep.trace.env
+    assert all(b <= a - d + 1e-12 * (1 + abs(a)) for a, d, b in
+               zip(envs, rep.trace.decrement, envs[1:]))
+    assert residual_rate_check(rep)
+    # its relaxation is capped by the coupling: 2*(1 - GAMMA_KAPPA) = 1
+    with pytest.raises(ValueError, match="lam must lie in"):
+        dp.run3(inst, dp.TwoProxConfig(gamma=0.7, lam=1.0), [0.9, -0.4, 0.3])
+
+
+def test_run3_reaches_the_dce_lbfgs_critical_point_on_spca3():
+    # at the command-line stepsize the lift leaves the trivial critical
+    # point v = 0 and converges where dce-lbfgs does on the two-term split
+    three, _ = cli._solve_one("three-prox", "spca3", dp.make_spca3(30, seed=0), 1e-6, 5000)
+    spca, inst = dp.make_spca(30, seed=0)
+    two, _ = cli._solve_one("dce-lbfgs", "spca", (spca, inst), 1e-6, 5000)
+    assert three.converged and two.converged
+    assert three.trace.phi[-1] == pytest.approx(two.trace.phi[-1], rel=1e-6)
+    assert two.trace.phi[-1] == pytest.approx(-46.157, abs=1e-3)
