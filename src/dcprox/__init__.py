@@ -1,12 +1,6 @@
 """Proximal solvers for difference-of-convex programs via envelope smoothing."""
 
-from .envelope import (
-    DcInstance,
-    SmoothFunction,
-    dce_eval,
-    sandwich_bounds,
-    smooth_view,
-)
+from .envelope import DcInstance, SmoothFunction, smooth_view
 from .baselines import dca_run, drs_run, fbs_run
 from .lbfgs import LbfgsMemory, lbfgs_direction, run_lbfgs, wolfe_linesearch
 from .problems import (
@@ -34,7 +28,7 @@ from .prox import (
 )
 from .reports import RunReport, Termination
 from .three_prox import ThreeTermInstance, run3
-from .two_prox import TwoProxConfig, descent_coefficient, run
+from .two_prox import TwoProxConfig, dce_eval, descent_coefficient, run, sandwich_bounds
 
 _submodules = {"baselines", "checks", "envelope", "kernels", "lbfgs", "problems",
                "prox", "reports", "three_prox", "two_prox"}

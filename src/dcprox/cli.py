@@ -54,8 +54,8 @@ from .baselines import dca_run, drs_run, fbs_run
 from .lbfgs import run_lbfgs
 from .problems import FLOOR_PER_N2, make_spca, make_spca3, max_spca_n, problem_from_json
 from .reports import Termination, check_stopping
-from .three_prox import GAMMA_KAPPA, run3
-from .two_prox import TwoProxConfig, default_relaxation, run
+from .three_prox import run3
+from .two_prox import TwoProxConfig, run
 
 SOLVERS = ("dce", "dce-lbfgs", "fbs", "dca", "drs", "three-prox")
 GAMMA_POLICY = {"dce": 0.9, "dce-lbfgs": 0.9, "fbs": 0.9, "dca": 0.9, "drs": 0.45,
@@ -155,10 +155,7 @@ def _solve_one(solver, kind, payload, tol, max_iter, gamma=None):
     if gamma is None:
         gamma = default_gamma
     if solver in ("dce", "dce-lbfgs", "three-prox"):
-        # three-prox's lift is hypoconvex with modulus kappa = GAMMA_KAPPA/gamma
-        mu = GAMMA_KAPPA / gamma if solver == "three-prox" else inst.mu
-        cfg = TwoProxConfig(gamma=gamma, lam=default_relaxation(gamma, mu),
-                            tol=tol, max_iter=max_iter)
+        cfg = TwoProxConfig(gamma=gamma, tol=tol, max_iter=max_iter)
         solve = {"dce": run, "dce-lbfgs": run_lbfgs, "three-prox": run3}[solver]
         report = solve(inst, cfg, s0)
     else:
@@ -201,23 +198,18 @@ def _write_summary(path, report, info, phi_final):
 
 
 def cmd_solve(args):
-    try:
-        # the flags are checked before the problem, whose build may take seconds
-        if args.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {args.solver!r}; "
-                             f"pick one of {', '.join(SOLVERS)}")
-        check_stopping(args.tol, args.max_iter)
-        gamma, per_lmax = _parse_gamma(args.gamma)
-        kind, payload = _load_problem(args.problem, args.seed)
-        if per_lmax:
-            if kind not in ("spca", "spca3"):
-                raise ValueError("an .../lmax stepsize policy needs a spca problem")
-            gamma /= payload[0].lam_max
-        report, info = _solve_one(args.solver, kind, payload, args.tol,
-                                  args.max_iter, gamma)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # the flags are checked before the problem, whose build may take seconds
+    if args.solver not in SOLVERS:
+        raise ValueError(f"unknown solver {args.solver!r}; "
+                         f"pick one of {', '.join(SOLVERS)}")
+    check_stopping(args.tol, args.max_iter)
+    gamma, per_lmax = _parse_gamma(args.gamma)
+    kind, payload = _load_problem(args.problem, args.seed)
+    if per_lmax:
+        if kind not in ("spca", "spca3"):
+            raise ValueError("an .../lmax stepsize policy needs a spca problem")
+        gamma /= payload[0].lam_max
+    report, info = _solve_one(args.solver, kind, payload, args.tol, args.max_iter, gamma)
     os.makedirs(args.out, exist_ok=True)
     phi_final = report.trace.phi[-1] if report.trace else float("nan")
     _write_trace(os.path.join(args.out, "trace.csv"), report, timing=args.timing)
@@ -281,13 +273,7 @@ def _bench_task(task):
 
 
 def cmd_bench(args):
-    try:
-        cfg = BenchConfig(**{f.name: getattr(args, f.name)
-                             for f in fields(BenchConfig)})
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    cfg = BenchConfig(**{f.name: getattr(args, f.name) for f in fields(BenchConfig)})
     trace_dir = os.path.join(cfg.out_dir, "traces")
     os.makedirs(trace_dir, exist_ok=True)
     # (n, seed)-major, so that consecutive tasks share an instance
@@ -309,41 +295,28 @@ def cmd_bench(args):
     for res in results:
         by_cell.setdefault((res["solver"], res["n"]), []).append(res)
     table_path = os.path.join(cfg.out_dir, "comparison.csv")
+    counts = ("iters", "prox_h", "prox_g", "grad_h", "wall_ns")
     with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["solver", "n", "mean_iters", "mean_prox_h", "mean_prox_g",
-                         "mean_grad_h", "mean_wall_ns", "seeds"])
+        writer.writerow(["solver", "n", *(f"mean_{c}" for c in counts), "seeds"])
         for solver in cfg.solvers:
             for n in cfg.n_values:
-                cell = by_cell.get((solver, n), [])
-                good = [r for r in cell if r["failed"] is None]
-                if good:
-                    row = [solver, n,
-                           repr(float(np.mean([r["iters"] for r in good]))),
-                           repr(float(np.mean([r["prox_h"] for r in good]))),
-                           repr(float(np.mean([r["prox_g"] for r in good]))),
-                           repr(float(np.mean([r["grad_h"] for r in good]))),
-                           repr(float(np.mean([r["wall_ns"] for r in good]))),
-                           cfg.seeds]
-                else:
-                    row = [solver, n, "nan", "nan", "nan", "nan", "nan", cfg.seeds]
-                writer.writerow(row)
+                good = [r for r in by_cell.get((solver, n), []) if r["failed"] is None]
+                means = [repr(float(np.mean([r[c] for r in good]))) if good else "nan"
+                         for c in counts]
+                writer.writerow([solver, n, *means, cfg.seeds])
     print(f"wrote {table_path} ({len(results)} runs, seeds printed per row)")
     return 0 if any(res["failed"] is None for res in results) else 1
 
 
 def cmd_check(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+    kind, payload = _load_problem(args.problem)
     try:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-        kind, payload = _load_problem(args.problem)
-        try:
-            inst, s0, gamma, _ = _problem("dce", kind, payload)
-        except ValueError:
-            raise ValueError("check needs a two-function problem") from None
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        inst, s0, gamma, _ = _problem("dce", kind, payload)
+    except ValueError:
+        raise ValueError("check needs a two-function problem") from None
     from .checks import run_instance_checks
     rng = np.random.default_rng(args.seed)
     results = run_instance_checks(inst, gamma, s0, rng)
@@ -422,8 +395,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; a command that raises is reported on one line,
+    "error: ...", on stderr, with exit status 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint():

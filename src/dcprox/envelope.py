@@ -11,20 +11,18 @@ For a pair of convex functions (g, h) and a stepsize gamma, the envelope
 and its stationary points correspond exactly to points where the
 subdifferentials of g and h intersect; for g and h convex after adding
 mu/2||.||^2, while gamma*mu < 1 (Rockafellar and Wets, Variational
-Analysis, 1998, prox-regular functions). All evaluation goes through the
-two proximal maps so that value and gradient are consistent to machine
-precision at the same point; the two prox calls are independent and may be
-executed concurrently by callers.
+Analysis, 1998, prox-regular functions). Evaluation, the solvers' and
+``two_prox.dce_eval``'s, goes through the two proximal maps so that value
+and gradient are consistent to machine precision at the same point; the two
+prox calls are independent and may be executed concurrently by callers.
 """
 
 from dataclasses import dataclass
-from math import sqrt
 from typing import Callable, Optional
 
 import numpy as np
 
-from .prox import ProxFunction, _as_vector, _check_gamma, _check_gamma_mu, metric_half_sq
-from .reports import Iterate
+from .prox import ProxFunction
 
 
 def dc_value(g_val, h_val):
@@ -79,7 +77,17 @@ def smooth_view(atom, eig_range):
 
 
 # ---------------------------------------------------------------------------
-# problem instances and envelope evaluation
+# problem instances and the envelope value
+
+
+def check_dims(dim, parts):
+    """ValueError unless dim is at least 1 and each atom of ``parts`` that
+    fixes a dimension fixes ``dim``."""
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    for part in parts:
+        if part.dim is not None and part.dim != dim:
+            raise ValueError(f"{type(part).__name__} has dim {part.dim}, instance dim {dim}")
 
 
 @dataclass(frozen=True)
@@ -102,12 +110,7 @@ class DcInstance:
     name: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be at least 1, got {self.dim}")
-        for part in (self.g, self.h):
-            if part.dim is not None and part.dim != self.dim:
-                raise ValueError(
-                    f"{type(part).__name__} has dim {part.dim}, instance dim {self.dim}")
+        check_dims(self.dim, (self.g, self.h))
 
     def phi(self, x):
         """Objective value g(x) - h(x) with the inf - inf = +inf convention."""
@@ -128,42 +131,3 @@ def env_value_from_pair(inst, gamma, s, u, v):
     """
     return dc_value(inst.g.envelope_at_prox(v, s, gamma),
                     inst.h.envelope_at_prox(u, s, gamma))
-
-
-def dce_eval(inst, gamma, s):
-    """Evaluate the envelope of ``inst`` at s with stepsize gamma.
-
-    Returns the ``Iterate`` of s, with gradient (u - v)/gamma: the raw
-    pair's proxes at (s, gamma) and envelope value, the floats the solvers'
-    ``evaluate`` computes. ValueError unless gamma*mu < 1.
-    """
-    _check_gamma(gamma)
-    _check_gamma_mu(gamma, inst.mu)
-    s = _as_vector(s)
-    u = inst.h.prox(s, gamma)
-    v = inst.g.prox(s, gamma)
-    d = u - v
-    return Iterate(s, u, v, env_value_from_pair(inst, gamma, s, u, v),
-                   sqrt(float(d.dot(d))), grad=d / gamma)
-
-
-def sandwich_bounds(inst, gamma, s):
-    """Two-sided objective bracket around the envelope value.
-
-    Returns (lower, upper) with r = 1 - gamma*mu, each prox objective's
-    modulus of strong convexity times gamma, and
-    lower = phi(v) + r*||v-u||^2/(2*gamma) <= env(s) <= phi(u) - r*||v-u||^2/(2*gamma)
-    = upper; infinite values pass through when a prox point leaves the
-    other function's domain.
-    """
-    return _sandwich_at(inst, gamma, dce_eval(inst, gamma, s))
-
-
-def _sandwich_at(inst, gamma, ev):
-    """``sandwich_bounds`` from the evaluated ``Iterate`` of its point."""
-    gap = (1.0 - gamma * inst.mu) * metric_half_sq(ev.v - ev.u, gamma)
-    lower = inst.phi(ev.v)
-    upper = inst.phi(ev.u)
-    lower = lower + gap if lower != np.inf else np.inf
-    upper = upper - gap if upper != np.inf else np.inf
-    return lower, upper

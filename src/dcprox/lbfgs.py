@@ -25,7 +25,7 @@ import numpy as np
 # not called here: perfbench's layer tracer patches this name in this module
 from .envelope import env_value_from_pair  # noqa: F401
 from .reports import drive
-from .two_prox import _relaxed_steps, descent_coefficient
+from .two_prox import _relaxed_steps
 
 
 # the classical constants: memory size, weak-Wolfe c1 < c2, the trial
@@ -120,11 +120,8 @@ def run_lbfgs(inst, cfg, s0):
     too: while gamma*mu < 1 the raw pair's envelope, which ``dce_eval``
     evaluates, is continuously differentiable with gradient (u - v)/gamma.
     """
-    cfg.validate(inst.mu)
     gamma = cfg.gamma
-    coeff = descent_coefficient(gamma, cfg.lam, inst.mu)
-    counter, prox_h, evaluate, plain_step = _relaxed_steps(
-        inst, inst.h.prox, inst.g.prox, gamma, cfg.lam, lambda d, dd: coeff * dd)
+    counter, prox_h, evaluate, plain_step = _relaxed_steps(inst, cfg)
     memory = LbfgsMemory()
     h_affine = inst.h.prox_is_affine
     h_zero_image = None  # prox_h(0), lazily cached for affine reuse

@@ -99,15 +99,16 @@ class CallCounter:
 @dataclass(eq=False)
 class Iterate:
     """One evaluated iterate, as a solver hands it to ``drive`` and as
-    ``envelope.dce_eval`` returns it.
+    ``two_prox.dce_eval``, the relaxed step's ``evaluate``, returns it.
 
     ``s`` is the iterate, ``u`` and ``v`` the prox outputs whose gap is
     ``residual``. ``env`` is the value the descent check and the trace
     use; None means the method has no envelope and traces the objective.
     ``grad`` is the envelope gradient (u - v)/gamma, set by L-BFGS and
     ``dce_eval``. ``gaps`` (the prox differences and their squared norms
-    behind ``residual``) and ``s_next`` (the baselines, which compute their
-    next iterate while evaluating this one) carry what the next step reuses.
+    behind ``residual``, set by the relaxed step) and ``s_next`` (the
+    baselines, which compute their next iterate while evaluating this one)
+    carry what the next step reuses.
     """
 
     s: np.ndarray
@@ -125,6 +126,16 @@ def check_stopping(tol, max_iter):
     if not 0.0 <= tol < np.inf or max_iter < 1:
         raise ValueError(f"tol must be nonnegative and finite and max_iter positive, "
                          f"got tol={tol}, max_iter={max_iter}")
+
+
+def check_start(s0, dim):
+    """s0 as a float vector; ValueError unless it has shape (dim,) and is finite."""
+    s0 = _as_vector(np.array(s0, dtype=float))
+    if s0.shape != (dim,):
+        raise ValueError(f"start point has shape {s0.shape}, instance dim {dim}")
+    if not np.all(np.isfinite(s0)):
+        raise ValueError("start point must be finite")
+    return s0
 
 
 def drive(solver, inst, s0, first, advance, phi_at, counter, tol, max_iter,
@@ -149,11 +160,7 @@ def drive(solver, inst, s0, first, advance, phi_at, counter, tol, max_iter,
     """
     check_stopping(tol, max_iter)
     dim = inst.dim
-    s0 = _as_vector(np.array(s0, dtype=float))
-    if s0.shape != (dim,):
-        raise ValueError(f"start point has shape {s0.shape}, instance dim {dim}")
-    if not np.all(np.isfinite(s0)):
-        raise ValueError("start point must be finite")
+    s0 = check_start(s0, dim)
     trace = Trace()
     points = np.empty((64, dim)) if record_trace else None
     status = Termination.MAX_ITER

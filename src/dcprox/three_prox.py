@@ -26,8 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .envelope import DcInstance, dc_value, dc_values
-from .prox import ProxFunction, _as_vector
+from .envelope import DcInstance, check_dims, dc_value, dc_values
+from .prox import ProxFunction
+from .reports import check_start
 from .two_prox import run
 
 GAMMA_KAPPA = 0.5  # gamma*kappa of the lift: its coupling is kappa = GAMMA_KAPPA/gamma
@@ -44,12 +45,7 @@ class ThreeTermInstance:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be at least 1, got {self.dim}")
-        for part in (self.f, self.g, self.h):
-            if part.dim is not None and part.dim != self.dim:
-                raise ValueError(
-                    f"{type(part).__name__} has dim {part.dim}, instance dim {self.dim}")
+        check_dims(self.dim, (self.f, self.g, self.h))
 
     def phi(self, x):
         g_val = self.g.value(x)
@@ -130,13 +126,15 @@ def run3(inst, cfg, s0):
     """Solve ``inst`` with ``two_prox.run`` on its lift at cfg.gamma, from (s0, 0).
 
     The lift's modulus is its coupling kappa = GAMMA_KAPPA/cfg.gamma, so the
-    relaxation cfg.lam must stay below 2*(1 - GAMMA_KAPPA) = 1. The report
+    relaxation cfg.lam must stay below 2*(1 - GAMMA_KAPPA) = 1; left None it
+    is 0.9*(1 - GAMMA_KAPPA) = 0.45. The report
     is the lifted run's, named three-prox: env and residual are the lift's,
     phi is ``inst``'s at v's x-block, and final_s, final_u and final_v are
     x-blocks, points of ``inst``'s space.
     """
     cfg.validate()  # gamma is checked before the coupling divides by it
     n = inst.dim
-    report = run(lift(inst, cfg.gamma), cfg, np.concatenate([_as_vector(s0), np.zeros(n)]))
+    s0 = check_start(s0, n)  # in inst's dimension, before the lift doubles it
+    report = run(lift(inst, cfg.gamma), cfg, np.concatenate([s0, np.zeros(n)]))
     return replace(report, solver="three-prox", final_s=report.final_s[:n],
                    final_u=report.final_u[:n], final_v=report.final_v[:n])

@@ -37,8 +37,8 @@ floats.
 stepsizes), in closed form for the package's linear, square, quadratic and
 block-separable atoms; the package's atoms take a scalar stepsize only.
 ``run_diag`` is the two-prox iteration under diagonal stepsize and
-relaxation vectors, the package's relaxed step driven with ``prox_diag``;
-the lifted oracle runs on it.
+relaxation vectors, the package's relaxed step with ``prox_diag`` in place
+of each prox, driven by the package's driver; the lifted oracle runs on it.
 
 The reference sparse-PCA builder is the straightforward construction the
 lean one in ``dcprox.problems`` must reproduce byte for byte: int64
@@ -69,11 +69,11 @@ from dcprox import (
     smooth_view,
 )
 from dcprox.checks import finite_difference_gradient
+from dcprox.envelope import env_value_from_pair
 from dcprox.problems import _rng_for
 from dcprox.prox import _apply_inverse, _as_vector, _check_gamma, _spd_inverse
 from dcprox.reports import CallCounter, Iterate, drive
 from dcprox.three_prox import ThreeTermInstance
-from dcprox.two_prox import _relaxed_steps
 
 # ---------------------------------------------------------------------------
 # iterate recording
@@ -360,10 +360,20 @@ def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
         raise ValueError("lam must lie in (0, 2*(1 - gamma*M)) elementwise")
     # decrease weight (2*(I - Gamma M) - Lambda) Gamma^-1 Lambda (I - Gamma M)^-1
     weight = (2.0 * shrink - lam_diag) * lam_diag / (gamma_diag * shrink)
-    counter, _, evaluate, plain_step = _relaxed_steps(
-        inst, lambda x, e: prox_diag(inst.h, x, e), lambda x, e: prox_diag(inst.g, x, e),
-        gamma_diag, lam_diag,
-        lambda d, dd: 0.5 * float(np.sum(weight * d * d)))
+    counter = CallCounter()
+    prox_h = counter.wrap(lambda x: prox_diag(inst.h, x, gamma_diag), "prox_h")
+    prox_g = counter.wrap(lambda x: prox_diag(inst.g, x, gamma_diag), "prox_g")
+
+    def evaluate(s):
+        u, v = prox_h(s), prox_g(s)
+        d = u - v
+        return Iterate(s, u, v, env_value_from_pair(inst, gamma_diag, s, u, v),
+                       sqrt(float(d.dot(d))))
+
+    def plain_step(it):
+        d = it.u - it.v
+        return evaluate(it.s - lam_diag * d), 0.5 * float(np.sum(weight * d * d))
+
     return drive("dce-diag", inst, s0, evaluate, plain_step, lambda it: it.v,
                  counter, tol, max_iter, record_trace, float(gamma_diag[0]))
 

@@ -12,7 +12,6 @@ import dcprox as dp
 from dcprox.checks import check_fbe, check_gradient, evaluate_points
 from dcprox.reports import Termination
 from dcprox.three_prox import GAMMA_KAPPA
-from dcprox.two_prox import default_relaxation
 from oracles import (ThreeProxConfig, envelope_of_smooth_pair, fbe_value, negate_smooth,
                      psi_gradient_identity_check, quadratic_smooth, recording,
                      residual_rate_check, run3_psi, run3_via_lifted, run_diag)
@@ -56,12 +55,12 @@ def descent_runs(gauntlet):
     # claims the Armijo decrease its linesearch tested
     runs = []
     for cell in gauntlet.values():
-        runs.append((cell["dce"], (cell["cfg"].lam, cell["inst"].mu)))
+        runs.append((cell["dce"], (cell["cfg"].validate(cell["inst"].mu), cell["inst"].mu)))
         runs.append((cell["dce-lbfgs"], None))
     # a long plain run for step volume
     spca, inst = dp.make_spca(N_DESK, seed=0)
     long_cfg = dp.TwoProxConfig(gamma=0.9 / spca.lam_max, tol=1e-9, max_iter=6000)
-    runs.append((dp.run(inst, long_cfg, spca.s0), (long_cfg.lam, inst.mu)))
+    runs.append((dp.run(inst, long_cfg, spca.s0), (long_cfg.validate(inst.mu), inst.mu)))
     # catalogue runs, scalar and hypoconvex
     for c in dp.synthetic_catalogue():
         if c.dc is not None:
@@ -83,12 +82,10 @@ def descent_runs(gauntlet):
     runs.append((dp.run3(three.three, cfg3, three.s0),
                  (cfg3.lam, GAMMA_KAPPA / cfg3.gamma)))
     spca3, inst3 = dp.make_spca3(30, seed=0)
-    gamma3 = 0.5 / spca3.lam_max  # the command line's, with its relaxation
-    cfg_spca3 = dp.TwoProxConfig(
-        gamma=gamma3, lam=default_relaxation(gamma3, GAMMA_KAPPA / gamma3), tol=1e-9,
-        max_iter=6000)
-    runs.append((dp.run3(inst3, cfg_spca3, spca3.s0),
-                 (cfg_spca3.lam, GAMMA_KAPPA / cfg_spca3.gamma)))
+    # the command line's stepsize, with the default relaxation on the lift
+    cfg_spca3 = dp.TwoProxConfig(gamma=0.5 / spca3.lam_max, tol=1e-9, max_iter=6000)
+    mu3 = GAMMA_KAPPA / cfg_spca3.gamma
+    runs.append((dp.run3(inst3, cfg_spca3, spca3.s0), (cfg_spca3.validate(mu3), mu3)))
     return runs
 
 
@@ -225,9 +222,7 @@ def test_criterion_6_oracle_optimality():
                     dr_gamma = 0.45 / curv
                 answers["drs"] = dp.drs_run(c.dc, dr_gamma, 1e-9, 20000, c.s0)
         if c.three is not None and "three-prox" in c.solvers:
-            cfg3 = dp.TwoProxConfig(
-                gamma=c.gamma, lam=default_relaxation(c.gamma, GAMMA_KAPPA / c.gamma),
-                tol=1e-9, max_iter=20000)
+            cfg3 = dp.TwoProxConfig(gamma=c.gamma, tol=1e-9, max_iter=20000)
             answers["three-prox"] = dp.run3(c.three, cfg3, c.s0)
         assert answers, c.name
         for solver, rep in answers.items():

@@ -198,6 +198,20 @@ def test_solve_rejects_invalid_problem_documents(tmp_path, capsys, doc, key):
     assert not out.exists()
 
 
+def test_an_out_path_that_is_a_file_is_an_error_line(tmp_path, capsys):
+    # solve makes --out a directory, bench makes --out/traces one
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (["solve", '{"kind": "synthetic", "name": "quad-linear-1d"}',
+                  "--solver", "dce", "--out", str(taken)],
+                 ["bench", "--solvers", "dce", "--n-values", "10", "--seeds", "1",
+                  "--out", str(taken)]):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(taken) in err, err
+
+
 def test_n_above_the_memory_bound_is_rejected_before_any_build(tmp_path, capsys,
                                                               monkeypatch):
     # the bound is read from the message only; nothing near it is built

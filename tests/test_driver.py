@@ -112,9 +112,14 @@ def test_counts_equal_the_oracle_calls_made(solver):
 @pytest.mark.parametrize("name", list(spca_runs()))
 def test_every_solver_rejects_a_bad_start_point(name):
     fn, s0 = spca_runs()[name]
-    for bad in (s0[:-1], np.append(s0, 0.0), np.where(np.arange(N) == 3, np.nan, s0),
-                np.full(N, np.inf)):
-        with pytest.raises(ValueError, match="start point"):
+    # a start of the wrong length is reported in the solver's own dimension;
+    # the lifted oracle's is the lifted one
+    dim = 2 * N if name == "run_diag" else N
+    for bad in (s0[:-1], np.append(s0, 0.0)):
+        with pytest.raises(ValueError, match=f"start point has shape .*, instance dim {dim}$"):
+            fn(bad)
+    for bad in (np.where(np.arange(N) == 3, np.nan, s0), np.full(N, np.inf)):
+        with pytest.raises(ValueError, match="start point must be finite"):
             fn(bad)
 
 

@@ -143,7 +143,7 @@ CHECKED = [{"kind": "synthetic", "name": c.name}
 def test_dce_eval_is_what_the_solvers_evaluate(doc):
     # dcprox check's instance, start and stepsize; the solvers' evaluate
     inst, s0, gamma, _ = cli._problem("dce", *problem_from_json(json.dumps(doc)))
-    _, _, evaluate, _ = _relaxed_steps(inst, inst.h.prox, inst.g.prox, gamma, 1.0, None)
+    _, _, evaluate, _ = _relaxed_steps(inst, dp.TwoProxConfig(gamma=gamma))
     rng = np.random.default_rng(7)
     for _ in range(100):
         s = s0 + 2.0 * rng.standard_normal(inst.dim)

@@ -48,7 +48,7 @@ STUB = "abstract ProxFunction stub; every atom overrides it"
 # "file:qualname" -> why no command needs to reach it
 ALLOWLIST = {
     "cli.py:entrypoint": "the console-script target in pyproject.toml; the script calls main",
-    "envelope.py:sandwich_bounds": ("perfbench/workloads.py and "
+    "two_prox.py:sandwich_bounds": ("perfbench/workloads.py and "
                                     "scripts/envelope_slice.py import it"),
     "kernels.py:_extension": "runs at import, before the profile starts",
     "prox.py:ProxFunction.value": STUB,

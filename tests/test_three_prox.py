@@ -335,3 +335,16 @@ def test_run3_reaches_the_dce_lbfgs_critical_point_on_spca3():
     assert three.converged and two.converged
     assert three.trace.phi[-1] == pytest.approx(two.trace.phi[-1], rel=1e-6)
     assert two.trace.phi[-1] == pytest.approx(-46.157, abs=1e-3)
+
+
+def test_run3_runs_with_the_default_relaxation():
+    # lam left None is worked out on the lift, whose modulus is its coupling
+    spca, inst = dp.make_spca3(30, seed=0)
+    gamma = 0.5 / spca.lam_max
+    rep = dp.run3(inst, dp.TwoProxConfig(gamma=gamma, max_iter=3000), spca.s0)
+    assert rep.converged
+    assert rep.trace.phi[-1] == pytest.approx(-46.157, abs=1e-3)
+    lam = dp.TwoProxConfig(gamma=gamma).validate(GAMMA_KAPPA / gamma)
+    explicit = dp.run3(inst, dp.TwoProxConfig(gamma=gamma, lam=lam, max_iter=3000), spca.s0)
+    for column in ("k", "env", "residual", "phi", "decrement", "prox_h", "prox_g"):
+        assert getattr(rep.trace, column) == getattr(explicit.trace, column), column

@@ -93,7 +93,7 @@ def test_env_trace_nonincreasing_and_summable(rng):
     assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(envs, envs[1:]))
     assert residual_rate_check(rep)
     # explicit summability constant implied by the per-step decrease
-    coeff = dp.descent_coefficient(cfg.gamma, cfg.lam)
+    coeff = dp.descent_coefficient(cfg.gamma, cfg.validate(inst.mu))
     total = sum(r ** 2 for r in rep.trace.residual[:-1])
     assert total <= (envs[0] - min(envs)) / coeff * (1 + 1e-10) + 1e-12
 
@@ -202,6 +202,15 @@ def test_config_boundaries_rejected():
         dp.TwoProxConfig(gamma=1.0, lam=1.0).validate(0.5)
     with pytest.raises(ValueError):
         dp.TwoProxConfig(gamma=2.0, lam=0.1).validate(0.5)
+
+
+def test_validate_returns_the_relaxation_in_use():
+    # left None, lam is 1 on a convex pair and 0.9*(1 - gamma*mu) on a
+    # hypoconvex one; an explicit lam is kept
+    assert dp.TwoProxConfig(gamma=0.7).validate(0.0) == 1.0
+    for gamma, mu in ((1.0, 0.5), (0.7, 0.9), (1.9, 0.5)):
+        assert dp.TwoProxConfig(gamma=gamma).validate(mu) == 0.9 * (1.0 - gamma * mu)
+    assert dp.TwoProxConfig(gamma=1.0, lam=0.3).validate(0.5) == 0.3
 
 
 # ---------------------------------------------------------------------------
