@@ -15,11 +15,14 @@ gamma*grad h)^-1 gives prox_h(p) = u, wherever prox_h is single-valued
 take u as their current iterate, and Douglas-Rachford as the backward point
 it solved for. Call counters include the termination checks, so the
 per-iteration cost columns are directly comparable across solvers.
+Each solver takes ``(inst, cfg, s0)`` with cfg a ``two_prox.TwoProxConfig``
+and validates it, its unused ``lam`` too, after its capability checks and
+before its own stepsize gate.
 """
 
 from math import sqrt
 
-from .prox import CapabilityError, _check_finite, _check_gamma, _check_gamma_mu
+from .prox import CapabilityError, _check_finite
 from .reports import CallCounter, Iterate, drive
 
 
@@ -29,8 +32,7 @@ def _require_smooth(inst, solver):
     return inst.smooth_h
 
 
-def _baseline_run(solver, inst, gamma, tol, max_iter, x0, counter, prox_g,
-                  forward, phi_at):
+def _baseline_run(solver, inst, cfg, x0, counter, prox_g, forward, phi_at):
     """Drive ``forward(x) -> (x_next, point, u, reuse_v)`` with the shared residual.
 
     ``point`` is where the residual is evaluated and ``u`` its prox_h image,
@@ -44,18 +46,17 @@ def _baseline_run(solver, inst, gamma, tol, max_iter, x0, counter, prox_g,
         x_next, point, u, v = forward(x)
         _check_finite(point)
         if v is None:
-            v = prox_g(point, gamma)
+            v = prox_g(point, cfg.gamma)
         d = u - v
         return Iterate(x, u, v, None, sqrt(d.dot(d)), s_next=x_next)
 
     def advance(it):
         return first(it.s_next), None
 
-    return drive(solver, inst, x0, first, advance, phi_at, counter, tol,
-                 max_iter, gamma=gamma)
+    return drive(solver, inst, x0, first, advance, phi_at, counter, cfg)
 
 
-def fbs_run(inst, gamma, tol, max_iter, u0):
+def fbs_run(inst, cfg, u0):
     """Forward-backward splitting: u+ = prox_g(u + gamma*grad h(u)).
 
     Requires gamma < 1/L_h, which also keeps gamma times the largest
@@ -64,7 +65,8 @@ def fbs_run(inst, gamma, tol, max_iter, u0):
     iterate u itself, reusing the iterate's own prox_g evaluation.
     """
     smooth = _require_smooth(inst, "fbs")
-    _check_gamma(gamma)
+    cfg.validate(inst.mu)
+    gamma = cfg.gamma
     if smooth.lipschitz > 0 and gamma >= 1.0 / smooth.lipschitz:
         raise ValueError(
             f"fbs needs gamma < 1/L_h = {1.0 / smooth.lipschitz}, got {gamma}")
@@ -77,23 +79,23 @@ def fbs_run(inst, gamma, tol, max_iter, u0):
         u_next = prox_g(point, gamma)
         return u_next, point, u, u_next
 
-    return _baseline_run("fbs", inst, gamma, tol, max_iter, u0, counter, prox_g,
-                         forward, lambda it: it.s)
+    return _baseline_run("fbs", inst, cfg, u0, counter, prox_g, forward,
+                         lambda it: it.s)
 
 
-def dca_run(inst, gamma, tol, max_iter, u0):
+def dca_run(inst, cfg, u0):
     """Classical DC iteration: v = grad h(u), u+ = argmin g - <v, .>.
 
-    ``gamma`` enters only through the shared termination criterion at the
-    forward point u + gamma*grad h(u), whose prox_h image is the iterate u;
-    it must keep gamma*mu < 1, where that image is unique. The subproblem
-    solve counts as prox_g, and so does the criterion's prox_g.
+    ``cfg.gamma`` enters only through the shared termination criterion at
+    the forward point u + gamma*grad h(u), whose prox_h image is the
+    iterate u; it must keep gamma*mu < 1, where that image is unique. The
+    subproblem solve counts as prox_g, and so does the criterion's prox_g.
     """
     smooth = _require_smooth(inst, "dca")
-    _check_gamma(gamma)
     if inst.dca_step is None:
         raise CapabilityError("dca needs a subproblem solver on the instance")
-    _check_gamma_mu(gamma, inst.mu)
+    cfg.validate(inst.mu)
+    gamma = cfg.gamma
     counter = CallCounter()
     grad = counter.wrap(smooth.grad, "grad_h")
     dca_step = counter.wrap(inst.dca_step, "prox_g")
@@ -102,12 +104,12 @@ def dca_run(inst, gamma, tol, max_iter, u0):
         v = grad(u)
         return dca_step(v), u + gamma * v, u, None
 
-    return _baseline_run("dca", inst, gamma, tol, max_iter, u0, counter,
+    return _baseline_run("dca", inst, cfg, u0, counter,
                          counter.wrap(inst.g.prox, "prox_g"), forward,
                          lambda it: it.s)
 
 
-def drs_run(inst, gamma, tol, max_iter, s0):
+def drs_run(inst, cfg, s0):
     """Douglas-Rachford on the split (-h) + g, smooth part first.
 
     u = prox of -h at s (a backward solve, counted as prox_h, and the only
@@ -118,12 +120,12 @@ def drs_run(inst, gamma, tol, max_iter, s0):
     whose prox_h image is the backward point u, reusing w.
     """
     smooth = _require_smooth(inst, "drs")
-    _check_gamma(gamma)
+    cfg.validate(inst.mu)
+    gamma = cfg.gamma
     curv = smooth.curvature_max
     if curv is not None and curv > 0 and gamma * curv >= 1.0:
         raise ValueError(
             f"drs needs gamma < 1/curvature = {1.0 / curv}, got {gamma}")
-    _check_gamma_mu(gamma, inst.mu)
     counter = CallCounter()
     backward = counter.wrap(lambda s: smooth.backward(s, gamma), "prox_h")
     prox_g = counter.wrap(inst.g.prox, "prox_g")
@@ -134,5 +136,5 @@ def drs_run(inst, gamma, tol, max_iter, s0):
         w = prox_g(reflected, gamma)
         return s + (w - u), reflected, u, w
 
-    return _baseline_run("drs", inst, gamma, tol, max_iter, s0, counter, prox_g,
-                         forward, lambda it: it.v)
+    return _baseline_run("drs", inst, cfg, s0, counter, prox_g, forward,
+                         lambda it: it.v)

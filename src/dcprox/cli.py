@@ -8,9 +8,11 @@ check  PROBLEM                  run the invariant battery on an instance
 
 The solve stepsize --gamma is a positive finite X or "X/lmax", X over the
 instance's largest eigenvalue (spca and spca3 problems only); without it each
-solver takes its default stepsize. three-prox runs dce's relaxed two-prox
-iteration on the three-term problem's lift to the doubled space, whose
-coupling is 1/(2*gamma). check's --seed is nonnegative.
+solver takes its default stepsize. Each of the six is called as
+solver(instance, TwoProxConfig(gamma, tol, max_iter), start) and validates
+the stepsize itself. three-prox runs dce's relaxed two-prox iteration on the
+three-term problem's lift to the doubled space, whose coupling is
+1/(2*gamma). check's --seed is nonnegative.
 
 Problems are JSON documents, inline or in a file:
     {"kind": "spca",  "n": 100, "seed": 0, "kappa": null}
@@ -154,13 +156,10 @@ def _solve_one(solver, kind, payload, tol, max_iter, gamma=None):
     inst, s0, default_gamma, info = _problem(solver, kind, payload)
     if gamma is None:
         gamma = default_gamma
-    if solver in ("dce", "dce-lbfgs", "three-prox"):
-        cfg = TwoProxConfig(gamma=gamma, tol=tol, max_iter=max_iter)
-        solve = {"dce": run, "dce-lbfgs": run_lbfgs, "three-prox": run3}[solver]
-        report = solve(inst, cfg, s0)
-    else:
-        baseline = {"fbs": fbs_run, "dca": dca_run, "drs": drs_run}[solver]
-        report = baseline(inst, gamma, tol, max_iter, s0)
+    # the names are looked up per call, so a patched module attribute takes effect
+    solve = {"dce": run, "dce-lbfgs": run_lbfgs, "fbs": fbs_run, "dca": dca_run,
+             "drs": drs_run, "three-prox": run3}[solver]
+    report = solve(inst, TwoProxConfig(gamma=gamma, tol=tol, max_iter=max_iter), s0)
     return report, {**info, "gamma": gamma}
 
 

@@ -38,18 +38,11 @@ def _as_vector(x):
 
 
 def _check_gamma(gamma):
+    """ValueError unless gamma is a positive finite scalar: every stepsize's check."""
     if not np.isscalar(gamma) and np.asarray(gamma).ndim > 0:
         raise ValueError("scalar stepsize expected")
     if not 0.0 < gamma < np.inf:
-        raise ValueError(f"stepsize must be positive and finite, got {gamma}")
-
-
-def _check_gamma_mu(gamma, mu):
-    """ValueError unless gamma*mu < 1: at a larger stepsize the prox of a
-    function that is mu-hypoconvex (convex after adding mu/2 ||.||^2) is
-    undefined."""
-    if gamma * mu >= 1.0:
-        raise ValueError(f"gamma*mu must stay below 1, got {gamma * mu}")
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
 def _check_finite(x):

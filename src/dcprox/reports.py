@@ -138,9 +138,10 @@ def check_start(s0, dim):
     return s0
 
 
-def drive(solver, inst, s0, first, advance, phi_at, counter, tol, max_iter,
-          record_trace=True, gamma=0.0):
-    """Run one solver to convergence, the budget or a numerical error.
+def drive(solver, inst, s0, first, advance, phi_at, counter, cfg):
+    """Run one solver to convergence, the budget or a numerical error, by
+    the ``tol``, ``max_iter`` and ``record_trace`` of its ``TwoProxConfig``
+    ``cfg``, whose ``gamma`` the report carries.
 
     ``first(s0)`` evaluates the start point and returns an
     ``Iterate``; ``advance(it)`` steps from ``it`` and returns the next
@@ -158,6 +159,7 @@ def drive(solver, inst, s0, first, advance, phi_at, counter, tol, max_iter,
     ``record_trace`` the trace keeps only the last point. Counts come from
     ``counter``, which wraps the solver's oracles.
     """
+    tol, max_iter, record_trace = cfg.tol, cfg.max_iter, cfg.record_trace
     check_stopping(tol, max_iter)
     dim = inst.dim
     s0 = check_start(s0, dim)
@@ -221,7 +223,7 @@ def drive(solver, inst, s0, first, advance, phi_at, counter, tol, max_iter,
 
     if it is None:  # the start point could not be evaluated
         return RunReport(solver=solver, termination=status, iterations=0,
-                         final_s=s0, final_u=s0, final_v=s0, gamma=gamma,
+                         final_s=s0, final_u=s0, final_v=s0, gamma=cfg.gamma,
                          message=message)
     pending = len(trace.k) - len(trace.phi)
     if pending:
@@ -230,4 +232,4 @@ def drive(solver, inst, s0, first, advance, phi_at, counter, tol, max_iter,
     flush([inst.phi(phi_at(it))])
     return RunReport(solver=solver, termination=status, iterations=k,
                      final_s=it.s, final_u=it.u, final_v=it.v, trace=trace,
-                     gamma=gamma, message=message)
+                     gamma=cfg.gamma, message=message)

@@ -20,18 +20,20 @@ from typing import Optional
 import numpy as np
 
 from .envelope import env_value_from_pair
-from .prox import _as_vector, _check_gamma_mu, metric_half_sq
+from .prox import _as_vector, _check_gamma, metric_half_sq
 from .reports import CallCounter, Iterate, drive
 
 
 @dataclass(frozen=True)
 class TwoProxConfig:
-    """Stepsize/relaxation/termination settings for the two-prox solver.
+    """Stepsize, relaxation and termination settings: every solver's config.
 
-    Admissibility depends on the instance's hypoconvexity modulus mu:
-    gamma > 0 with gamma*mu < 1, and 0 < lam < 2*(1 - gamma*mu). The
-    boundaries are rejected. ``lam`` None means 1 on a convex pair and
-    0.9*(1 - gamma*mu) on a hypoconvex one, which ``validate`` works out.
+    Each solver takes ``(inst, cfg, s0)`` and validates cfg against the
+    instance's hypoconvexity modulus mu: gamma > 0 with gamma*mu < 1, and
+    0 < lam < 2*(1 - gamma*mu). The boundaries are rejected. ``lam``, the
+    two-prox relaxation, is 1 on a convex pair and 0.9*(1 - gamma*mu) on a
+    hypoconvex one when None; dce-lbfgs uses it only in its fallback step,
+    the baselines not at all.
     """
 
     gamma: float
@@ -43,9 +45,9 @@ class TwoProxConfig:
     def validate(self, mu=0.0):
         """The relaxation in use at modulus mu; ValueError unless it and
         gamma are admissible."""
-        if not 0.0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        _check_gamma_mu(self.gamma, mu)
+        _check_gamma(self.gamma)
+        if self.gamma * mu >= 1.0:  # the prox of a mu-hypoconvex function is undefined
+            raise ValueError(f"gamma*mu must stay below 1, got {self.gamma * mu}")
         lam = self.lam
         if lam is None:
             lam = 0.9 * (1.0 - self.gamma * mu) if mu else 1.0
@@ -103,8 +105,7 @@ def run(inst, cfg, s0):
     envelope is the raw pair's at (s, gamma), the one ``dce_eval`` gives.
     """
     counter, _, evaluate, plain_step = _relaxed_steps(inst, cfg)
-    return drive("dce", inst, s0, evaluate, plain_step, lambda it: it.v,
-                 counter, cfg.tol, cfg.max_iter, cfg.record_trace, cfg.gamma)
+    return drive("dce", inst, s0, evaluate, plain_step, lambda it: it.v, counter, cfg)
 
 
 def dce_eval(inst, gamma, s):

@@ -65,6 +65,7 @@ from dcprox import (
     RunReport,
     ScaledSquare,
     SmoothFunction,
+    TwoProxConfig,
     problems,
     smooth_view,
 )
@@ -374,8 +375,10 @@ def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
         d = it.u - it.v
         return evaluate(it.s - lam_diag * d), 0.5 * float(np.sum(weight * d * d))
 
+    run_cfg = TwoProxConfig(gamma=float(gamma_diag[0]), tol=tol, max_iter=max_iter,
+                            record_trace=record_trace)
     return drive("dce-diag", inst, s0, evaluate, plain_step, lambda it: it.v,
-                 counter, tol, max_iter, record_trace, float(gamma_diag[0]))
+                 counter, run_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +569,8 @@ def run3_psi(inst, cfg, s0, t0):
 
     start = np.concatenate([_as_vector(s0), _as_vector(t0)])
     report = drive("three-prox", _Stacked(inst), start, first, advance,
-                   lambda it: it.u, counter, cfg.tol, cfg.max_iter, gamma=cfg.gamma)
+                   lambda it: it.u, counter,
+                   TwoProxConfig(gamma=cfg.gamma, tol=cfg.tol, max_iter=cfg.max_iter))
     return PsiReport(**{**vars(report), "final_s": report.final_s[:n],
                         "final_u": report.final_u[:n], "final_v": report.final_v[:n]},
                      final_t=report.final_s[n:], final_z=report.final_v[n:])

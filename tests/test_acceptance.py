@@ -5,6 +5,8 @@ lines and the measured numbers. The sparse-PCA gauntlet (criterion 7) runs
 five seeded instances at n=100 shared across criteria 2, 3 and 7.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,15 +35,17 @@ def gauntlet():
         spca, inst = dp.make_spca(N_DESK, seed=seed)
         gamma = 0.9 / spca.lam_max
         cfg = dp.TwoProxConfig(gamma=gamma, lam=1.0, tol=1e-6, max_iter=1000)
+        baseline_cfg = dp.TwoProxConfig(gamma=gamma, tol=1e-6, max_iter=20000)
         out[seed] = {
             "spca": spca,
             "inst": inst,
             "cfg": cfg,
             "dce": dp.run(inst, cfg, spca.s0),
             "dce-lbfgs": dp.run_lbfgs(inst, cfg, spca.s0),
-            "fbs": dp.fbs_run(inst, gamma, 1e-6, 20000, spca.s0),
-            "dca": dp.dca_run(inst, gamma, 1e-6, 20000, spca.s0),
-            "drs": dp.drs_run(inst, 0.45 / spca.lam_max, 1e-6, 20000, spca.s0),
+            "fbs": dp.fbs_run(inst, baseline_cfg, spca.s0),
+            "dca": dp.dca_run(inst, baseline_cfg, spca.s0),
+            "drs": dp.drs_run(inst, dataclasses.replace(baseline_cfg, gamma=0.45 / spca.lam_max),
+                              spca.s0),
         }
     return out
 
@@ -211,16 +215,18 @@ def test_criterion_6_oracle_optimality():
                 answers["dce-lbfgs"] = dp.run_lbfgs(c.dc, cfg, c.s0)
             lip = c.dc.smooth_h.lipschitz if c.dc.smooth_h else 0.0
             fb_gamma = c.gamma if lip == 0 or c.gamma < 1.0 / lip else 0.9 / lip
+            fb_cfg = dp.TwoProxConfig(gamma=fb_gamma, tol=1e-9, max_iter=20000)
             if "fbs" in c.solvers:
-                answers["fbs"] = dp.fbs_run(c.dc, fb_gamma, 1e-9, 20000, c.s0)
+                answers["fbs"] = dp.fbs_run(c.dc, fb_cfg, c.s0)
             if "dca" in c.solvers:
-                answers["dca"] = dp.dca_run(c.dc, fb_gamma, 1e-9, 20000, c.s0)
+                answers["dca"] = dp.dca_run(c.dc, fb_cfg, c.s0)
             if "drs" in c.solvers:
                 curv = c.dc.smooth_h.curvature_max if c.dc.smooth_h else None
                 dr_gamma = c.gamma
                 if curv is not None and curv > 0 and dr_gamma >= 1.0 / curv:
                     dr_gamma = 0.45 / curv
-                answers["drs"] = dp.drs_run(c.dc, dr_gamma, 1e-9, 20000, c.s0)
+                answers["drs"] = dp.drs_run(c.dc, dataclasses.replace(fb_cfg, gamma=dr_gamma),
+                                            c.s0)
         if c.three is not None and "three-prox" in c.solvers:
             cfg3 = dp.TwoProxConfig(gamma=c.gamma, tol=1e-9, max_iter=20000)
             answers["three-prox"] = dp.run3(c.three, cfg3, c.s0)

@@ -29,13 +29,14 @@ def pure_prox_instance():
 # forward-backward splitting
 
 def test_fbs_pure_prox_converges_to_zero():
-    rep = dp.fbs_run(pure_prox_instance(), 0.7, 1e-10, 100, [3.0, -2.0])
+    rep = dp.fbs_run(pure_prox_instance(),
+                     dp.TwoProxConfig(gamma=0.7, tol=1e-10, max_iter=100), [3.0, -2.0])
     assert rep.converged
     np.testing.assert_allclose(rep.final_v, 0.0, atol=1e-9)
 
 
 def test_fbs_closed_form_fixed_point():
-    rep = dp.fbs_run(instance_a(), 0.9, 1e-10, 500, [0.0])
+    rep = dp.fbs_run(instance_a(), dp.TwoProxConfig(gamma=0.9, tol=1e-10, max_iter=500), [0.0])
     assert rep.converged
     assert rep.final_v[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -44,36 +45,36 @@ def test_fbs_stepsize_gate():
     inst = next(c for c in dp.synthetic_catalogue() if c.name == "abs-quad-1d").dc
     assert inst.smooth_h.lipschitz == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        dp.fbs_run(inst, 1.0, 1e-6, 10, [0.1])
-    rep = dp.fbs_run(inst, 0.9, 1e-8, 200, [0.25])
+        dp.fbs_run(inst, dp.TwoProxConfig(gamma=1.0, tol=1e-6, max_iter=10), [0.1])
+    rep = dp.fbs_run(inst, dp.TwoProxConfig(gamma=0.9, tol=1e-8, max_iter=200), [0.25])
     assert rep.converged
 
 
 def test_fbs_needs_smooth_oracle():
     inst = dp.DcInstance(g=dp.L1Norm(), h=dp.Zero(), dim=2)
     with pytest.raises(CapabilityError):
-        dp.fbs_run(inst, 0.5, 1e-6, 10, np.zeros(2))
+        dp.fbs_run(inst, dp.TwoProxConfig(gamma=0.5, tol=1e-6, max_iter=10), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
 # classical DC iteration
 
 def test_dca_quadratic_alternation():
-    rep = dp.dca_run(instance_a(), 0.9, 1e-10, 50, [0.0])
+    rep = dp.dca_run(instance_a(), dp.TwoProxConfig(gamma=0.9, tol=1e-10, max_iter=50), [0.0])
     assert rep.converged
     assert rep.final_v[0] == pytest.approx(1.0, abs=1e-9)
     assert rep.iterations <= 3  # constant gradient: one move suffices
 
 
 def test_dca_stationary_start_is_fixed():
-    rep = dp.dca_run(instance_a(), 0.9, 1e-10, 50, [1.0])
+    rep = dp.dca_run(instance_a(), dp.TwoProxConfig(gamma=0.9, tol=1e-10, max_iter=50), [1.0])
     assert rep.converged and rep.iterations == 1
 
 
 def test_dca_missing_subsolver():
     inst = next(c for c in dp.synthetic_catalogue() if c.name == "abs-quad-1d").dc
     with pytest.raises(CapabilityError):
-        dp.dca_run(inst, 0.5, 1e-6, 10, [0.1])
+        dp.dca_run(inst, dp.TwoProxConfig(gamma=0.5, tol=1e-6, max_iter=10), [0.1])
 
 
 def test_dca_spca_subproblem_is_optimal(rng):
@@ -100,13 +101,14 @@ def test_dca_spca_zero_when_kappa_dominates():
 # Douglas-Rachford
 
 def test_drs_zero_smooth_part_is_prox_iteration():
-    rep = dp.drs_run(pure_prox_instance(), 0.7, 1e-10, 200, [3.0, -2.0])
+    rep = dp.drs_run(pure_prox_instance(),
+                     dp.TwoProxConfig(gamma=0.7, tol=1e-10, max_iter=200), [3.0, -2.0])
     assert rep.converged
     np.testing.assert_allclose(rep.final_v, 0.0, atol=1e-9)
 
 
 def test_drs_converges_on_1d():
-    rep = dp.drs_run(instance_a(), 0.4, 1e-10, 500, [0.0])
+    rep = dp.drs_run(instance_a(), dp.TwoProxConfig(gamma=0.4, tol=1e-10, max_iter=500), [0.0])
     assert rep.converged
     assert rep.final_v[0] == pytest.approx(1.0, abs=1e-8)
     # governing state converges to u* - gamma*grad... = 0.6 here
@@ -116,8 +118,10 @@ def test_drs_converges_on_1d():
 def test_drs_curvature_gate():
     spca, inst = dp.make_spca(8, seed=2)
     with pytest.raises(ValueError):
-        dp.drs_run(inst, 1.1 / spca.lam_max, 1e-6, 10, spca.s0)
-    rep = dp.drs_run(inst, 0.45 / spca.lam_max, 1e-6, 20000, spca.s0)
+        dp.drs_run(inst, dp.TwoProxConfig(gamma=1.1 / spca.lam_max, tol=1e-6, max_iter=10),
+                   spca.s0)
+    rep = dp.drs_run(inst, dp.TwoProxConfig(gamma=0.45 / spca.lam_max, tol=1e-6,
+                                            max_iter=20000), spca.s0)
     assert rep.converged
 
 
@@ -129,9 +133,9 @@ def test_all_solvers_agree_on_unique_stationary_point():
     answers = [
         dp.run(inst, dp.TwoProxConfig(gamma=1.0, tol=1e-8, max_iter=500), [0.0]).final_v,
         dp.run_lbfgs(inst, dp.TwoProxConfig(gamma=1.0, tol=1e-8, max_iter=500), [0.0]).final_v,
-        dp.fbs_run(inst, 0.9, 1e-8, 500, [0.0]).final_v,
-        dp.dca_run(inst, 0.9, 1e-8, 500, [0.0]).final_v,
-        dp.drs_run(inst, 0.4, 1e-8, 500, [0.0]).final_v,
+        dp.fbs_run(inst, dp.TwoProxConfig(gamma=0.9, tol=1e-8, max_iter=500), [0.0]).final_v,
+        dp.dca_run(inst, dp.TwoProxConfig(gamma=0.9, tol=1e-8, max_iter=500), [0.0]).final_v,
+        dp.drs_run(inst, dp.TwoProxConfig(gamma=0.4, tol=1e-8, max_iter=500), [0.0]).final_v,
     ]
     for ans in answers:
         assert ans[0] == pytest.approx(1.0, abs=1e-6)
@@ -166,18 +170,18 @@ def test_termination_counts_include_checks():
     # resolvent identity), so only drs's backward solve counts as prox_h.
     # fbs: per iteration one grad_h and one prox_g, for the step and the
     # criterion alike
-    rep = dp.fbs_run(instance_a(), 0.9, 1e-10, 500, [0.0])
+    rep = dp.fbs_run(instance_a(), dp.TwoProxConfig(gamma=0.9, tol=1e-10, max_iter=500), [0.0])
     prox_h, prox_g, grad_h = rep.counts()
     assert prox_h == 0
     assert prox_g == rep.iterations
     assert grad_h == rep.iterations
     # drs: one h-prox (the backward solve), one g-prox
-    rep = dp.drs_run(instance_a(), 0.4, 1e-10, 500, [0.0])
+    rep = dp.drs_run(instance_a(), dp.TwoProxConfig(gamma=0.4, tol=1e-10, max_iter=500), [0.0])
     prox_h, prox_g, grad_h = rep.counts()
     assert prox_h == rep.iterations
     assert prox_g == rep.iterations
     # dca: the criterion adds one prox_g to the subproblem solve
-    rep = dp.dca_run(instance_a(), 0.9, 1e-10, 500, [0.0])
+    rep = dp.dca_run(instance_a(), dp.TwoProxConfig(gamma=0.9, tol=1e-10, max_iter=500), [0.0])
     prox_h, prox_g, grad_h = rep.counts()
     assert prox_h == 0
     assert prox_g == 2 * rep.iterations
@@ -219,7 +223,7 @@ def test_criterion_u_is_prox_h_of_the_criterion_point(monkeypatch, inst, gamma, 
         return reports.drive(solver, inst, s0, first_seen, advance_seen,
                              *args, **kwargs)
     monkeypatch.setattr(baselines, "drive", recording_drive)
-    BASELINES[solver](inst, gamma, 0.0, 50, s0)
+    BASELINES[solver](inst, dp.TwoProxConfig(gamma=gamma, tol=0.0, max_iter=50), s0)
     assert 0 < len(seen) <= 50
     for it in seen:
         if solver == "drs":
@@ -246,7 +250,8 @@ def test_nan_gradient_mid_run_raises(solver):
     inst = dataclasses.replace(
         inst, smooth_h=dataclasses.replace(inst.smooth_h, grad=turning_nan))
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
-        BASELINES[solver](inst, 0.9 / spca.lam_max, 0.0, 50, spca.s0)
+        BASELINES[solver](inst, dp.TwoProxConfig(gamma=0.9 / spca.lam_max, tol=0.0, max_iter=50),
+                          spca.s0)
     assert len(calls) == 5
 
 
@@ -255,4 +260,12 @@ def test_dca_refuses_gamma_mu_of_one():
     synth = find_synthetic("abs-hypo-1d")
     inst = dataclasses.replace(synth.dc, dca_step=lambda v: np.zeros_like(v))
     with pytest.raises(ValueError, match=r"gamma\*mu must stay below 1, got 1.0"):
-        dp.dca_run(inst, 2.0, 1e-6, 10, synth.s0)
+        dp.dca_run(inst, dp.TwoProxConfig(gamma=2.0, tol=1e-6, max_iter=10), synth.s0)
+
+
+def test_fbs_checks_gamma_mu_before_its_lipschitz_gate():
+    # abs-hypo-1d has mu = L_h = 0.5: at gamma = 2 both checks fail, and the
+    # config's validation, which every solver shares, comes first
+    synth = find_synthetic("abs-hypo-1d")
+    with pytest.raises(ValueError, match=r"gamma\*mu must stay below 1, got 1.0"):
+        dp.fbs_run(synth.dc, dp.TwoProxConfig(gamma=2.0), synth.s0)

@@ -42,20 +42,15 @@ def counted_calls(solve):
 def solver(name):
     if name == "three-prox":
         spca, inst = dp.make_spca3(30, seed=0)
-        gamma = GAMMA_POLICY[name] / spca.lam_max
-        return lambda budget: dp.run3(
-            inst, dp.TwoProxConfig(gamma=gamma, lam=0.45, tol=0.0, max_iter=budget),
-            spca.s0)
-    # L-BFGS reaches rounding level by iteration 65 at n = 30, where every
-    # linesearch runs out; at n = 300 its residual is 4e-4 to 4e-7 over 65-129
-    spca, inst = dp.make_spca(300 if name == "dce-lbfgs" else 30, seed=0)
+    else:
+        # L-BFGS reaches rounding level by iteration 65 at n = 30, where every
+        # linesearch runs out; at n = 300 its residual is 4e-4 to 4e-7 over 65-129
+        spca, inst = dp.make_spca(300 if name == "dce-lbfgs" else 30, seed=0)
     gamma = GAMMA_POLICY[name] / spca.lam_max
-    if name in ("dce", "dce-lbfgs"):
-        run = dp.run if name == "dce" else dp.run_lbfgs
-        return lambda budget: run(
-            inst, dp.TwoProxConfig(gamma=gamma, tol=0.0, max_iter=budget), spca.s0)
-    baseline = {"fbs": dp.fbs_run, "dca": dp.dca_run, "drs": dp.drs_run}[name]
-    return lambda budget: baseline(inst, gamma, 0.0, budget, spca.s0)
+    run = {"dce": dp.run, "dce-lbfgs": dp.run_lbfgs, "fbs": dp.fbs_run, "dca": dp.dca_run,
+           "drs": dp.drs_run, "three-prox": dp.run3}[name]
+    return lambda budget: run(
+        inst, dp.TwoProxConfig(gamma=gamma, tol=0.0, max_iter=budget), spca.s0)
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET))

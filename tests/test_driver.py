@@ -1,6 +1,7 @@
 """The shared solver driver: traces, call accounting and start-point checks."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,26 @@ from oracles import (RecordingAtom, ThreeProxConfig, recording, residual_rate_ch
 
 N = 12
 
+# the solver functions by the names the tests give them; each takes (inst, cfg, s0)
+SOLVES = {"run": dp.run, "run_lbfgs": dp.run_lbfgs, "run3": dp.run3,
+          "fbs": dp.fbs_run, "dca": dp.dca_run, "drs": dp.drs_run}
+
+
+def spca_setups(**settings):
+    """Solver name of ``SOLVES`` -> (instance, config, start) on the spca
+    problem at n = N, seed 1, and for run3 on its spca3 split.
+
+    Every config is one config with ``settings`` at the solver's stepsize:
+    0.9/lam_max, half that for drs, and 0.5/lam_max for run3.
+    """
+    spca, inst = dp.make_spca(N, seed=1)
+    spca3, inst3 = dp.make_spca3(N, seed=1)
+    cfg = dp.TwoProxConfig(gamma=0.9 / spca.lam_max, **settings)
+    setups = {name: (inst, cfg, spca.s0) for name in SOLVES}
+    setups["drs"] = (inst, dataclasses.replace(cfg, gamma=0.5 * cfg.gamma), spca.s0)
+    setups["run3"] = (inst3, dataclasses.replace(cfg, gamma=0.5 / spca3.lam_max), spca3.s0)
+    return setups
+
 
 def spca_runs(record_trace=True):
     """Solver name -> (runner taking a start point, the default start).
@@ -21,40 +42,31 @@ def spca_runs(record_trace=True):
     A runner returns the report and the iterates its solver proxed g at
     (L-BFGS: its linesearch trials as well), recorded as in ``oracles``.
     """
-    spca, inst = dp.make_spca(N, seed=1)
-    spca3, inst3 = dp.make_spca3(N, seed=1)
-    gamma = 0.9 / spca.lam_max
-    cfg = dp.TwoProxConfig(gamma=gamma, tol=1e-8, max_iter=300,
-                           record_trace=record_trace)
-    cfg_psi = ThreeProxConfig(tol=1e-6, max_iter=300)
-    cfg3 = dp.TwoProxConfig(gamma=0.5 / spca3.lam_max, lam=0.45, tol=1e-6, max_iter=300,
-                            record_trace=record_trace)
-    drs_gamma = 0.45 / spca.lam_max
+    setups = spca_setups(tol=1e-8, max_iter=300, record_trace=record_trace)
+    inst3, cfg3, s3 = setups["run3"]
+    setups["run3"] = (inst3, dataclasses.replace(cfg3, tol=1e-6), s3)
 
-    def recorded(solve, instance):
+    def recorded(name):
+        inst, cfg, s0 = setups[name]
+
         def runner(s):
-            wrapped, iterates = recording(instance)
-            return solve(wrapped, s), iterates()
-        return runner
+            wrapped, iterates = recording(inst)
+            return SOLVES[name](wrapped, cfg, s), iterates()
+        return runner, s0
 
-    return {
-        "run": (recorded(lambda i, s: dp.run(i, cfg, s), inst), spca.s0),
-        "run_lbfgs": (recorded(lambda i, s: dp.run_lbfgs(i, cfg, s), inst), spca.s0),
-        # run_diag on the lifted form of the three-term instance
-        "run_diag": (lambda s: run3_via_lifted(inst3, cfg_psi, s, spca3.s0, record_trace),
-                     spca3.s0),
-        "run3": (recorded(lambda i, s: dp.run3(i, cfg3, s), inst3), spca3.s0),
-        "fbs": (recorded(lambda i, s: dp.fbs_run(i, gamma, 1e-8, 300, s), inst), spca.s0),
-        "dca": (recorded(lambda i, s: dp.dca_run(i, gamma, 1e-8, 300, s), inst), spca.s0),
-        "drs": (recorded(lambda i, s: dp.drs_run(i, drs_gamma, 1e-8, 300, s), inst),
-                spca.s0),
-    }
+    runs = {name: recorded(name) for name in SOLVES}
+    # run_diag on the lifted form of the three-term instance
+    cfg_psi = ThreeProxConfig(tol=1e-6, max_iter=300)
+    runs["run_diag"] = (lambda s: run3_via_lifted(inst3, cfg_psi, s, s3, record_trace), s3)
+    return runs
 
 
-@pytest.mark.parametrize("name", ["run", "run_lbfgs", "run_diag", "run3"])
+@pytest.mark.parametrize("name", ["run", "run_lbfgs", "run_diag", "run3", "fbs", "dca",
+                                  "drs"])
 def test_unrecorded_trace_keeps_the_last_point_only(name):
     # run, run_diag and run3 take 300 iterations, past several chunks of
-    # batched trace values; the iterates must not notice the trace
+    # batched trace values; the iterates must not notice the trace. The
+    # baselines' last point takes phi for its env with the trace off too
     fn, s0 = spca_runs(record_trace=True)[name]
     recorded, recorded_iterates = fn(s0)
     fn, s0 = spca_runs(record_trace=False)[name]
@@ -129,23 +141,36 @@ def test_every_solver_rejects_a_bad_start_point(name):
 @pytest.mark.parametrize("name", ["run", "run_lbfgs", "run_diag", "run3", "fbs_run",
                                   "dca_run", "drs_run"])
 def test_every_solver_rejects_a_negative_tol_or_empty_budget(name, tol, max_iter):
-    spca, inst = dp.make_spca(N, seed=1)
-    spca3, inst3 = dp.make_spca3(N, seed=1)
-    gamma = 0.9 / spca.lam_max
-    cfg = dp.TwoProxConfig(gamma=gamma, tol=tol, max_iter=max_iter)
-    runs = {
-        "run": lambda: dp.run(inst, cfg, spca.s0),
-        "run_lbfgs": lambda: dp.run_lbfgs(inst, cfg, spca.s0),
-        "run_diag": lambda: run_diag(inst, np.full(N, gamma), np.ones(N), spca.s0,
-                                     tol=tol, max_iter=max_iter),
-        "run3": lambda: dp.run3(inst3, dp.TwoProxConfig(
-            gamma=0.5 / spca3.lam_max, lam=0.45, tol=tol, max_iter=max_iter), spca3.s0),
-        "fbs_run": lambda: dp.fbs_run(inst, gamma, tol, max_iter, spca.s0),
-        "dca_run": lambda: dp.dca_run(inst, gamma, tol, max_iter, spca.s0),
-        "drs_run": lambda: dp.drs_run(inst, 0.5 * gamma, tol, max_iter, spca.s0),
-    }
+    setups = spca_setups(tol=tol, max_iter=max_iter)
     with pytest.raises(ValueError, match="tol|max_iter"):
-        runs[name]()
+        if name == "run_diag":
+            inst, cfg, s0 = setups["run"]
+            run_diag(inst, np.full(N, cfg.gamma), np.ones(N), s0, tol=tol, max_iter=max_iter)
+        else:
+            # the baselines go by their function names here
+            name = name.removesuffix("_run")
+            inst, cfg, s0 = setups[name]
+            SOLVES[name](inst, cfg, s0)
+
+
+@pytest.mark.parametrize("gamma,message", [
+    (np.full(N, 0.01), "scalar stepsize expected"),
+    (0.0, "gamma must be positive and finite, got 0.0"),
+    (-1.0, "gamma must be positive and finite, got -1.0"),
+    (float("nan"), "gamma must be positive and finite, got nan"),
+    (float("inf"), "gamma must be positive and finite, got inf"),
+], ids=["vector", "zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("name", [*SOLVES, "dce_eval"])
+def test_every_solver_words_a_bad_stepsize_alike(name, gamma, message):
+    # one validator checks every stepsize, the envelope evaluation's too
+    setups = spca_setups()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if name == "dce_eval":
+            inst, _, s0 = setups["run"]
+            dp.dce_eval(inst, gamma, s0)
+        else:
+            inst, cfg, s0 = setups[name]
+            SOLVES[name](inst, dataclasses.replace(cfg, gamma=gamma), s0)
 
 
 def spy_on_trace_points(monkeypatch):

@@ -14,7 +14,8 @@ spca n=30 with the five two-term solvers, once more with ``--gamma
 fails past the rounding floor; on spca3 n=30 with three-prox. ``check`` on
 every synthetic entry and on spca n=30; one ``bench --n-values 12 --seeds
 1`` of all six solvers, in this process (``--jobs 1``); and inputs that
-each command rejects. It takes about a second.
+each command rejects, among them a stepsize past the fbs and the drs gate
+and dca on a problem without a subproblem solver. It takes about a second.
 
 Run as a script, this file prints the reach table: every function of the
 package, its span in lines, and whether the script reached it or the
@@ -91,12 +92,16 @@ def script(out):
                   "--solvers", ",".join(cli.SOLVERS), "--out",
                   os.path.join(out, "bench")], True))
     # rejected: a document, a name, a solver for the kind, a tolerance, a
-    # stepsize, a sample seed, a flag
+    # stepsize, the fbs and drs stepsize gates, dca without a subproblem
+    # solver, a sample seed, a flag
     solve({"kind": "spca", "n": 1}, "dce", ok=False)
     solve({"kind": "synthetic", "name": "none"}, "dce", ok=False)
     solve(spca, "three-prox", ok=False)
     solve(spca, "dce", "--tol", "nan", ok=False)
     solve(spca, "dce", "--gamma", "abc", ok=False)
+    solve(spca, "fbs", "--gamma", "1.1/lmax", ok=False)
+    solve(spca, "drs", "--gamma", "1.1/lmax", ok=False)
+    solve({"kind": "synthetic", "name": "abs-quad-1d"}, "dca", ok=False)
     runs.append((["check", json.dumps(spca), "--seed", "-1"], False))
     runs.append((["bench", "--n-values", "12,x"], False))
     return runs
