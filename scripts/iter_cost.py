@@ -9,8 +9,11 @@ process read paired ratios of up to 1.10 with identical solve code, from
 where each builder left the heap. Only one worker computes at a time.
 Every round solves each (solver, seed) on every tree, the trees taking
 turns in alternating order; a solve's time is the minimum over the rounds.
-The table prints microseconds per iteration (summed minimum times over
-summed iterations across seeds); for every tree after the first, the
+The table prints each solver's iterations summed over seeds (per tree,
+"/"-joined, where the trees differ), its seconds (each seed's minimum
+time, summed over seeds: the solver's share of a sweep's solve time) and
+microseconds per iteration (those seconds over those iterations), one
+column of each per tree; for every tree after the first, the
 median over rounds of the paired ratio of its time in a round (summed over
 seeds) to tree 0's in the same round, so that a slow stretch of the
 machine, which a minimum over rounds credits to whichever tree missed it,
@@ -175,7 +178,8 @@ def main():
           f"tree, BLAS threads {args.blas_threads} (OPENBLAS/OMP/MKL_NUM_THREADS)")
     for i, src in enumerate(args.trees):
         print(f"  tree {i}: {os.path.abspath(src)}")
-    head = f"{'solver':<11} {'iters':>7}" + "".join(
+    head = f"{'solver':<11} {'iters':>11}" + "".join(
+        f" {'s ' + str(i):>7}" for i in range(len(workers))) + "".join(
         f" {'us/it ' + str(i):>10}" for i in range(len(workers))) + "".join(
         f" {'ratio ' + str(i) + '/0':>10}" for i in range(1, len(workers))) + "".join(
         f" {'h/g/grad per it ' + str(i):>18}" for i in range(len(workers)))
@@ -187,10 +191,11 @@ def main():
         counts = [sum(iters[i, solver, s] for s in args.seeds) for i in range(len(workers))]
         times = [sum(best[i, solver, s] for s in args.seeds) for i in range(len(workers))]
         totals = [a + b for a, b in zip(totals, times)]
-        same = len(set(counts)) == 1
         ratios = [median(a / b for a, b in zip(rounds[i, solver], rounds[0, solver]))
                   for i in range(1, len(workers))]
-        row = f"{solver:<11} {counts[0] if same else 'differ':>7}" + "".join(
+        shown = counts[0] if len(set(counts)) == 1 else "/".join(map(str, counts))
+        row = f"{solver:<11} {shown:>11}" + "".join(
+            f" {t:>7.3f}" for t in times) + "".join(
             f" {1e6 * t / c:>10.1f}" for t, c in zip(times, counts)) + "".join(
             f" {x:>10.3f}" for x in ratios) + "".join(
             f" {'/'.join(f'{x:.2f}' for x in oracle[i, solver]):>18}"

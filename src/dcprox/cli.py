@@ -10,8 +10,8 @@ The solve stepsize --gamma is a positive finite X or "X/lmax", X over the
 instance's largest eigenvalue (spca and spca3 problems only); without it each
 solver takes its default stepsize. Each of the six is called as
 solver(instance, TwoProxConfig(gamma, tol, max_iter), start) and validates
-the stepsize itself. three-prox runs dce's relaxed two-prox iteration on the
-three-term problem's lift to the doubled space, whose coupling is
+the stepsize itself. three-prox runs dce-lbfgs's L-BFGS on the envelope of
+the three-term problem's lift to the doubled space, whose coupling is
 1/(2*gamma). check's --seed is nonnegative.
 
 Problems are JSON documents, inline or in a file:

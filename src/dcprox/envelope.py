@@ -126,8 +126,8 @@ def env_value_from_pair(inst, gamma, s, u, v):
 
     Exact because u and v are the minimizers defining the two Moreau
     envelopes: env(s) = [g(v) + d(v,s)] - [h(u) + d(u,s)] with the
-    1/(2*gamma) metric, each bracket an atom's ``envelope_at_prox``.
-    ``gamma`` may be a scalar or a diagonal vector.
+    1/(2*gamma) metric, each bracket an atom's ``envelope_at_prox``, at a
+    scalar stepsize gamma.
     """
     return dc_value(inst.g.envelope_at_prox(v, s, gamma),
                     inst.h.envelope_at_prox(u, s, gamma))

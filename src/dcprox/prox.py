@@ -199,7 +199,7 @@ def prox_l1_ball(x, tau):
 
 
 def metric_half_sq(d, gamma):
-    """0.5 * ||d||^2 weighted by 1/gamma; gamma scalar or positive vector."""
+    """0.5 * ||d||^2 / gamma, at a scalar stepsize gamma."""
     return 0.5 * float((d * d / gamma).sum())
 
 
@@ -231,7 +231,7 @@ class ProxFunction:
     def envelope_at_prox(self, w, x, gamma):
         """Moreau envelope value at x given that w = prox(x, gamma).
 
-        f(w) + ||w - x||^2/(2*gamma), gamma scalar or a diagonal vector.
+        f(w) + ||w - x||^2/(2*gamma), at a scalar stepsize gamma.
         Every envelope value in the package comes from here; atoms may
         override it with a cheaper evaluation of the same sums.
         """

@@ -7,11 +7,12 @@ infimum over y of the difference of
 
 a convex G and an H that is hypoconvex with modulus kappa
 (H + kappa/2 ||.||^2 = h(x) + kappa/2 ||x + y||^2 is convex). ``run3`` runs
-the relaxed two-prox iteration ``two_prox.run`` on this pair. The coupling
-is tied to the stepsize, kappa = GAMMA_KAPPA/gamma, so gamma*kappa is the
-same at every stepsize and the lift is scale-covariant: multiplying f, g
-and h by c and gamma by 1/c (c a power of two) leaves every iterate's bits
-unchanged. With a = GAMMA_KAPPA both proxes are closed form,
+L-BFGS on the envelope of this pair, ``lbfgs.run_lbfgs``; the relaxed
+two-prox iteration on it is ``two_prox.run(lift(inst, gamma), ...)``.
+The coupling is tied to the stepsize, kappa = GAMMA_KAPPA/gamma, so
+gamma*kappa is the same at every stepsize and the lift is scale-covariant:
+multiplying f, g and h by c and gamma by 1/c (c a power of two) leaves
+every iterate's bits unchanged. With a = GAMMA_KAPPA both proxes are closed form,
 
     prox of gamma*H at (s, t):  x = prox_h((s - a*t)/(1 - a^2), gamma/(1 - a^2)),
                                 y = t - a*x,
@@ -27,9 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .envelope import DcInstance, check_dims, dc_value, dc_values
+from .lbfgs import run_lbfgs
 from .prox import ProxFunction
 from .reports import check_start
-from .two_prox import run
 
 GAMMA_KAPPA = 0.5  # gamma*kappa of the lift: its coupling is kappa = GAMMA_KAPPA/gamma
 _SHRINK = 1.0 - GAMMA_KAPPA * GAMMA_KAPPA
@@ -87,6 +88,8 @@ class _LiftedH(ProxFunction):
 
     def __init__(self, h, n):
         self.h, self.n = h, n
+        # H's prox is an affine map of h's, so one prox of H can serve a linesearch
+        self.prox_is_affine = h.prox_is_affine
 
     def prox(self, x, gamma):
         n = self.n
@@ -123,18 +126,18 @@ def lift(inst, gamma):
 
 
 def run3(inst, cfg, s0):
-    """Solve ``inst`` with ``two_prox.run`` on its lift at cfg.gamma, from (s0, 0).
+    """Solve ``inst`` with ``lbfgs.run_lbfgs`` on its lift at cfg.gamma, from (s0, 0).
 
     The lift's modulus is its coupling kappa = GAMMA_KAPPA/cfg.gamma, so the
-    relaxation cfg.lam must stay below 2*(1 - GAMMA_KAPPA) = 1; left None it
-    is 0.9*(1 - GAMMA_KAPPA) = 0.45. The report
-    is the lifted run's, named three-prox: env and residual are the lift's,
-    phi is ``inst``'s at v's x-block, and final_s, final_u and final_v are
-    x-blocks, points of ``inst``'s space.
+    relaxation cfg.lam, which enters only the fallback step, must stay below
+    2*(1 - GAMMA_KAPPA) = 1; left None it is 0.9*(1 - GAMMA_KAPPA) = 0.45.
+    The report is the lifted run's, named three-prox: env and residual are
+    the lift's, phi is ``inst``'s at v's x-block, and final_s, final_u and
+    final_v are x-blocks, points of ``inst``'s space.
     """
     cfg.validate()  # gamma is checked before the coupling divides by it
     n = inst.dim
     s0 = check_start(s0, n)  # in inst's dimension, before the lift doubles it
-    report = run(lift(inst, cfg.gamma), cfg, np.concatenate([s0, np.zeros(n)]))
+    report = run_lbfgs(lift(inst, cfg.gamma), cfg, np.concatenate([s0, np.zeros(n)]))
     return replace(report, solver="three-prox", final_s=report.final_s[:n],
                    final_u=report.final_u[:n], final_v=report.final_v[:n])

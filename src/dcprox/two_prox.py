@@ -51,6 +51,8 @@ class TwoProxConfig:
         lam = self.lam
         if lam is None:
             lam = 0.9 * (1.0 - self.gamma * mu) if mu else 1.0
+        elif not np.isscalar(lam) and np.asarray(lam).ndim > 0:  # as _check_gamma tests gamma
+            raise ValueError("scalar relaxation expected")
         hi = 2.0 * (1.0 - self.gamma * mu)
         if not 0.0 < lam < hi:
             raise ValueError(f"lam must lie in (0, {hi}), got {lam}")

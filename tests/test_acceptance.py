@@ -13,7 +13,7 @@ import pytest
 import dcprox as dp
 from dcprox.checks import check_fbe, check_gradient, evaluate_points
 from dcprox.reports import Termination
-from dcprox.three_prox import GAMMA_KAPPA
+from dcprox.three_prox import GAMMA_KAPPA, lift
 from oracles import (ThreeProxConfig, envelope_of_smooth_pair, fbe_value, negate_smooth,
                      psi_gradient_identity_check, quadratic_smooth, recording,
                      residual_rate_check, run3_psi, run3_via_lifted, run_diag)
@@ -80,17 +80,25 @@ def descent_runs(gauntlet):
                               rng.standard_normal(2) * 2,
                               tol=1e-12, max_iter=400), None))
     # three-term runs: plain two-prox runs on the lift, whose modulus is its
-    # coupling GAMMA_KAPPA/gamma
+    # coupling GAMMA_KAPPA/gamma, and three-prox's L-BFGS runs on it
     three = next(c for c in dp.synthetic_catalogue() if c.name == "three-quad-1d")
     cfg3 = dp.TwoProxConfig(gamma=three.gamma, lam=0.9, tol=1e-11, max_iter=3000)
-    runs.append((dp.run3(three.three, cfg3, three.s0),
+    runs.append((_lifted_run(three.three, cfg3, three.s0),
                  (cfg3.lam, GAMMA_KAPPA / cfg3.gamma)))
+    runs.append((dp.run3(three.three, cfg3, three.s0), None))
     spca3, inst3 = dp.make_spca3(30, seed=0)
     # the command line's stepsize, with the default relaxation on the lift
     cfg_spca3 = dp.TwoProxConfig(gamma=0.5 / spca3.lam_max, tol=1e-9, max_iter=6000)
     mu3 = GAMMA_KAPPA / cfg_spca3.gamma
-    runs.append((dp.run3(inst3, cfg_spca3, spca3.s0), (cfg_spca3.validate(mu3), mu3)))
+    runs.append((_lifted_run(inst3, cfg_spca3, spca3.s0), (cfg_spca3.validate(mu3), mu3)))
+    runs.append((dp.run3(inst3, cfg_spca3, spca3.s0), None))
     return runs
+
+
+def _lifted_run(inst, cfg, s0):
+    """The relaxed two-prox iteration on ``inst``'s lift, from (s0, 0)."""
+    return dp.run(lift(inst, cfg.gamma), cfg,
+                  np.concatenate([s0, np.zeros(inst.dim)]))
 
 
 def test_criterion_1_gradient_exactness():

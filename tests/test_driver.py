@@ -173,6 +173,17 @@ def test_every_solver_words_a_bad_stepsize_alike(name, gamma, message):
             SOLVES[name](inst, dataclasses.replace(cfg, gamma=gamma), s0)
 
 
+@pytest.mark.parametrize("name", SOLVES)
+def test_every_solver_rejects_a_vector_relaxation(name):
+    # lam is tested for a scalar as gamma is, not left to numpy's
+    # "truth value of an array is ambiguous"
+    synth = find_synthetic("three-quad-1d" if name == "run3" else "separable-2d")
+    inst = synth.three if name == "run3" else synth.dc
+    cfg = dp.TwoProxConfig(gamma=synth.gamma, lam=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="^scalar relaxation expected$"):
+        SOLVES[name](inst, cfg, synth.s0)
+
+
 def spy_on_trace_points(monkeypatch):
     """List that fills, as each solver runs, with inst.phi at every point the
     driver takes for its trace, evaluated the moment the driver takes it."""

@@ -47,7 +47,7 @@ DIGESTS = {
     "spca/131/fbs": (0, "ad93c0a7b42dbb2c056d4aac4c2829432e79522bf1b7fa915d5d59a537e7c3c9"),
     "spca/131/dca": (0, "83854357b28ffe109710825dfc8eccf01e77ad3d4838c897c4577268fd521749"),
     "spca/131/drs": (0, "feaa9b37bdec616db8108093ab79f8da0ae4ca2db6267045f88c6cc744e12f9f"),
-    "spca3/30/three-prox": (2, "2291f352bf86184d8d98efa472f3663278334ed32e88660688966abb8bd368e8"),
+    "spca3/30/three-prox": (0, "61101c5eea3131b754548d94616a480b1b01aebb16246b49831801d64784fcb0"),
     "bench": (0, "288feb64c4228dc71fb710c2505d3deed13fa872f58f93ed0bb542a1632eb119"),
 }
 # name -> (exit code, sha256 of stdout) of ``dcprox check``, at one BLAS thread

@@ -1,6 +1,6 @@
 """Three-term problems: the three-prox recursion on Psi (the test-side
 reference ``oracles.run3_psi``), the unit-coupling lifted oracle that
-reproduces it, and ``dcprox.run3``, the two-prox iteration on the kappa-lift."""
+reproduces it, and ``dcprox.run3``, L-BFGS on the kappa-lift's envelope."""
 
 import numpy as np
 import pytest
@@ -244,7 +244,7 @@ def test_lifted_coupling_needs_blockwise_uniform_metric():
 
 
 # ---------------------------------------------------------------------------
-# dcprox.run3: the two-prox iteration on the kappa-lift
+# dcprox.run3: L-BFGS on the kappa-lift
 
 def quadratic_instance(rng):
     # f a full quadratic with a closed-form conjugate, h a scaled square
@@ -327,14 +327,34 @@ def test_run3_reports_the_lifted_run_at_the_x_block(rng):
 
 
 def test_run3_reaches_the_dce_lbfgs_critical_point_on_spca3():
-    # at the command-line stepsize the lift leaves the trivial critical
-    # point v = 0 and converges where dce-lbfgs does on the two-term split
-    three, _ = cli._solve_one("three-prox", "spca3", dp.make_spca3(30, seed=0), 1e-6, 5000)
-    spca, inst = dp.make_spca(30, seed=0)
-    two, _ = cli._solve_one("dce-lbfgs", "spca", (spca, inst), 1e-6, 5000)
-    assert three.converged and two.converged
-    assert three.trace.phi[-1] == pytest.approx(two.trace.phi[-1], rel=1e-6)
-    assert two.trace.phi[-1] == pytest.approx(-46.157, abs=1e-3)
+    # at the command-line stepsize L-BFGS on the lift leaves the trivial
+    # critical point v = 0 and converges where dce-lbfgs does on the two-term
+    # split; at n = 300 and the command line's budget the relaxed iteration
+    # on the lift runs out of iterations first
+    for n, budget, phi in ((30, 5000, -46.157), (300, 2000, -431.117)):
+        spca3, inst3 = dp.make_spca3(n, seed=0)
+        three, _ = cli._solve_one("three-prox", "spca3", (spca3, inst3), 1e-6, budget)
+        spca, inst = dp.make_spca(n, seed=0)
+        two, _ = cli._solve_one("dce-lbfgs", "spca", (spca, inst), 1e-6, budget)
+        assert three.converged and two.converged
+        assert three.trace.phi[-1] == pytest.approx(two.trace.phi[-1], rel=1e-6)
+        assert two.trace.phi[-1] == pytest.approx(phi, abs=1e-3)
+    # spca3, n and budget are the n = 300 case's
+    cfg = dp.TwoProxConfig(gamma=cli.GAMMA_POLICY["three-prox"] / spca3.lam_max,
+                           max_iter=budget)
+    plain = dp.run(lift(inst3, cfg.gamma), cfg, np.concatenate([spca3.s0, np.zeros(n)]))
+    assert plain.termination is Termination.MAX_ITER
+
+
+@pytest.mark.parametrize("h,affine", [(dp.Zero(), True), (dp.ScaledSquare(0.25), True),
+                                      (dp.L1Norm(0.5), False)],
+                         ids=["zero", "scaled-square", "l1-norm"])
+def test_lifted_h_prox_is_affine_with_h_prox(h, affine):
+    # an affine prox of h makes the lift's affine, so L-BFGS on the lift
+    # reuses one prox of H per linesearch
+    inst = dp.ThreeTermInstance(f=dp.ScaledSquare(1.0), g=dp.L1Ball(0.5), h=h, dim=2)
+    assert inst.h.prox_is_affine is affine
+    assert lift(inst, 0.7).h.prox_is_affine is affine
 
 
 def test_run3_runs_with_the_default_relaxation():
