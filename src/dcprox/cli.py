@@ -32,7 +32,8 @@ on a reused instance is bit-identical to one on a fresh build. The two
 splits of an (n, seed), spca and spca3, share one draw of Sigma per process.
 
 Trace CSV columns: iter, env, residual, cum_prox_h, cum_prox_g, cum_grad_h,
-wall_ns; for three-prox, env and residual are the lift's, and one prox_g is
+wall_ns; env is the objective for fbs, dca and drs, which have no envelope;
+for three-prox, env and residual are the lift's, and one prox_g is
 one prox of the lift's convex part, which proxes g and f together.
 summary.json writes a phi_final or final_residual that is inf or
 NaN as null, so strict JSON parsers read it. Bench table columns: solver,
@@ -184,12 +185,12 @@ def _finite_or_null(x):
     return x if math.isfinite(x) else None
 
 
-def _write_summary(path, report, info, phi_final):
+def _write_summary(path, report, info):
     doc = {"solver": report.solver,
            "termination": report.termination.value,
            "iterations": report.iterations,
            "final_residual": _finite_or_null(report.final_residual),
-           "phi_final": _finite_or_null(phi_final),
+           "phi_final": _finite_or_null(report.phi),
            **info}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -210,9 +211,8 @@ def cmd_solve(args):
         gamma /= payload[0].lam_max
     report, info = _solve_one(args.solver, kind, payload, args.tol, args.max_iter, gamma)
     os.makedirs(args.out, exist_ok=True)
-    phi_final = report.trace.phi[-1] if report.trace else float("nan")
     _write_trace(os.path.join(args.out, "trace.csv"), report, timing=args.timing)
-    _write_summary(os.path.join(args.out, "summary.json"), report, info, phi_final)
+    _write_summary(os.path.join(args.out, "summary.json"), report, info)
     print(f"{report.solver}: {report.termination.value} after {report.iterations} "
           f"iterations, residual {report.final_residual:.3e}")
     if report.converged:

@@ -14,7 +14,7 @@ atoms, ``Linear`` and ``Quadratic``, also give ``grad`` and the backward
 solve ``backward(s, gamma)``: the u with u - gamma*grad f(u) = s, gamma of
 either sign.
 ``values`` evaluates the rows of a k-by-n array at once; by default it
-loops over ``value``, and the quadratic, the l1-ball and zero batch it.
+loops over ``value``, and the quadratic and the l1-ball batch it.
 The BLAS and LAPACK routines behind the quadratic (``ddot``, ``dsymv`` and
 the Cholesky inverse) come from ``dcprox.kernels``.
 """
@@ -245,9 +245,6 @@ class Zero(ProxFunction):
 
     def value(self, x):
         return 0.0
-
-    def values(self, rows):
-        return np.zeros(len(rows))
 
     def prox(self, x, gamma):
         _check_gamma(gamma)

@@ -22,17 +22,20 @@ class Trace:
     """A run's trace, one list per column; entry k is the k-th evaluated
     iterate, after its prox tuple is computed and before its step.
 
-    The columns are ``k``, ``env``, ``residual``, ``phi``, ``decrement``,
-    the cumulative call counts ``prox_h``, ``prox_g`` and ``grad_h``, and
-    ``wall_ns``. ``decrement`` is the envelope decrease that the step taken
-    from the point claims, checked at run time against the next point's
-    envelope: a relaxed step's guaranteed decrease, or the Armijo decrease
-    an L-BFGS linesearch accepted. It is 0 for baseline steps and the final
-    point, from which no step is taken. The columns are not to be changed.
+    The columns are ``k``, ``env``, ``residual``, ``decrement``, the
+    cumulative call counts ``prox_h``, ``prox_g`` and ``grad_h``, and
+    ``wall_ns``. ``env`` is the envelope value, or the objective phi for a
+    method with no envelope (fbs, dca, drs). An envelope method's phi is
+    bounded by two columns, with r = 1 - gamma*mu and v the point's prox_g
+    output: phi(v) <= env - r*residual**2/(2*gamma). ``decrement`` is the
+    envelope decrease that the step taken from the point claims, checked at
+    run time against the next point's envelope: a relaxed step's guaranteed
+    decrease, or the Armijo decrease an L-BFGS linesearch accepted. It is 0
+    for baseline steps and the final point, from which no step is taken.
     """
 
-    __slots__ = ("k", "env", "residual", "phi", "decrement", "prox_h", "prox_g",
-                 "grad_h", "wall_ns")
+    __slots__ = ("k", "env", "residual", "decrement", "prox_h", "prox_g", "grad_h",
+                 "wall_ns")
 
     def __init__(self):
         for name in self.__slots__:
@@ -47,7 +50,8 @@ class RunReport:
     """Outcome of one solver run.
 
     ``trace`` is a ``Trace``: every evaluated iterate when the run records
-    its trace, else the final point alone.
+    its trace, else the final point alone. ``phi`` is the objective at the
+    final point, NaN when the start point could not be evaluated.
     """
 
     solver: str
@@ -59,6 +63,7 @@ class RunReport:
     trace: Trace = field(default_factory=Trace)
     gamma: float = 0.0
     message: str = ""
+    phi: float = float("nan")
 
     @property
     def converged(self):
@@ -147,17 +152,15 @@ def drive(solver, inst, s0, first, advance, phi_at, counter, cfg):
     ``Iterate``; ``advance(it)`` steps from ``it`` and returns the next
     evaluated ``Iterate`` with the envelope decrease the step claims, or
     None for a step that makes no claim. ``phi_at(it)`` is the point at
-    which the trace evaluates the objective ``inst.phi``. Each kept point's
-    scalars are appended to the ``Trace`` columns as it is taken, its
-    ``phi_at`` point is copied into a buffer, and the phi column is taken
-    with ``inst.phis`` in chunks of 64 points, so that an atom's batched
-    ``values`` can read its data once per chunk. The final point is
-    evaluated alone with ``inst.phi``, so it does not depend on
-    ``record_trace``. The run stops at ``residual <= tol``, after
-    ``max_iter`` evaluated iterates, or with NUMERICAL_ERROR when an
-    envelope rises above a claimed decrease or an oracle fails. Without
-    ``record_trace`` the trace keeps only the last point. Counts come from
-    ``counter``, which wraps the solver's oracles.
+    which the objective is evaluated: at the final point alone, with
+    ``inst.phi``, for the report's ``phi``; and for the env column of each
+    kept point whose env is None (a method with no envelope), with
+    ``inst.phis`` over a buffer of 64 points, so that an atom's batched
+    ``values`` reads its data once per chunk. The run stops at
+    ``residual <= tol``, after ``max_iter`` evaluated iterates, or with
+    NUMERICAL_ERROR when an envelope rises above a claimed decrease or an
+    oracle fails. Without ``record_trace`` the trace keeps only the last
+    point. Counts come from ``counter``, which wraps the solver's oracles.
     """
     tol, max_iter, record_trace = cfg.tol, cfg.max_iter, cfg.record_trace
     check_stopping(tol, max_iter)
@@ -165,6 +168,7 @@ def drive(solver, inst, s0, first, advance, phi_at, counter, cfg):
     s0 = check_start(s0, dim)
     trace = Trace()
     points = np.empty((64, dim)) if record_trace else None
+    blank = []  # the rows of the env column that wait for their phi
     status = Termination.MAX_ITER
     message = ""
     it = None
@@ -172,7 +176,7 @@ def drive(solver, inst, s0, first, advance, phi_at, counter, cfg):
     t0 = time.perf_counter_ns()
 
     def keep(env, residual, decrement, mark):
-        """Append one point's scalars; its phi comes with ``flush``."""
+        """Append one point's scalars; a None env is filled by ``flush``."""
         trace.k.append(mark[0])
         trace.env.append(env)
         trace.residual.append(residual)
@@ -182,13 +186,12 @@ def drive(solver, inst, s0, first, advance, phi_at, counter, cfg):
         trace.grad_h.append(mark[3])
         trace.wall_ns.append(mark[4])
 
-    def flush(values):
-        """Extend the phi column by the points kept since the last flush;
-        where env is None (a method with no envelope) it takes phi."""
-        envs, phis = trace.env, trace.phi
-        start = len(phis)
-        phis.extend(values)
-        envs[start:] = [p if e is None else e for e, p in zip(envs[start:], phis[start:])]
+    def flush():
+        """Write phi at the buffered points into their rows of the env column."""
+        envs = trace.env
+        for row, value in zip(blank, inst.phis(points[:len(blank)]).tolist()):
+            envs[row] = value
+        blank.clear()
 
     try:
         it = first(s0)
@@ -211,11 +214,12 @@ def drive(solver, inst, s0, first, advance, phi_at, counter, cfg):
                 break
             nxt, claim = advance(it)
             if record_trace:
-                row = len(trace.k) - len(trace.phi)
-                points[row] = phi_at(it)
+                if it.env is None:
+                    points[len(blank)] = phi_at(it)
+                    blank.append(len(trace.k))
                 keep(it.env, it.residual, 0.0 if claim is None else claim, mark)
-                if row + 1 == len(points):
-                    flush(inst.phis(points).tolist())
+                if len(blank) == len(points):
+                    flush()
             prev_env, it = it.env, nxt
     except np.linalg.LinAlgError as exc:
         status = Termination.NUMERICAL_ERROR
@@ -225,11 +229,10 @@ def drive(solver, inst, s0, first, advance, phi_at, counter, cfg):
         return RunReport(solver=solver, termination=status, iterations=0,
                          final_s=s0, final_u=s0, final_v=s0, gamma=cfg.gamma,
                          message=message)
-    pending = len(trace.k) - len(trace.phi)
-    if pending:
-        flush(inst.phis(points[:pending]).tolist())
-    keep(it.env, it.residual, 0.0, mark)
-    flush([inst.phi(phi_at(it))])
+    if blank:
+        flush()
+    phi = inst.phi(phi_at(it))
+    keep(phi if it.env is None else it.env, it.residual, 0.0, mark)
     return RunReport(solver=solver, termination=status, iterations=k,
                      final_s=it.s, final_u=it.u, final_v=it.v, trace=trace,
-                     gamma=cfg.gamma, message=message)
+                     gamma=cfg.gamma, message=message, phi=phi)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .envelope import DcInstance, check_dims, dc_value, dc_values
+from .envelope import DcInstance, check_dims, dc_value
 from .lbfgs import run_lbfgs
 from .prox import ProxFunction
 from .reports import check_start
@@ -54,11 +54,6 @@ class ThreeTermInstance:
             return np.inf
         rest = self.h.value(x) + self.f.value(x)
         return dc_value(g_val, rest)
-
-    def phis(self, rows):
-        """``phi`` at each row of a k-by-dim array, batched where atoms allow."""
-        return dc_values(self.g.values(rows),
-                         self.h.values(rows) + self.f.values(rows))
 
 
 class _LiftedG(ProxFunction):
@@ -113,9 +108,6 @@ class _Lift(DcInstance):
     def phi(self, x):
         return self.three.phi(x[:self.three.dim])
 
-    def phis(self, rows):
-        return self.three.phis(rows[:, :self.three.dim])
-
 
 def lift(inst, gamma):
     """The lifted pair of ``inst`` at stepsize gamma: coupling and modulus
@@ -131,9 +123,9 @@ def run3(inst, cfg, s0):
     The lift's modulus is its coupling kappa = GAMMA_KAPPA/cfg.gamma, so the
     relaxation cfg.lam, which enters only the fallback step, must stay below
     2*(1 - GAMMA_KAPPA) = 1; left None it is 0.9*(1 - GAMMA_KAPPA) = 0.45.
-    The report is the lifted run's, named three-prox: env and residual are
-    the lift's, phi is ``inst``'s at v's x-block, and final_s, final_u and
-    final_v are x-blocks, points of ``inst``'s space.
+    The report is the lifted run's, named three-prox: its trace's env and
+    residual are the lift's, its phi is ``inst``'s at v's x-block, and
+    final_s, final_u and final_v are x-blocks, points of ``inst``'s space.
     """
     cfg.validate()  # gamma is checked before the coupling divides by it
     n = inst.dim

@@ -148,6 +148,15 @@ def residual_rate_check(report):
     return True
 
 
+def phi_upper_bound(inst, gamma, env, residual):
+    """The sandwich bound on an envelope run's objective at a traced point,
+    phi(v) <= env - (1 - gamma*mu)*residual**2/(2*gamma), with v the
+    point's prox_g output and mu the modulus of ``inst``; plus a rounding
+    slack of 1e-10*(1 + |env|)."""
+    return (env - (1.0 - gamma * inst.mu) * residual * residual / (2.0 * gamma)
+            + 1e-10 * (1.0 + abs(env)))
+
+
 def subgradient_screen(candidates, sample_points, slack):
     """Largest violation of fn(z) >= fn(x) + <xi, z - x> over the samples.
 
@@ -511,9 +520,6 @@ class _Stacked:
 
     def phi(self, x):
         return self.three.phi(x[:self.three.dim])
-
-    def phis(self, rows):
-        return self.three.phis(rows[:, :self.three.dim])
 
 
 def run3_psi(inst, cfg, s0, t0):

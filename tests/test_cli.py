@@ -40,9 +40,9 @@ def test_summary_writes_non_finite_numbers_as_null(tmp_path, residual, phi):
         raise ValueError(f"non-standard JSON constant {constant}")
 
     report = SimpleNamespace(solver="dce", termination=Termination.MAX_ITER,
-                             iterations=3, final_residual=residual)
+                             iterations=3, final_residual=residual, phi=phi)
     path = tmp_path / "summary.json"
-    cli._write_summary(path, report, {"n": 30}, phi)
+    cli._write_summary(path, report, {"n": 30})
     doc = json.loads(path.read_text(), parse_constant=reject)
     assert doc["phi_final"] is None
     assert doc["final_residual"] == (None if residual != 1e-3 else 1e-3)

@@ -10,8 +10,9 @@ import dcprox as dp
 from dcprox import baselines, cli, lbfgs, reports, two_prox
 from dcprox.problems import find_synthetic
 from dcprox.reports import drive
-from oracles import (RecordingAtom, ThreeProxConfig, recording, residual_rate_check,
-                     run3_via_lifted, run_diag)
+from dcprox.three_prox import lift
+from oracles import (RecordingAtom, ThreeProxConfig, phi_upper_bound, recording,
+                     residual_rate_check, run3_via_lifted, run_diag)
 
 N = 12
 
@@ -66,7 +67,8 @@ def spca_runs(record_trace=True):
 def test_unrecorded_trace_keeps_the_last_point_only(name):
     # run, run_diag and run3 take 300 iterations, past several chunks of
     # batched trace values; the iterates must not notice the trace. The
-    # baselines' last point takes phi for its env with the trace off too
+    # baselines' last point takes phi for its env with the trace off too,
+    # and every run's final phi is evaluated alone
     fn, s0 = spca_runs(record_trace=True)[name]
     recorded, recorded_iterates = fn(s0)
     fn, s0 = spca_runs(record_trace=False)[name]
@@ -75,6 +77,7 @@ def test_unrecorded_trace_keeps_the_last_point_only(name):
     assert len(plain.trace) == 1
     assert (plain.termination, plain.iterations, plain.counts()) == \
         (recorded.termination, recorded.iterations, recorded.counts())
+    assert plain.phi == recorded.phi
     for key in ("final_s", "final_u", "final_v"):
         np.testing.assert_array_equal(getattr(plain, key), getattr(recorded, key))
     for name in reports.Trace.__slots__:
@@ -184,44 +187,123 @@ def test_every_solver_rejects_a_vector_relaxation(name):
         SOLVES[name](inst, cfg, synth.s0)
 
 
-def spy_on_trace_points(monkeypatch):
-    """List that fills, as each solver runs, with inst.phi at every point the
-    driver takes for its trace, evaluated the moment the driver takes it."""
+ENVELOPE_SOLVERS = ("dce", "dce-lbfgs", "three-prox")
+
+
+class CountingInstance:
+    """Forwards an instance and counts the driver's calls of ``phi`` and ``phis``."""
+
+    def __init__(self, inst, calls):
+        self._inst = inst
+        self._calls = calls
+
+    def phi(self, x):
+        self._calls["phi"] += 1
+        return self._inst.phi(x)
+
+    def phis(self, rows):
+        self._calls["phis"] += 1
+        return self._inst.phis(rows)
+
+    def __getattr__(self, name):
+        return getattr(self._inst, name)
+
+
+def spy_on_drive(monkeypatch):
+    """(seen, calls), filling as each solver runs: seen gets inst.phi at
+    every point the driver asks ``phi_at`` for, evaluated the moment it
+    asks; calls counts the driver's calls of inst.phi and inst.phis."""
     seen = []
+    calls = {"phi": 0, "phis": 0}
 
     def spied_drive(solver, inst, s0, first, advance, phi_at, *args, **kwargs):
         def spied(it):
             point = phi_at(it)
             seen.append(inst.phi(point))
             return point
-        return drive(solver, inst, s0, first, advance, spied, *args, **kwargs)
+        return drive(solver, CountingInstance(inst, calls), s0, first, advance, spied,
+                     *args, **kwargs)
 
     for module in (two_prox, lbfgs, baselines):
         monkeypatch.setattr(module, "drive", spied_drive)
-    return seen
+    return seen, calls
 
 
 @pytest.mark.parametrize("solver", cli.SOLVERS)
 def test_trace_phi_is_phi_at_each_point(solver, monkeypatch):
-    # 140 iterations cross two chunks of batched trace values
-    seen = spy_on_trace_points(monkeypatch)
+    # 140 iterations cross two chunks of batched trace values. No trace
+    # column holds an envelope method's phi: it is evaluated at the final
+    # point alone; the baselines' env column takes it 64 points at a time
+    seen, calls = spy_on_drive(monkeypatch)
     kind = "spca3" if solver == "three-prox" else "spca"
     payload = (dp.make_spca3 if kind == "spca3" else dp.make_spca)(50, seed=0)
     report, _ = cli._solve_one(solver, kind, payload, 0.0, 140)
-    assert report.iterations == len(report.trace) == len(seen) == 140
-    for traced, phi in zip(report.trace.phi, seen):
+    assert report.iterations == len(report.trace) == 140
+    assert report.phi == seen[-1]
+    if solver in ENVELOPE_SOLVERS:
+        assert len(seen) == 1
+        assert calls == {"phi": 1, "phis": 0}
+        return
+    assert calls == {"phi": 1, "phis": 3}  # 64 + 64 + 11 points
+    assert len(seen) == 140
+    for traced, phi in zip(report.trace.env, seen):
         assert traced == pytest.approx(phi, rel=1e-12, abs=0.0)
-    # the final point is evaluated alone, with inst.phi
-    assert report.trace.phi[-1] == seen[-1]
+    assert report.trace.env[-1] == seen[-1]
 
 
 @pytest.mark.parametrize("name,solver", [
     (synth.name, solver) for synth in dp.synthetic_catalogue()
     for solver in synth.solvers])
 def test_trace_phi_is_exact_where_atoms_do_not_batch(name, solver, monkeypatch):
-    seen = spy_on_trace_points(monkeypatch)
+    seen, _ = spy_on_drive(monkeypatch)
     report, _ = cli._solve_one(solver, "synthetic", find_synthetic(name), 1e-12, 300)
-    assert report.trace.phi == seen
+    assert report.phi == seen[-1]
+    if solver in ENVELOPE_SOLVERS:
+        assert len(seen) == 1
+    else:
+        assert report.trace.env == seen
+
+
+def setup(name, solver):
+    """(cli kind, payload, instance, stepsize, start) of ``dcprox solve``
+    for ``solver`` on spca n=50 seed 0 (spca3 for three-prox) or on the
+    synthetic entry ``name``."""
+    three = solver == "three-prox"
+    if name == "spca":
+        spca, inst = (dp.make_spca3 if three else dp.make_spca)(50, seed=0)
+        return ("spca3" if three else "spca", (spca, inst), inst,
+                cli.GAMMA_POLICY[solver] / spca.lam_max, spca.s0)
+    synth = find_synthetic(name)
+    return ("synthetic", synth, synth.three if three else synth.dc, synth.gamma,
+            synth.s0)
+
+
+@pytest.mark.parametrize("name", ["spca"] + [
+    synth.name for synth in dp.synthetic_catalogue() if "dce" in synth.solvers])
+def test_env_and_residual_bound_phi_at_every_point(name):
+    # the sandwich bound reads an envelope run's phi off two trace columns;
+    # point k's v is the k-th prox_g output, recomputed from its logged input
+    _, _, inst, gamma, s0 = setup(name, "dce")
+    wrapped, iterates = recording(inst)
+    report = dp.run(wrapped, dp.TwoProxConfig(gamma=gamma, tol=0.0, max_iter=140), s0)
+    trace = report.trace
+    assert len(iterates()) == len(trace) == report.iterations
+    for s, env, residual in zip(iterates(), trace.env, trace.residual):
+        assert inst.phi(inst.g.prox(s, gamma)) <= phi_upper_bound(inst, gamma, env, residual)
+    assert report.phi <= phi_upper_bound(inst, gamma, trace.env[-1], trace.residual[-1])
+
+
+@pytest.mark.parametrize("solver,name", [
+    ("dce-lbfgs", "spca"), ("dce-lbfgs", "separable-2d"),
+    ("three-prox", "spca"), ("three-prox", "three-quad-1d")])
+def test_env_and_residual_bound_phi_at_the_final_point(solver, name):
+    kind, payload, inst, gamma, _ = setup(name, solver)
+    report, _ = cli._solve_one(solver, kind, payload, 1e-8, 2000)
+    # three-prox's env and residual are its lift's, whose modulus is its
+    # coupling kappa = GAMMA_KAPPA/gamma
+    pair = lift(inst, gamma) if solver == "three-prox" else inst
+    assert report.phi <= phi_upper_bound(pair, gamma, report.trace.env[-1],
+                                         report.trace.residual[-1])
 
 
 def test_trace_is_one_list_per_column():

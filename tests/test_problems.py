@@ -236,8 +236,8 @@ def _solved(solver, payload):
     kind = "spca3" if solver == "three-prox" else "spca"
     report, _ = cli._solve_one(solver, kind, payload, 1e-6, 300)
     trace = report.trace
-    return (report.termination, report.iterations, report.final_s.tobytes(),
-            trace.env, trace.residual, trace.phi, trace.decrement,
+    return (report.termination, report.iterations, report.final_s.tobytes(), report.phi,
+            trace.env, trace.residual, trace.decrement,
             trace.prox_h, trace.prox_g, trace.grad_h)
 
 

@@ -650,7 +650,8 @@ def test_extended_value_atoms():
 @pytest.mark.parametrize("atom", [dp.Quadratic(SIGMA3), dp.L1Ball(0.7), dp.Zero()],
                          ids=["quadratic", "l1-ball", "zero"])
 def test_batched_values_match_value(atom, rng):
-    # row norms from 0.1 to 3: the ball atom's rows fall inside and outside
+    # row norms from 0.1 to 3: the ball atom's rows fall inside and outside.
+    # zero takes the default loop over value, which ignores a NaN row
     rows = rng.standard_normal((40, 3))
     rows *= rng.uniform(0.1, 3.0, size=(40, 1)) / np.linalg.norm(rows, axis=1,
                                                                   keepdims=True)

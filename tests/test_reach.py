@@ -1,4 +1,5 @@
-"""The reach gate: every function in ``src/dcprox`` is run by a ``dcprox`` command.
+"""The reach gate: every function in ``src/dcprox`` is run by a ``dcprox``
+command, and every dataclass field is read by one.
 
 ``src`` holds what a command runs; code that only a criterion or a unit test
 reaches lives test-side, in ``tests/oracles.py``. This test runs a fixed
@@ -7,6 +8,14 @@ object of every Python call, and fails on each function or lambda of the
 package that was never called and is not on ``ALLOWLIST``. Every allowlist
 entry states why it may stay unreached. Comprehensions and generator
 expressions are not counted; they run inside their function.
+
+Fields are gated the same way: while the script runs, each field of a
+package dataclass is a descriptor on the class that defines it, which
+records the first read made from the package's own code and then removes
+itself, so later reads cost nothing. Reads by the dataclass machinery
+(``dataclasses.replace``) or by code outside the package do not count. A
+field that no command reads fails the test unless ``FIELD_ALLOWLIST``
+gives a reason.
 
 The script: ``solve`` on every synthetic entry with each of its solvers; on
 spca n=30 with the five two-term solvers, once more with ``--gamma
@@ -30,6 +39,8 @@ tracks:
 """
 
 import contextlib
+import dataclasses
+import importlib
 import inspect
 import io
 import json
@@ -60,6 +71,22 @@ ALLOWLIST = {
     "prox.py:Quadratic.supports_diag": (
         "perfbench's proxy test asserts it; it goes with that assertion in the "
         "benchmark's change (ROADMAP items 6 and 13)"),
+}
+
+# "file:Class.field" -> why no command needs to read it
+FIELD_ALLOWLIST = {
+    **{f"problems.py:SyntheticInstance.{name}": (
+        "a reference answer of the catalogue entry, which only tests compare against "
+        "(ROADMAP item 27 moves them test-side)")
+       for name in ("stationary", "expected_limit", "phi_star", "window", "coercive",
+                    "lam")},
+    "problems.py:SyntheticInstance.solvers": (
+        "the entry's solver list, which this script and the tests enumerate"),
+    "envelope.py:DcInstance.name": ("perfbench/tracing.py copies it onto its traced "
+                                    "instance, so it goes with the benchmark's change"),
+    "reports.py:RunReport.gamma": "perfbench/workloads.py and perfbench/tracing.py read it",
+    "reports.py:RunReport.message": ("cmd_solve prints it on a numerical error, which no "
+                                     "command of the script ends with"),
 }
 
 
@@ -145,9 +172,62 @@ def in_package(code):
     return os.path.dirname(os.path.realpath(code.co_filename)) == PACKAGE
 
 
+def defined_fields():
+    """"file:Class.field" -> (class, field name), for every field of a
+    dataclass of the package, keyed by the class that declares it."""
+    found = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        module = importlib.import_module(
+            "dcprox" if name == "__init__.py" else f"dcprox.{name[:-3]}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                own = cls.__dict__.get("__annotations__", {})
+                for field in dataclasses.fields(cls):
+                    if field.name in own:
+                        found[f"{name}:{cls.__qualname__}.{field.name}"] = (cls, field.name)
+    return found
+
+
+class FirstRead:
+    """A data descriptor that stands in for one dataclass field, keeping its
+    value in the instance's ``__dict__`` as the plain field does. The first
+    read from the package's code adds ``key`` to ``read`` and puts the
+    class attribute back, so the hook runs until then only."""
+
+    def __init__(self, cls, name, key, read):
+        self.cls, self.name, self.key, self.read = cls, name, key, read
+        self.original = cls.__dict__.get(name, FirstRead)  # a default, or none
+        setattr(cls, name, self)
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            if self.original is FirstRead:
+                raise AttributeError(self.name)
+            return self.original
+        value = obj.__dict__[self.name]
+        if in_package(sys._getframe(1).f_code):
+            self.read.add(self.key)
+            self.restore()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+    def restore(self):
+        if self.cls.__dict__.get(self.name) is self:
+            if self.original is FirstRead:
+                delattr(self.cls, self.name)
+            else:
+                setattr(self.cls, self.name, self.original)
+
+
 def run_script(out, lines=None):
-    """Run ``script(out)`` under the profile: (code objects called, the
-    commands whose exit status disagrees with the script).
+    """Run ``script(out)`` under the profile: (code objects called, keys of
+    the fields the package read, the commands whose exit status disagrees
+    with the script).
 
     Given a set ``lines``, the script runs under ``sys.settrace`` instead,
     and the (code object, line) of every line executed in the package is
@@ -171,26 +251,36 @@ def run_script(out, lines=None):
     hook, previous = ((sys.setprofile, sys.getprofile()) if lines is None
                       else (sys.settrace, sys.gettrace()))
     wrong = []
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        for argv, ok in script(out):
-            hook(profile if lines is None else trace)
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            finally:
-                hook(previous)
-            if (code in (0, 2)) != ok or code not in (0, 1, 2):
-                wrong.append((argv, code))
-    return called, wrong
+    read = set()
+    hooks = []
+    try:
+        for key, (cls, name) in defined_fields().items():
+            hooks.append(FirstRead(cls, name, key, read))
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO())):
+            for argv, ok in script(out):
+                hook(profile if lines is None else trace)
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                finally:
+                    hook(previous)
+                if (code in (0, 2)) != ok or code not in (0, 1, 2):
+                    wrong.append((argv, code))
+    finally:
+        for first_read in hooks:
+            first_read.restore()
+    return called, read, wrong
 
 
 def reach_table(out, lines=None):
-    """(rows, wrong): one row per package function, (file, line, span,
-    qualname, status), status "reached", "allowed" or "UNREACHED"; and the
-    script's commands whose exit status was not the expected one. ``lines``
-    is passed on to ``run_script``."""
-    called, wrong = run_script(out, lines)
+    """(rows, fields, wrong): one row per package function, (file, line,
+    span, qualname, status), status "reached", "allowed" or "UNREACHED";
+    the status of each dataclass field by its key, alike; and the script's
+    commands whose exit status was not the expected one. ``lines`` is
+    passed on to ``run_script``."""
+    called, read, wrong = run_script(out, lines)
     hit = {(os.path.basename(co.co_filename), co.co_qualname, co.co_firstlineno)
            for co in called if in_package(co)}
     rows = []
@@ -203,11 +293,14 @@ def reach_table(out, lines=None):
         else:
             status = "UNREACHED"
         rows.append((name, line, span, qualname, status))
-    return rows, wrong
+    fields = {key: ("reached" if key in read else
+                    "allowed" if key in FIELD_ALLOWLIST else "UNREACHED")
+              for key in defined_fields()}
+    return rows, fields, wrong
 
 
 def test_every_src_function_is_reached_by_a_command(tmp_path):
-    rows, wrong = reach_table(str(tmp_path))
+    rows, fields, wrong = reach_table(str(tmp_path))
     assert not wrong, f"commands with an unexpected exit status: {wrong}"
     unreached = [f"{name}:{line} {qualname} ({span} lines)"
                  for name, line, span, qualname, status in rows if status == "UNREACHED"]
@@ -218,6 +311,12 @@ def test_every_src_function_is_reached_by_a_command(tmp_path):
     keys = {f"{name}:{qualname}": status for name, _, _, qualname, status in rows}
     stale = sorted(key for key in ALLOWLIST if keys.get(key) != "allowed")
     assert not stale, f"allowlisted but reached or no longer defined: {stale}"
+    unread = sorted(key for key, status in fields.items() if status == "UNREACHED")
+    assert not unread, (
+        "no dcprox command reads these dataclass fields; delete them, or "
+        "allowlist them with a reason: " + "; ".join(unread))
+    stale = sorted(key for key in FIELD_ALLOWLIST if fields.get(key) != "allowed")
+    assert not stale, f"field allowlisted but read or no longer defined: {stale}"
 
 
 def unexecuted_lines(executed):
@@ -257,13 +356,19 @@ def line_ranges(lines):
 if __name__ == "__main__":
     executed = set()
     with tempfile.TemporaryDirectory() as out:
-        rows, wrong = reach_table(out, executed)
+        rows, fields, wrong = reach_table(out, executed)
     for name, line, span, qualname, status in rows:
         reason = f"  ({ALLOWLIST[f'{name}:{qualname}']})" if status == "allowed" else ""
         print(f"{f'{name}:{line}':<18} {span:>4}  {status:<9}  {qualname}{reason}")
     for status in ("reached", "allowed", "UNREACHED"):
         picked = [row for row in rows if row[4] == status]
         print(f"{status}: {len(picked)} functions, {sum(row[2] for row in picked)} lines")
+    print("dataclass fields that the script did not read:")
+    for key, status in fields.items():
+        if status != "reached":
+            reason = f"  ({FIELD_ALLOWLIST[key]})" if status == "allowed" else ""
+            print(f"  {status:<9}  {key}{reason}")
+    print(f"fields read: {sum(s == 'reached' for s in fields.values())} of {len(fields)}")
     for argv, code in wrong:
         print(f"unexpected exit status {code}: dcprox {' '.join(argv)}")
     missed = unexecuted_lines(executed)

@@ -316,7 +316,7 @@ def test_run3_reports_the_lifted_run_at_the_x_block(rng):
     rep = dp.run3(inst, cfg, [0.9, -0.4, 0.3])
     assert rep.converged and rep.solver == "three-prox"
     assert rep.final_s.shape == rep.final_u.shape == rep.final_v.shape == (3,)
-    assert rep.trace.phi[-1] == inst.phi(rep.final_v)
+    assert rep.phi == inst.phi(rep.final_v)
     envs = rep.trace.env
     assert all(b <= a - d + 1e-12 * (1 + abs(a)) for a, d, b in
                zip(envs, rep.trace.decrement, envs[1:]))
@@ -337,8 +337,8 @@ def test_run3_reaches_the_dce_lbfgs_critical_point_on_spca3():
         spca, inst = dp.make_spca(n, seed=0)
         two, _ = cli._solve_one("dce-lbfgs", "spca", (spca, inst), 1e-6, budget)
         assert three.converged and two.converged
-        assert three.trace.phi[-1] == pytest.approx(two.trace.phi[-1], rel=1e-6)
-        assert two.trace.phi[-1] == pytest.approx(phi, abs=1e-3)
+        assert three.phi == pytest.approx(two.phi, rel=1e-6)
+        assert two.phi == pytest.approx(phi, abs=1e-3)
     # spca3, n and budget are the n = 300 case's
     cfg = dp.TwoProxConfig(gamma=cli.GAMMA_POLICY["three-prox"] / spca3.lam_max,
                            max_iter=budget)
@@ -363,8 +363,9 @@ def test_run3_runs_with_the_default_relaxation():
     gamma = 0.5 / spca.lam_max
     rep = dp.run3(inst, dp.TwoProxConfig(gamma=gamma, max_iter=3000), spca.s0)
     assert rep.converged
-    assert rep.trace.phi[-1] == pytest.approx(-46.157, abs=1e-3)
+    assert rep.phi == pytest.approx(-46.157, abs=1e-3)
     lam = dp.TwoProxConfig(gamma=gamma).validate(GAMMA_KAPPA / gamma)
     explicit = dp.run3(inst, dp.TwoProxConfig(gamma=gamma, lam=lam, max_iter=3000), spca.s0)
-    for column in ("k", "env", "residual", "phi", "decrement", "prox_h", "prox_g"):
+    assert rep.phi == explicit.phi
+    for column in ("k", "env", "residual", "decrement", "prox_h", "prox_g"):
         assert getattr(rep.trace, column) == getattr(explicit.trace, column), column

@@ -122,8 +122,11 @@ def test_coercive_run_stays_bounded(rng):
 
 def test_phi_trace_stabilizes():
     cfg = dp.TwoProxConfig(gamma=1.0, tol=1e-12, max_iter=2000)
-    rep = dp.run(instance_a(), cfg, [0.0])
-    tail = rep.trace.phi[-10:]
+    # phi at the last ten points' v = prox_g(s)
+    inst, iterates = recording(instance_a())
+    rep = dp.run(inst, cfg, [0.0])
+    assert len(iterates()) == rep.iterations
+    tail = [inst.phi(inst.g.prox(s, cfg.gamma)) for s in iterates()[-10:]]
     assert max(tail) - min(tail) <= 1e-9
 
 
