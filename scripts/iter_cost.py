@@ -24,6 +24,14 @@ iteration on the first seed, counted with ``sys.setprofile``. Solves go
 through ``cli._solve_one``, as ``dcprox bench`` runs them (traces
 recorded, tol 1e-6, budget 2000).
 
+Under the table, one line per tree gives where the first seed's operators
+sit in memory, after the rounds: how many bytes past a 64-byte boundary
+Sigma starts, and each filled inverse slot of the quadratic atoms (the
+two-term split's h, spca3's f). When n is a multiple of 4, ``dsymv`` is
+slower on a matrix that does not start on a 32-byte boundary (at n=300,
+1 BLAS thread, 8.4 against 6.6 us), and the heap's history decides which
+matrices do; a ratio between trees can come from there.
+
     python3 scripts/iter_cost.py OTHER_CHECKOUT/src src --n 300 --k 16
 
 BLAS threads are pinned with ``--blas-threads`` (default 1) in the
@@ -71,7 +79,7 @@ def count_calls(fn, prefix):
 
 def worker(args):
     """Serve one tree: build its instances, then answer each command read
-    from stdin ("round" or "calls") with one JSON line on stdout."""
+    from stdin ("round", "calls" or "layout") with one JSON line on stdout."""
     tree = load_tree(args.worker, "dcprox_tree")
     solvers = args.solvers.split(",")
     kinds = {s: "spca3" if s == "three-prox" else "spca" for s in solvers}
@@ -92,11 +100,20 @@ def worker(args):
                     report = solve(solver, seed)
                     out.append([solver, seed, time.perf_counter() - t0,
                                 report.iterations, list(report.counts())])
-        else:  # "calls": package calls per iteration, first seed
+        elif command.strip() == "calls":  # package calls per iteration, first seed
             out = {}
             for solver in solvers:
                 report, n_calls = count_calls(lambda: solve(solver, args.seeds[0]), prefix)
                 out[solver] = n_calls / report.iterations
+        else:  # "layout": bytes past a 64-byte boundary, first seed's operators
+            out = {}
+            for kind, name in (("spca", "h"), ("spca3", "f")):
+                if (kind, args.seeds[0]) in payloads:
+                    atom = getattr(payloads[kind, args.seeds[0]][1], name)
+                    out[f"{kind} Sigma"] = atom.sigma.ctypes.data % 64
+                    for sign, slot in zip("+-", atom._slots):
+                        if slot is not None:
+                            out[f"{name} {sign}gamma inverse"] = slot[1].ctypes.data % 64
         print(json.dumps(out), flush=True)
 
 
@@ -152,6 +169,7 @@ def main():
     oracle = {}  # (tree, solver) -> (prox_h, prox_g, grad_h) per iteration, first seed
     rounds = {}  # (tree, solver) -> seconds of each round, summed over seeds
     calls = {}
+    layouts = []
     try:
         for r in range(args.k):
             order = range(len(workers)) if r % 2 == 0 else reversed(range(len(workers)))
@@ -170,6 +188,7 @@ def main():
             for i, w in enumerate(workers):
                 for solver, per_iter in w.ask("calls").items():
                     calls[i, solver] = per_iter
+        layouts = [w.ask("layout") for w in workers]
     finally:
         for w in workers:
             w.close()
@@ -204,6 +223,9 @@ def main():
             row += "".join(f" {calls[i, solver]:>11.1f}" for i in range(len(workers)))
         print(row)
     print("total solve s " + " ".join(f"{t:.3f}" for t in totals))
+    for i, layout in enumerate(layouts):
+        print(f"layout {i}, seed {args.seeds[0]}, bytes past a 64-byte boundary: "
+              + ", ".join(f"{what} {offset}" for what, offset in layout.items()))
 
 
 if __name__ == "__main__":

@@ -136,7 +136,7 @@ def _problem(solver, kind, payload):
     solver a spca or a two-function synthetic one. The default stepsize is
     GAMMA_POLICY[solver] / lambda_max on sparse PCA and the catalogue's
     stepsize on a synthetic problem, which passes the stepsize gate of each
-    solver the entry lists.
+    solver that accepts the entry.
     """
     three = solver == "three-prox"
     if kind == ("spca3" if three else "spca"):

@@ -107,7 +107,7 @@ class DcInstance:
     mu: float = 0.0
     smooth_h: Optional[SmoothFunction] = None
     dca_step: Optional[Callable] = None
-    name: str = ""
+    name: str = ""  # no package code sets it; perfbench's traced copy passes it on
 
     def __post_init__(self):
         check_dims(self.dim, (self.g, self.h))

@@ -271,7 +271,7 @@ def make_spca(n, kappa=None, seed=0, *, spca=None):
 
     inst = DcInstance(g=g, h=h, dim=n, mu=0.0,
                       smooth_h=smooth_view(h, (0.0, spca.lam_max)),
-                      dca_step=dca_step, name=f"spca-n{n}-seed{seed}")
+                      dca_step=dca_step)
     return spca, inst
 
 
@@ -293,93 +293,63 @@ def make_spca3(n, kappa=None, seed=0, *, spca=None):
 
 @dataclass(frozen=True)
 class SyntheticInstance:
-    """A small closed-form problem with stored reference solutions.
-
-    ``stationary`` lists all stationary points inside the oracle window;
-    ``expected_limit`` is the one reached from ``s0`` (verified against a
-    grid oracle). Solvers unsupported by the instance are absent from
-    ``solvers``.
-    """
+    """A small closed-form problem: its two-function form ``dc`` or its
+    three-term form ``three`` (the other None), the default stepsize of a
+    solve and its start. Nothing else: the reference answers that tests
+    compare against live test-side, keyed by ``name``."""
 
     name: str
     dc: Optional[DcInstance]
     gamma: float
     s0: np.ndarray
-    stationary: tuple
-    expected_limit: np.ndarray
-    phi_star: Optional[float]
-    window: tuple
-    solvers: tuple
-    coercive: bool = True
-    lam: float = 1.0
     three: Optional[ThreeTermInstance] = None
 
 
 def synthetic_catalogue():
-    """The standing list of oracle-verified instances."""
+    """The standing list of small closed-form instances, each with its
+    problem, default stepsize and start only."""
     arr = lambda *xs: np.array(xs, dtype=float)
-    out = []
 
     def linear_h(*c):
         # h = <c, .> and its smooth view, which has no curvature
         h = Linear(c)
         return {"h": h, "smooth_h": smooth_view(h, (0.0, 0.0))}
 
-    # (a) smooth quadratic minus linear; unique stationary point at 1
-    out.append(SyntheticInstance(
-        name="quad-linear-1d",
-        dc=DcInstance(g=ScaledSquare(1.0), **linear_h(1.0), dim=1,
-                      dca_step=lambda v: np.asarray(v, dtype=float).copy(),
-                      name="quad-linear-1d"),
-        gamma=1.0, s0=arr(0.0), stationary=(arr(1.0),),
-        expected_limit=arr(1.0), phi_star=-0.5, window=(-4.0, 6.0),
-        solvers=("dce", "dce-lbfgs", "fbs", "dca", "drs")))
-
-    # (b1) l1 minus a convex quadratic: stationary set {-1, 0, 1}, objective
-    # unbounded below; starts near 0 stay in its basin. smooth_h is a 1 x 1
-    # Quadratic's, whose x*(1/scale) differs from ScaledSquare's x/scale in bits
-    out.append(SyntheticInstance(
-        name="abs-quad-1d",
-        dc=DcInstance(g=L1Norm(1.0), h=ScaledSquare(1.0), dim=1,
-                      smooth_h=smooth_view(Quadratic([[1.0]]), (1.0, 1.0)),
-                      name="abs-quad-1d"),
-        gamma=0.5, s0=arr(0.25), stationary=(arr(-1.0), arr(0.0), arr(1.0)),
-        expected_limit=arr(0.0), phi_star=None, window=(-2.5, 2.5),
-        solvers=("dce", "dce-lbfgs", "fbs", "drs"), coercive=False))
-
-    # (b2) l1 plus a hypoconvex quadratic tail, handled through mu
-    out.append(SyntheticInstance(
-        name="abs-hypo-1d",
-        dc=DcInstance(g=L1Norm(1.0), h=ScaledSquare(-0.5), dim=1, mu=0.5,
-                      smooth_h=smooth_view(Quadratic([[-0.5]]), (-0.5, -0.5)),
-                      name="abs-hypo-1d"),
-        gamma=1.0, s0=arr(1.5), stationary=(arr(0.0),),
-        expected_limit=arr(0.0), phi_star=0.0, window=(-3.0, 3.0),
-        solvers=("dce", "dce-lbfgs", "fbs", "drs"), lam=0.9))
-
-    # (c) separable 2-d pair for diagonal-metric runs
-    out.append(SyntheticInstance(
-        name="separable-2d",
-        dc=DcInstance(g=BlockSeparable([(ScaledSquare(1.0), 1),
-                                        (ScaledSquare(2.0), 1)]),
-                      **linear_h(1.0, 2.0), dim=2,
-                      dca_step=lambda v: np.array([v[0], v[1] / 2.0]),
-                      name="separable-2d"),
-        gamma=1.0, s0=arr(0.0, 0.0), stationary=(arr(1.0, 1.0),),
-        expected_limit=arr(1.0, 1.0), phi_star=-1.5, window=(-3.0, 4.0),
-        solvers=("dce", "dce-lbfgs", "fbs", "dca", "drs")))
-
-    # (d) three-term quadratic split of x^2/2
-    out.append(SyntheticInstance(
-        name="three-quad-1d",
-        dc=None,
-        gamma=0.5, s0=arr(1.5), stationary=(arr(0.0),),
-        expected_limit=arr(0.0), phi_star=0.0, window=(-3.0, 3.0),
-        solvers=("three-prox",),
-        three=ThreeTermInstance(f=ScaledSquare(1.0), g=ScaledSquare(2.0),
-                                h=Zero(), dim=1)))
-
-    return out
+    return [
+        # (a) smooth quadratic minus linear; unique stationary point at 1
+        SyntheticInstance(
+            name="quad-linear-1d",
+            dc=DcInstance(g=ScaledSquare(1.0), **linear_h(1.0), dim=1,
+                          dca_step=lambda v: np.asarray(v, dtype=float).copy()),
+            gamma=1.0, s0=arr(0.0)),
+        # (b1) l1 minus a convex quadratic: stationary set {-1, 0, 1}, objective
+        # unbounded below; starts near 0 stay in its basin. smooth_h is a 1 x 1
+        # Quadratic's, whose x*(1/scale) differs from ScaledSquare's x/scale in bits
+        SyntheticInstance(
+            name="abs-quad-1d",
+            dc=DcInstance(g=L1Norm(1.0), h=ScaledSquare(1.0), dim=1,
+                          smooth_h=smooth_view(Quadratic([[1.0]]), (1.0, 1.0))),
+            gamma=0.5, s0=arr(0.25)),
+        # (b2) l1 plus a hypoconvex quadratic tail, handled through mu
+        SyntheticInstance(
+            name="abs-hypo-1d",
+            dc=DcInstance(g=L1Norm(1.0), h=ScaledSquare(-0.5), dim=1, mu=0.5,
+                          smooth_h=smooth_view(Quadratic([[-0.5]]), (-0.5, -0.5))),
+            gamma=1.0, s0=arr(1.5)),
+        # (c) separable 2-d pair
+        SyntheticInstance(
+            name="separable-2d",
+            dc=DcInstance(g=BlockSeparable([(ScaledSquare(1.0), 1),
+                                            (ScaledSquare(2.0), 1)]),
+                          **linear_h(1.0, 2.0), dim=2,
+                          dca_step=lambda v: np.array([v[0], v[1] / 2.0])),
+            gamma=1.0, s0=arr(0.0, 0.0)),
+        # (d) three-term quadratic split of x^2/2
+        SyntheticInstance(
+            name="three-quad-1d", dc=None, gamma=0.5, s0=arr(1.5),
+            three=ThreeTermInstance(f=ScaledSquare(1.0), g=ScaledSquare(2.0),
+                                    h=Zero(), dim=1)),
+    ]
 
 
 def find_synthetic(name):

@@ -1,5 +1,11 @@
 """Reference implementations that tests compare the product against.
 
+``CATALOGUE_ANSWERS`` holds, for each entry of ``dcprox.synthetic_catalogue``
+by name, what tests check the entry against: its stationary points in a
+grid window, the limit reached from its start, the optimal value where one
+exists, whether the objective is coercive, the relaxation the criteria run
+it with, and the solvers that accept it.
+
 The recording atom logs the argument of every prox call an atom gets; the
 relaxed solvers prox g once at each evaluated iterate (and the three-prox
 recursion f once at its second block), so the log is the iterate sequence
@@ -51,6 +57,7 @@ runs the lean build with A assembled as the draws leave it.
 
 import dataclasses
 from math import sqrt
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -75,6 +82,58 @@ from dcprox.problems import _rng_for
 from dcprox.prox import _apply_inverse, _as_vector, _check_gamma, _spd_inverse
 from dcprox.reports import CallCounter, Iterate, drive
 from dcprox.three_prox import ThreeTermInstance
+
+# ---------------------------------------------------------------------------
+# the synthetic catalogue's reference answers
+
+
+@dataclasses.dataclass(frozen=True)
+class Answers:
+    """What one synthetic catalogue entry is checked against.
+
+    ``stationary`` lists all stationary points inside the grid oracle's
+    ``window``; ``expected_limit`` is the one reached from the entry's
+    start, and ``phi_star`` the optimal value (None: unbounded below).
+    ``solvers`` are the names ``dcprox solve`` accepts for the entry; any
+    other name of ``cli.SOLVERS`` is rejected. ``lam`` is the relaxation the
+    criteria run dce with.
+    """
+
+    stationary: tuple
+    expected_limit: np.ndarray
+    phi_star: Optional[float]
+    window: tuple
+    solvers: tuple
+    coercive: bool = True
+    lam: float = 1.0
+
+
+def _arr(*xs):
+    return np.array(xs, dtype=float)
+
+
+_TWO_TERM = ("dce", "dce-lbfgs", "fbs", "dca", "drs")
+_NO_DCA = ("dce", "dce-lbfgs", "fbs", "drs")  # no subproblem solver
+
+# entry name -> Answers, in catalogue order
+CATALOGUE_ANSWERS = {
+    "quad-linear-1d": Answers(
+        stationary=(_arr(1.0),), expected_limit=_arr(1.0), phi_star=-0.5,
+        window=(-4.0, 6.0), solvers=_TWO_TERM),
+    "abs-quad-1d": Answers(
+        stationary=(_arr(-1.0), _arr(0.0), _arr(1.0)), expected_limit=_arr(0.0),
+        phi_star=None, window=(-2.5, 2.5), solvers=_NO_DCA, coercive=False),
+    "abs-hypo-1d": Answers(
+        stationary=(_arr(0.0),), expected_limit=_arr(0.0), phi_star=0.0,
+        window=(-3.0, 3.0), solvers=_NO_DCA, lam=0.9),
+    "separable-2d": Answers(
+        stationary=(_arr(1.0, 1.0),), expected_limit=_arr(1.0, 1.0), phi_star=-1.5,
+        window=(-3.0, 4.0), solvers=_TWO_TERM),
+    "three-quad-1d": Answers(
+        stationary=(_arr(0.0),), expected_limit=_arr(0.0), phi_star=0.0,
+        window=(-3.0, 3.0), solvers=("three-prox",)),
+}
+
 
 # ---------------------------------------------------------------------------
 # iterate recording

@@ -8,6 +8,7 @@ from dcprox import baselines, reports
 from dcprox.cli import GAMMA_POLICY
 from dcprox.problems import find_synthetic
 from dcprox.prox import CapabilityError
+from oracles import CATALOGUE_ANSWERS
 
 
 def instance_a():
@@ -196,7 +197,7 @@ BASELINES = {"fbs": dp.fbs_run, "dca": dp.dca_run, "drs": dp.drs_run}
 
 def identity_cases():
     cases = [pytest.param(c.dc, c.gamma, c.s0, solver, id=f"{c.name}-{solver}")
-             for c in dp.synthetic_catalogue() for solver in c.solvers
+             for c in dp.synthetic_catalogue() for solver in CATALOGUE_ANSWERS[c.name].solvers
              if solver in BASELINES]
     spca, inst = dp.make_spca(30, seed=0)
     return cases + [pytest.param(inst, GAMMA_POLICY[solver] / spca.lam_max, spca.s0,

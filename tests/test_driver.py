@@ -11,8 +11,8 @@ from dcprox import baselines, cli, lbfgs, reports, two_prox
 from dcprox.problems import find_synthetic
 from dcprox.reports import drive
 from dcprox.three_prox import lift
-from oracles import (RecordingAtom, ThreeProxConfig, phi_upper_bound, recording,
-                     residual_rate_check, run3_via_lifted, run_diag)
+from oracles import (CATALOGUE_ANSWERS, RecordingAtom, ThreeProxConfig, phi_upper_bound,
+                     recording, residual_rate_check, run3_via_lifted, run_diag)
 
 N = 12
 
@@ -252,8 +252,8 @@ def test_trace_phi_is_phi_at_each_point(solver, monkeypatch):
 
 
 @pytest.mark.parametrize("name,solver", [
-    (synth.name, solver) for synth in dp.synthetic_catalogue()
-    for solver in synth.solvers])
+    (name, solver) for name, answers in CATALOGUE_ANSWERS.items()
+    for solver in answers.solvers])
 def test_trace_phi_is_exact_where_atoms_do_not_batch(name, solver, monkeypatch):
     seen, _ = spy_on_drive(monkeypatch)
     report, _ = cli._solve_one(solver, "synthetic", find_synthetic(name), 1e-12, 300)
@@ -279,7 +279,7 @@ def setup(name, solver):
 
 
 @pytest.mark.parametrize("name", ["spca"] + [
-    synth.name for synth in dp.synthetic_catalogue() if "dce" in synth.solvers])
+    name for name, answers in CATALOGUE_ANSWERS.items() if "dce" in answers.solvers])
 def test_env_and_residual_bound_phi_at_every_point(name):
     # the sandwich bound reads an envelope run's phi off two trace columns;
     # point k's v is the k-th prox_g output, recomputed from its logged input

@@ -15,7 +15,7 @@ from dcprox.problems import (
     find_synthetic,
     problem_from_json,
 )
-from oracles import assemble_a, reference_spca_data, spca_build_with_a
+from oracles import CATALOGUE_ANSWERS, assemble_a, reference_spca_data, spca_build_with_a
 
 
 def test_spca_shapes_and_invariants():
@@ -284,6 +284,20 @@ def test_catalogue_names_unique_and_complete():
         assert expected in names
 
 
+def test_catalogue_answers_match_what_solve_accepts(tmp_path, capsys):
+    # the answers table's solver lists are the pairs `dcprox solve` runs
+    # (exit 0 or 2) and no others (exit 1)
+    names = [c.name for c in dp.synthetic_catalogue()]
+    assert list(CATALOGUE_ANSWERS) == names
+    for name in names:
+        doc = json.dumps({"kind": "synthetic", "name": name})
+        for solver in cli.SOLVERS:
+            code = cli.main(["solve", doc, "--solver", solver, "--max-iter", "1",
+                             "--no-timing", "--out", str(tmp_path / f"{name}-{solver}")])
+            listed = solver in CATALOGUE_ANSWERS[name].solvers
+            assert (code in (0, 2)) if listed else (code == 1), (name, solver, code)
+
+
 def residual_on_grid(inst, gamma, window, n=200_001):
     grid = np.linspace(window[0], window[1], n)
     res = np.array([dp.dce_eval(inst, gamma, np.array([s])).residual for s in
@@ -297,11 +311,11 @@ def test_catalogue_stationary_points_verified_by_grid_oracle():
     for c in dp.synthetic_catalogue():
         if c.dc is None or c.dc.dim != 1:
             continue
-        gamma = c.gamma
-        grid = np.linspace(c.window[0], c.window[1], 40001)
+        gamma, answers = c.gamma, CATALOGUE_ANSWERS[c.name]
+        grid = np.linspace(answers.window[0], answers.window[1], 40001)
         res = np.array([dp.dce_eval(c.dc, gamma, np.array([s])).residual
                         for s in grid])
-        for target in c.stationary:
+        for target in answers.stationary:
             us = np.array([dp.dce_eval(c.dc, gamma, np.array([s])).u[0]
                            for s in grid[res <= np.min(res) + 1e-4]])
             assert np.min(np.abs(us - target[0])) <= 1e-3, (c.name, target)
@@ -309,7 +323,8 @@ def test_catalogue_stationary_points_verified_by_grid_oracle():
 
 def test_catalogue_coercive_minima_match_grid_argmin():
     for c in dp.synthetic_catalogue():
-        if not c.coercive or c.phi_star is None:
+        answers = CATALOGUE_ANSWERS[c.name]
+        if not answers.coercive or answers.phi_star is None:
             continue
         if c.three is not None:
             phi = c.three.phi
@@ -318,21 +333,21 @@ def test_catalogue_coercive_minima_match_grid_argmin():
         dim = c.three.dim if c.three is not None else c.dc.dim
         if dim != 1:
             continue
-        grid = np.linspace(c.window[0], c.window[1], 400001)
+        grid = np.linspace(answers.window[0], answers.window[1], 400001)
         vals = [phi(np.array([x])) for x in grid]
         i = int(np.argmin(vals))
-        assert grid[i] == pytest.approx(c.expected_limit[0], abs=1e-4)
-        assert vals[i] == pytest.approx(c.phi_star, abs=1e-8)
+        assert grid[i] == pytest.approx(answers.expected_limit[0], abs=1e-4)
+        assert vals[i] == pytest.approx(answers.phi_star, abs=1e-8)
 
 
 def test_catalogue_separable_2d_argmin():
-    c = find_synthetic("separable-2d")
+    c, answers = find_synthetic("separable-2d"), CATALOGUE_ANSWERS["separable-2d"]
     xs = np.linspace(-3, 4, 2001)
     best = min(((x1, x2) for x1 in xs for x2 in xs[::20]),
                key=lambda p: c.dc.phi(np.array(p)))
     assert best[0] == pytest.approx(1.0, abs=5e-3)
     # exact coordinatewise: phi' = (x1 - 1, 2 x2 - 2)
-    assert c.dc.phi(c.expected_limit) == pytest.approx(c.phi_star)
+    assert c.dc.phi(answers.expected_limit) == pytest.approx(answers.phi_star)
 
 
 def test_catalogue_atoms_pass_firm_nonexpansiveness(rng):

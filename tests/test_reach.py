@@ -15,12 +15,13 @@ records the first read made from the package's own code and then removes
 itself, so later reads cost nothing. Reads by the dataclass machinery
 (``dataclasses.replace``) or by code outside the package do not count. A
 field that no command reads fails the test unless ``FIELD_ALLOWLIST``
-gives a reason.
+gives a reason; it gives three, for 3 of the package's 59 fields.
 
-The script: ``solve`` on every synthetic entry with each of its solvers; on
-spca n=30 with the five two-term solvers, once more with ``--gamma
-0.5/lmax`` and once with dce-lbfgs at ``--tol 0``, whose linesearch then
-fails past the rounding floor; on spca3 n=30 with three-prox. ``check`` on
+The script: ``solve`` on every synthetic entry with each solver that
+``CATALOGUE_ANSWERS`` in ``tests/oracles.py`` lists for it; on spca n=30
+with the five two-term solvers, once more with ``--gamma 0.5/lmax`` and
+once with dce-lbfgs at ``--tol 0``, whose linesearch then fails past the
+rounding floor; on spca3 n=30 with three-prox. ``check`` on
 every synthetic entry and on spca n=30; one ``bench --n-values 12 --seeds
 1`` of all six solvers, in this process (``--jobs 1``); and inputs that
 each command rejects, among them a stepsize past the fbs and the drs gate
@@ -52,6 +53,7 @@ import types
 import dcprox
 import dcprox.cli as cli
 from dcprox.problems import synthetic_catalogue
+from oracles import CATALOGUE_ANSWERS
 
 PACKAGE = os.path.dirname(os.path.realpath(dcprox.__file__))
 
@@ -75,15 +77,9 @@ ALLOWLIST = {
 
 # "file:Class.field" -> why no command needs to read it
 FIELD_ALLOWLIST = {
-    **{f"problems.py:SyntheticInstance.{name}": (
-        "a reference answer of the catalogue entry, which only tests compare against "
-        "(ROADMAP item 27 moves them test-side)")
-       for name in ("stationary", "expected_limit", "phi_star", "window", "coercive",
-                    "lam")},
-    "problems.py:SyntheticInstance.solvers": (
-        "the entry's solver list, which this script and the tests enumerate"),
-    "envelope.py:DcInstance.name": ("perfbench/tracing.py copies it onto its traced "
-                                    "instance, so it goes with the benchmark's change"),
+    "envelope.py:DcInstance.name": ("no package code sets it; perfbench/tracing.py copies "
+                                    "it onto its traced instance, so it goes with the "
+                                    "benchmark's change"),
     "reports.py:RunReport.gamma": "perfbench/workloads.py and perfbench/tracing.py read it",
     "reports.py:RunReport.message": ("cmd_solve prints it on a numerical error, which no "
                                      "command of the script ends with"),
@@ -103,7 +99,7 @@ def script(out):
 
     for entry in synthetic_catalogue():
         doc = {"kind": "synthetic", "name": entry.name}
-        for solver in entry.solvers:
+        for solver in CATALOGUE_ANSWERS[entry.name].solvers:
             solve(doc, solver)
         runs.append((["check", json.dumps(doc)], entry.dc is not None))
     spca = {"kind": "spca", "n": 30}

@@ -5,7 +5,8 @@ import pytest
 
 import dcprox as dp
 from dcprox.reports import Termination
-from oracles import common_subgradient_gap, recording, residual_rate_check, run_diag
+from oracles import (CATALOGUE_ANSWERS, common_subgradient_gap, recording,
+                     residual_rate_check, run_diag)
 
 
 def instance_a():
@@ -110,9 +111,10 @@ def test_lambda_sweep_same_limit():
 
 def test_coercive_run_stays_bounded(rng):
     for c in dp.synthetic_catalogue():
-        if c.dc is None or not c.coercive:
+        answers = CATALOGUE_ANSWERS[c.name]
+        if c.dc is None or not answers.coercive:
             continue
-        cfg = dp.TwoProxConfig(gamma=c.gamma, lam=c.lam, tol=0.0, max_iter=150)
+        cfg = dp.TwoProxConfig(gamma=c.gamma, lam=answers.lam, tol=0.0, max_iter=150)
         inst, iterates = recording(c.dc)
         rep = dp.run(inst, cfg, c.s0)
         norms = [np.linalg.norm(s) for s in iterates()]
