@@ -8,11 +8,11 @@ build runs through the tree's own ``problems._spca_instance``, with its
 stage functions wrapped in place:
 
     draws into A      _draw_a              the random draws, staged and split into
-                                           A's 8 row-block CSC pieces
+                                           A's row-block CSC pieces
     Gram over blocks  _gram_by_blocks      Sigma = A'A: each dense row block filled
                                            from its piece, which is then freed, and
-                                           its SYRK written into Sigma's spare
-                                           triangle and summed there
+                                           its SYRK added in place into one
+                                           triangle of Sigma
     builder total     _generate_spca_data  both above plus the start vector
     lambda_max        power_lambda_max     the dense eigensolve
 
@@ -22,6 +22,10 @@ the drs stepsize). A tree from before the row-block pieces has the same
 stage functions: its draws write one CSC matrix, and its Gram sums an
 n x n product B.T @ B per block. A tree without a stage function (one from
 before the builder was split into stages) prints "-" on that row.
+
+Below the table, one line per tree gives its stated build floor,
+``problems._floor_bytes(n)``, beside the traced "builder total" peak, or
+"-" for a tree without that function.
 
 The last row, "import dcprox.cli", is the package's import: its wall time
 and the process's peak resident memory (VmHWM) right after it, both taken
@@ -174,6 +178,14 @@ def main():
             else:
                 row += f" {'-':>9} {'-':>10}"
         print(row)
+    def size(nbytes):
+        return f"{nbytes / 1e6:.1f} MB ({nbytes / args.n ** 2:.1f} n^2)"
+
+    for i, t in enumerate(trees):
+        floor = getattr(t.problems, "_floor_bytes", None)
+        stated = "-" if floor is None else size(floor(args.n))
+        traced = size(peaks[i]["builder total"]) if "builder total" in peaks[i] else "-"
+        print(f"tree {i}: build floor {stated}, traced builder total {traced}")
 
 
 if __name__ == "__main__":

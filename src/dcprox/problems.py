@@ -7,13 +7,13 @@ seeded by SeedSequence([seed, n]), draws A column by column, then the
 start vector. The JSON descriptor stores (n, seed, kappa); regeneration is
 bit-exact.
 
-Memory layout of a build: A exists once, as 8 row-block CSC pieces
-(float64 values, 16-bit block-local row indices: 10 bytes per nonzero).
-Sigma sums B'B over the dense row blocks B of A, each filled from its
-piece into one reused buffer, after which the piece is freed; each B'B is
-written into the spare triangle of Sigma's own buffer, so the peak is A,
-one block and Sigma. Only Sigma and s0 outlive the build: A is gone
-before the eigensolve for lambda_max. The SYRK is BLAS ``dsyrk`` from
+Memory layout of a build: A exists once, as 20 row-block CSC pieces of n
+rows each (float64 values, 16-bit block-local row indices: 10 bytes per
+nonzero). Each dense row block B is filled from its piece into one reused
+n x n buffer, after which the piece is freed, and its B'B is added by SYRK
+into one triangle of Sigma in place, so the peak is A, one block and
+Sigma. Only Sigma and s0 outlive the build: A is gone before the
+eigensolve for lambda_max. The SYRK is BLAS ``dsyrk`` from
 ``dcprox.kernels``.
 """
 
@@ -77,7 +77,6 @@ class SpcaInstance:
 # a row block's local row indices are 16-bit when it has at most this many rows
 _NARROW_ROWS = 1 << 16
 _STAGE = 64  # columns drawn into the staging buffer before it is split into the pieces
-_TILE = 64  # rows per tile when Sigma's triangles are summed
 
 
 def _draw_a(rng, m, n, edges):
@@ -143,29 +142,22 @@ def _draw_a(rng, m, n, edges):
 
 
 def _gram_by_blocks(pieces, edges):
-    """Sigma = A'A as the sum of B'B over the dense row blocks B of A,
-    consuming ``pieces``: each piece is dropped from the list, and so
-    freed, as soon as its block is filled.
+    """Sigma = A'A as the sum of B'B over the dense row blocks B of A, in
+    block order, consuming ``pieces``: each piece is dropped from the list,
+    and so freed, as soon as its block is filled.
 
-    Each block is filled into one reused C-ordered buffer, and its product
-    is formed by SYRK (lower, no transpose, on the F-ordered view B') into
-    one triangle of Sigma's own buffer: the upper one, read C-ordered. The
-    running sum sits in the strict lower triangle and a diagonal vector and
-    takes each product tile by tile; the lower triangle is mirrored once at
-    the end. This SYRK is the one numpy runs for B.T @ B, whose result is
-    exactly symmetric, and the sum adds the same floats in the same order,
-    so Sigma is bit-equal to summing B.T @ B over the blocks.
+    Each block is filled into one reused C-ordered buffer, and SYRK (upper,
+    no transpose, on the F-ordered view B', beta = 1) adds its product in
+    place to one triangle of Sigma's own buffer: the lower one, read
+    C-ordered. That triangle is mirrored once at the end.
     """
     n = len(pieces[0][0]) - 1
-    sigma, diag = np.zeros((n, n)), np.zeros(n)
-    buf = np.empty((edges[1], n))
+    sigma = np.zeros((n, n))
+    block = np.empty((edges[1], n))
     cols = np.arange(n)
-    tiles = [(lo, min(lo + _TILE, n)) for lo in range(0, n, _TILE)]
-    below = {hi - lo: np.tri(hi - lo, k=-1, dtype=bool) for lo, hi in tiles}  # built once
-    for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
+    for b in range(len(pieces)):
         indptr, rows, values = pieces[b]
         pieces[b] = None
-        block = buf[:hi - lo]
         block.fill(0.0)
         for c0 in range(0, n, _STAGE):  # a column group at a time: small index temporaries
             c1 = min(c0 + _STAGE, n)
@@ -174,31 +166,28 @@ def _gram_by_blocks(pieces, edges):
             flat += np.repeat(cols[c0:c1], np.diff(indptr[c0:c1 + 1]))  # row * n + column
             np.put(block, flat, values[start:end])
         del indptr, rows, values, flat  # the piece is freed here
-        dsyrk(1.0, block.T, beta=0.0, c=sigma.T, lower=1, overwrite_c=1)
-        diag += sigma.diagonal()
-        for r0, r1 in tiles:
-            sigma[r0:r1, :r0] += sigma[:r0, r0:r1].T
-            tile = sigma[r0:r1, r0:r1]
-            np.add(tile, tile.T, out=tile, where=below[r1 - r0])
+        # the returned c is Sigma's own buffer: overwrite_c on an F-ordered c
+        sigma = dsyrk(1.0, block.T, beta=1.0, c=sigma.T, lower=0, overwrite_c=1).T
     mirror_lower(sigma)
-    np.fill_diagonal(sigma, diag)
     return sigma
 
 
 def _generate_spca_data(n, seed):
     """Return Sigma = A'A and s0.
 
-    Memory: A is held once, as 8 row-block pieces (10 bytes per nonzero
-    below 65,536 rows per block), and each piece is freed once its dense
-    block, ceil(m/8) x n in one reused buffer, is filled. Each block's
-    product is written into Sigma's own buffer, so the peak is A, that
-    buffer and Sigma: about FLOOR_PER_N2 * n^2 bytes (``_floor_bytes``).
+    Memory: A is held once, as 20 pieces of n rows (10 bytes per nonzero
+    up to n = 65,536), and each piece is freed once its dense block, n x n
+    in one reused buffer, is filled. Each block's product is added into
+    Sigma's own buffer, so the peak is A, that buffer and Sigma: about
+    FLOOR_PER_N2 * n^2 bytes (``_floor_bytes``). A block of n rows is the
+    size of Sigma: smaller blocks would trim only its 8 n^2 bytes, beside
+    the pieces' 20 n^2.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = _rng_for(n, seed)
     m = 20 * n
-    edges = [*range(0, m, -(-m // 8)), m]  # 8 row blocks
+    edges = range(0, m + 1, n)  # 20 row blocks of n rows
     pieces = _draw_a(rng, m, n, edges)
     sigma = _gram_by_blocks(pieces, edges)
     s0 = rng.standard_normal(n)
@@ -207,15 +196,15 @@ def _generate_spca_data(n, seed):
 
 
 # a build's peak, in bytes per n^2 (_generate_spca_data): A's pieces, 2n^2
-# nonzeros at 10 bytes, one row block of 20n/8 x n doubles and Sigma; 4 more
-# once a block has too many rows for 16-bit indices. tracemalloc reads
-# 48.4 n^2 at n = 1000 (scripts/build_cost.py, "builder total")
-FLOOR_PER_N2 = 48
+# nonzeros at 10 bytes, one n x n row block and Sigma; 4 more once a block
+# has too many rows for 16-bit indices. tracemalloc reads 36.3 n^2 at
+# n = 1000 (scripts/build_cost.py, "builder total")
+FLOOR_PER_N2 = 36
 
 
 def _floor_bytes(n):
     """The peak of a build of size n, in bytes, up to terms linear in n."""
-    wide = -(-20 * n // 8) > _NARROW_ROWS
+    wide = n > _NARROW_ROWS
     return (FLOOR_PER_N2 + 4 * wide) * n * n
 
 

@@ -61,6 +61,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import blas
 
 from dcprox import (
     BlockSeparable,
@@ -455,7 +456,9 @@ def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
 
 def reference_spca_data(n, seed):
     """A (CSC), Sigma = A'A and s0 of (n, seed), built the plain way: the
-    same draws, the same 8 row blocks and the same Gram sum order."""
+    same draws, then Sigma from the dense row blocks of n rows of a CSR A,
+    each added in block order by the same SYRK (upper triangle of an
+    F-ordered Sigma, beta = 1), and the triangle mirrored."""
     rng = _rng_for(n, seed)
     m = 20 * n
     rows, vals = [], []
@@ -464,10 +467,12 @@ def reference_spca_data(n, seed):
         vals.append(rng.standard_normal(rows[-1].size))
     a = sparse.csc_matrix((np.concatenate(vals), np.concatenate(rows),
                            np.cumsum([0] + [r.size for r in rows])), shape=(m, n))
-    a_rows, step = a.tocsr(), -(-m // 8)
-    sigma = np.zeros((n, n))
-    for block in (a_rows[lo:lo + step].toarray() for lo in range(0, m, step)):
-        sigma += block.T @ block
+    a_rows = a.tocsr()
+    upper = np.zeros((n, n), order="F")
+    for lo in range(0, m, n):
+        upper = blas.dsyrk(1.0, a_rows[lo:lo + n].toarray().T, beta=1.0, c=upper,
+                           lower=0, overwrite_c=1)
+    sigma = np.triu(upper) + np.triu(upper, 1).T
     s0 = rng.standard_normal(n)
     s0 /= np.linalg.norm(s0)
     return a, sigma, s0

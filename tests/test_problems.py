@@ -19,10 +19,10 @@ from oracles import CATALOGUE_ANSWERS, assemble_a, reference_spca_data, spca_bui
 
 
 def test_spca_shapes_and_invariants():
-    # A is held as 8 row-block pieces of 16-bit local rows and float64 values
+    # A is held as 20 row-block pieces of 16-bit local rows and float64 values
     a, _, _, dtypes = spca_build_with_a(50, seed=0)
     assert a.shape == (1000, 50)
-    assert dtypes == [(np.uint16, np.float64)] * 8
+    assert dtypes == [(np.uint16, np.float64)] * 20
     spca, inst = dp.make_spca(50, seed=0)
     assert spca.sigma.shape == (50, 50)
     np.testing.assert_allclose(spca.sigma, spca.sigma.T)
@@ -40,9 +40,9 @@ def test_spca_density_near_ten_percent():
 
 @pytest.mark.parametrize("n", [2, 7, 130, 131])
 def test_spca_sigma_against_dense_oracle(n):
-    # Sigma is built from 8 row blocks of ceil(20n / 8) rows: even n split
-    # the rows evenly, odd n leave a short last block; a dropped, repeated
-    # or short last block shows here
+    # Sigma is built from 20 row blocks of n rows, each product added in
+    # place into Sigma's buffer; a dropped or repeated block, or a SYRK
+    # result that did not land in the Sigma returned, shows here
     a, sigma, _, _ = spca_build_with_a(n, seed=1)
     dense = a.toarray()
     oracle = dense.T @ dense
@@ -89,12 +89,11 @@ def test_spca_build_matches_reference_bytes(n, seed):
 
 def test_spca_build_peak_memory_near_its_floor():
     # floor: A's pieces (8-byte values, 2-byte local rows), one dense row
-    # block of ceil(m/8) x n and Sigma, into whose spare triangle each
-    # block's product is written; an n x n product temporary, 4-byte rows
-    # or an index array per nonzero held alongside would add 8 * n * n, 2
-    # or 8 bytes per nonzero
+    # block of n x n and Sigma, into which each block's product is added in
+    # place; an n x n product temporary or copy of Sigma, 4-byte rows or an
+    # index array per nonzero held alongside would add 8 * n * n, 2 or 8
+    # bytes per nonzero
     n = 400
-    m = 20 * n
     nnz = spca_build_with_a(n, 0)[0].nnz
     tracemalloc.start()
     try:
@@ -103,7 +102,7 @@ def test_spca_build_peak_memory_near_its_floor():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    floor = 10 * nnz + 8 * -(-m // 8) * n + 8 * n * n
+    floor = 10 * nnz + 8 * n * n + 8 * n * n
     assert peak <= 1.1 * floor, (peak, floor)
 
 
@@ -152,12 +151,12 @@ def test_gram_consumes_the_pieces_and_returns_a_symmetric_sigma():
     # each piece is dropped from the list as its block is filled, so none is
     # alive when the Gram returns; the mirrored Sigma is symmetric bit for bit
     n, m = 131, 20 * 131
-    edges = [*range(0, m, -(-m // 8)), m]
+    edges = range(0, m + 1, n)  # the build's 20 blocks of n rows
     pieces = _draw_a(_rng_for(n, 2), m, n, edges)
     alive = [weakref.ref(array) for piece in pieces for array in piece]
     sigma = _gram_by_blocks(pieces, edges)
-    assert pieces == [None] * 8
-    assert [ref() for ref in alive] == [None] * 24
+    assert pieces == [None] * 20
+    assert [ref() for ref in alive] == [None] * 60
     assert np.array_equal(sigma, sigma.T) and sigma.flags.c_contiguous
 
 

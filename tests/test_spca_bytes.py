@@ -37,22 +37,22 @@ BENCH = ["bench", "--no-timing", "--n-values", "100", "--seeds", "2"]
 
 # name -> (exit code, sha256), recorded at one BLAS thread
 DIGESTS = {
-    "spca/30/dce": (0, "e2fe839e529835be82cee5253be834aaadcde84136601cf57c766dfba7bb3c16"),
-    "spca/30/dce-lbfgs": (0, "6f7e3e235fd892cf9bc1170e4e52bd6f84f9d4bf4e33028d9e8a088afa89adff"),
-    "spca/30/fbs": (0, "d97ba36213a33f6bebddf02519255f37d3b99389072467fc7967a7809e43f7ab"),
-    "spca/30/dca": (0, "31ada950f08b92a9a72e52bfac18634c94637be47b84efd335537e49e51654a6"),
-    "spca/30/drs": (0, "c30ebeeb07ef04dc0ac631e282f271b16f8e72d0f773b8b5d172ef8e6bc6f919"),
-    "spca/131/dce": (0, "11a1bbc935b1d3fb40021e1220b7c247aa1f637129686a6d70979789c4c64bc5"),
-    "spca/131/dce-lbfgs": (0, "da223babf9e5f146dd0b781ac887e4d7d646843fa6d649f6bdac965699e25fca"),
-    "spca/131/fbs": (0, "ad93c0a7b42dbb2c056d4aac4c2829432e79522bf1b7fa915d5d59a537e7c3c9"),
-    "spca/131/dca": (0, "83854357b28ffe109710825dfc8eccf01e77ad3d4838c897c4577268fd521749"),
-    "spca/131/drs": (0, "feaa9b37bdec616db8108093ab79f8da0ae4ca2db6267045f88c6cc744e12f9f"),
-    "spca3/30/three-prox": (0, "61101c5eea3131b754548d94616a480b1b01aebb16246b49831801d64784fcb0"),
-    "bench": (0, "288feb64c4228dc71fb710c2505d3deed13fa872f58f93ed0bb542a1632eb119"),
+    "spca/30/dce": (0, "1d322b4cc30fbb25a96605052dd73942ecb7c40dfc07295c60c7d147ad8497d1"),
+    "spca/30/dce-lbfgs": (0, "e840c954f7ac8df5e0067998cf15f481b089a739572d13c65dcfacd1b0cd124b"),
+    "spca/30/fbs": (0, "ca5f1d523df723341dac52de7147c33a815a5fea156878f041c8c2256172312b"),
+    "spca/30/dca": (0, "486ea95786ff2ef68084dc44283f7243d321caddd077417e56d82bd84343ab98"),
+    "spca/30/drs": (0, "48fad7cdc9e9624765a7c33eaa9b1e2e760f870adc9a64808f58a000f8ee19cc"),
+    "spca/131/dce": (0, "adb081827723dac7e8ea11bb882a6cb12516467c4c9b6226fe504c887ad76dda"),
+    "spca/131/dce-lbfgs": (0, "40961a940384b37cab860a7f341ee99dfb44a87aae9e3aef20bb92831c5a45a2"),
+    "spca/131/fbs": (0, "9efb87406415272ffe1970f070ed966cd96c72c61c8ca57c3fa1f03aeff29d34"),
+    "spca/131/dca": (0, "1b9401e3705a0553feaf2b3e29e631ddd60a4261673c684787a2b0504080ceed"),
+    "spca/131/drs": (0, "e61df97941a060592b01e1c9f003dea25ee0b3bb1c870a865d60ee3f2dfd4485"),
+    "spca3/30/three-prox": (0, "ea5d5cf58e25367da443339c102615e499d6bf06323ac8f20e694012c6e3f3c3"),
+    "bench": (0, "8c17f5342a7859d8b8be4b1c3c39285d03c5193e51b860eccd24b6bb0ebd2ee9"),
 }
 # name -> (exit code, sha256 of stdout) of ``dcprox check``, at one BLAS thread
 CHECK_DIGESTS = {
-    "spca/30": (0, "dc3e6bafb803739e77365e328222063dee6dd670abcfb53c3a2e73d7661c8816"),
+    "spca/30": (0, "f5c40bea1e8cb752f41435dd104aa0bd00725f051b99bb9884c54560c6f0eacb"),
 }
 
 
