@@ -8,11 +8,12 @@ build runs through the tree's own ``problems._spca_instance``, with its
 stage functions wrapped in place:
 
     draws into A      _draw_a              the random draws, staged and split into
-                                           A's row-block CSC pieces
-    Gram over blocks  _gram_by_blocks      Sigma = A'A: each dense row block filled
-                                           from its piece, which is then freed, and
-                                           its SYRK added in place into one
-                                           triangle of Sigma
+                                           A's row-panel CSC pieces
+    Gram over blocks  _gram_by_blocks      Sigma = A'A: each dense row panel (at
+                                           most 1 MiB up to n = 1024, then 1/160
+                                           of A's rows) filled from its piece, which
+                                           is then freed, and its SYRK added in
+                                           place into one triangle of Sigma
     builder total     _generate_spca_data  both above plus the start vector
     lambda_max        power_lambda_max     the dense eigensolve
 
@@ -24,8 +25,13 @@ n x n product B.T @ B per block. A tree without a stage function (one from
 before the builder was split into stages) prints "-" on that row.
 
 Below the table, one line per tree gives its stated build floor,
-``problems._floor_bytes(n)``, beside the traced "builder total" peak, or
-"-" for a tree without that function.
+``problems._floor_bytes(n)`` ("-" for a tree without that function),
+beside the traced "builder total" peak and a resident peak: the VmHWM of a
+fresh interpreter, with only the tree on its path, that builds
+``make_spca(n, seed=0)`` twice and keeps the first build alive through the
+second, as a benchmark keeps a pristine instance beside a fresh build. The
+traced peak counts live arrays only; the resident peak also sees the heap
+that malloc keeps after a free.
 
 The last row, "import dcprox.cli", is the package's import: its wall time
 and the process's peak resident memory (VmHWM) right after it, both taken
@@ -59,14 +65,25 @@ BUILD_STAGES = (("draws into A", "_draw_a"), ("Gram over blocks", "_gram_by_bloc
                 ("builder total", "_generate_spca_data"), ("lambda_max", "power_lambda_max"))
 ROWS = [label for label, _ in BUILD_STAGES] + ["first inverse", "first backward inverse"]
 IMPORT_ROW = "import dcprox.cli"
-# run in a fresh interpreter: seconds to import the package, then VmHWM in bytes
+# probes run in a fresh interpreter (``probe``), which then prints their
+# ``result`` and the process's VmHWM in bytes
+VMHWM = """
+with open("/proc/self/status") as fh:
+    kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps([result, 1024 * kb]))
+"""
+# seconds to import the package
 IMPORT_PROBE = """import json, time
 t0 = time.perf_counter()
 import dcprox.cli
-seconds = time.perf_counter() - t0
-with open("/proc/self/status") as fh:
-    kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(json.dumps([seconds, 1024 * kb]))
+result = time.perf_counter() - t0
+"""
+# a second build of (n, 0), n its argument, made while the first is alive
+BUILD_PROBE = """import json, sys
+from dcprox import make_spca
+first = make_spca(int(sys.argv[1]), seed=0)
+second = make_spca(int(sys.argv[1]), seed=0)
+result = None
 """
 
 
@@ -126,11 +143,11 @@ def run_stages(tree, n, seed, traced):
     return probe
 
 
-def import_cost(src):
-    """(seconds, VmHWM bytes) of ``import dcprox.cli`` from ``src`` in a fresh
+def probe(src, code, *args):
+    """(result, VmHWM bytes) of ``code`` run with ``args`` in a fresh
     interpreter whose path holds ``src`` only."""
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-    child = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+    child = subprocess.run([sys.executable, "-c", code + VMHWM, *args], env=env,
                            capture_output=True, text=True, check=True)
     return json.loads(child.stdout)
 
@@ -157,7 +174,7 @@ def main():
         for i in order:
             for label, s in run_stages(trees[i], args.n, args.seed, False).seconds.items():
                 best[i][label] = min(best[i].get(label, s), s)
-            seconds, hwm = import_cost(args.trees[i])
+            seconds, hwm = probe(args.trees[i], IMPORT_PROBE)
             best[i][IMPORT_ROW] = min(best[i].get(IMPORT_ROW, seconds), seconds)
             peaks[i][IMPORT_ROW] = min(peaks[i].get(IMPORT_ROW, hwm), hwm)
     for i, t in enumerate(trees):
@@ -185,7 +202,9 @@ def main():
         floor = getattr(t.problems, "_floor_bytes", None)
         stated = "-" if floor is None else size(floor(args.n))
         traced = size(peaks[i]["builder total"]) if "builder total" in peaks[i] else "-"
-        print(f"tree {i}: build floor {stated}, traced builder total {traced}")
+        resident = probe(args.trees[i], BUILD_PROBE, str(args.n))[1] / 1e6
+        print(f"tree {i}: build floor {stated}, traced builder total {traced}, "
+              f"resident peak of two builds {resident:.1f} MB")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ Problems are JSON documents, inline or in a file:
     {"kind": "spca3", "n": 100, "seed": 0}
     {"kind": "synthetic", "name": "quad-linear-1d"}
 A null/absent kappa means the declared default 0.1*max_i sqrt(Sigma_ii);
-n is an integer from 2 up to the largest whose build, about 36*n^2 bytes,
+n is an integer from 2 up to the largest whose build, about 28*n^2 bytes,
 fits in physical memory (so is each --n-values entry of bench), seed a
 nonnegative integer and kappa finite and nonnegative.
 A key not shown for its kind above is an error, and so is --seed on a

@@ -7,14 +7,13 @@ seeded by SeedSequence([seed, n]), draws A column by column, then the
 start vector. The JSON descriptor stores (n, seed, kappa); regeneration is
 bit-exact.
 
-Memory layout of a build: A exists once, as 20 row-block CSC pieces of n
-rows each (float64 values, 16-bit block-local row indices: 10 bytes per
-nonzero). Each dense row block B is filled from its piece into one reused
-n x n buffer, after which the piece is freed, and its B'B is added by SYRK
-into one triangle of Sigma in place, so the peak is A, one block and
-Sigma. Only Sigma and s0 outlive the build: A is gone before the
-eigensolve for lambda_max. The SYRK is BLAS ``dsyrk`` from
-``dcprox.kernels``.
+Memory layout of a build: A exists once, as CSC pieces of one row panel
+each (float64 values, 16-bit panel-local rows: 10 bytes per nonzero). Each
+dense panel B (``_panel_rows``) is filled from its piece into one reused
+buffer, after which the piece is freed, and its B'B is added by SYRK into
+one triangle of Sigma in place, so the peak is A, one panel and Sigma.
+Only Sigma and s0 outlive the build: A is gone before the eigensolve for
+lambda_max. The SYRK is BLAS ``dsyrk`` from ``dcprox.kernels``.
 """
 
 import json
@@ -74,35 +73,42 @@ class SpcaInstance:
     s0: np.ndarray = field(repr=False)
 
 
-# a row block's local row indices are 16-bit when it has at most this many rows
-_NARROW_ROWS = 1 << 16
 _STAGE = 64  # columns drawn into the staging buffer before it is split into the pieces
+PANEL_BYTES = 1 << 20  # the most bytes of one dense row panel of A, up to n = 1024
+# _draw_a's work grows with the panels; from n = 1025 they are n / 8 rows, where
+# a SYRK runs as fast per row as over n rows (measured up to n = 5000)
+MAX_PANELS = 160
+
+
+def _panel_rows(n):
+    """Rows per panel of A: fitting PANEL_BYTES, at most MAX_PANELS panels, at most n."""
+    return min(n, max(PANEL_BYTES // (8 * n), -(-20 * n // MAX_PANELS)))
 
 
 def _draw_a(rng, m, n, edges):
     """Draw A column by column, a row mask then its values (the pinned
-    order), into one CSC piece per row block edges[b]:edges[b + 1].
+    order), into one CSC piece per row panel edges[b]:edges[b + 1].
 
-    A piece is (indptr, rows, values): float64 values and block-local row
-    indices, 16-bit when a block has at most 65,536 rows, else 32-bit, so
-    10 or 12 bytes per nonzero. _STAGE columns at a time are drawn into one
-    staging buffer. Its rows are kept in the pieces' index type, modulo
-    that type's range; a local row is in range, so subtracting edges[b] in
-    the same wrapping arithmetic gives it exactly. cuts[c, b] counts column
-    c's rows below edges[b], so block b's run of column c is staged at
-    cuts[c, b] to cuts[c, b + 1] past the column's start, and each block's
-    runs, column by column, are copied to the end of its piece. The staging
-    buffer and the pieces start at their expected sizes (the pieces with a
-    stage's expected entries to spare), grow in place when a draw overruns
-    them, and the pieces are trimmed to size at the end.
+    A piece is (indptr, rows, values): 16-bit panel-local rows (a panel
+    has at most 65,536 rows) and float64 values, 10 bytes per nonzero; the
+    indptrs are the rows of one int32 array. _STAGE columns at a time are
+    drawn into one staging buffer, rows modulo 2^16. cuts[c, b] counts
+    column c's rows below edges[b], so panel b's run of column c is staged
+    at cuts[c, b] to cuts[c, b + 1] past the column's start. Per stage, one
+    cumsum of the runs in piece order places them and gives every piece's
+    indptr; each piece then copies its runs, column by column, to its end.
+    Buffers start at their expected sizes (pieces with a stage's entries
+    to spare) and grow in place when overrun; at the end each piece is
+    trimmed and subtracts its panel's first row, exact in the wrapping
+    arithmetic since a local row is in range.
     """
-    index = np.uint16 if edges[1] <= _NARROW_ROWS else np.uint32
     bounds = np.array(edges)
-    lows = bounds.astype(index)  # each block's first row, modulo the index range
+    lows = bounds[:-1].astype(np.uint16)  # each panel's first row, modulo 2^16
     sizes = [(hi - lo) * (n + _STAGE) // 10 for lo, hi in zip(edges, edges[1:])]
-    pieces = [(np.zeros(n + 1, dtype=np.int64), np.empty(size, dtype=index), np.empty(size))
-              for size in sizes]
-    rows, values = np.empty(_STAGE * m // 10, dtype=index), np.empty(_STAGE * m // 10)
+    indptrs = np.zeros((len(sizes), n + 1), dtype=np.int32)
+    pieces = [(indptr, np.empty(size, dtype=np.uint16), np.empty(size))
+              for indptr, size in zip(indptrs, sizes)]
+    rows, values = np.empty(_STAGE * m // 10, dtype=np.uint16), np.empty(_STAGE * m // 10)
     uniform, mask = np.empty(m), np.empty(m, dtype=bool)
     cuts, starts = np.empty((_STAGE, len(edges)), dtype=np.int64), np.empty(_STAGE, dtype=np.int64)
     for c0 in range(0, n, _STAGE):
@@ -115,56 +121,56 @@ def _draw_a(rng, m, n, edges):
                 rows.resize(end + m, refcheck=False)
                 values.resize(end + m, refcheck=False)
             rng.standard_normal(out=values[starts[c]:end])
-            rows[starts[c]:end] = idx  # wraps modulo the index type's range
+            rows[starts[c]:end] = idx  # wraps modulo 2^16
             cuts[c] = idx.searchsorted(bounds)
-        # every run of the stage, block by block, then column by column
+        # every run of the stage, panel by panel, then column by column
         first = (cuts[:width, :-1] + starts[:width, None]).T.ravel()
-        count = np.diff(cuts[:width], axis=1).T
-        at = np.repeat(first - np.cumsum(count) + count.ravel(), count.ravel())
+        count = np.diff(cuts[:width], axis=1).T.ravel()
+        ends = np.cumsum(count)  # where each run ends in that order
+        at = np.repeat(first - ends + count, count)
         at += np.arange(at.size)  # the staged positions of those runs
-        split = np.concatenate(([0], np.cumsum(count.sum(axis=1))))
-        for b, (indptr, local, vals) in enumerate(pieces):
-            filled, size = indptr[c0], split[b + 1] - split[b]
-            if filled + size > vals.size:  # no view of the piece is alive here
-                local.resize(filled + size + sizes[b], refcheck=False)
-                vals.resize(filled + size + sizes[b], refcheck=False)
+        split = [0, *ends[width - 1::width].tolist()]  # piece b's runs: at[split[b]:split[b + 1]]
+        span = indptrs[:, c0:c0 + width + 1]  # every piece's indptr over the stage
+        np.add(ends.reshape(-1, width), (span[:, 0] - split[:-1])[:, None], out=span[:, 1:])
+        for (_, local, vals), spare, (filled, full), lo, hi in zip(
+                pieces, sizes, span[:, ::width].tolist(), split, split[1:]):
+            if full > vals.size:  # no view of the piece is alive here
+                local.resize(full + spare, refcheck=False)
+                vals.resize(full + spare, refcheck=False)
             # "clip": every position is in range, and take's default mode
             # would gather into a temporary before copying to ``out``
-            rows.take(at[split[b]:split[b + 1]], out=local[filled:filled + size], mode="clip")
-            local[filled:filled + size] -= lows[b]
-            values.take(at[split[b]:split[b + 1]], out=vals[filled:filled + size], mode="clip")
-            np.cumsum(count[b], out=indptr[c0 + 1:c0 + width + 1])
-            indptr[c0 + 1:c0 + width + 1] += filled
-    for indptr, local, vals in pieces:
+            rows.take(at[lo:hi], out=local[filled:full], mode="clip")
+            values.take(at[lo:hi], out=vals[filled:full], mode="clip")
+    for (indptr, local, vals), low in zip(pieces, lows):
         local.resize(indptr[-1], refcheck=False)
         vals.resize(indptr[-1], refcheck=False)
+        local -= low
     return pieces
 
 
 def _gram_by_blocks(pieces, edges):
-    """Sigma = A'A as the sum of B'B over the dense row blocks B of A, in
-    block order, consuming ``pieces``: each piece is dropped from the list,
-    and so freed, as soon as its block is filled.
+    """Sigma = A'A as the sum of B'B over the dense row panels B of A, in
+    panel order, consuming ``pieces``: each piece is dropped from the list,
+    and so freed, as soon as its panel is filled.
 
-    Each block is filled into one reused C-ordered buffer, and SYRK (upper,
-    no transpose, on the F-ordered view B', beta = 1) adds its product in
-    place to one triangle of Sigma's own buffer: the lower one, read
-    C-ordered. That triangle is mirrored once at the end.
+    Each piece is filled whole into one reused C-ordered buffer of edges[1]
+    rows (the last panel may use fewer), and SYRK (upper, no transpose, on
+    the F-ordered view B', beta = 1) adds its product in place to one
+    triangle of Sigma's own buffer: the lower one, read C-ordered. That
+    triangle is mirrored once at the end.
     """
     n = len(pieces[0][0]) - 1
     sigma = np.zeros((n, n))
-    block = np.empty((edges[1], n))
+    panel = np.empty((edges[1], n))
     cols = np.arange(n)
     for b in range(len(pieces)):
         indptr, rows, values = pieces[b]
         pieces[b] = None
+        block = panel[:edges[b + 1] - edges[b]]
         block.fill(0.0)
-        for c0 in range(0, n, _STAGE):  # a column group at a time: small index temporaries
-            c1 = min(c0 + _STAGE, n)
-            start, end = indptr[c0], indptr[c1]
-            flat = np.multiply(rows[start:end], n, dtype=np.intp)
-            flat += np.repeat(cols[c0:c1], np.diff(indptr[c0:c1 + 1]))  # row * n + column
-            np.put(block, flat, values[start:end])
+        flat = np.multiply(rows, n, dtype=np.intp)
+        flat += np.repeat(cols, np.diff(indptr))  # row * n + column
+        np.put(block, flat, values)
         del indptr, rows, values, flat  # the piece is freed here
         # the returned c is Sigma's own buffer: overwrite_c on an F-ordered c
         sigma = dsyrk(1.0, block.T, beta=1.0, c=sigma.T, lower=0, overwrite_c=1).T
@@ -175,19 +181,16 @@ def _gram_by_blocks(pieces, edges):
 def _generate_spca_data(n, seed):
     """Return Sigma = A'A and s0.
 
-    Memory: A is held once, as 20 pieces of n rows (10 bytes per nonzero
-    up to n = 65,536), and each piece is freed once its dense block, n x n
-    in one reused buffer, is filled. Each block's product is added into
-    Sigma's own buffer, so the peak is A, that buffer and Sigma: about
-    FLOOR_PER_N2 * n^2 bytes (``_floor_bytes``). A block of n rows is the
-    size of Sigma: smaller blocks would trim only its 8 n^2 bytes, beside
-    the pieces' 20 n^2.
+    Memory: A is held once, as pieces of ``_panel_rows(n)`` rows at 10
+    bytes per nonzero, each freed once its dense panel, in one reused
+    buffer, is filled, and each product is added into Sigma's own buffer:
+    the peak is ``_floor_bytes(n)``. Below n = 363 a panel is n rows.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = _rng_for(n, seed)
     m = 20 * n
-    edges = range(0, m + 1, n)  # 20 row blocks of n rows
+    edges = [*range(0, m, _panel_rows(n)), m]  # the last panel may be shorter
     pieces = _draw_a(rng, m, n, edges)
     sigma = _gram_by_blocks(pieces, edges)
     s0 = rng.standard_normal(n)
@@ -195,26 +198,23 @@ def _generate_spca_data(n, seed):
     return sigma, s0
 
 
-# a build's peak, in bytes per n^2 (_generate_spca_data): A's pieces, 2n^2
-# nonzeros at 10 bytes, one n x n row block and Sigma; 4 more once a block
-# has too many rows for 16-bit indices. tracemalloc reads 36.3 n^2 at
-# n = 1000 (scripts/build_cost.py, "builder total")
-FLOOR_PER_N2 = 36
+FLOOR_PER_N2 = 28  # bytes per n^2 of A's pieces (2n^2 nonzeros at 10 bytes) and Sigma
 
 
 def _floor_bytes(n):
-    """The peak of a build of size n, in bytes, up to terms linear in n."""
-    wide = n > _NARROW_ROWS
-    return (FLOOR_PER_N2 + 4 * wide) * n * n
+    """A build's peak in bytes: FLOOR_PER_N2 n^2, one dense panel (at most
+    about n^2) and the pieces' int32 column pointers, n + 1 per panel."""
+    rows = _panel_rows(n)
+    return FLOOR_PER_N2 * n * n + 8 * rows * n + 4 * (n + 1) * -(-20 * n // rows)
 
 
 def max_spca_n():
     """The largest n whose build floor, ``_floor_bytes(n)``, fits in this
     machine's physical memory."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    # the floor rises with n and is at least FLOOR_PER_N2 * n^2
+    # the floor rises with n and is at least FLOOR_PER_N2 * n^2; n = 0 is no build
     candidates = range(isqrt(memory // FLOOR_PER_N2) + 1)
-    return bisect_right(candidates, memory, key=_floor_bytes) - 1
+    return bisect_right(candidates, memory, lo=1, key=_floor_bytes) - 1
 
 
 def _spca_instance(n, kappa, seed):

@@ -49,8 +49,8 @@ of each prox, driven by the package's driver; the lifted oracle runs on it.
 The reference sparse-PCA builder is the straightforward construction the
 lean one in ``dcprox.problems`` must reproduce byte for byte: int64
 column lists, their concatenation, a CSR copy of A and one fresh dense row
-block per step, whose product is numpy's B.T @ B. The lean build holds A
-only as row-block pieces and frees each once its block is filled, so
+panel per step, whose product the same SYRK adds. The lean build holds A
+only as row-panel pieces and frees each once its panel is filled, so
 ``assemble_a`` puts A together from the pieces and ``spca_build_with_a``
 runs the lean build with A assembled as the draws leave it.
 """
@@ -456,9 +456,11 @@ def run_diag(inst, gamma_diag, lam_diag, s0, m_diag=None, tol=1e-6,
 
 def reference_spca_data(n, seed):
     """A (CSC), Sigma = A'A and s0 of (n, seed), built the plain way: the
-    same draws, then Sigma from the dense row blocks of n rows of a CSR A,
-    each added in block order by the same SYRK (upper triangle of an
-    F-ordered Sigma, beta = 1), and the triangle mirrored."""
+    same draws, then Sigma from the dense row panels of a CSR A, each added
+    in panel order by the same SYRK (upper triangle of an F-ordered Sigma,
+    beta = 1), and the triangle mirrored. A panel is P rows, as many as fit
+    in 1 MiB of float64 but enough for at most 160 panels, and at most n;
+    the last panel holds what is left."""
     rng = _rng_for(n, seed)
     m = 20 * n
     rows, vals = [], []
@@ -469,8 +471,9 @@ def reference_spca_data(n, seed):
                            np.cumsum([0] + [r.size for r in rows])), shape=(m, n))
     a_rows = a.tocsr()
     upper = np.zeros((n, n), order="F")
-    for lo in range(0, m, n):
-        upper = blas.dsyrk(1.0, a_rows[lo:lo + n].toarray().T, beta=1.0, c=upper,
+    panel = min(n, max(2 ** 20 // (8 * n), -(-m // 160)))
+    for lo in range(0, m, panel):
+        upper = blas.dsyrk(1.0, a_rows[lo:lo + panel].toarray().T, beta=1.0, c=upper,
                            lower=0, overwrite_c=1)
     sigma = np.triu(upper) + np.triu(upper, 1).T
     s0 = rng.standard_normal(n)
@@ -479,13 +482,13 @@ def reference_spca_data(n, seed):
 
 
 def assemble_a(pieces, edges):
-    """A (CSC) from the row-block pieces (indptr, local rows, values) of
-    ``problems._draw_a``: each column's entries of every block, in row order."""
+    """A (CSC) from the row-panel pieces (indptr, local rows, values) of
+    ``problems._draw_a``: each column's entries of every panel, in row order."""
     n = len(pieces[0][0]) - 1
     cols = np.concatenate([np.repeat(np.arange(n), np.diff(indptr)) for indptr, _, _ in pieces])
     rows = np.concatenate([rows.astype(np.int64) + lo for (_, rows, _), lo in zip(pieces, edges)])
     vals = np.concatenate([vals for _, _, vals in pieces])
-    order = np.argsort(cols, kind="stable")  # blocks stay in row order within a column
+    order = np.argsort(cols, kind="stable")  # panels stay in row order within a column
     indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
     return sparse.csc_matrix((vals[order], rows[order], indptr), shape=(edges[-1], n))
 

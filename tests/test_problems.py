@@ -6,23 +6,30 @@ import numpy as np
 import pytest
 
 import dcprox as dp
-from dcprox import cli
+from dcprox import cli, problems
 from dcprox.problems import (
     _draw_a,
+    _floor_bytes,
     _generate_spca_data,
     _gram_by_blocks,
     _rng_for,
     find_synthetic,
+    max_spca_n,
     problem_from_json,
 )
 from oracles import CATALOGUE_ANSWERS, assemble_a, reference_spca_data, spca_build_with_a
 
 
 def test_spca_shapes_and_invariants():
-    # A is held as 20 row-block pieces of 16-bit local rows and float64 values
+    # A is held as row-panel pieces of 16-bit local rows and float64 values:
+    # 20 panels of n rows up to n = 362, then panels of at most 1 MiB, so 24
+    # of 327 rows and one of 152 at n = 400
     a, _, _, dtypes = spca_build_with_a(50, seed=0)
     assert a.shape == (1000, 50)
     assert dtypes == [(np.uint16, np.float64)] * 20
+    a, _, _, dtypes = spca_build_with_a(400, seed=0)
+    assert a.shape == (8000, 400)
+    assert dtypes == [(np.uint16, np.float64)] * 25
     spca, inst = dp.make_spca(50, seed=0)
     assert spca.sigma.shape == (50, 50)
     np.testing.assert_allclose(spca.sigma, spca.sigma.T)
@@ -38,10 +45,11 @@ def test_spca_density_near_ten_percent():
     assert 0.08 <= density <= 0.12
 
 
-@pytest.mark.parametrize("n", [2, 7, 130, 131])
+@pytest.mark.parametrize("n", [2, 7, 130, 131, 363, 400])
 def test_spca_sigma_against_dense_oracle(n):
-    # Sigma is built from 20 row blocks of n rows, each product added in
-    # place into Sigma's buffer; a dropped or repeated block, or a SYRK
+    # Sigma is built from row panels (20 of n rows below n = 363, then
+    # shorter ones and a short last one), each product added in place into
+    # Sigma's buffer; a dropped or repeated panel, or a SYRK
     # result that did not land in the Sigma returned, shows here
     a, sigma, _, _ = spca_build_with_a(n, seed=1)
     dense = a.toarray()
@@ -70,13 +78,16 @@ def test_spca_random_stream_is_pinned(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("n", [2, 7, 130, 131, 300])
+@pytest.mark.parametrize("n", [2, 7, 130, 131, 300, 363, 400, 1030])
 def test_spca_build_matches_reference_bytes(n, seed):
     # compared in-process: Sigma's bytes depend on the BLAS thread count
     # (they differ between 1 and 2 threads at n = 131 and 300), so a stored
-    # digest would pin one setting only. Seven of these builds (n = 130
-    # seeds 0 and 2, n = 131 seeds 1 and 2, n = 300 seeds 0 to 2) draw more
-    # nonzeros in some stage than expected, so the staging buffer grows
+    # digest would pin one setting only. Sixteen of these builds (n = 130
+    # seeds 0 and 2, n = 131 seeds 1 and 2, n = 300, 363, 400 and 1030
+    # every seed) draw more nonzeros in some stage than expected, so the
+    # staging buffer grows. From n = 363 the panels are shorter than n and
+    # the last one is shorter still; at n = 1030 they are 129 rows, so that
+    # A has at most 160 of them, and the last holds 89
     a, sigma, s0, _ = spca_build_with_a(n, seed)
     ref_a, ref_sigma, ref_s0 = reference_spca_data(n, seed)
     assert a.format == "csc" and a.shape == ref_a.shape
@@ -89,10 +100,11 @@ def test_spca_build_matches_reference_bytes(n, seed):
 
 def test_spca_build_peak_memory_near_its_floor():
     # floor: A's pieces (8-byte values, 2-byte local rows), one dense row
-    # block of n x n and Sigma, into which each block's product is added in
-    # place; an n x n product temporary or copy of Sigma, 4-byte rows or an
-    # index array per nonzero held alongside would add 8 * n * n, 2 or 8
-    # bytes per nonzero
+    # panel of 327 x n (1 MiB) and Sigma, into which each panel's product is
+    # added in place. Filling a panel takes two index temporaries of 8 bytes
+    # per nonzero of its piece: the peak reads 4.9% above the floor. Blocks
+    # of n rows (9.8%), an n x n product temporary or copy of Sigma, 4-byte
+    # rows or an index array per nonzero held alongside would pass 7%
     n = 400
     nnz = spca_build_with_a(n, 0)[0].nnz
     tracemalloc.start()
@@ -102,19 +114,36 @@ def test_spca_build_peak_memory_near_its_floor():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    floor = 10 * nnz + 8 * n * n + 8 * n * n
-    assert peak <= 1.1 * floor, (peak, floor)
+    floor = 10 * nnz + 8 * n * n + 8 * 327 * n
+    assert peak <= 1.07 * floor, (peak, floor)
 
 
-@pytest.mark.parametrize("block_rows, index", [(17500, np.uint16), (70000, np.uint32)])
-def test_draw_keeps_exact_local_rows_past_16_bits(block_rows, index):
+def test_floor_is_nondecreasing_and_bounds_n(monkeypatch):
+    # max_spca_n bisects on _floor_bytes, which has kinks where panels
+    # get shorter than n (36 n^2 at n = 362, 28 n^2 + 1 MiB from 363) and
+    # where they start to grow with n (n / 8 rows, 160 panels, from 1025),
+    # each beside the pieces' int32 column pointers
+    floors = [_floor_bytes(n) for n in range(2, 5001)]
+    assert all(a <= b for a, b in zip(floors, floors[1:]))
+    assert _floor_bytes(362) == 36 * 362 ** 2 + 4 * 363 * 20
+    assert _floor_bytes(1000) == 28 * 1000 ** 2 + 8 * 131 * 1000 + 4 * 1001 * 153
+    assert _floor_bytes(3000) == 28 * 3000 ** 2 + 8 * 375 * 3000 + 4 * 3001 * 160
+    for memory in (0, 1000, _floor_bytes(362), _floor_bytes(363) - 1, _floor_bytes(363),
+                   10 ** 8, 10 ** 9 + 7):
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+        monkeypatch.setattr(problems.os, "sysconf", pages.__getitem__)
+        linear = max((n for n in range(1, 7000) if _floor_bytes(n) <= memory), default=0)
+        assert max_spca_n() == linear, memory
+
+
+def test_draw_keeps_exact_local_rows_past_16_bits():
     # 8 blocks of 17,500 rows put global rows past 65,535, which the 16-bit
-    # staging wraps; blocks of 70,000 rows need 32-bit local rows. Two
-    # columns keep the draw small; the stream is replayed as above
-    n, m = 2, 8 * block_rows
-    edges = list(range(0, m + 1, block_rows))
+    # staging wraps. Two columns keep the draw small; the stream is
+    # replayed as above
+    n, m = 2, 8 * 17500
+    edges = list(range(0, m + 1, 17500))
     pieces = _draw_a(_rng_for(n, 5), m, n, edges)
-    assert all(rows.dtype == index for _, rows, _ in pieces)
+    assert all(rows.dtype == np.uint16 for _, rows, _ in pieces)
     a, rng = assemble_a(pieces, edges), _rng_for(n, 5)
     for j in range(n):
         idx = np.nonzero(rng.random(m) < 0.1)[0]
@@ -148,10 +177,10 @@ def test_draw_grows_the_staging_buffer_and_the_pieces():
 
 
 def test_gram_consumes_the_pieces_and_returns_a_symmetric_sigma():
-    # each piece is dropped from the list as its block is filled, so none is
+    # each piece is dropped from the list as its panel is filled, so none is
     # alive when the Gram returns; the mirrored Sigma is symmetric bit for bit
     n, m = 131, 20 * 131
-    edges = range(0, m + 1, n)  # the build's 20 blocks of n rows
+    edges = range(0, m + 1, n)  # the build's 20 panels of n rows
     pieces = _draw_a(_rng_for(n, 2), m, n, edges)
     alive = [weakref.ref(array) for piece in pieces for array in piece]
     sigma = _gram_by_blocks(pieces, edges)
