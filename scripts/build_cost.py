@@ -3,7 +3,9 @@
 dcprox source trees.
 
 Each tree is the directory that holds a ``dcprox`` package (a checkout's
-``src``), imported under its own package name as in ``iter_cost.py``. The
+``src``). Every measured build runs in a fresh interpreter with only that
+tree on its path (and this script's directory, for ``run_stages``), so no
+tree's build sees the heap that another tree's builds left behind. The
 build runs through the tree's own ``problems._spca_instance``, with its
 stage functions wrapped in place:
 
@@ -38,8 +40,9 @@ and the process's peak resident memory (VmHWM) right after it, both taken
 in a fresh interpreter per round with only the tree on its path; its
 "peak MB" column is that VmHWM, not a traced peak.
 
-Times are the minimum over ``--k`` untraced rounds, the trees taking turns
-in alternating order. Peaks come from one further run per tree under
+Times are the minimum over ``--k`` untraced rounds, each a fresh
+interpreter per tree, the trees taking turns in alternating order. Peaks
+come from one further run per tree, in an interpreter of its own, under
 ``tracemalloc``: the highest traced memory during the stage, above the
 level before the build began, so a stage's peak counts what earlier stages
 still hold. ``tracemalloc`` sees numpy arrays; LAPACK and BLAS workspace
@@ -59,8 +62,6 @@ import sys
 import tracemalloc
 from time import perf_counter
 
-from iter_cost import load_tree
-
 BUILD_STAGES = (("draws into A", "_draw_a"), ("Gram over blocks", "_gram_by_blocks"),
                 ("builder total", "_generate_spca_data"), ("lambda_max", "power_lambda_max"))
 ROWS = [label for label, _ in BUILD_STAGES] + ["first inverse", "first backward inverse"]
@@ -77,6 +78,20 @@ IMPORT_PROBE = """import json, time
 t0 = time.perf_counter()
 import dcprox.cli
 result = time.perf_counter() - t0
+"""
+# ``run_stages`` on the tree on the path; the arguments are this script's
+# directory, n, the seed and "1" for a traced run, which follows an untimed
+# build at n = 2 that loads what a first build loads. The result is the stage
+# seconds and peaks, and the tree's stated build floor at n (None without one)
+STAGE_PROBE = """import json, sys
+sys.path.insert(0, sys.argv[1])
+import dcprox.cli
+from build_cost import run_stages
+n = int(sys.argv[2])
+run_stages(dcprox, 2, 0, False)
+stages = run_stages(dcprox, n, int(sys.argv[3]), sys.argv[4] == "1")
+floor = getattr(dcprox.problems, "_floor_bytes", None)
+result = [stages.seconds, stages.peaks, floor and floor(n)]
 """
 # a second build of (n, 0), n its argument, made while the first is alive
 BUILD_PROBE = """import json, sys
@@ -166,19 +181,26 @@ def main():
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(args.blas_threads)
 
-    trees = [load_tree(src, f"dcprox_tree{i}") for i, src in enumerate(args.trees)]
+    here = os.path.dirname(os.path.abspath(__file__))
+
+    def stages(src, traced):
+        return probe(src, STAGE_PROBE, here, str(args.n), str(args.seed),
+                     "1" if traced else "0")[0]
+
+    trees = range(len(args.trees))
     best = [{} for _ in trees]
     peaks = [{} for _ in trees]
+    floors = [None] * len(trees)
     for r in range(args.k):
-        order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
-        for i in order:
-            for label, s in run_stages(trees[i], args.n, args.seed, False).seconds.items():
+        for i in (trees if r % 2 == 0 else reversed(trees)):
+            for label, s in stages(args.trees[i], False)[0].items():
                 best[i][label] = min(best[i].get(label, s), s)
             seconds, hwm = probe(args.trees[i], IMPORT_PROBE)
             best[i][IMPORT_ROW] = min(best[i].get(IMPORT_ROW, seconds), seconds)
             peaks[i][IMPORT_ROW] = min(peaks[i].get(IMPORT_ROW, hwm), hwm)
-    for i, t in enumerate(trees):
-        peaks[i].update(run_stages(t, args.n, args.seed, True).peaks)
+    for i in trees:
+        _, traced, floors[i] = stages(args.trees[i], True)
+        peaks[i].update(traced)
 
     print(f"n={args.n} seed={args.seed} time min of {args.k}, traced peak of 1 "
           f"(import row: VmHWM, min of {args.k}), "
@@ -198,9 +220,8 @@ def main():
     def size(nbytes):
         return f"{nbytes / 1e6:.1f} MB ({nbytes / args.n ** 2:.1f} n^2)"
 
-    for i, t in enumerate(trees):
-        floor = getattr(t.problems, "_floor_bytes", None)
-        stated = "-" if floor is None else size(floor(args.n))
+    for i in trees:
+        stated = "-" if floors[i] is None else size(floors[i])
         traced = size(peaks[i]["builder total"]) if "builder total" in peaks[i] else "-"
         resident = probe(args.trees[i], BUILD_PROBE, str(args.n))[1] / 1e6
         print(f"tree {i}: build floor {stated}, traced builder total {traced}, "

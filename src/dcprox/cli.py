@@ -21,7 +21,9 @@ Problems are JSON documents, inline or in a file:
 A null/absent kappa means the declared default 0.1*max_i sqrt(Sigma_ii);
 n is an integer from 2 up to the largest whose build, about 28*n^2 bytes,
 fits in physical memory (so is each --n-values entry of bench), seed a
-nonnegative integer and kappa finite and nonnegative.
+nonnegative integer and kappa finite and nonnegative. bench checks --tol
+and --max-iter as solve does: tol nonnegative and finite (0 runs each task
+to its budget), max-iter at least 1.
 A key not shown for its kind above is an error, and so is --seed on a
 synthetic problem, which has no random draw.
 
@@ -49,13 +51,12 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .baselines import dca_run, drs_run, fbs_run
 from .lbfgs import run_lbfgs
-from .problems import FLOOR_PER_N2, make_spca, make_spca3, max_spca_n, problem_from_json
+from .problems import check_spca_n, make_spca, make_spca3, problem_from_json
 from .reports import Termination, check_stopping
 from .three_prox import run3
 from .two_prox import TwoProxConfig, run
@@ -65,43 +66,11 @@ GAMMA_POLICY = {"dce": 0.9, "dce-lbfgs": 0.9, "fbs": 0.9, "dca": 0.9, "drs": 0.4
                 "three-prox": 0.5}
 
 
-@dataclass
-class BenchConfig:
-    """Validated benchmark sweep settings, one field per ``bench`` flag."""
-
-    solvers: tuple = ("dce", "dce-lbfgs", "fbs", "dca", "drs")
-    n_values: tuple = (100, 190, 280)  # desk scale: n <= 300
-    seeds: int = 3
-    tol: float = 1e-6
-    max_iter: int = 2000
-    jobs: int = 1
-    timing: bool = True
-    out_dir: str = "bench-out"
-
-    def __post_init__(self):
-        if not self.solvers or not self.n_values:
-            raise ValueError("at least one solver and one n required")
-        for name in self.solvers:
-            if name not in SOLVERS:
-                raise ValueError(f"unknown solver {name!r}")
-        # a repeated value would run the same task twice and write its trace twice
-        for flag, values in (("--solvers", self.solvers),
-                             ("--n-values", self.n_values)):
-            if len(set(values)) != len(values):
-                raise ValueError(
-                    f"{flag} repeats a value: {','.join(map(str, values))}")
-        if any(n < 2 for n in self.n_values):
-            raise ValueError("n must be at least 2")
-        most = max_spca_n()
-        if max(self.n_values) > most:
-            raise ValueError(f"--n-values holds {max(self.n_values)}, above {most}, the "
-                             f"largest n whose build (about {FLOOR_PER_N2}*n^2 bytes) "
-                             "fits in memory")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        for name in ("seeds", "max_iter", "jobs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+def _check_solvers(names):
+    """ValueError unless every name is one of ``SOLVERS``."""
+    for name in names:
+        if name not in SOLVERS:
+            raise ValueError(f"unknown solver {name!r}; pick one of {', '.join(SOLVERS)}")
 
 
 def _load_problem(arg, seed=None):
@@ -199,9 +168,7 @@ def _write_summary(path, report, info):
 
 def cmd_solve(args):
     # the flags are checked before the problem, whose build may take seconds
-    if args.solver not in SOLVERS:
-        raise ValueError(f"unknown solver {args.solver!r}; "
-                         f"pick one of {', '.join(SOLVERS)}")
+    _check_solvers([args.solver])
     check_stopping(args.tol, args.max_iter)
     gamma, per_lmax = _parse_gamma(args.gamma)
     kind, payload = _load_problem(args.problem, args.seed)
@@ -272,15 +239,26 @@ def _bench_task(task):
 
 
 def cmd_bench(args):
-    cfg = BenchConfig(**{f.name: getattr(args, f.name) for f in fields(BenchConfig)})
-    trace_dir = os.path.join(cfg.out_dir, "traces")
+    # every flag is checked before any build or file
+    _check_solvers(args.solvers)
+    for n in args.n_values:
+        check_spca_n(n, "--n-values")
+    check_stopping(args.tol, args.max_iter)
+    for name in ("seeds", "jobs"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(args, name)}")
+    # a repeated value would run the same task twice and write its trace twice
+    for flag, values in (("--solvers", args.solvers), ("--n-values", args.n_values)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{flag} repeats a value: {','.join(map(str, values))}")
+    trace_dir = os.path.join(args.out, "traces")
     os.makedirs(trace_dir, exist_ok=True)
     # (n, seed)-major, so that consecutive tasks share an instance
-    tasks = [(solver, n, seed, cfg.tol, cfg.max_iter, cfg.timing, trace_dir)
-             for n in cfg.n_values for seed in range(cfg.seeds)
-             for solver in cfg.solvers]
+    tasks = [(solver, n, seed, args.tol, args.max_iter, args.timing, trace_dir)
+             for n in args.n_values for seed in range(args.seeds)
+             for solver in args.solvers]
     # a fork pool starts all its workers up front, needed or not
-    workers = min(cfg.jobs, len(tasks))
+    workers = min(args.jobs, len(tasks))
     try:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -293,17 +271,17 @@ def cmd_bench(args):
     by_cell = {}
     for res in results:
         by_cell.setdefault((res["solver"], res["n"]), []).append(res)
-    table_path = os.path.join(cfg.out_dir, "comparison.csv")
+    table_path = os.path.join(args.out, "comparison.csv")
     counts = ("iters", "prox_h", "prox_g", "grad_h", "wall_ns")
     with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["solver", "n", *(f"mean_{c}" for c in counts), "seeds"])
-        for solver in cfg.solvers:
-            for n in cfg.n_values:
+        for solver in args.solvers:
+            for n in args.n_values:
                 good = [r for r in by_cell.get((solver, n), []) if r["failed"] is None]
                 means = [repr(float(np.mean([r[c] for r in good]))) if good else "nan"
                          for c in counts]
-                writer.writerow([solver, n, *means, cfg.seeds])
+                writer.writerow([solver, n, *means, args.seeds])
     print(f"wrote {table_path} ({len(results)} runs, seeds printed per row)")
     return 0 if any(res["failed"] is None for res in results) else 1
 
@@ -368,20 +346,17 @@ def build_parser():
 
     p_bench = sub.add_parser("bench", help="run the comparison sweep")
     p_bench.add_argument("--solvers", type=lambda text: tuple(text.split(",")),
-                         default=BenchConfig.solvers,
+                         default=("dce", "dce-lbfgs", "fbs", "dca", "drs"),
                          help="comma-separated subset of " + ",".join(SOLVERS))
-    p_bench.add_argument("--n-values", dest="n_values", default=BenchConfig.n_values,
+    p_bench.add_argument("--n-values", dest="n_values", default=(100, 190, 280),
                          type=_int_list,
-                         help="comma-separated problem sizes")
-    p_bench.add_argument("--seeds", type=int, default=BenchConfig.seeds,
-                         help="seeds per n")
-    p_bench.add_argument("--tol", type=float, default=BenchConfig.tol)
-    p_bench.add_argument("--max-iter", type=int, default=BenchConfig.max_iter,
-                         dest="max_iter")
-    p_bench.add_argument("--jobs", type=int, default=BenchConfig.jobs,
+                         help="comma-separated problem sizes")  # desk scale: n <= 300
+    p_bench.add_argument("--seeds", type=int, default=3, help="seeds per n")
+    p_bench.add_argument("--tol", type=float, default=1e-6)
+    p_bench.add_argument("--max-iter", type=int, default=2000, dest="max_iter")
+    p_bench.add_argument("--jobs", type=int, default=1,
                          help="concurrent runs (processes)")
-    p_bench.add_argument("--out", default=BenchConfig.out_dir, dest="out_dir",
-                         metavar="OUT")
+    p_bench.add_argument("--out", default="bench-out")
     p_bench.add_argument("--no-timing", dest="timing", action="store_false",
                          help="zero wall_ns columns for byte-stable output")
     p_bench.set_defaults(func=cmd_bench)

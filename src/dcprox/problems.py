@@ -35,6 +35,7 @@ from .prox import (
     Quadratic,
     ScaledSquare,
     Zero,
+    check_weight,
     mirror_lower,
     soft_threshold,
 )
@@ -186,8 +187,6 @@ def _generate_spca_data(n, seed):
     buffer, is filled, and each product is added into Sigma's own buffer:
     the peak is ``_floor_bytes(n)``. Below n = 363 a panel is n rows.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
     rng = _rng_for(n, seed)
     m = 20 * n
     edges = [*range(0, m, _panel_rows(n)), m]  # the last panel may be shorter
@@ -217,13 +216,27 @@ def max_spca_n():
     return bisect_right(candidates, memory, lo=1, key=_floor_bytes) - 1
 
 
+def check_spca_n(n, name='"n"'):
+    """ValueError, naming n ``name``, unless n is from 2 to ``max_spca_n()``:
+    every sparse-PCA size's check, made before anything is drawn."""
+    if n < 2:
+        raise ValueError(f"{name} must be at least 2, got {n}")
+    most = max_spca_n()
+    if n > most:
+        raise ValueError(f"{name} must be at most {most}, the largest whose build "
+                         f"(about {FLOOR_PER_N2}*n^2 bytes) fits in this machine's "
+                         f"memory; got {n}")
+
+
 def _spca_instance(n, kappa, seed):
-    """The SpcaInstance of (n, seed); kappa None means the declared default."""
+    """The SpcaInstance of (n, seed); kappa None means the declared default.
+    n and kappa are checked before the draw."""
+    check_spca_n(n)
+    if kappa is not None:
+        check_weight(kappa, '"kappa"')
     sigma, s0 = _generate_spca_data(n, seed)  # A is freed before the eigensolve
     if kappa is None:
         kappa = kappa_default(sigma)
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
     return SpcaInstance(n=n, seed=seed, kappa=kappa, sigma=sigma,
                         lam_max=power_lambda_max(sigma), s0=s0)
 
@@ -354,12 +367,11 @@ def find_synthetic(name):
 # JSON problem descriptors (shared with the command-line surface)
 
 
-def _integer(doc, key, default, least):
-    """doc[key]: a JSON integer, not a float or a bool, of at least ``least``."""
+def _integer(doc, key, default):
+    """doc[key]: a JSON integer, not a float or a bool."""
     value = doc.get(key, default)
-    if type(value) is not int or value < least:
-        raise ValueError(f'"{key}" must be an integer of at least {least}, '
-                         f"got {json.dumps(value)}")
+    if type(value) is not int:
+        raise ValueError(f'"{key}" must be an integer, got {json.dumps(value)}')
     return value
 
 
@@ -395,14 +407,16 @@ def problem_from_json(text, seed=None):
                              f'its keys are {", ".join(_KEYS[kind])}')
     if kind == "synthetic":
         return kind, find_synthetic(doc.get("name"))
+    # the JSON types; the build checks kappa's value, and n's is checked
+    # before any builder runs, as for the bench flags
     kappa = doc.get("kappa")
-    if kappa is not None and not (type(kappa) in (int, float) and 0 <= kappa <= _FLOAT_MAX):
-        raise ValueError('"kappa" must be null or a finite nonnegative number, '
+    if kappa is not None and not (type(kappa) is float or (
+            type(kappa) is int and abs(kappa) <= _FLOAT_MAX)):
+        raise ValueError('"kappa" must be null or a number within float range, '
                          f"got {json.dumps(kappa)}")
-    n, most = _integer(doc, "n", None, 2), max_spca_n()
-    if n > most:
-        raise ValueError(f'"n" must be at most {most}, the largest whose build '
-                         f"(about {FLOOR_PER_N2}*n^2 bytes) fits in this machine's "
-                         f"memory; got {n}")
+    n, seed = _integer(doc, "n", None), _integer(doc, "seed", 0)
+    if seed < 0:
+        raise ValueError(f'"seed" must be nonnegative, got {seed}')
+    check_spca_n(n)
     build = make_spca3 if kind == "spca3" else make_spca
-    return kind, build(n, kappa, _integer(doc, "seed", 0, 0))
+    return kind, build(n, kappa, seed)

@@ -45,6 +45,14 @@ def _check_gamma(gamma):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
+def check_weight(weight, name):
+    """weight as a float; ValueError, naming it ``name``, unless it is finite
+    and nonnegative: every atom weight's check."""
+    if not 0.0 <= weight < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {weight}")
+    return float(weight)
+
+
 def _check_finite(x):
     """ValueError unless every entry of the float64 vector x is finite.
 
@@ -278,9 +286,7 @@ class L1Norm(ProxFunction):
     """f(x) = weight * ||x||_1; prox is the soft threshold."""
 
     def __init__(self, weight=1.0):
-        if weight < 0:
-            raise ValueError("l1 weight must be nonnegative")
-        self.weight = float(weight)
+        self.weight = check_weight(weight, "l1 weight")
 
     def value(self, x):
         return self.weight * float(np.sum(np.abs(_as_vector(x))))
@@ -298,9 +304,7 @@ class L1Ball(ProxFunction):
     """
 
     def __init__(self, kappa):
-        if kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        self.kappa = float(kappa)
+        self.kappa = check_weight(kappa, "kappa")
 
     def value(self, x):
         x = _as_vector(x)

@@ -50,8 +50,9 @@ class RunReport:
     """Outcome of one solver run.
 
     ``trace`` is a ``Trace``: every evaluated iterate when the run records
-    its trace, else the final point alone. ``phi`` is the objective at the
-    final point, NaN when the start point could not be evaluated.
+    its trace, else the final point alone. ``phi`` and ``final_residual``
+    are the objective and residual at the final point, NaN when the start
+    point could not be evaluated.
     """
 
     solver: str
@@ -71,7 +72,7 @@ class RunReport:
 
     @property
     def final_residual(self):
-        return self.trace.residual[-1] if self.trace else 0.0
+        return self.trace.residual[-1] if self.trace else float("nan")
 
     def counts(self):
         """Final cumulative (prox_h, prox_g, grad_h) call counts."""

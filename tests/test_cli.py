@@ -217,8 +217,13 @@ def test_n_above_the_memory_bound_is_rejected_before_any_build(tmp_path, capsys,
                                                               monkeypatch):
     # the bound is read from the message only; nothing near it is built
     builds = []
-    monkeypatch.setattr(problems, "make_spca",
-                        lambda n, kappa, seed: builds.append(n) or (None, None))
+
+    def record(n, kappa=None, seed=0, *, spca=None):
+        builds.append(n)
+        return None, None
+    for module in (problems, cli):
+        monkeypatch.setattr(module, "make_spca", record)
+        monkeypatch.setattr(module, "make_spca3", record)
     most = problems.max_spca_n()
     assert f"about {problems.FLOOR_PER_N2}*n^2 bytes" in cli.__doc__
     code = cli.main(["solve", '{"kind": "spca", "n": 10000000}', "--solver", "dce",
@@ -228,14 +233,25 @@ def test_n_above_the_memory_bound_is_rejected_before_any_build(tmp_path, capsys,
     assert err == (f'error: "n" must be at most {most}, the largest whose build '
                    f"(about {problems.FLOOR_PER_N2}*n^2 bytes) fits in this machine's "
                    "memory; got 10000000\n"), err
-    code = cli.main(["bench", "--n-values", "100,10000000", "--out", str(tmp_path / "b")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: --n-values holds 10000000") and f" {most}," in err
-    assert err.count("\n") == 1, err
-    assert builds == [] and not (tmp_path / "b").exists()
-    # n = 1000, about 60 MB, passes both checks and reaches the builder
-    cli.BenchConfig(n_values=(100, 1000))
+    # each rejected bench flag is one error line, before any build or file
+    out = tmp_path / "b"
+    for flags, message in (
+            (["--solvers", "dce,warp"], "unknown solver 'warp'; pick one of dce, "),
+            (["--n-values", "10,1"], "--n-values must be at least 2, got 1"),
+            (["--n-values", "100,10000000"],
+             f"--n-values must be at most {most}, the largest whose build "),
+            (["--seeds", "0"], "seeds must be at least 1, got 0"),
+            (["--jobs", "0"], "jobs must be at least 1, got 0"),
+            (["--max-iter", "0"], "tol must be nonnegative and finite and max_iter "
+                                  "positive, got tol=1e-06, max_iter=0"),
+            (["--n-values", "10,12,10"], "--n-values repeats a value: 10,12,10")):
+        code = cli.main(["bench", *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, flags
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert builds == [] and not out.exists(), flags
+    # n = 1000, about 60 MB, passes the check and reaches the builder
+    problems.check_spca_n(1000, "--n-values")
     problems.problem_from_json('{"kind": "spca", "n": 1000}')
     assert builds == [1000]
 
@@ -545,18 +561,19 @@ def test_bench_rejects_bad_config(capsys):
     assert "unknown solver" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value,field", [
-    ("--seeds", "0", "seeds"),
-    ("--max-iter", "0", "max_iter"),
-    ("--jobs", "0", "jobs"),
-    ("--jobs", "-2", "jobs"),
+@pytest.mark.parametrize("flag,value,message", [
+    ("--seeds", "0", "seeds must be at least 1"),
+    ("--max-iter", "0", "tol must be nonnegative and finite and max_iter positive"),
+    ("--jobs", "0", "jobs must be at least 1"),
+    ("--jobs", "-2", "jobs must be at least 1"),
 ], ids=["seeds-0", "max-iter-0", "jobs-0", "jobs-negative"])
-def test_bench_rejects_counts_below_one(tmp_path, capsys, flag, value, field):
+def test_bench_rejects_counts_below_one(tmp_path, capsys, flag, value, message):
+    # bench checks --tol and --max-iter as solve does
     out = tmp_path / "bench"
     code = cli.main(["bench", "--solvers", "dce", "--n-values", "10", flag, value,
                      "--out", str(out)])
     assert code == 1
-    assert f"error: {field} must be at least 1" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()  # rejected before any task or file
 
 
@@ -592,18 +609,32 @@ def test_check_spca_instance(capsys):
 
 
 def test_default_sweep_is_desk_scale():
-    cfg = cli.BenchConfig()
-    assert max(cfg.n_values) <= 300
+    args = cli.build_parser().parse_args(["bench"])
+    assert max(args.n_values) <= 300
+    # perfbench's cli workload runs with these defaults
+    assert (args.tol, args.max_iter) == (1e-6, 2000)
+    assert args.solvers == ("dce", "dce-lbfgs", "fbs", "dca", "drs")
 
 
-def test_bench_config_invariants():
-    with pytest.raises(ValueError):
-        cli.BenchConfig(n_values=(1,))
-    for tol in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            cli.BenchConfig(tol=tol)
-    with pytest.raises(ValueError):
-        cli.BenchConfig(solvers=())
+def test_bench_config_invariants(tmp_path, capsys):
+    # the flag values bench rejects: solve rejects the same tol and max_iter
+    for flags in (["--n-values", "1"], ["--solvers", ""], ["--tol=-1"], ["--tol", "nan"],
+                  ["--tol", "inf"]):
+        code = cli.main(["bench", "--solvers", "dce", "--n-values", "10", "--seeds", "1",
+                         *flags, "--out", str(tmp_path / "b")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "b").exists()
+
+
+def test_bench_runs_at_tol_zero(tmp_path):
+    # tol 0 is a valid stopping rule for bench as for solve: each run takes its budget
+    out = tmp_path / "b"
+    code = cli.main(["bench", "--solvers", "dce,fbs", "--n-values", "6", "--seeds", "1",
+                     "--tol", "0", "--max-iter", "5", "--no-timing", "--out", str(out)])
+    assert code == 0
+    rows = read_csv(out / "comparison.csv")
+    assert [row[:3] for row in rows[1:]] == [["dce", "6", "5.0"], ["fbs", "6", "5.0"]]
 
 
 def test_help_documents_output_schemas():

@@ -3,6 +3,7 @@ import pytest
 
 import dcprox as dp
 from dcprox import lbfgs
+from dcprox.checks import run_instance_checks
 from dcprox.lbfgs import MAX_BACKTRACKS, LbfgsMemory, wolfe_linesearch
 from dcprox.reports import Iterate
 
@@ -179,6 +180,27 @@ def test_run_fast_on_quadratic_envelope():
     # Armijo decrease: nonincreasing in floats, strictly lower overall
     assert all(b <= a for a, b in zip(envs, envs[1:]))
     assert envs[-1] < envs[0]
+
+
+@pytest.mark.parametrize("gamma,plain_iters,lbfgs_iters", [(0.5, 4, 2), (1.0, 4, 4),
+                                                          (4.0, 7, 4)])
+def test_non_affine_h_takes_a_prox_h_per_trial(gamma, plain_iters, lbfgs_iters):
+    # h = |x| has no affine prox, so each linesearch trial evaluates prox_h
+    # anew: the branch that affine h (every catalogue and spca instance) skips
+    inst = dp.DcInstance(g=dp.L1Ball(0.0), h=dp.L1Norm(1.0), dim=1)
+    assert not inst.h.prox_is_affine and inst.smooth_h is None
+    cfg = dp.TwoProxConfig(gamma=gamma, tol=1e-10)
+    plain, fast = dp.run(inst, cfg, [0.3]), dp.run_lbfgs(inst, cfg, [0.3])
+    for rep, iters in ((plain, plain_iters), (fast, lbfgs_iters)):
+        assert rep.converged and rep.iterations == iters, rep.solver
+        assert rep.final_v[0] == 1.0 and rep.phi == -1.0
+    prox_h, prox_g, _ = fast.counts()
+    assert prox_h == prox_g
+    # without smooth_h the battery leaves out the FBE line
+    results = run_instance_checks(inst, gamma, np.array([0.3]), np.random.default_rng(0))
+    assert [name for name, *_ in results] == ["gradient-fd", "descent-50-iters",
+                                              "sandwich-bounds"]
+    assert all(ok for _, ok, *_ in results), results
 
 
 def test_fallback_bit_matches_plain_step(monkeypatch):

@@ -292,13 +292,21 @@ def test_splits_reject_the_instance_of_another_problem():
                 build(n, kappa=kappa, seed=seed, spca=spca)
 
 
-def test_spca_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        dp.make_spca(1, seed=0)
-    with pytest.raises(ValueError):
-        dp.make_spca(10, kappa=-0.5, seed=0)
-    with pytest.raises(ValueError):
-        dp.make_spca3(10, kappa=-0.5, seed=0)
+def test_spca_rejects_bad_arguments(monkeypatch):
+    # n and kappa are checked before A is drawn
+    draws = []
+    monkeypatch.setattr(problems, "_draw_a", lambda *args: draws.append(args))
+    for n, kappa, message in (
+            (1, None, '"n" must be at least 2, got 1'),
+            (10 ** 7, None, '"n" must be at most'),
+            (600, -1.0, '"kappa" must be finite and nonnegative, got -1.0'),
+            (10, float("nan"), '"kappa" must be finite and nonnegative, got nan'),
+            (10, float("inf"), '"kappa" must be finite and nonnegative, got inf')):
+        for build in (dp.make_spca, dp.make_spca3):
+            with pytest.raises(ValueError) as err:
+                build(n, kappa=kappa, seed=0)
+            assert str(err.value).startswith(message), err.value
+    assert draws == []
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,13 @@ def test_prox_l1_ball_is_the_composite_minimizer(x, tau):
         assert obj(z) >= best - 1e-9
 
 
+@pytest.mark.parametrize("weight", [-0.5, float("nan"), float("inf")])
+def test_l1_atoms_reject_a_weight_that_is_not_finite_and_nonnegative(weight):
+    for atom in (dp.L1Norm, dp.L1Ball):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            atom(weight)
+
+
 def test_prox_quadratic_identity_sigma():
     s = np.array([2.0, -4.0])
     np.testing.assert_allclose(dp.Quadratic(np.eye(2)).prox(s, 1.0), s / 2.0)

@@ -1,9 +1,11 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dcprox as dp
+import dcprox.cli as cli
 from dcprox.reports import Termination
 from oracles import (CATALOGUE_ANSWERS, common_subgradient_gap, recording,
                      residual_rate_check, run_diag)
@@ -182,6 +184,18 @@ def test_zero_dimensional_instance_is_rejected():
     for dim in (0, -1):
         with pytest.raises(ValueError, match="dim must be at least 1"):
             dp.DcInstance(g=dp.Zero(), h=dp.Zero(), dim=dim)
+
+
+def test_unevaluated_start_reports_a_nan_residual(tmp_path):
+    # prox_h of -x^2 at gamma = 1 does not exist: no point is evaluated, and
+    # the report claims no residual, which the summary writes as null
+    inst = dp.DcInstance(g=dp.L1Norm(1.0), h=dp.Quadratic([[-2.0]]), dim=1)
+    rep = dp.run(inst, dp.TwoProxConfig(gamma=1.0), [0.5])
+    assert rep.termination is Termination.NUMERICAL_ERROR and rep.iterations == 0
+    assert np.isnan(rep.final_residual)
+    path = tmp_path / "summary.json"
+    cli._write_summary(path, rep, {})
+    assert json.loads(path.read_text())["final_residual"] is None
 
 
 def test_run_rejects_nonfinite_start():
